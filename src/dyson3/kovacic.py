@@ -12,10 +12,11 @@ downgraded to "indeterminate" unless a (numerically verified) solution
 is found.
 
 Rejections of large rotation-group candidates are prescreened modulo a
-prime p for which 3, 26 and -1 are quadratic residues: the coefficient
-matrix maps to GF(p) by a ring homomorphism, and full column rank mod p
-implies full column rank over the tower, so a "no kernel" answer from
-the prescreen is rigorous.  Exact elimination runs only when the mod-p
+prime p for which 3, 26 and -1 are quadratic residues and which divides no
+coordinate denominator of the input: the coefficient matrix maps to GF(p)
+by a ring homomorphism, and full column rank mod p implies full column
+rank over the tower, so a "no kernel" answer from the prescreen is
+rigorous.  Exact elimination runs only when the mod-p
 kernel is nonzero.
 """
 
@@ -28,10 +29,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .field import FieldElement, FE, field_sqrt
+from .field import FieldElement, FE, _rational_square_root, field_sqrt
 from .poly import (EXACT, NumericDomain, Poly, RationalFunction,
-                   exact_roots, partial_fractions, poly_complex_roots,
-                   poly_squarefree_factor)
+                   exact_roots, partial_fractions, poly_complex_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +330,18 @@ def _riccati_residual(theta: Theta, P: Poly, r_num, prec=192):
 # case 1
 # ---------------------------------------------------------------------------
 
-def _laurent_sqrt_pole(pole: Pole, dom):
-    """[sqrt r] at a pole of even order 2k >= 4: ([a_2..a_k], b, a_k).
+def _truncated_sqrt(coef, k, lo, dom):
+    """Truncated square root sum a_i x^i, i = lo..k, of a Laurent series
+    sum coef(m) x^m whose leading term is x^(2k).
 
-    [sqrt r] = sum a_i (w-c)^-i for i = 2..k, matched against the
-    principal part of r; b is the coefficient of (w-c)^-(k+1) in
-    r - [sqrt r]^2.  Returns None when the leading square root cannot be
-    taken in the requested domain (caller then retries numerically)."""
-    nu = pole.order
-    k = nu // 2
-    r_m = {nu - j: pole.principal[j] for j in range(nu)}   # coeff of (w-c)^-m
-    def get(m):
-        return r_m.get(m, dom.zero)
-    lead = get(2 * k)
+    x is 1/(w-c) at a pole (lo = 2) and w at infinity (lo = 0).  The a_i
+    match coef(m) for m = 2k down to k + lo; b is the coefficient of
+    x^(k+lo-1) in the series minus the square.  Returns ([a_lo..a_k], b,
+    a_k), or None when a_k cannot be taken in the domain (the caller then
+    retries numerically)."""
+    lead = coef(2 * k)
     if dom.exact:
-        a_k = field_sqrt(lead) if lead.is_rational() else None
+        a_k = field_sqrt(lead)
         if a_k is None:
             return None
         inv2a = (2 * a_k).inverse()
@@ -352,62 +349,19 @@ def _laurent_sqrt_pole(pole: Pole, dom):
         a_k = mp.sqrt(lead)
         inv2a = 1 / (2 * a_k)
     a = {k: a_k}
-    for m in range(2 * k - 1, k + 1, -1):
+    for m in range(2 * k - 1, k + lo - 2, -1):
         # the unknown a_{m-k} appears as 2 a_k a_{m-k}; everything else
         # in the ordered convolution sum is already known
         i = m - k
         conv = dom.zero
         for j1 in range(i + 1, k):
-            j2 = m - j1
-            if i < j2 < k and j1 in a and j2 in a:
-                conv = conv + a[j1] * a[j2]
-        a[i] = (get(m) - conv) * inv2a
-    conv = dom.zero
-    for j1 in range(2, k):
-        j2 = (k + 1) - j1
-        if 2 <= j2 <= k and j1 in a and j2 in a:
-            conv = conv + a[j1] * a[j2]
-    b = get(k + 1) - conv
-    coeffs = [a[i] for i in range(2, k + 1)]
-    return coeffs, b, a_k
-
-
-def _laurent_sqrt_inf(profile: PoleProfile, dom):
-    """[sqrt r] at infinity for o_inf = -2k <= 0: (Poly, b, lead)."""
-    k = -profile.o_inf // 2
-    q = profile.poly_part
-    def R(m):
-        if m == -1:
-            return profile.res_sum
-        return q.coeff(m)
-    lead = R(2 * k)
-    if dom.exact:
-        a_k = field_sqrt(lead) if lead.is_rational() else None
-        if a_k is None:
-            return None
-        inv2a = (2 * a_k).inverse()
-    else:
-        a_k = mp.sqrt(lead)
-        inv2a = 1 / (2 * a_k)
-    a = {k: a_k}
-    for m in range(2 * k - 1, k - 1, -1):
-        i = m - k
-        conv = dom.zero
-        for j1 in range(i + 1, k):
-            j2 = m - j1
-            if i < j2 < k and j1 in a and j2 in a:
-                conv = conv + a[j1] * a[j2]
-        a[i] = (R(m) - conv) * inv2a
-    # b = coeff of w^(k-1) in r - [sqrt r]^2; the square contributes the
-    # ordered pairs j1 + j2 = k - 1 with 0 <= j1, j2 <= k - 1
-    conv = dom.zero
-    for j1 in range(0, k):
-        j2 = (k - 1) - j1
-        if 0 <= j2 < k and j1 in a and j2 in a:
-            conv = conv + a[j1] * a[j2]
-    b = R(k - 1) - conv
-    poly = Poly([a.get(i, dom.zero) for i in range(0, k + 1)], dom)
-    return poly, b, a_k
+            if i < m - j1 < k:
+                conv = conv + a[j1] * a[m - j1]
+        if i < lo:
+            b = coef(m) - conv
+        else:
+            a[i] = (coef(m) - conv) * inv2a
+    return [a[i] for i in range(lo, k + 1)], b, a_k
 
 
 def _case1_pole_options(pole: Pole, dom):
@@ -429,19 +383,17 @@ def _case1_pole_options(pole: Pole, dom):
         return opts
     if pole.order % 2:
         return []                         # odd order >= 3: case 1 impossible
-    data = _laurent_sqrt_pole(pole, EXACT if dom.exact else dom)
-    exactf = True
+    k = pole.order // 2
+    # coefficient of (w-c)^-m
+    r_m = dict(zip(range(pole.order, 0, -1), pole.principal))
+    sdom, data = dom, _truncated_sqrt(r_m.__getitem__, k, 2, dom)
     if data is None and dom.exact:
-        ndom = NumericDomain(192)
-        npole = Pole(point=_as_mpc(c, 192), order=pole.order,
-                     principal=tuple(_as_mpc(v, 192) for v in pole.principal))
-        data = _laurent_sqrt_pole(npole, ndom)
-        exactf = False
+        sdom = NumericDomain(192)
+        data = _truncated_sqrt(lambda m: _as_mpc(r_m[m], 192), k, 2, sdom)
     if data is None:
         return []
     coeffs, b, a_k = data
-    k = pole.order // 2
-    if exactf and dom.exact:
+    if sdom.exact:
         ratio = b * a_k.inverse()
         ap = _half(ratio + FE(k))
         am = _half(-ratio + FE(k))
@@ -453,7 +405,7 @@ def _case1_pole_options(pole: Pole, dom):
     for sgn, alpha in ((1, ap), (-1, am)):
         terms = [(cf if sgn > 0 else -cf, c, i + 2)
                  for i, cf in enumerate(coeffs)]
-        out.append((terms, alpha, exactf))
+        out.append((terms, alpha, sdom.exact))
     return out
 
 
@@ -475,29 +427,27 @@ def _case1_inf_options(profile: PoleProfile, dom):
         return opts
     if profile.o_inf % 2:
         return []                      # odd order < 2: case 1 impossible
-    exactf = dom.exact
-    data = _laurent_sqrt_inf(profile, dom)
+    k = -profile.o_inf // 2
+
+    def coef(m):                       # coefficient of w^m
+        return profile.res_sum if m == -1 else profile.poly_part.coeff(m)
+
+    sdom, data = dom, _truncated_sqrt(coef, k, 0, dom)
     if data is None and dom.exact:
-        ndom = NumericDomain(192)
-        nprof = PoleProfile(
-            poles=profile.poles, o_inf=profile.o_inf,
-            poly_part=profile.poly_part.to_numeric(192),
-            res_sum=_as_mpc(profile.res_sum, 192),
-            b_inf=_as_mpc(profile.b_inf, 192), exact=False)
-        data = _laurent_sqrt_inf(nprof, ndom)
-        exactf = False
+        sdom = NumericDomain(192)
+        data = _truncated_sqrt(lambda m: _as_mpc(coef(m), 192), k, 0, sdom)
     if data is None:
         return []
-    poly, b, a_k = data
-    k = -profile.o_inf // 2
-    if exactf:
+    coeffs, b, a_k = data
+    poly = Poly(coeffs, sdom)
+    if sdom.exact:
         ratio = b * a_k.inverse()
         ap = _half(ratio - FE(k))
         am = _half(-ratio - FE(k))
     else:
         ratio = b / a_k
         ap, am = (ratio - k) / 2, (-ratio - k) / 2
-    return [(poly, ap, exactf), (-poly, am, exactf)]
+    return [(poly, ap, sdom.exact), (-poly, am, sdom.exact)]
 
 
 def _case1_try(profile, r, dom, prec, log, counters):
@@ -608,22 +558,21 @@ def _case1_solve(profile, r, combo, tail, d, exact, prec, log):
 # case 2
 # ---------------------------------------------------------------------------
 
-def _int_candidates_from_sqrt(center, step_num, b, exact, tol=1e-8):
-    """Integers e = center +- step_num*sqrt(1+4b), certified exactly when
-    b is exact: (e - center)^2 == step_num^2 (1 + 4b)."""
+def _int_candidates(center, steps, b, exact):
+    """Integers e = center + t*sqrt(1+4b) for t in steps: exact when the
+    root lies in the tower; otherwise found numerically and, when b is an
+    exact element, certified by squaring: (e - center)^2 == t^2 (1 + 4b).
+    Returns (set of e, exact_flag)."""
     s, ok = _sqrt_1p4b(b)
     out = set()
-    for sgn in (1, -1):
+    for t in steps:
         if ok:
-            val = FE(center) + sgn * FE(step_num) * s
-            e = _fe_int(val)
+            e = _fe_int(FE(center) + FE(t) * s)
         else:
-            e = _num_int(center + sgn * step_num * mp.mpc(s), tol)
-            if e is not None and exact:
-                # certify by squaring when b is an exact element
-                lhs = FE((e - center) ** 2)
-                if lhs != FE(step_num ** 2) * (FE(1) + 4 * b):
-                    e = None
+            e = _num_int(center + float(t) * mp.mpc(s))
+            if e is not None and exact and (
+                    FE((e - center) ** 2) != FE(t * t) * (FE(1) + 4 * b)):
+                e = None
         if e is not None:
             out.add(e)
     return out, ok
@@ -633,21 +582,17 @@ def _case2_pole_set(pole: Pole, exact):
     if pole.order == 1:
         return {4}, True
     if pole.order == 2:
-        cands, ok = _int_candidates_from_sqrt(2, 2, pole.b, exact)
+        cands, ok = _int_candidates(2, (2, -2), pole.b, exact)
         cands.add(2)
         return cands, ok
-    if pole.order > 2 and pole.order % 2 == 1:
-        return {pole.order}, True
-    if pole.order > 2:
-        return {pole.order}, True
-    return set(), True
+    return {pole.order}, True
 
 
 def _case2_inf_set(profile: PoleProfile, exact):
     if profile.o_inf > 2:
         return {0, 2, 4}, True
     if profile.o_inf == 2:
-        cands, ok = _int_candidates_from_sqrt(2, 2, profile.b_inf, exact)
+        cands, ok = _int_candidates(2, (2, -2), profile.b_inf, exact)
         cands.add(2)
         return cands, ok
     return {profile.o_inf}, True
@@ -756,47 +701,6 @@ def _case2_solve(profile, r, combo, d, prec, log):
 # case 3 (finite primitive groups, n = 4, 6, 12)
 # ---------------------------------------------------------------------------
 
-def _case3_pole_set(pole: Pole, n, exact):
-    if pole.order == 1:
-        return {12}, True
-    s, ok = _sqrt_1p4b(pole.b)
-    out = set()
-    for k in range(-(n // 2), n // 2 + 1):
-        step = Fraction(12 * k, n)
-        if ok:
-            val = FE(6) + FE(step) * s
-            e = _fe_int(val)
-        else:
-            e = _num_int(6 + float(step) * mp.mpc(s))
-            if e is not None and exact:
-                lhs = FE((e - 6) ** 2)
-                if lhs != FE(step ** 2) * (FE(1) + 4 * pole.b):
-                    e = None
-        if e is not None:
-            out.add(e)
-    return out, ok
-
-
-def _case3_inf_set(profile: PoleProfile, n, exact):
-    b = profile.b_inf
-    if profile.o_inf > 2:
-        b = FE(0) if exact else mp.mpc(0)
-    s, ok = _sqrt_1p4b(b)
-    out = set()
-    for k in range(-(n // 2), n // 2 + 1):
-        step = Fraction(12 * k, n)
-        if ok:
-            e = _fe_int(FE(6) + FE(step) * s)
-        else:
-            e = _num_int(6 + float(step) * mp.mpc(s))
-            if e is not None and exact:
-                if FE((e - 6) ** 2) != FE(step ** 2) * (FE(1) + 4 * b):
-                    e = None
-        if e is not None:
-            out.add(e)
-    return out, ok
-
-
 # -- modular prescreen -------------------------------------------------------
 
 def _is_prime(n):
@@ -846,11 +750,11 @@ def _tonelli(a, p):
     return r
 
 
-_MODP_CACHE = []
-
-
 class _ModP:
-    """GF(p) image of the tower: fixed residues for sqrt3, sqrt26, i."""
+    """GF(p) image of the tower: fixed residues for sqrt3, sqrt26, i.
+
+    The map is a ring homomorphism on the elements whose coordinates have
+    denominators prime to p; `fe` is only applied to those."""
 
     def __init__(self, p):
         self.p = p
@@ -859,6 +763,8 @@ class _ModP:
         self.im = _tonelli(p - 1, p)
         if None in (self.s3, self.s26, self.im):
             raise ValueError("unsuitable prime")
+        assert (self.s3 ** 2 % p, self.s26 ** 2 % p, self.im ** 2 % p) \
+            == (3, 26, p - 1)
         b = [1, self.s3, self.s26, self.s3 * self.s26 % p]
         self.basis = b + [v * self.im % p for v in b]
 
@@ -874,17 +780,26 @@ class _ModP:
         return np.array([self.fe(c) for c in q.coeffs], dtype=np.int64)
 
 
-def _get_modp():
-    if not _MODP_CACHE:
-        n = 1_000_003
-        while True:
-            if (_is_prime(n) and n % 4 == 1
-                    and pow(3, (n - 1) // 2, n) == 1
-                    and pow(26, (n - 1) // 2, n) == 1):
-                _MODP_CACHE.append(_ModP(n))
-                break
-            n += 2
-    return _MODP_CACHE[0]
+_MODP_CACHE = []    # _ModP of the suitable primes found so far, ascending
+
+
+def _get_modp(elements) -> _ModP:
+    """The smallest suitable prime above 10^6 that divides no coordinate
+    denominator of the given elements, so that all of them have an image
+    in GF(p).  Suitable: p = 1 mod 4, with 3 and 26 squares mod p."""
+    dens = {c.denominator for x in elements for c in x.c}
+    for modp in _MODP_CACHE:
+        if all(d % modp.p for d in dens):
+            return modp
+    n = _MODP_CACHE[-1].p + 2 if _MODP_CACHE else 1_000_003
+    while True:
+        if (_is_prime(n) and n % 4 == 1
+                and pow(3, (n - 1) // 2, n) == 1
+                and pow(26, (n - 1) // 2, n) == 1):
+            _MODP_CACHE.append(_ModP(n))
+            if all(d % n for d in dens):
+                return _MODP_CACHE[-1]
+        n += 2
 
 
 def _mp_mul(A, ker, p):
@@ -985,20 +900,18 @@ def _case3_try(profile, r, dom, prec, log, counters):
         log.append("case 3: S^2 r not polynomial (unexpected)")
         return None
     S2r = S2r_rf.num
-    modp = _get_modp() if exact else None
+    modp = _get_modp(S.coeffs + S2r.coeffs + [p.point for p in profile.poles]
+                     ) if exact else None
     for n in (4, 6, 12):
-        pole_sets = []
-        feasible = True
-        for p in profile.poles:
-            s, _ok = _case3_pole_set(p, n, exact)
-            if not s:
-                feasible = False
-                break
-            pole_sets.append(sorted(s))
-        if not feasible:
+        # exponents e = 6 + (12k/n) sqrt(1+4b), |k| <= n/2
+        steps = range(-6, 7, 12 // n)
+        pole_sets = [sorted({12} if p.order == 1 else
+                            _int_candidates(6, steps, p.b, exact)[0])
+                     for p in profile.poles]
+        if not all(pole_sets):
             log.append(f"case 3 (n={n}): a pole admits no integer exponent")
             continue
-        inf_set, _ok = _case3_inf_set(profile, n, exact)
+        inf_set = _int_candidates(6, steps, profile.b_inf, exact)[0]
         if not inf_set:
             log.append(f"case 3 (n={n}): infinity admits no integer exponent")
             continue
@@ -1017,7 +930,7 @@ def _case3_try(profile, r, dom, prec, log, counters):
                     coef = (FE(Fraction(e * n, 12)) if exact
                             else mp.mpf(e) * n / 12)
                     Sth = Sth + quo.scale(coef)
-                if exact and modp is not None:
+                if exact:
                     Mk = _case3_matrix_modp(
                         modp.poly(S),
                         _mp_pad_vec(modp.poly(S.derivative()), len(S.coeffs)),
@@ -1029,7 +942,9 @@ def _case3_try(profile, r, dom, prec, log, counters):
                 res = _case3_solve(S, Sth, S2r, n, d, dom, exact, prec)
                 if res is not None:
                     log.append(f"case 3 (n={n}): success with e_inf={e_inf}, "
-                               f"e={list(combo)}, d={d}")
+                               f"e={list(combo)}, d={d} after {tried} "
+                               f"candidates ({screened} rejected by the "
+                               "GF(p) prescreen)")
                     return res
                 if not exact:
                     counters["numeric_reject"] += 1
@@ -1129,16 +1044,6 @@ def _short(x):
 # Lame sieve
 # ---------------------------------------------------------------------------
 
-def _fraction_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    from math import isqrt
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def lame_sieve(A) -> dict:
     """Necessary-condition sieve for xi'' = (A p(t) + B) xi, A = n(n+1).
 
@@ -1156,7 +1061,7 @@ def lame_sieve(A) -> dict:
         A = A.as_rational()
     A = Fraction(A)
     disc = 1 + 4 * A
-    sq = _fraction_sqrt(disc)
+    sq = _rational_square_root(disc)
     roots = [] if sq is None else sorted({Fraction(-1 + sq, 2),
                                           Fraction(-1 - sq, 2)})
     lame_hermite = bhc = bald_union = False

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldElement, FE, SQRT3
-from .multipoly import (MultiPoly, cos_series, sin_series, neg_log1p_series,
-                        compose_series)
+from .field import FE, SQRT3
+from .multipoly import MultiPoly, cos_series, sin_series, neg_log1p_series
 from .poly import Poly
 
 
@@ -150,13 +149,7 @@ def diagonal_reduce(th: TruncatedHamiltonian) -> Poly:
     """
     if not th.poly.swap_symmetric():
         raise ValueError("Hamiltonian is not symmetric under index swap")
-    dq1 = th.poly.derivative("q1").momentum_free()
-    diag = {}
-    for e, c in dq1.terms.items():
-        k = e[0] + e[1]
-        diag[k] = diag.get(k, FieldElement()) + c
-    n = max(diag, default=-1) + 1
-    return -Poly([diag.get(k, FieldElement()) for k in range(n)])
+    return -th.poly.derivative("q1").momentum_free().diagonal_univariate()
 
 
 def diagonal_reduce_via_energy(th: TruncatedHamiltonian) -> Poly:

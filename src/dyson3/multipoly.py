@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import FieldElement, FE, coerce as fe_coerce
+from .field import FieldElement, coerce as fe_coerce
 from .poly import Poly
 
 VARS = ("q1", "q2", "p1", "p2")
@@ -60,9 +60,6 @@ class MultiPoly:
 
     def coeff(self, exps) -> FieldElement:
         return self.terms.get(tuple(exps), FieldElement())
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -136,32 +133,11 @@ class MultiPoly:
         return [self.derivative(v) for v in VARS]
 
     # -- substitution --------------------------------------------------------
-    def eval_exact(self, vals) -> FieldElement:
-        acc = FieldElement()
-        for e, c in self.terms.items():
-            t = c
-            for x, k in zip(vals, e):
-                for _ in range(k):
-                    t = t * x
-            acc = acc + t
-        return acc
-
-    def eval_float(self, vals) -> complex:
-        acc = 0j
-        for e, c in self.terms.items():
-            t = c.to_complex()
-            for x, k in zip(vals, e):
-                t *= x ** k
-            acc += t
-        return acc.real if abs(acc.imag) == 0 else acc
-
-    def diagonal_univariate(self, qvar_only: bool = False) -> Poly:
+    def diagonal_univariate(self) -> Poly:
         """Substitute q1=q2=q, p1=p2=0 -> polynomial in q over the tower."""
         out = {}
         for e, c in self.terms.items():
             if e[2] or e[3]:
-                if qvar_only:
-                    continue
                 raise ValueError("momentum terms present; restrict first")
             k = e[0] + e[1]
             out[k] = out.get(k, FieldElement()) + c

@@ -12,20 +12,17 @@ the recomputed ones).
 
 from __future__ import annotations
 
-import json
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import cmath
-
-import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .field import FieldElement, FE, SQRT3
 from .model import TruncatedHamiltonian, diagonal_reduce, diagonal_potential
-from .poly import Poly, RationalFunction, EXACT
+from .poly import Poly, RationalFunction, EXACT, float_horner
 
 
 @dataclass(frozen=True)
@@ -39,16 +36,6 @@ class VariationalSystem:
     beta: Poly
     source: str     # "K" or "L"
 
-    def matrix_at(self, q: float):
-        a = _poly_real(self.alpha, q)
-        b = _poly_real(self.beta, q)
-        return np.array([
-            [0.0, 0.0, 2.0, -1.0],
-            [0.0, 0.0, -1.0, 2.0],
-            [-a, -b, 0.0, 0.0],
-            [-b, -a, 0.0, 0.0],
-        ])
-
 
 @dataclass(frozen=True)
 class ScalarNVE:
@@ -56,9 +43,6 @@ class ScalarNVE:
     mode: str        # "symmetric" | "antisymmetric"
     source: str      # "K" | "L"
     variant: str     # "derived" | "paper"
-
-    def a_at(self, q: float) -> float:
-        return _poly_real(self.a, q)
 
 
 @dataclass(frozen=True)
@@ -73,13 +57,6 @@ class AlgebraizedODE:
         return lhs == self.r
 
 
-def _poly_real(p: Poly, q: float) -> float:
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * q + c.to_complex().real
-    return acc
-
-
 def derive_variational(trunc: TruncatedHamiltonian) -> VariationalSystem:
     """Exact Hessian blocks of the potential along the diagonal."""
     if not trunc.poly.swap_symmetric():
@@ -87,21 +64,9 @@ def derive_variational(trunc: TruncatedHamiltonian) -> VariationalSystem:
     pot = trunc.poly.momentum_free()
     d11 = pot.derivative("q1").derivative("q1")
     d12 = pot.derivative("q1").derivative("q2")
-    alpha = _diag_poly(d11)
-    beta = _diag_poly(d12)
     src = "K" if trunc.order <= 3 else "L"
-    return VariationalSystem(alpha=alpha, beta=beta, source=src)
-
-
-def _diag_poly(mp_: "MultiPoly") -> Poly:
-    out = {}
-    for e, c in mp_.terms.items():
-        if e[2] or e[3]:
-            raise ValueError("momentum exponents in potential Hessian")
-        k = e[0] + e[1]
-        out[k] = out.get(k, FieldElement()) + c
-    n = max(out, default=-1) + 1
-    return Poly([out.get(k, FieldElement()) for k in range(n)])
+    return VariationalSystem(alpha=d11.diagonal_univariate(),
+                             beta=d12.diagonal_univariate(), source=src)
 
 
 def scalar_nve(vs: VariationalSystem, mode: str) -> ScalarNVE:
@@ -182,40 +147,14 @@ def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
 
 # -- numeric oracles --------------------------------------------------------
 
-def _coeff_funcs(vs: VariationalSystem):
-    al = [c.to_complex().real for c in vs.alpha.coeffs]
-    be = [c.to_complex().real for c in vs.beta.coeffs]
-
-    def alpha(q):
-        acc = 0.0
-        for c in reversed(al):
-            acc = acc * q + c
-        return acc
-
-    def beta(q):
-        acc = 0.0
-        for c in reversed(be):
-            acc = acc * q + c
-        return acc
-
-    return alpha, beta
-
-
 def base_period(trunc: TruncatedHamiltonian, q0: float) -> float:
     """Period of the diagonal orbit of the truncation through (q0, p=0),
     by singularity-removing quadrature of the energy relation."""
     u = diagonal_potential(trunc)
-    uc = [c.to_complex().real for c in u.coeffs]
-
-    def uval(q):
-        acc = 0.0
-        for c in reversed(uc):
-            acc = acc * q + c
-        return acc
-
+    uval = float_horner(u)
     h = uval(q0)
     # other turning point: root of u - h on the opposite side of 0
-    shifted = [c for c in reversed(uc)]
+    shifted = [c.to_complex().real for c in u.coeffs][::-1]
     shifted[-1] -= h
     roots = np.roots(shifted)
     real = sorted(r.real for r in roots if abs(r.imag) < 1e-10)
@@ -252,16 +191,9 @@ def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
     `perturb` adds a constant to the scalar coefficient for the negative
     control experiment.
     """
-    alpha, beta = _coeff_funcs(vs)
-    gcoeffs = [c.to_complex().real for c in
-               diagonal_reduce_poly_cache(vs.source).coeffs]
-
-    def accel(q):
-        acc = 0.0
-        for c in reversed(gcoeffs):
-            acc = acc * q + c
-        return acc
-
+    alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
+    accel = float_horner(diagonal_reduce_poly_cache(vs.source))
+    a_nve = float_horner(nve.a)
     sign = -1.0 if nve.mode == "antisymmetric" else 1.0
     kin = 3.0 if nve.mode == "antisymmetric" else 1.0
 
@@ -270,7 +202,7 @@ def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
         x1, x2, e1, e2 = y[2], y[3], y[4], y[5]
         a, b = alpha(q), beta(q)
         xs, xd = y[6], y[7]
-        anve = nve.a_at(q) + perturb
+        anve = a_nve(q) + perturb
         return [
             p, accel(q),
             2 * e1 - e2, -e1 + 2 * e2,
@@ -325,15 +257,8 @@ def base_period_cached(source: str, q0: float) -> float:
 def monodromy_matrix(vs: VariationalSystem, q0: float = 0.1,
                      rtol: float = 1e-12):
     """Fundamental 4x4 solution over one base period."""
-    alpha, beta = _coeff_funcs(vs)
-    gcoeffs = [c.to_complex().real for c in
-               diagonal_reduce_poly_cache(vs.source).coeffs]
-
-    def accel(q):
-        acc = 0.0
-        for c in reversed(gcoeffs):
-            acc = acc * q + c
-        return acc
+    alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
+    accel = float_horner(diagonal_reduce_poly_cache(vs.source))
 
     def rhs(t, y):
         q, p = y[0], y[1]
@@ -356,18 +281,12 @@ def monodromy_matrix(vs: VariationalSystem, q0: float = 0.1,
 
 def wronskian_drift(nve: ScalarNVE, q0: float = 0.1, rtol: float = 1e-12):
     """Max drift of the Wronskian of two independent scalar solutions."""
-    gcoeffs = [c.to_complex().real for c in
-               diagonal_reduce_poly_cache(nve.source).coeffs]
-
-    def accel(q):
-        acc = 0.0
-        for c in reversed(gcoeffs):
-            acc = acc * q + c
-        return acc
+    accel = float_horner(diagonal_reduce_poly_cache(nve.source))
+    a_nve = float_horner(nve.a)
 
     def rhs(t, y):
         q, p, x1, v1, x2, v2 = y
-        a = nve.a_at(q)
+        a = a_nve(q)
         return [p, accel(q), v1, a * x1, v2, a * x2]
 
     t_end = base_period_cached(nve.source, q0)
@@ -379,8 +298,7 @@ def wronskian_drift(nve: ScalarNVE, q0: float = 0.1, rtol: float = 1e-12):
     return float(np.max(np.abs(wr - wr[0])))
 
 
-def algebrize_gauge_oracle(nve: ScalarNVE, t_end: float = 0.4,
-                           steps: int = 4000) -> float:
+def algebrize_gauge_oracle(nve: ScalarNVE, t_end: float = 0.4) -> float:
     """Consistency of the algebrized normal form with the time-domain NVE.
 
     Along w(t) = sqrt26 sinh(2it) + 1 the normal-form solution is
@@ -390,53 +308,40 @@ def algebrize_gauge_oracle(nve: ScalarNVE, t_end: float = 0.4,
     and the maximal violation of this identity is returned.
     """
     ode = algebrize(nve)
+    s26 = 26 ** 0.5
 
     def wpath(t):
-        w = complex(26 ** 0.5) * cmath.sinh(2j * t) + 1
-        wd = 2j * complex(26 ** 0.5) * cmath.cosh(2j * t)
+        w = s26 * cmath.sinh(2j * t) + 1
+        wd = 2j * s26 * cmath.cosh(2j * t)
         return w, wd
 
-    acoef = [c.to_complex() for c in nve.a.coeffs]
-
-    def aval(q):
-        acc = 0j
-        for c in reversed(acoef):
-            acc = acc * q + c
-        return acc
-
-    p_num = ode.p.num.to_numeric(64)
-    p_den = ode.p.den.to_numeric(64)
-    r_num = ode.r.num.to_numeric(64)
-    r_den = ode.r.den.to_numeric(64)
+    a_nve = float_horner(nve.a)
+    p_num, p_den = float_horner(ode.p.num), float_horner(ode.p.den)
+    r_num, r_den = float_horner(ode.r.num), float_horner(ode.r.den)
     s3 = 3 ** 0.5
 
     def rhs(t, y):
         xi, xid, ze, zew = y
         w, wd = wpath(t)
         psi = -3 * s3 / w
-        rw = complex(r_num(mp.mpc(w)) / r_den(mp.mpc(w)))
-        return [xid, aval(psi) * xi, zew * wd, rw * ze * wd]
+        rw = r_num(w) / r_den(w)
+        return [xid, a_nve(psi) * xi, zew * wd, rw * ze * wd]
 
     w0, wd0 = wpath(0.0)
-    pw0 = complex(p_num(mp.mpc(w0)) / p_den(mp.mpc(w0)))
-    y = [1 + 0j, 0.3 + 0j, 1 + 0j, (0.3 + pw0 * wd0 / 2) / wd0]
-    h = t_end / steps
+    pw0 = p_num(w0) / p_den(w0)
+    y0 = [1 + 0j, 0.3 + 0j, 1 + 0j, (0.3 + pw0 * wd0 / 2) / wd0]
+    # 80 checkpoints, t_end/80 apart
+    ts = t_end * (50 * np.arange(80) + 1) / 4000
+    sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=ts, rtol=1e-12,
+                    atol=1e-13, method="DOP853")
+    if not sol.success:
+        raise ArithmeticError(f"gauge oracle integration failed: {sol.message}")
     worst = 0.0
-    t = 0.0
-    for step in range(steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, [a + h / 2 * b for a, b in zip(y, k1)])
-        k3 = rhs(t + h / 2, [a + h / 2 * b for a, b in zip(y, k2)])
-        k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
-        y = [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        t += h
-        if step % 50 == 0:
-            w, wd = wpath(t)
-            pw = complex(p_num(mp.mpc(w)) / p_den(mp.mpc(w)))
-            lhs = (y[3] * wd) / y[2] - y[1] / y[0]
-            worst = max(worst, abs(lhs - pw * wd / 2))
-    return worst
+    for t, (xi, xid, ze, zew) in zip(sol.t, sol.y.T):
+        w, wd = wpath(t)
+        gap = (zew * wd) / ze - xid / xi
+        worst = max(worst, abs(gap - p_num(w) / p_den(w) * wd / 2))
+    return float(worst)
 
 
 # -- serialization ------------------------------------------------------------

@@ -28,12 +28,6 @@ def potential_tilde(q):
     return -mp.log(mp.sin(2 * q)) - 2 * mp.log(mp.sin(q))
 
 
-def potential_tilde_prime(q):
-    if isinstance(q, (int, float)):
-        return -2 / math.tan(2 * q) - 2 / math.tan(q)
-    return -2 * mp.cot(2 * q) - 2 * mp.cot(q)
-
-
 def e_min(prec: int = 128):
     """Equilibrium energy -3 log(sqrt3/2)."""
     with mp.workprec(prec):
@@ -232,30 +226,6 @@ def _yoshida4_step(q: float, p: float, h: float):
     return q, p
 
 
-try:
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _integrate_nb(q, p, h, nsteps, w1, w0):
-        emax = 0.0
-        e0 = p * p - math.log(math.sin(2 * q)) - 2 * math.log(math.sin(q))
-        for _ in range(nsteps):
-            for w in (w1, w0, w1):
-                hh = w * h
-                p += 0.5 * hh * (1.0 / math.tan(q) + 1.0 / math.tan(2.0 * q))
-                q += hh * p
-                p += 0.5 * hh * (1.0 / math.tan(q) + 1.0 / math.tan(2.0 * q))
-            e = p * p - math.log(math.sin(2 * q)) - 2 * math.log(math.sin(q))
-            d = abs(e - e0)
-            if d > emax:
-                emax = d
-        return q, p, emax
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover - numba optional
-    _HAVE_NUMBA = False
-
-
 def diagonal_energy(q: float, p: float) -> float:
     return p * p + potential_tilde(q)
 
@@ -263,8 +233,6 @@ def diagonal_energy(q: float, p: float) -> float:
 def integrate_diagonal(q0: float, p0: float, h: float, nsteps: int):
     """Fourth-order Yoshida composition; returns final state and the max
     energy deviation seen along the way."""
-    if _HAVE_NUMBA:
-        return _integrate_nb(q0, p0, h, nsteps, _W1, _W0)
     q, p = q0, p0
     e0 = diagonal_energy(q, p)
     emax = 0.0
@@ -382,11 +350,6 @@ def eta_monodromy(radius: float = 1e-3, steps: int = 2000, loops: int = 1,
         k1, k2 = _b_coeffs(prec)
         two_thirds_pi = 2 * mp.pi / 3
 
-        def chain(c, s, t):
-            """(B, r1, r2, eta) from already-continued radicals s, t."""
-            b = k1 * c ** 2 / t + k2 * t
-            return b
-
         def eta_of(r1, r2):
             eps = (mp.acos(r1) - two_thirds_pi) / 2
             delta = (two_thirds_pi - mp.acos(r2)) / 2
@@ -402,7 +365,7 @@ def eta_monodromy(radius: float = 1e-3, steps: int = 2000, loops: int = 1,
             t3 = 9 * c ** 2 - mp.sqrt(3) * s
             t = mp.cbrt(t3) if t_prev is None else \
                 _nearest(_cbrt_candidates(t3), t_prev, move[1])
-            b = chain(c, s, t)
+            b = k1 * c ** 2 / t + k2 * t
             z1 = 1 + b
             s1 = mp.sqrt(z1) if s1_prev is None else \
                 _nearest(_sqrt_candidates(z1), s1_prev, move[2])
@@ -416,13 +379,12 @@ def eta_monodromy(radius: float = 1e-3, steps: int = 2000, loops: int = 1,
         r1_start = mp.mpf(1) / 2 - s10 / 2 - s20 / 2
         r2_start = mp.mpf(1) / 2 - s10 / 2 + s20 / 2
         eta_prev = eta_of(r1_start, r2_start)
-        log_eta = mp.log(eta_prev)
         arg_acc = mp.mpf(0)
 
         s_prev, t_prev, s1_prev, s2_prev = s0, t0, s10, s20
         move = [mp.mpf(0)] * 4
         total = loops * steps
-        c = start
+        b = b_start
         for j in range(1, total + 1):
             ang = 2 * mp.pi * j / steps
             c = c0 + radius * mp.exp(1j * ang)
@@ -437,7 +399,6 @@ def eta_monodromy(radius: float = 1e-3, steps: int = 2000, loops: int = 1,
             dphi = mp.arg(eta / eta_prev)
             arg_acc += dphi
             eta_prev = eta
-        b_end = chain(c, s_prev, t_prev)
         r1_end = mp.mpf(1) / 2 - s1_prev / 2 - s2_prev / 2
         r2_end = mp.mpf(1) / 2 - s1_prev / 2 + s2_prev / 2
         flipped = bool(abs(s_prev + s0) < abs(s_prev - s0))
@@ -447,9 +408,9 @@ def eta_monodromy(radius: float = 1e-3, steps: int = 2000, loops: int = 1,
             eta_of(r1_start, r2_start))), arg_acc)
         winding = int(mp.nint(arg_acc / (2 * mp.pi)))
         return MonodromyResult(
-            b_before=complex(b_start), b_after=complex(b_end),
+            b_before=complex(b_start), b_after=complex(b),
             branch_changed=flipped,
-            b_changed=bool(abs(b_end - b_start) > mp.mpf("1e-6")),
+            b_changed=bool(abs(b - b_start) > mp.mpf("1e-6")),
             roots_swapped=swapped,
             log_eta_increment=complex(log_inc),
             eta_winding=winding)

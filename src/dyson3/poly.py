@@ -8,6 +8,7 @@ dense and straightforward.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -262,6 +263,26 @@ class Poly:
         return "Poly(" + " + ".join(f"({c!r})*w^{k}" for k, c in enumerate(self.coeffs)) + ")"
 
 
+def float_horner(p: Poly):
+    """Float evaluator of an exact polynomial: x -> p(x) by Horner's rule.
+
+    The coefficients are rounded once; they are real floats when every
+    coefficient is real and complex otherwise, so a real argument gives a
+    real value exactly when p is real.
+    """
+    cs = [c.to_complex() for c in reversed(p.coeffs)]
+    if all(c == c.conj_i() for c in p.coeffs):
+        cs = [c.real for c in cs]
+
+    def horner(x):
+        acc = 0.0
+        for c in cs:
+            acc = acc * x + c
+        return acc
+
+    return horner
+
+
 def poly_squarefree_factor(p: Poly):
     """Yun's algorithm: [(factor, multiplicity)], factors pairwise coprime.
 
@@ -365,7 +386,7 @@ def _rational_roots(p: Poly):
     den_lcm = 1
     for c in p.coeffs:
         d = c.as_rational().denominator
-        den_lcm = den_lcm * d // _gcd(den_lcm, d)
+        den_lcm = math.lcm(den_lcm, d)
     ints = [int(c.as_rational() * den_lcm) for c in p.coeffs]
     found = []
     a0, an = None, ints[-1]
@@ -386,12 +407,6 @@ def _rational_roots(p: Poly):
         if p(FieldElement.from_rational(q)).is_zero():
             found.append(q)
     return found
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int):

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import jsonschema
@@ -113,7 +113,10 @@ class PipelineConfig:
         return cls(**kwargs)
 
     def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The analysis inputs; `out` is where the outputs go, not an input,
+        so the same analysis reports the same JSON wherever it is written."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "out"}
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,67 @@ def test_numeric_certificate_for_root_outside_tower():
     res = kovacic(rf(num, den))
     assert res.verdict == "liouvillian"
     assert res.case == 1
-    if res.certificate == "numeric":
-        assert res.residual is not None and res.residual < 1e-8
+    assert res.certificate == "numeric"
+    assert res.residual < 1e-8
+
+
+def schwarz_form(lam, mu, nu, p1=FE(0), p2=FE(1)):
+    """Hypergeometric normal form with exponent differences lam, mu, nu at
+    p1, p2 and infinity; p1 = 0, p2 = 1 is the standard form
+    r = [(lam^2-1)/x^2 + (mu^2-1)/(x-1)^2 + (1-lam^2-mu^2+nu^2)/(x(x-1))]/4,
+    and other p1, p2 pull it back by an affine map."""
+    a, b = W - Poly([p1]), W - Poly([p2])
+    num = ((b * b).scale(FE(Fraction(lam * lam - 1, 4)))
+           + (a * a).scale(FE(Fraction(mu * mu - 1, 4)))
+           + (a * b).scale(FE(Fraction(1 - lam * lam - mu * mu + nu * nu, 4))))
+    return rf(num, a * a * b * b)
+
+
+def _surd_pair(u, v):
+    """Poles u -+ v sqrt3."""
+    return FE(u) - SQRT3 * FE(v), FE(u) + SQRT3 * FE(v)
+
+
+_H, _T = Fraction(1, 2), Fraction(1, 3)
+# 1000081 is the first prime the GF(p) prescreen tries; a pole coordinate
+# with that denominator has no image mod p, so the sweep must move on to
+# another prime instead of rejecting the true candidate.
+_P = Fraction(1, 1000081)
+
+
+@pytest.mark.parametrize("exps, poles, case, n", [
+    pytest.param((_H, _H, _T), (), 2, None, id="dihedral"),
+    pytest.param((_H, _T, _T), (), 3, 4, id="tetrahedral"),
+    pytest.param((_H, _T, Fraction(1, 4)), (), 3, 6, id="octahedral"),
+    pytest.param((_H, _T, Fraction(1, 5)), (), 3, 12, id="icosahedral"),
+    pytest.param((_T, _T, Fraction(2, 5)), (), 3, 12, id="icosahedral2"),
+    pytest.param((_H, _T, Fraction(1, 7)), (), None, None, id="sl2"),
+    pytest.param((_H, _T, _T), _surd_pair(_P, 1), 3, 4,
+                 id="tetrahedral_u_mod_p"),
+    pytest.param((_H, _T, Fraction(1, 4)), _surd_pair(_H, _P), 3, 6,
+                 id="octahedral_v_mod_p"),
+    pytest.param((_H, _T, Fraction(1, 5)), _surd_pair(_P, 1), 3, 12,
+                 id="icosahedral_u_mod_p"),
+])
+def test_schwarz_list_controls(exps, poles, case, n):
+    """Kimura's theorem and Schwarz's list fix the verdict of each
+    hypergeometric form: dihedral (case 2), tetrahedral, octahedral and
+    icosahedral (case 3 with n = 4, 6, 12), or not Liouvillian."""
+    res = kovacic(schwarz_form(*exps, *poles))
+    assert res.case == case and res.n == n
+    if case is None:
+        assert res.verdict == "not_liouvillian"
+        assert res.numeric_rejections == 0
+    else:
+        assert res.verdict == "liouvillian"
+        assert res.certificate == "exact"
+
+
+def test_case3_success_logs_its_candidate_counts():
+    res = kovacic(schwarz_form(_H, _T, _T))
+    assert res.log[-1] == ("case 3 (n=4): success with e_inf=7, e=[3, 4], "
+                           "d=0 after 1 candidates (0 rejected by the GF(p) "
+                           "prescreen)")
 
 
 def test_moebius_shift_invariance():

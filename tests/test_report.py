@@ -92,3 +92,11 @@ def test_write_outputs(tmp_path, fast_report):
     names = {p.name for p in paths}
     assert names == {"report.json", "summary.md"}
     assert json.loads((tmp_path / "report.json").read_text()) == fast_report
+
+
+def test_output_directory_does_not_enter_the_report():
+    a = rpt.PipelineConfig(out="out")
+    b = rpt.PipelineConfig(out="elsewhere/out")
+    assert "out" not in a.to_json()
+    assert (rpt.render_json(rpt.build_report(a, only=("equilibrium",)))
+            == rpt.render_json(rpt.build_report(b, only=("equilibrium",))))
