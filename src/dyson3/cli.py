@@ -117,17 +117,6 @@ def _print_checks(report_doc: dict, stream, with_verdicts: bool):
             print(f"[{v['status']}] verdict.{key}", file=stream)
 
 
-def _exit_code(report_doc: dict, with_verdicts: bool) -> int:
-    if with_verdicts:
-        return rpt.report_exit_code(report_doc)
-    statuses = [s["status"] for s in report_doc["sections"].values()]
-    if any(s == "FAIL" for s in statuses):
-        return 1
-    if any(s == "INDETERMINATE" for s in statuses):
-        return 2
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -150,9 +139,9 @@ def main(argv=None) -> int:
         if args.command == "period-scan":
             (out / "period_scan.csv").write_text(rpt.render_csv(report_doc),
                                                  encoding="utf-8")
-    full = args.command == "report"
-    _print_checks(report_doc, sys.stdout, with_verdicts=full)
-    return _exit_code(report_doc, with_verdicts=full)
+    _print_checks(report_doc, sys.stdout,
+                  with_verdicts=args.command == "report")
+    return rpt.report_exit_code(report_doc)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,57 +1,116 @@
-"""Exact arithmetic in the number field Q(sqrt3, sqrt26, i).
+"""Exact arithmetic in the field of square roots of rationals.
 
-Every constant appearing in the Dyson pipeline (sqrt3 from the cubic
-Hamiltonian terms, sqrt26 from the hyperbolic particular solution, i from
-the algebrization) lives in this degree-8 tower, so all symbolic
-computation downstream can use exact zero tests.
+An element is a finite sum  sum_r q_r sqrt(r)  with rational q_r over
+distinct squarefree integers r, where sqrt(r) = i sqrt(|r|) for r < 0, so
+sqrt(-1) = i.  Square roots of distinct squarefree integers are linearly
+independent over Q (Besicovitch, J. London Math. Soc. 15, 1940), so this
+representation is unique and every zero test is exact.  The field contains
+Q(sqrt3, sqrt26, i), where every constant of the Dyson pipeline lives
+(sqrt3 from the cubic Hamiltonian terms, sqrt26 from the hyperbolic
+particular solution, i from the algebrization), and with it every square
+root q z^2 -> sqrt(q) z that Kovacic's algorithm takes (q rational, z in
+the field).
 
-Elements are stored as 8 rational coordinates over the basis
-{1, s3, s26, s78} x {1, i} with s78 = s3*s26.  The coordinate index packs
-the three exponent bits as a | (b << 1) | (m << 2) where a, b, m are the
-parities of sqrt3, sqrt26 and i.
+Two radicals multiply through their gcd: sqrt(r1) sqrt(r2) =
+g sqrt(r1 r2 / g^2) with g = gcd(r1, r2), times -1 when both are negative.
+The generators of an element are the primes dividing its radicands, and -1
+when one is negative; `conj(g)` flips the sign of sqrt(g), and `inverse`
+conjugates the generators away one at a time.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
-import mpmath as mp
+# Square-free parts are found by trial division below this bound; a cofactor
+# left over that is neither 1, a square nor a prime below its square has no
+# known factorization, and its square root is not taken.
+_TRIAL_BOUND = 10 ** 5
 
-_Q = Fraction
-
-# index bits
-_A = 1   # sqrt3
-_B = 2   # sqrt26
-_M = 4   # i
-
-_ZERO8 = (Fraction(0),) * 8
-
-
-def _basis_mul(i: int, j: int) -> tuple[Fraction, int]:
-    """Product of basis monomials i and j -> (rational factor, monomial)."""
-    f = Fraction(1)
-    if i & j & _A:
-        f *= 3
-    if i & j & _B:
-        f *= 26
-    if i & j & _M:
-        f *= -1
-    return f, i ^ j
+# squarefree radicand r -> its generators: the primes dividing r, and -1
+# when r < 0
+_GENS = {1: frozenset(), -1: frozenset({-1})}
+# (r1, r2) -> (c, r) with sqrt(r1) sqrt(r2) = c sqrt(r)
+_RADMUL = {}
 
 
-_MUL_TABLE = [[_basis_mul(i, j) for j in range(8)] for i in range(8)]
+def _squarefree_split(n: int):
+    """n = s^2 f for a positive integer n: (s, f, primes of f) with f
+    squarefree, or None when the factorization is out of reach."""
+    s, f, primes = 1, 1, []
+    d = 2
+    while d * d <= n and d < _TRIAL_BOUND:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            s *= d ** (e // 2)
+            if e % 2:
+                f *= d
+                primes.append(d)
+        d += 1 if d == 2 else 2
+    if n > 1:
+        root = math.isqrt(n)
+        if root * root == n:
+            s *= root
+        elif d * d > n:           # every d up to sqrt(n) was tried: n is prime
+            f *= n
+            primes.append(n)
+        else:
+            return None
+    return s, f, primes
+
+
+def _register(r: int, primes) -> None:
+    _GENS.setdefault(r, frozenset(primes) | ({-1} if r < 0 else set()))
+
+
+def radical_generators(r: int) -> frozenset:
+    """Generators of sqrt(r) for a radicand r of some element: the primes
+    dividing r, and -1 when r < 0."""
+    return _GENS[r]
+
+
+def _radical_mul(r1: int, r2: int):
+    hit = _RADMUL.get((r1, r2))
+    if hit is None:
+        g = math.gcd(r1, r2)
+        r = (r1 // g) * (r2 // g)
+        _GENS.setdefault(r, _GENS[r1] ^ _GENS[r2])
+        hit = _RADMUL[(r1, r2)] = (-g if r1 < 0 and r2 < 0 else g), r
+    return hit
 
 
 class FieldElement:
-    """Immutable element of Q(sqrt3, sqrt26, i)."""
+    """Immutable element sum_r q_r sqrt(r); `terms` maps each squarefree
+    radicand r to its nonzero rational coefficient q_r."""
 
-    __slots__ = ("c",)
+    __slots__ = ("terms",)
 
-    def __init__(self, coords=_ZERO8):
-        if len(coords) != 8:
-            raise ValueError("need 8 coordinates")
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in coords))
+    def __init__(self, terms=None):
+        clean = {}
+        for r, q in (terms or {}).items():
+            q = Fraction(q)
+            if not q:
+                continue
+            if r not in _GENS:
+                split = _squarefree_split(abs(r)) if r else None
+                if split is None or split[0] != 1:
+                    raise ValueError(f"radicand {r} is not a squarefree "
+                                     "integer with a known factorization")
+                _register(r, split[2])
+            clean[r] = q
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, terms: dict) -> "FieldElement":
+        """Trusted constructor: nonzero Fraction values, known radicands."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "terms", terms)
+        return x
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
@@ -59,45 +118,53 @@ class FieldElement:
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_rational(q) -> "FieldElement":
-        c = [Fraction(0)] * 8
-        c[0] = Fraction(q)
-        return FieldElement(c)
-
-    @staticmethod
-    def monomial(q, idx: int) -> "FieldElement":
-        c = [Fraction(0)] * 8
-        c[idx] = Fraction(q)
-        return FieldElement(c)
+        q = Fraction(q)
+        return FieldElement._make({1: q} if q else {})
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not self.terms
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.c[1:])
+        return not self.terms or (len(self.terms) == 1 and 1 in self.terms)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element: %s" % (self,))
-        return self.c[0]
+        return self.terms.get(1, Fraction(0))
+
+    def generators(self) -> frozenset:
+        """Primes dividing a radicand, and -1 when a radicand is negative."""
+        return frozenset().union(*(_GENS[r] for r in self.terms))
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement([a + b for a, b in zip(self.c, other.c)])
+        out = dict(self.terms)
+        for r, q in other.terms.items():
+            s = out.get(r)
+            if s is None:
+                out[r] = q
+            else:
+                s += q
+                if s:
+                    out[r] = s
+                else:
+                    del out[r]
+        return FieldElement._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement([-a for a in self.c])
+        return FieldElement._make({r: -q for r, q in self.terms.items()})
 
     def __sub__(self, other):
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement([a - b for a, b in zip(self.c, other.c)])
+        return self + (-other)
 
     def __rsub__(self, other):
         other = coerce(other)
@@ -109,38 +176,32 @@ class FieldElement:
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = [Fraction(0)] * 8
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.c):
-                if b == 0:
-                    continue
-                f, k = _MUL_TABLE[i][j]
-                out[k] += a * b * f
-        return FieldElement(out)
+        out = {}
+        for r1, q1 in self.terms.items():
+            for r2, q2 in other.terms.items():
+                c, r = _radical_mul(r1, r2)
+                out[r] = out.get(r, 0) + q1 * q2 * c
+        return FieldElement._make({r: q for r, q in out.items() if q})
 
     __rmul__ = __mul__
 
-    def conj_i(self) -> "FieldElement":
-        return FieldElement([(-x if i & _M else x) for i, x in enumerate(self.c)])
-
-    def conj_s26(self) -> "FieldElement":
-        return FieldElement([(-x if i & _B else x) for i, x in enumerate(self.c)])
-
-    def conj_s3(self) -> "FieldElement":
-        return FieldElement([(-x if i & _A else x) for i, x in enumerate(self.c)])
+    def conj(self, g: int) -> "FieldElement":
+        """The automorphism sqrt(g) -> -sqrt(g) for a prime g, or i -> -i
+        for g = -1."""
+        return FieldElement._make({r: (-q if g in _GENS[r] else q)
+                                   for r, q in self.terms.items()})
 
     def inverse(self) -> "FieldElement":
-        """Exact inverse via the conjugation tower; x * x.inverse() == 1."""
+        """Exact inverse: x * conj_g(x) is free of g, so conjugating the
+        generators away one at a time leaves a rational denominator."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        ci = self.conj_i()
-        n1 = self * ci                 # lands in Q(sqrt3, sqrt26)
-        n2 = n1 * n1.conj_s26()        # lands in Q(sqrt3)
-        n3 = n2 * n2.conj_s3()         # rational
-        q = n3.as_rational()
-        return ci * n1.conj_s26() * n2.conj_s3() * FieldElement.from_rational(1 / q)
+        num, den = ONE, self
+        for g in sorted(self.generators()):
+            if g in den.generators():
+                c = den.conj(g)
+                num, den = num * c, den * c
+        return num * FieldElement.from_rational(1 / den.as_rational())
 
     def __truediv__(self, other):
         other = coerce(other)
@@ -170,36 +231,31 @@ class FieldElement:
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.c == other.c
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.c)
+        return hash(frozenset(self.terms.items()))
 
-    # -- embeddings ------------------------------------------------------
+    # -- embedding -------------------------------------------------------
     def to_complex(self) -> complex:
-        s3, s26 = 3 ** 0.5, 26 ** 0.5
-        s78 = s3 * s26
-        re = float(self.c[0]) + float(self.c[1]) * s3 + float(self.c[2]) * s26 + float(self.c[3]) * s78
-        im = float(self.c[4]) + float(self.c[5]) * s3 + float(self.c[6]) * s26 + float(self.c[7]) * s78
+        re = im = 0.0
+        for r in sorted(self.terms, key=abs):
+            v = float(self.terms[r]) * math.sqrt(abs(r))
+            if r > 0:
+                re += v
+            else:
+                im += v
         return complex(re, im)
 
-    def to_mpc(self, prec: int = 128) -> mp.mpc:
-        with mp.workprec(prec + 10):
-            s3 = mp.sqrt(3)
-            s26 = mp.sqrt(26)
-            s78 = s3 * s26
-            basis = (mp.mpf(1), s3, s26, s78)
-            re = mp.fsum(mp.mpf(x.numerator) / x.denominator * b
-                         for x, b in zip(self.c[:4], basis) if x)
-            im = mp.fsum(mp.mpf(x.numerator) / x.denominator * b
-                         for x, b in zip(self.c[4:], basis) if x)
-            return mp.mpc(re, im)
-
     # -- display --------------------------------------------------------
-    _NAMES = ("", "*s3", "*s26", "*s78", "*i", "*i*s3", "*i*s26", "*i*s78")
-
     def __repr__(self):
-        terms = [f"{x}{n}" for x, n in zip(self.c, self._NAMES) if x != 0]
+        """Terms ordered real before imaginary, then by |r|: the tower
+        basis prints as 1, s3, s26, s78, i, i*s3, i*s26, i*s78."""
+        terms = []
+        for r in sorted(self.terms, key=lambda r: (r < 0, abs(r))):
+            name = ("*i" if r < 0 else "") + (f"*s{abs(r)}" if abs(r) > 1
+                                              else "")
+            terms.append(f"{self.terms[r]}{name}")
         return "FE(" + (" + ".join(terms) if terms else "0") + ")"
 
 
@@ -213,10 +269,10 @@ def coerce(x) -> Union[FieldElement, type(NotImplemented)]:
 
 ZERO = FieldElement()
 ONE = FieldElement.from_rational(1)
-SQRT3 = FieldElement.monomial(1, _A)
-SQRT26 = FieldElement.monomial(1, _B)
-SQRT78 = FieldElement.monomial(1, _A | _B)
-I = FieldElement.monomial(1, _M)
+SQRT3 = FieldElement({3: 1})
+SQRT26 = FieldElement({26: 1})
+SQRT78 = FieldElement({78: 1})
+I = FieldElement({-1: 1})
 
 
 def FE(q) -> FieldElement:
@@ -228,34 +284,58 @@ def _rational_square_root(q: Fraction):
     """sqrt of a non-negative rational, or None if irrational."""
     if q < 0:
         return None
-    from math import isqrt
     n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
+    rn, rd = math.isqrt(n), math.isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
 
 
-def field_sqrt(x: FieldElement):
-    """Square root of a *rational* field element inside the tower.
-
-    Returns a FieldElement y with y*y == x, or None when the root does
-    not live in the tower (or x is not rational).  Covers all square
-    roots the Dyson pipeline needs: sqrt(q), sqrt(3q), sqrt(26q),
-    sqrt(78q) and their negatives.
-    """
-    if not x.is_rational():
-        return None
-    q = x.as_rational()
+def _rational_sqrt(q: Fraction):
+    """sqrt(q) = (s/d) sqrt(+-f) for q = n/d, n d = s^2 f, or None."""
     if q == 0:
         return ZERO
-    neg = q < 0
-    if neg:
-        q = -q
-    for scale, idx in ((Fraction(1), 0), (Fraction(3), _A),
-                       (Fraction(26), _B), (Fraction(78), _A | _B)):
-        r = _rational_square_root(q / scale)
-        if r is not None:
-            root = FieldElement.monomial(r, idx)
-            return I * root if neg else root
+    split = _squarefree_split(abs(q.numerator) * q.denominator)
+    if split is None:
+        return None
+    s, f, primes = split
+    r = f if q > 0 else -f
+    _register(r, primes)
+    return FieldElement._make({r: Fraction(s, q.denominator)})
+
+
+def field_sqrt(x: FieldElement):
+    """A square root y of x (y * y == x), or None.
+
+    Found whenever x = q z^2 with q rational and z in the field generated
+    by x's radicands.  On a generator g of x, write x = a + b sqrt(g) with
+    a, b free of g; a root c + e sqrt(g) has c^2 = (a +- sqrt(N))/2 with
+    N = a^2 - g b^2, so sqrt(N) must lie in the smaller field and the
+    recursion runs on (a +- sqrt(N))/2.  The result is checked by squaring.
+    """
+    if x.is_rational():
+        return _rational_sqrt(x.as_rational())
+    gens = x.generators()
+    g = max(gens)
+    a, b = {}, {}
+    for r, q in x.terms.items():
+        if g in _GENS[r]:
+            _GENS.setdefault(r // g, _GENS[r] - {g})
+            b[r // g] = q
+        else:
+            a[r] = q
+    a, b = FieldElement._make(a), FieldElement._make(b)
+    root_n = field_sqrt(a * a - b * b * g)
+    if root_n is None or not root_n.generators() <= gens - {g}:
+        return None
+    half = FE(Fraction(1, 2))
+    _GENS.setdefault(g, frozenset({g}))
+    sqrt_g = FieldElement._make({g: Fraction(1)})
+    for s in (root_n, -root_n):
+        c = field_sqrt((a + s) * half)
+        if c is None or c.is_zero():
+            continue
+        y = c + b * (2 * c).inverse() * sqrt_g
+        if y * y == x:
+            return y
     return None

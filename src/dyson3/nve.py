@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 
 from .field import FieldElement, FE, SQRT3
 from .model import TruncatedHamiltonian, diagonal_reduce, diagonal_potential
-from .poly import Poly, RationalFunction, EXACT, float_horner
+from .poly import Poly, RationalFunction, float_horner
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
     wdot2 = RationalFunction.from_poly(W_POLY_WDOT2)
     wddot = RationalFunction.from_poly(W_POLY_WDDOT)
     psi = RationalFunction(Poly([SQRT3 * FE(-3)]), w)
-    a_of_psi = RationalFunction.const(FieldElement(), EXACT)
+    a_of_psi = RationalFunction.const(FieldElement())
     pw = RationalFunction.from_poly(Poly([1]))
     for k, c in enumerate(nve.a.coeffs):
         if k > 0:
@@ -346,8 +346,15 @@ def algebrize_gauge_oracle(nve: ScalarNVE, t_end: float = 0.4) -> float:
 
 # -- serialization ------------------------------------------------------------
 
+# radicands of the JSON coordinates: the basis {1,s3,s26,s78}x{1,i}
+_TOWER = (1, 3, 26, 78, -1, -3, -26, -78)
+
+
 def _fe_coords(x: FieldElement):
-    return [[c.numerator, c.denominator] for c in x.c]
+    if not set(x.terms) <= set(_TOWER):
+        raise ValueError(f"{x!r} lies outside Q(sqrt3, sqrt26, i)")
+    return [[c.numerator, c.denominator]
+            for c in (x.terms.get(r, Fraction(0)) for r in _TOWER)]
 
 
 def _poly_json(p: Poly):
@@ -379,7 +386,9 @@ def algebraized_json(ode: AlgebraizedODE) -> dict:
 
 
 def _fe_from_coords(coords) -> FieldElement:
-    return FieldElement([Fraction(n, d) for n, d in coords])
+    if len(coords) != len(_TOWER):
+        raise ValueError("need 8 coordinates over {1,s3,s26,s78}x{1,i}")
+    return FieldElement({r: Fraction(n, d) for r, (n, d) in zip(_TOWER, coords)})
 
 
 def poly_from_json(data) -> Poly:

@@ -1,9 +1,8 @@
 """Dense univariate polynomials and rational functions.
 
-Coefficients come from a pluggable domain: the exact tower field
-(ExactDomain) or arbitrary-precision complex floats (NumericDomain).
-Degrees stay small (< 30) throughout the pipeline, so everything is
-dense and straightforward.
+Coefficients are exact field elements (`field.FieldElement`), so every
+zero test, gcd and division is exact.  Degrees stay small (< 30)
+throughout the pipeline, so everything is dense and straightforward.
 """
 
 from __future__ import annotations
@@ -11,97 +10,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath as mp
-
-from .field import FieldElement, field_sqrt, coerce as fe_coerce
+from .field import ONE, ZERO, FieldElement, field_sqrt, coerce as fe_coerce
 
 
-class ExactDomain:
-    """Coefficients in Q(sqrt3, sqrt26, i); zero tests are exact."""
-
-    exact = True
-
-    def __init__(self):
-        self.zero = FieldElement()
-        self.one = FieldElement.from_rational(1)
-
-    def coerce(self, x):
-        if isinstance(x, FieldElement):
-            return x
-        c = fe_coerce(x)
-        if c is NotImplemented:
-            raise TypeError(f"cannot coerce {x!r} into the tower field")
-        return c
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero()
-
-    def inv(self, x):
-        return x.inverse()
-
-    def sqrt(self, x):
-        return field_sqrt(x)          # may be None
-
-    def abs_estimate(self, x) -> float:
-        return abs(x.to_complex())
-
-    def __eq__(self, other):
-        return isinstance(other, ExactDomain)
-
-    def __hash__(self):
-        return hash("ExactDomain")
-
-
-class NumericDomain:
-    """mpmath complex coefficients with a relative zero threshold."""
-
-    exact = False
-
-    def __init__(self, prec: int = 128):
-        self.prec = prec
-        self.tol = mp.mpf(2) ** (-prec // 2)
-        self.zero = mp.mpc(0)
-        self.one = mp.mpc(1)
-
-    def coerce(self, x):
-        if isinstance(x, FieldElement):
-            return x.to_mpc(self.prec)
-        if isinstance(x, Fraction):
-            return mp.mpc(mp.mpf(x.numerator) / x.denominator)
-        return mp.mpc(x)
-
-    def is_zero(self, x) -> bool:
-        return abs(x) < self.tol
-
-    def inv(self, x):
-        return 1 / x
-
-    def sqrt(self, x):
-        return mp.sqrt(x)
-
-    def abs_estimate(self, x) -> float:
-        return float(abs(x))
-
-    def __eq__(self, other):
-        return isinstance(other, NumericDomain) and other.prec == self.prec
-
-    def __hash__(self):
-        return hash(("NumericDomain", self.prec))
-
-
-EXACT = ExactDomain()
+def _coerce(x) -> FieldElement:
+    c = fe_coerce(x)
+    if c is NotImplemented:
+        raise TypeError(f"cannot coerce {x!r} into the field")
+    return c
 
 
 class Poly:
     """Dense polynomial; coeffs[k] multiplies w**k, no trailing zeros."""
 
-    __slots__ = ("dom", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, dom=EXACT):
-        cs = [dom.coerce(c) for c in coeffs]
-        while cs and dom.is_zero(cs[-1]):
+    def __init__(self, coeffs):
+        cs = [_coerce(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
             cs.pop()
-        self.dom = dom
         self.coeffs = cs
 
     # -- basics ----------------------------------------------------------
@@ -118,33 +45,30 @@ class Poly:
         return self.coeffs[-1]
 
     def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.dom.zero
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
 
     @staticmethod
-    def const(c, dom=EXACT) -> "Poly":
-        return Poly([c], dom)
+    def const(c) -> "Poly":
+        return Poly([c])
 
     @staticmethod
-    def x(dom=EXACT) -> "Poly":
-        return Poly([0, 1], dom)
+    def x() -> "Poly":
+        return Poly([0, 1])
 
     # -- ring operations ---------------------------------------------------
-    def _same(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.dom != self.dom:
-                raise TypeError("mixed coefficient domains")
-            return other
-        return Poly.const(other, self.dom)
+    @staticmethod
+    def _same(other) -> "Poly":
+        return other if isinstance(other, Poly) else Poly.const(other)
 
     def __add__(self, other):
         other = self._same(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)], self.dom)
+        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.dom)
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-self._same(other))
@@ -155,19 +79,19 @@ class Poly:
     def __mul__(self, other):
         other = self._same(other)
         if self.is_zero() or other.is_zero():
-            return Poly([], self.dom)
-        out = [self.dom.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Poly([])
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if self.dom.is_zero(a):
+            if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly(out, self.dom)
+        return Poly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = Poly.const(self.dom.one, self.dom)
+        out = Poly.const(ONE)
         base = self
         while n:
             if n & 1:
@@ -177,34 +101,31 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other, self.dom)
-        return (self - other).is_zero()
+        return (self - self._same(other)).is_zero()
 
     def __hash__(self):
-        return hash((self.dom, tuple(self.coeffs)))
+        return hash(tuple(self.coeffs))
 
     # -- euclidean structure -------------------------------------------------
     def divmod(self, other: "Poly"):
         other = self._same(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        dom = self.dom
         rem = list(self.coeffs)
         dq = len(other.coeffs) - 1
         if len(rem) - 1 < dq:
-            return Poly([], dom), self
-        inv_lc = dom.inv(other.lc())
-        quot = [dom.zero] * (len(rem) - dq)
+            return Poly([]), self
+        inv_lc = other.lc().inverse()
+        quot = [ZERO] * (len(rem) - dq)
         for k in range(len(rem) - 1, dq - 1, -1):
             c = rem[k]
-            if dom.is_zero(c):
+            if c.is_zero():
                 continue
             f = c * inv_lc
             quot[k - dq] = f
             for j, b in enumerate(other.coeffs):
                 rem[k - dq + j] = rem[k - dq + j] - f * b
-        return Poly(quot, dom), Poly(rem, dom)
+        return Poly(quot), Poly(rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -221,8 +142,8 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        inv = self.dom.inv(self.lc())
-        return Poly([c * inv for c in self.coeffs], self.dom)
+        inv = self.lc().inverse()
+        return Poly([c * inv for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, self._same(other)
@@ -232,30 +153,27 @@ class Poly:
 
     # -- calculus / evaluation --------------------------------------------
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:], self.dom)
+        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
-        acc = self.dom.zero
+        acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly([], self.dom)
+        acc = Poly([])
         for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c, self.dom)
+            acc = acc * inner + Poly.const(c)
         return acc
 
     def shift_var(self, a) -> "Poly":
         """p(w) -> p(w + a)."""
-        return self.compose(Poly([a, 1], self.dom))
+        return self.compose(Poly([a, 1]))
 
     def scale(self, c) -> "Poly":
-        return Poly([x * self.dom.coerce(c) for x in self.coeffs], self.dom)
-
-    def to_numeric(self, prec: int = 128) -> "Poly":
-        dom = NumericDomain(prec)
-        return Poly([dom.coerce(c) for c in self.coeffs], dom)
+        c = _coerce(c)
+        return Poly([x * c for x in self.coeffs])
 
     def __repr__(self):
         if self.is_zero():
@@ -271,7 +189,7 @@ def float_horner(p: Poly):
     real value exactly when p is real.
     """
     cs = [c.to_complex() for c in reversed(p.coeffs)]
-    if all(c == c.conj_i() for c in p.coeffs):
+    if all(c == c.conj(-1) for c in p.coeffs):
         cs = [c.real for c in cs]
 
     def horner(x):
@@ -312,50 +230,14 @@ def poly_squarefree_factor(p: Poly):
     return out
 
 
-def poly_complex_roots(p: Poly, prec: int = 128):
-    """Numeric roots with multiplicities from the square-free split.
-
-    Each factor of the square-free decomposition has simple roots, so
-    mpmath's solver converges cleanly and the multiplicity bookkeeping is
-    exact.  Returns [(mpc root, multiplicity)]; multiplicities sum to deg p.
-    """
-    if p.is_zero() or p.degree < 1:
-        raise ValueError("need a nonzero polynomial of degree >= 1")
-    out = []
-    with mp.workprec(prec + 30):
-        for fac, mult in poly_squarefree_factor(p):
-            if fac.degree == 0:
-                continue
-            cs = [c.to_mpc(prec + 30) if isinstance(c, FieldElement) else mp.mpc(c)
-                  for c in reversed(fac.coeffs)]
-            roots = mp.polyroots(cs, maxsteps=200, extraprec=prec)
-            out.extend((mp.mpc(r), mult) for r in roots)
-    residual = max(abs(_eval_numeric(p, r, prec)) for r, _ in out)
-    bound = mp.mpf(2) ** (-prec // 2)
-    scale = max(1.0, max(p.dom.abs_estimate(c) for c in p.coeffs))
-    if residual > bound * scale:
-        raise ArithmeticError(
-            f"root refinement did not converge: residual {mp.nstr(residual, 5)}")
-    return out
-
-
-def _eval_numeric(p: Poly, x, prec: int):
-    acc = mp.mpc(0)
-    for c in reversed(p.coeffs):
-        cv = c.to_mpc(prec) if isinstance(c, FieldElement) else mp.mpc(c)
-        acc = acc * x + cv
-    return acc
-
-
 def exact_roots(p: Poly):
-    """All roots of p expressible in the tower, with multiplicities.
+    """Roots of p in the field, with multiplicities.
 
     Pulls rational roots out of every square-free factor, then solves the
     residual quadratics with field_sqrt.  Returns (roots, fully_solved);
-    when fully_solved is False a caller must fall back to numerics.
+    when fully_solved is False some factor did not split and its roots are
+    missing from the list.
     """
-    if p.dom is not EXACT and not isinstance(p.dom, ExactDomain):
-        raise TypeError("exact_roots needs exact coefficients")
     roots = []
     solved = True
     for fac, mult in poly_squarefree_factor(p):
@@ -430,33 +312,27 @@ class RationalFunction:
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.dom != den.dom:
-            raise TypeError("mixed coefficient domains")
         if not num.is_zero():
             g = num.gcd(den)
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
         else:
-            den = Poly.const(den.dom.one, den.dom)
-        lc_inv = den.dom.inv(den.lc())
+            den = Poly.const(ONE)
+        lc_inv = den.lc().inverse()
         object.__setattr__(self, "num", num.scale(lc_inv))
         object.__setattr__(self, "den", den.monic())
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
 
-    @property
-    def dom(self):
-        return self.num.dom if not self.num.is_zero() else self.den.dom
-
     @staticmethod
     def from_poly(p: Poly) -> "RationalFunction":
-        return RationalFunction(p, Poly.const(p.dom.one, p.dom))
+        return RationalFunction(p, Poly.const(ONE))
 
     @staticmethod
-    def const(c, dom=EXACT) -> "RationalFunction":
-        return RationalFunction.from_poly(Poly.const(c, dom))
+    def const(c) -> "RationalFunction":
+        return RationalFunction.from_poly(Poly.const(c))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -470,7 +346,7 @@ class RationalFunction:
             return other
         if isinstance(other, Poly):
             return RationalFunction.from_poly(other)
-        return RationalFunction.const(other, self.den.dom)
+        return RationalFunction.const(other)
 
     def __add__(self, other):
         o = self._same(other)
@@ -504,7 +380,7 @@ class RationalFunction:
         return self._same(other) / self
 
     def __pow__(self, n: int):
-        out = RationalFunction.const(self.den.dom.one, self.den.dom)
+        out = RationalFunction.const(ONE)
         base = self
         if n < 0:
             base = RationalFunction(self.den, self.num)
@@ -529,12 +405,9 @@ class RationalFunction:
 
     def __call__(self, x):
         dv = self.den(x)
-        dom = self.den.dom
-        if isinstance(dv, FieldElement):
-            if dv.is_zero():
-                raise ZeroDivisionError("evaluation at a pole")
-            return self.num(x) * dv.inverse()
-        return self.num(x) / dv
+        if dv.is_zero():
+            raise ZeroDivisionError("evaluation at a pole")
+        return self.num(x) * dv.inverse()
 
     def shift_var(self, a) -> "RationalFunction":
         return RationalFunction(self.num.shift_var(a), self.den.shift_var(a))
@@ -545,30 +418,24 @@ class RationalFunction:
             return 10 ** 9
         return self.den.degree - self.num.degree
 
-    def to_numeric(self, prec: int = 128) -> "RationalFunction":
-        return RationalFunction(self.num.to_numeric(prec), self.den.to_numeric(prec))
-
     def __repr__(self):
         return f"RF({self.num!r} / {self.den!r})"
 
 
-def partial_fractions(f: RationalFunction, roots=None, prec: int = 128):
+def partial_fractions(f: RationalFunction, roots=None):
     """Split f into polynomial part + Laurent ladders at each pole.
 
     Returns (poly_part, [(pole, order, ladder)]) where ladder[j] multiplies
-    (w - pole)**-(order - j).  Works over either domain; `roots` may carry
-    precomputed (root, multiplicity) pairs for the denominator, otherwise
-    they are found exactly when possible and numerically otherwise.
+    (w - pole)**-(order - j).  `roots` may carry precomputed (root,
+    multiplicity) pairs for the denominator; otherwise they are found by
+    exact_roots, and ArithmeticError is raised when the denominator does
+    not split over the field.
     """
     if roots is None:
-        if f.dom.exact:
-            roots, solved = exact_roots(f.den)
-            if not solved:
-                roots = poly_complex_roots(f.den, prec)
-        else:
-            roots = poly_complex_roots(f.den, prec)
-    if roots and f.dom.exact and not isinstance(roots[0][0], FieldElement):
-        f = f.to_numeric(prec)
+        roots, solved = exact_roots(f.den)
+        if not solved:
+            raise ArithmeticError(f"denominator {f.den!r} does not split "
+                                  "over the field")
     poly_part, rem = f.num.divmod(f.den)
     terms = []
     for pole, order in roots:
@@ -576,7 +443,7 @@ def partial_fractions(f: RationalFunction, roots=None, prec: int = 128):
         # coefficients are the Laurent ladder of f at the pole.
         shifted_den = f.den.shift_var(pole)
         shifted_num = rem.shift_var(pole)
-        core = Poly(shifted_den.coeffs[order:], f.den.dom)
+        core = Poly(shifted_den.coeffs[order:])
         hj = RationalFunction(shifted_num, core)
         ladder = []
         fact = 1
@@ -584,20 +451,16 @@ def partial_fractions(f: RationalFunction, roots=None, prec: int = 128):
             if j > 0:
                 hj = hj.derivative()
                 fact *= j
-            val = hj(f.den.dom.zero)
-            if fact != 1:
-                val = val * f.den.dom.inv(f.den.dom.coerce(fact))
-            ladder.append(val)
+            ladder.append(hj(ZERO) * Fraction(1, fact))
         terms.append((pole, order, ladder))
     return poly_part, terms
 
 
-def recombine(poly_part: Poly, terms, dom=None):
+def recombine(poly_part: Poly, terms):
     """Inverse of partial_fractions, for round-trip checks."""
-    dom = dom or poly_part.dom
     out = RationalFunction.from_poly(poly_part)
     for pole, order, ladder in terms:
-        base = Poly([-pole, dom.one], dom)
+        base = Poly([-pole, ONE])
         for j, c in enumerate(ladder):
-            out = out + RationalFunction(Poly.const(c, dom), base ** (order - j))
+            out = out + RationalFunction(Poly.const(c), base ** (order - j))
     return out

@@ -469,7 +469,6 @@ _DIVERGENCE_NOTE = (
 
 def section_kovacic(cfg: PipelineConfig) -> dict:
     from .poly import RationalFunction
-    prec = cfg.precision
     checks = []
     corpus = {}
     w = Poly.x()
@@ -482,7 +481,7 @@ def section_kovacic(cfg: PipelineConfig) -> dict:
          RationalFunction(Poly([FE(Fraction(3, 16))]), w * w), "liouvillian"),
     ]
     for name, r, want in cases:
-        res = kovacic.kovacic(r, prec=prec)
+        res = kovacic.kovacic(r)
         corpus[name] = res.to_json()
         checks.append(_check(f"kovacic.corpus_{name}", res.verdict == want,
                              value=res.verdict, tol=0.0, note=f"expect {want}"))
@@ -501,7 +500,7 @@ def section_kovacic(cfg: PipelineConfig) -> dict:
     runs = {}
     indeterminate = False
     for label, sc in _quartic_variants(cfg.variant).items():
-        res = kovacic.kovacic(nve.algebrize(sc).r, prec=prec)
+        res = kovacic.kovacic(nve.algebrize(sc).r)
         runs[label] = res.to_json()
         if label == "L_paper":
             ok = res.verdict == "not_liouvillian"
@@ -614,8 +613,12 @@ def build_report(cfg: PipelineConfig, only=None) -> dict:
 
 
 def report_exit_code(report: dict) -> int:
+    """0 all PASS, 1 any FAIL, 2 any INDETERMINATE or PARTIAL.  Verdicts
+    count only in a report that holds every section, so the partial report
+    of a subcommand takes its exit code from its sections."""
     statuses = [s["status"] for s in report["sections"].values()]
-    statuses += [v["status"] for v in report["verdicts"].values()]
+    if set(SECTION_NAMES) <= set(report["sections"]):
+        statuses += [v["status"] for v in report["verdicts"].values()]
     if any(s == "FAIL" for s in statuses):
         return 1
     if any(s in ("INDETERMINATE", "PARTIAL") for s in statuses):

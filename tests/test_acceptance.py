@@ -128,10 +128,9 @@ def test_criterion_7_kovacic_regression_corpus():
         res = kovacic.kovacic(
             RationalFunction(Poly([FE(Fraction(3, 16))]), w * w))
         assert res.verdict == "liouvillian" and res.case == 1
-        # exponents (1 +- sqrt7/2)/2 lie outside the coefficient tower, so
-        # exact re-substitution is impossible here; the certificate is
-        # numeric with its residual pinned instead
-        assert res.certificate == "numeric" and res.residual < 1e-12
+        # exponents (1 +- sqrt7/2)/2 lie outside Q(sqrt3, sqrt26, i) but in
+        # the field, so the certificate is an exact re-substitution
+        assert res.certificate == "exact" and res.residual == 0.0
 
 
 def test_criterion_8_paper_verdict_reproduction():

@@ -1,4 +1,4 @@
-"""Exact arithmetic in the number field Q(sqrt3, sqrt26, i)."""
+"""Exact arithmetic in the field of square roots of rationals."""
 from fractions import Fraction
 
 import pytest
@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dyson3.field import (FE, I, ONE, SQRT3, SQRT26, SQRT78, ZERO,
                           FieldElement, field_sqrt)
+
+SQRT5, SQRT7 = FieldElement({5: 1}), FieldElement({7: 1})
 
 
 def test_basis_squares():
@@ -52,9 +54,12 @@ def test_field_sqrt_rational_cases():
     s = field_sqrt(FE(-3))
     assert s == I * SQRT3
     assert s * s == FE(-3)
-    # not expressible in the tower
-    assert field_sqrt(FE(5)) is None
+    # roots outside Q(sqrt3, sqrt26, i) are in the field too
+    s5 = field_sqrt(FE(5))
+    assert s5 * s5 == FE(5)
+    # no root in any field of square roots of rationals
     assert field_sqrt(SQRT3) is None
+    assert field_sqrt(ONE + field_sqrt(FE(2))) is None
 
 
 _fracs = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -85,9 +90,12 @@ def test_inverse_roundtrip(a):
 
 def test_conjugations_fix_products():
     x = SQRT3 * FE(2) + I * SQRT26
-    assert x.conj_i().conj_i() == x
-    assert x.conj_s3().conj_s3() == x
-    assert x.conj_s26().conj_s26() == x
+    y = FE(1) - SQRT78 + I * FE(3)
+    for g in (-1, 2, 3, 13):
+        assert x.conj(g).conj(g) == x
+        assert x.conj(g) * y.conj(g) == (x * y).conj(g)
+    assert x.conj(-1) == x.conj(2) == x.conj(13) == SQRT3 * FE(2) - I * SQRT26
+    assert x.conj(3) == -SQRT3 * FE(2) + I * SQRT26
 
 
 def test_field_elements_hashable_and_immutable():
@@ -95,3 +103,61 @@ def test_field_elements_hashable_and_immutable():
     assert hash(x) == hash(SQRT3 + FE(1))
     with pytest.raises(AttributeError):
         x.coords = None
+
+
+@st.composite
+def wide_elements(draw):
+    """Elements over sqrt5 and sqrt7 as well as the tower generators."""
+    return (draw(field_elements()) + SQRT5 * FE(draw(_fracs))
+            + I * SQRT7 * FE(draw(_fracs)) + SQRT78 * FE(draw(_fracs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_elements(), wide_elements(), wide_elements())
+def test_ring_axioms_and_inverse_beyond_the_tower(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a
+    za, zb = a.to_complex(), b.to_complex()
+    assert abs((a * b).to_complex() - za * zb) < 1e-9 * (1 + abs(za * zb))
+    if not a.is_zero():
+        assert a.inverse() * a == ONE
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_elements())
+def test_field_sqrt_of_squares(z):
+    y = field_sqrt(z * z)
+    assert y == z or y == -z
+
+
+@pytest.mark.parametrize("q", [2, 5, -7])
+@settings(max_examples=20, deadline=None)
+@given(z=field_elements())
+def test_field_sqrt_of_rational_multiples_of_squares(q, z):
+    x = FE(q) * z * z
+    y = field_sqrt(x)
+    assert y is not None and y * y == x
+
+
+def test_field_sqrt_denests():
+    s2, s3, s6 = (field_sqrt(FE(k)) for k in (2, 3, 6))
+    assert field_sqrt(FE(5) + FE(2) * s6) == s2 + s3
+
+
+def test_field_sqrt_gives_up_on_unfactored_radicands():
+    # 1000003 * 1000033 has no factor below the trial-division bound and is
+    # not below its square, so its square-free part is not known
+    assert field_sqrt(FE(1000003 * 1000033)) is None
+    assert field_sqrt(FE(1000003 ** 2 * 5)) == SQRT5 * FE(1000003)
+    with pytest.raises(ValueError):
+        FieldElement({12: 1})          # not squarefree
+
+
+def test_repr_of_tower_elements():
+    x = FieldElement({1: 1, 3: 2, 26: 3, 78: 4, -1: 5, -3: 6, -26: 7,
+                      -78: Fraction(-8, 3)})
+    assert repr(x) == ("FE(1 + 2*s3 + 3*s26 + 4*s78 + 5*i + 6*i*s3 + 7*i*s26"
+                       " + -8/3*i*s78)")
+    assert repr(ZERO) == "FE(0)"

@@ -1,12 +1,13 @@
 """Liouvillian-solvability decision procedure and the Lame sieve."""
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyson3 import nve
-from dyson3.field import FE, SQRT3, I
-from dyson3.kovacic import kovacic, lame_sieve, pole_profile
+from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement
+from dyson3.kovacic import _get_modp, kovacic, lame_sieve, pole_profile
 from dyson3.model import taylor_truncate
 from dyson3.poly import Poly, RationalFunction
 
@@ -35,13 +36,12 @@ def test_corpus_airy():
 
 
 def test_corpus_regular_singular():
-    """r = (3/16)/w^2 is Liouvillian, but its exponents (1 +- sqrt7/2)/2
-    leave the coefficient tower, so the certificate is necessarily numeric
-    with a reported residual."""
+    """r = (3/16)/w^2 is Liouvillian; its exponents (1 +- sqrt7/2)/2 leave
+    Q(sqrt3, sqrt26, i) but not the field, so the certificate is exact."""
     res = kovacic(rf(Poly([FE(Fraction(3, 16))]), W * W))
     assert res.verdict == "liouvillian" and res.case == 1
-    assert res.certificate == "numeric"
-    assert res.residual < 1e-12
+    assert res.certificate == "exact"
+    assert res.residual == 0.0
 
 
 def test_exact_certificates_resubstitute():
@@ -54,17 +54,29 @@ def test_exact_certificates_resubstitute():
         assert res.omega is not None
 
 
-def test_numeric_certificate_for_root_outside_tower():
+def test_exact_certificate_for_poles_outside_tower():
     """xi = (w^2 - 5)^(1/4) solves xi'' = r xi for
-    r = -(w^2 + 10) / (4 (w^2 - 5)^2); the poles +-sqrt5 leave the tower,
-    so the certificate is numeric and must carry a tiny residual."""
+    r = -(w^2 + 10) / (4 (w^2 - 5)^2); the poles +-sqrt5 leave
+    Q(sqrt3, sqrt26, i) but are exact field elements."""
     den = (W * W - Poly([FE(5)])) ** 2
     num = (W * W + Poly([FE(10)])).scale(FE(Fraction(-1, 4)))
     res = kovacic(rf(num, den))
     assert res.verdict == "liouvillian"
     assert res.case == 1
-    assert res.certificate == "numeric"
-    assert res.residual < 1e-8
+    assert res.certificate == "exact"
+    assert res.residual == 0.0
+    s5 = FieldElement({5: 1})
+    assert {p.point for p in pole_profile(rf(num, den)).poles} == {s5, -s5}
+
+
+def test_unsplit_pole_polynomial_is_indeterminate():
+    """w^3 - 2 has no root in any field of square roots: the decision ends
+    as indeterminate and names the factor."""
+    res = kovacic(rf(ONE, (W ** 3 - 2) ** 2))
+    assert res.verdict == "indeterminate"
+    assert res.certificate is None
+    assert repr(W ** 3 - 2) in res.log[-1]
+    assert res.log[-1].endswith("verdict indeterminate")
 
 
 def schwarz_form(lam, mu, nu, p1=FE(0), p2=FE(1)):
@@ -79,9 +91,9 @@ def schwarz_form(lam, mu, nu, p1=FE(0), p2=FE(1)):
     return rf(num, a * a * b * b)
 
 
-def _surd_pair(u, v):
-    """Poles u -+ v sqrt3."""
-    return FE(u) - SQRT3 * FE(v), FE(u) + SQRT3 * FE(v)
+def _surd_pair(u, v, root=SQRT3):
+    """Poles u -+ v root."""
+    return FE(u) - root * FE(v), FE(u) + root * FE(v)
 
 
 _H, _T = Fraction(1, 2), Fraction(1, 3)
@@ -89,6 +101,11 @@ _H, _T = Fraction(1, 2), Fraction(1, 3)
 # with that denominator has no image mod p, so the sweep must move on to
 # another prime instead of rejecting the true candidate.
 _P = Fraction(1, 1000081)
+_SQRT5 = FieldElement({5: 1})
+# generic poles in Q(sqrt3, sqrt26, i): the pole polynomial has an
+# irrational discriminant
+_GENERIC_A = (FE(_H) + SQRT3 - I * SQRT26 * FE(_T), FE(-1) + 2 * I * SQRT78)
+_GENERIC_B = (SQRT3 + I, FE(2) - SQRT26 * FE(_H))
 
 
 @pytest.mark.parametrize("exps, poles, case, n", [
@@ -104,6 +121,18 @@ _P = Fraction(1, 1000081)
                  id="octahedral_v_mod_p"),
     pytest.param((_H, _T, Fraction(1, 5)), _surd_pair(_P, 1), 3, 12,
                  id="icosahedral_u_mod_p"),
+    pytest.param((_H, _T, Fraction(1, 5)), _GENERIC_A, 3, 12,
+                 id="icosahedral_generic_poles"),
+    pytest.param((_H, _T, Fraction(1, 4)), _GENERIC_B, 3, 6,
+                 id="octahedral_generic_poles"),
+    pytest.param((_H, _H, _T), _GENERIC_B, 2, None,
+                 id="dihedral_generic_poles"),
+    pytest.param((_H, _T, _T), _surd_pair(_H, _T, _SQRT5), 3, 4,
+                 id="tetrahedral_sqrt5"),
+    pytest.param((_H, _T, Fraction(1, 5)), _surd_pair(_H, _T, _SQRT5), 3, 12,
+                 id="icosahedral_sqrt5"),
+    pytest.param((_H, _T, Fraction(1, 7)), _surd_pair(_H, _T, _SQRT5), None,
+                 None, id="sl2_sqrt5"),
 ])
 def test_schwarz_list_controls(exps, poles, case, n):
     """Kimura's theorem and Schwarz's list fix the verdict of each
@@ -126,6 +155,30 @@ def test_case3_success_logs_its_candidate_counts():
                            "prescreen)")
 
 
+_RADICANDS = (1, 3, 26, 78, -1, 5, -5, 7)
+
+
+@st.composite
+def _wide_elements(draw):
+    return FieldElement({r: draw(st.fractions(min_value=-30, max_value=30,
+                                              max_denominator=9))
+                         for r in _RADICANDS})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_elements(), _wide_elements())
+def test_modp_image_is_a_ring_homomorphism(a, b):
+    """The GF(p) prescreen is sound only if its map respects + and *."""
+    modp = _get_modp([a, b, a + b, a * b])
+    p = modp.p
+    assert modp.fe(a + b) == (modp.fe(a) + modp.fe(b)) % p
+    assert modp.fe(a * b) == modp.fe(a) * modp.fe(b) % p
+
+
+def test_modp_prime_for_the_dyson_generators():
+    assert _get_modp([SQRT3, SQRT26, I]).p == 1000081
+
+
 def test_moebius_shift_invariance():
     """Kovacic verdicts are invariant under w -> w + const; run the paper
     variant shifted by 1 and compare."""
@@ -138,7 +191,7 @@ def test_moebius_shift_invariance():
 
 def test_pole_profile_of_quartic_nve():
     r = nve.algebrize(nve.paper_nve_l()).r
-    prof = pole_profile(r, 128)
+    prof = pole_profile(r)
     assert prof.o_inf == 2
     orders = sorted(p.order for p in prof.poles)
     assert orders == [2, 2, 2]

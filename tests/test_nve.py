@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dyson3 import nve
-from dyson3.field import FE, SQRT3
+from dyson3.field import FE, I, SQRT3, SQRT78, FieldElement
 from dyson3.model import taylor_truncate
 from dyson3.poly import Poly
 
@@ -114,6 +114,16 @@ def test_serialization_roundtrip():
     odedata = nve.algebraized_json(ode)
     for key, rf in (("p", ode.p), ("q", ode.q), ("r", ode.r)):
         assert nve.rf_from_json(odedata[key]) == rf
+
+
+def test_serialization_keeps_the_tower_coordinates():
+    x = FE(Fraction(1, 2)) - I * SQRT78 * FE(3)
+    coords = nve._fe_coords(x)
+    assert coords == [[1, 2], [0, 1], [0, 1], [0, 1],
+                      [0, 1], [0, 1], [0, 1], [-3, 1]]
+    assert nve._fe_from_coords(coords) == x
+    with pytest.raises(ValueError):
+        nve._fe_coords(FieldElement({5: 1}))
 
 
 def test_w_substitution_identities_exact():

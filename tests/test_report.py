@@ -43,7 +43,8 @@ def test_partial_report_marks_verdicts(fast_report):
     assert verdicts["analytic_nonintegrability"]["status"] == "PARTIAL"
     missing = verdicts["analytic_nonintegrability"]["missing"]
     assert "monodromy.single_loop_flip" in missing
-    assert rpt.report_exit_code(fast_report) == 2
+    # a partial report takes its exit code from its sections alone
+    assert rpt.report_exit_code(fast_report) == 0
 
 
 def test_every_check_carries_tolerance_when_numeric(fast_report):
@@ -61,6 +62,15 @@ def test_exit_code_mapping():
     assert rpt.report_exit_code(doc) == 2
     doc["sections"]["a"]["status"] = "FAIL"
     assert rpt.report_exit_code(doc) == 1
+    # a report with every section also counts its verdicts
+    full = {"sections": {name: {"status": "PASS", "checks": []}
+                         for name in rpt.SECTION_NAMES},
+            "verdicts": {"v": {"status": "PASS", "evidence": []}}}
+    assert rpt.report_exit_code(full) == 0
+    full["verdicts"]["v"]["status"] = "PARTIAL"
+    assert rpt.report_exit_code(full) == 2
+    full["verdicts"]["v"]["status"] = "FAIL"
+    assert rpt.report_exit_code(full) == 1
 
 
 def test_markdown_mirrors_both_claims(fast_report):
