@@ -9,6 +9,7 @@ for 0 < c <= c* = 3 sqrt3 / 16, shrinking to the equilibrium at c*.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -205,40 +206,42 @@ def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
 
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
-_YOSHIDA = (_W1, _W0, _W1)
-
-
-def _force(q: float) -> float:
-    # pdot = -Vtilde'(q)/2 = cot q + cot 2q
-    return 1.0 / math.tan(q) + 1.0 / math.tan(2.0 * q)
-
-
-def _leapfrog_step(q: float, p: float, h: float):
-    p += 0.5 * h * _force(q)
-    q += h * p
-    p += 0.5 * h * _force(q)
-    return q, p
 
 
 def _yoshida4_step(q: float, p: float, h: float):
-    for w in _YOSHIDA:
-        q, p = _leapfrog_step(q, p, w * h)
+    """One fourth-order Yoshida step: leapfrogs of w1*h, w0*h, w1*h, each
+    kick-drift-kick with the force pdot = -Vtilde'(q)/2 = cot q + cot 2q,
+    written out so that a step makes no further Python calls."""
+    tan = math.tan
+    h1 = _W1 * h
+    h0 = _W0 * h
+    p += 0.5 * h1 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
+    q += h1 * p
+    p += 0.5 * h1 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
+    p += 0.5 * h0 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
+    q += h0 * p
+    p += 0.5 * h0 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
+    p += 0.5 * h1 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
+    q += h1 * p
+    p += 0.5 * h1 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
     return q, p
-
-
-def diagonal_energy(q: float, p: float) -> float:
-    return p * p + potential_tilde(q)
 
 
 def integrate_diagonal(q0: float, p0: float, h: float, nsteps: int):
     """Fourth-order Yoshida composition; returns final state and the max
-    energy deviation seen along the way."""
+    deviation of the energy p^2 + Vtilde(q) seen along the way."""
+    step, sin, log = _yoshida4_step, math.sin, math.log
+    half_pi = math.pi / 2
     q, p = q0, p0
-    e0 = diagonal_energy(q, p)
+    e0 = p * p + potential_tilde(q)
     emax = 0.0
     for _ in range(nsteps):
-        q, p = _yoshida4_step(q, p, h)
-        emax = max(emax, abs(diagonal_energy(q, p) - e0))
+        q, p = step(q, p, h)
+        if not 0 < q < half_pi:
+            raise PeriodDomainError(f"q={q} outside (0, pi/2)")
+        de = abs(p * p + (-log(sin(2 * q)) - 2 * log(sin(q))) - e0)
+        if de > emax:
+            emax = de
     return q, p, emax
 
 
@@ -306,33 +309,38 @@ class ContinuationAmbiguity(ArithmeticError):
 
 
 def _sqrt_candidates(z):
-    s = mp.sqrt(z)
+    s = cmath.sqrt(z)
     return (s, -s)
 
 
+_OMEGA = cmath.exp(2j * math.pi / 3)
+
+
 def _cbrt_candidates(z):
-    r = mp.cbrt(z)
-    w = mp.exp(2j * mp.pi / 3)
-    return (r, r * w, r * w * w)
+    r = z ** (1 / 3)
+    return (r, r * _OMEGA, r * _OMEGA * _OMEGA)
 
 
 def _nearest(cands, prev, move_scale):
     """Branch-continuous pick with an ambiguity guard: the two
     closest candidates must be separated by at least 3x the step-to-step
-    movement."""
-    dists = sorted((abs(c - prev), c) for c in cands)
-    best = dists[0][1]
-    if len(dists) > 1:
-        gap = abs(dists[1][1] - dists[0][1])
+    movement, and an exact tie in distance has no continuous choice."""
+    ranked = sorted(cands, key=lambda c: abs(c - prev))
+    best = ranked[0]
+    if len(ranked) > 1:
+        if abs(ranked[1] - prev) == abs(best - prev):
+            raise ContinuationAmbiguity(
+                f"candidates {best} and {ranked[1]} equidistant from {prev}")
+        gap = abs(ranked[1] - best)
         if move_scale > 0 and gap < 3 * move_scale:
             raise ContinuationAmbiguity(
-                f"branch separation {float(gap):.3e} below guard "
-                f"{3 * float(move_scale):.3e}; increase step count")
+                f"branch separation {gap:.3e} below guard "
+                f"{3 * move_scale:.3e}; increase step count")
     return best
 
 
 def eta_monodromy(radius: float = 1e-3, steps: int = 2000, loops: int = 1,
-                  center=None, prec: int = 80) -> MonodromyResult:
+                  center=None) -> MonodromyResult:
     """Continue the closed-form turning-point chain around a loop in the
     complex c-plane.
 
@@ -344,76 +352,63 @@ def eta_monodromy(radius: float = 1e-3, steps: int = 2000, loops: int = 1,
     c*, so the continuously tracked log(eta) gains 2*pi*i per enclosing
     loop: the logarithmic branch point that makes the period function
     infinitely branched.
+
+    The continuation runs in complex128, with c*, K1 and K2 rounded once
+    from 80 bits.  That is safe because `_nearest` takes each radical as
+    the candidate closest to its previous value only when the choice is
+    clear by 3x the step-to-step movement, and raises
+    ContinuationAmbiguity otherwise: a loop too coarse for the arithmetic
+    fails loudly instead of jumping branches.
     """
-    with mp.workprec(prec):
-        c0 = c_star(prec) if center is None else mp.mpc(center)
-        k1, k2 = _b_coeffs(prec)
-        two_thirds_pi = 2 * mp.pi / 3
+    c0 = float(c_star(80)) if center is None else complex(center)
+    k1, k2 = (float(k) for k in _b_coeffs(80))
+    sqrt3, two_thirds_pi = math.sqrt(3), 2 * math.pi / 3
 
-        def eta_of(r1, r2):
-            eps = (mp.acos(r1) - two_thirds_pi) / 2
-            delta = (two_thirds_pi - mp.acos(r2)) / 2
-            return eps * delta
+    def radicals(c, prev, move):
+        # principal roots at the start of the loop, continuous picks after
+        def pick(cands, i):
+            return cands[0] if prev is None else \
+                _nearest(cands, prev[i], move[i])
+        s = pick(_sqrt_candidates(27 * c ** 4 - 256 * c ** 6), 0)
+        t = pick(_cbrt_candidates(9 * c ** 2 - sqrt3 * s), 1)
+        b = k1 * c ** 2 / t + k2 * t
+        s1 = pick(_sqrt_candidates(1 + b), 2)
+        s2 = pick(_sqrt_candidates(2 - b + 2 / s1), 3)
+        return (s, t, s1, s2), b
 
-        def radicals(c, prev):
-            s_prev, t_prev, s1_prev, s2_prev, move = prev
-            z = 27 * c ** 4 - 256 * c ** 6
-            if s_prev is None:
-                s = mp.sqrt(z)
-            else:
-                s = _nearest(_sqrt_candidates(z), s_prev, move[0])
-            t3 = 9 * c ** 2 - mp.sqrt(3) * s
-            t = mp.cbrt(t3) if t_prev is None else \
-                _nearest(_cbrt_candidates(t3), t_prev, move[1])
-            b = k1 * c ** 2 / t + k2 * t
-            z1 = 1 + b
-            s1 = mp.sqrt(z1) if s1_prev is None else \
-                _nearest(_sqrt_candidates(z1), s1_prev, move[2])
-            z2 = 2 - b + 2 / s1
-            s2 = mp.sqrt(z2) if s2_prev is None else \
-                _nearest(_sqrt_candidates(z2), s2_prev, move[3])
-            return s, t, s1, s2, b
+    def roots(rad):
+        s1, s2 = rad[2], rad[3]
+        return 0.5 - s1 / 2 - s2 / 2, 0.5 - s1 / 2 + s2 / 2
 
-        start = c0 + radius
-        s0, t0, s10, s20, b_start = radicals(start, (None, None, None, None, None))
-        r1_start = mp.mpf(1) / 2 - s10 / 2 - s20 / 2
-        r2_start = mp.mpf(1) / 2 - s10 / 2 + s20 / 2
-        eta_prev = eta_of(r1_start, r2_start)
-        arg_acc = mp.mpf(0)
+    def eta_of(r1, r2):
+        eps = (cmath.acos(r1) - two_thirds_pi) / 2
+        delta = (two_thirds_pi - cmath.acos(r2)) / 2
+        return eps * delta
 
-        s_prev, t_prev, s1_prev, s2_prev = s0, t0, s10, s20
-        move = [mp.mpf(0)] * 4
-        total = loops * steps
-        b = b_start
-        for j in range(1, total + 1):
-            ang = 2 * mp.pi * j / steps
-            c = c0 + radius * mp.exp(1j * ang)
-            s, t, s1, s2, b = radicals(
-                c, (s_prev, t_prev, s1_prev, s2_prev, move))
-            move = [abs(s - s_prev), abs(t - t_prev),
-                    abs(s1 - s1_prev), abs(s2 - s2_prev)]
-            s_prev, t_prev, s1_prev, s2_prev = s, t, s1, s2
-            r1 = mp.mpf(1) / 2 - s1 / 2 - s2 / 2
-            r2 = mp.mpf(1) / 2 - s1 / 2 + s2 / 2
-            eta = eta_of(r1, r2)
-            dphi = mp.arg(eta / eta_prev)
-            arg_acc += dphi
-            eta_prev = eta
-        r1_end = mp.mpf(1) / 2 - s1_prev / 2 - s2_prev / 2
-        r2_end = mp.mpf(1) / 2 - s1_prev / 2 + s2_prev / 2
-        flipped = bool(abs(s_prev + s0) < abs(s_prev - s0))
-        swapped = bool(abs(r1_end - r2_start) + abs(r2_end - r1_start)
-                       < abs(r1_end - r1_start) + abs(r2_end - r2_start))
-        log_inc = mp.mpc(mp.log(abs(eta_prev)) - mp.log(abs(
-            eta_of(r1_start, r2_start))), arg_acc)
-        winding = int(mp.nint(arg_acc / (2 * mp.pi)))
-        return MonodromyResult(
-            b_before=complex(b_start), b_after=complex(b),
-            branch_changed=flipped,
-            b_changed=bool(abs(b - b_start) > mp.mpf("1e-6")),
-            roots_swapped=swapped,
-            log_eta_increment=complex(log_inc),
-            eta_winding=winding)
+    rad0, b_start = radicals(c0 + radius, None, None)
+    r1_start, r2_start = roots(rad0)
+    eta_start = eta_prev = eta_of(r1_start, r2_start)
+    arg_acc = 0.0
+    rad, move, b = rad0, (0.0,) * 4, b_start
+    for j in range(1, loops * steps + 1):
+        c = c0 + radius * cmath.exp(1j * (2 * math.pi * j / steps))
+        new, b = radicals(c, rad, move)
+        move = tuple(abs(x - y) for x, y in zip(new, rad))
+        rad = new
+        eta = eta_of(*roots(rad))
+        arg_acc += cmath.phase(eta / eta_prev)
+        eta_prev = eta
+    r1_end, r2_end = roots(rad)
+    swapped = (abs(r1_end - r2_start) + abs(r2_end - r1_start)
+               < abs(r1_end - r1_start) + abs(r2_end - r2_start))
+    return MonodromyResult(
+        b_before=b_start, b_after=b,
+        branch_changed=abs(rad[0] + rad0[0]) < abs(rad[0] - rad0[0]),
+        b_changed=abs(b - b_start) > 1e-6,
+        roots_swapped=swapped,
+        log_eta_increment=complex(
+            math.log(abs(eta_prev)) - math.log(abs(eta_start)), arg_acc),
+        eta_winding=round(arg_acc / (2 * math.pi)))
 
 
 def period_scan(offsets, tol: float = 1e-10, prec: int = 128):

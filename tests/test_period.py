@@ -3,6 +3,8 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyson3 import period
 
@@ -76,6 +78,20 @@ def test_energy_drift_over_1000_periods():
     assert period.energy_drift(e, h=1e-3, n_periods=1000) < 1e-8
 
 
+@pytest.mark.parametrize("q0,p0", [(0.01, -20.0), (1.56, 20.0)])
+def test_integrate_diagonal_leaving_the_cell_is_a_domain_error(q0, p0):
+    with pytest.raises(period.PeriodDomainError):
+        period.integrate_diagonal(q0, p0, 1e-3, 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(0.3, 1.2), p=st.floats(-1.0, 1.0),
+       h=st.sampled_from([1e-2, 1e-3, 1e-4]))
+def test_yoshida_step_is_time_reversible(q, p, h):
+    q1, p1 = period._yoshida4_step(*period._yoshida4_step(q, p, h), -h)
+    assert abs(q1 - q) < 1e-13 and abs(p1 - p) < 1e-13
+
+
 def test_period_scan_is_monotone():
     samples = period.period_scan([0.5, 0.1, 0.01, 1e-4], prec=96)
     ts = [float(s.period) for s in samples]
@@ -88,7 +104,16 @@ def test_monodromy_single_loop_flips_branch():
     assert res.branch_changed
     assert res.roots_swapped
     assert res.eta_winding == 1
-    assert abs(res.log_eta_increment.imag - 2 * math.pi) < 1e-6
+    assert abs(res.log_eta_increment.imag - 2 * math.pi) < 1e-10
+    assert abs(res.log_eta_increment.real) < 1e-10
+
+
+def test_monodromy_b_solves_the_resolvent_cubic():
+    radius = 1e-3
+    res = period.eta_monodromy(radius=radius, steps=800, loops=1)
+    c = float(period.c_star(80)) + radius
+    for b in (res.b_before, res.b_after):
+        assert abs(b ** 3 - 64 * c * c * b - 64 * c * c) < 1e-12
 
 
 def test_monodromy_double_loop_restores():
@@ -109,3 +134,9 @@ def test_monodromy_non_enclosing_loop():
 def test_monodromy_ambiguity_guard():
     with pytest.raises(period.ContinuationAmbiguity):
         period.eta_monodromy(radius=1e-3, steps=4, loops=1)
+
+
+def test_nearest_exact_tie_is_ambiguous():
+    with pytest.raises(period.ContinuationAmbiguity):
+        period._nearest((1 + 0j, -1 + 0j), 0j, 0.0)
+    assert period._nearest((1 + 0j, -1 + 0j), 0.5 + 0j, 0.0) == 1
