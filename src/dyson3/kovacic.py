@@ -2,27 +2,35 @@
 rationals, plus the classical solvability sieve for the Lame equation.
 
 The three cases (reducible / dihedral / finite primitive) are run in
-order; each produces finitely many candidate degrees d and logarithmic
-derivatives theta, and a candidate succeeds only if an auxiliary linear
-ODE has a nonzero polynomial solution of degree d.  Every decision is
-exact: poles, exponents and truncated square roots are field elements, and
-a success is certified by exact re-substitution.  When a factor of the
-pole polynomial does not split over the field, or an exponent or
-leading-coefficient root is not in it, the decision ends as
-"indeterminate" with a log line naming what could not be made exact.
+order.  Each enumerates candidate exponents at the poles and at infinity
+whose degree d is a non-negative integer, and each candidate gives one
+linear operator on polynomials: the second-order equation for P in
+omega = theta + P'/P (case 1), the third-order equation for the symmetric
+square (case 2), and the recursion P_n = -P, ..., P_{-1} = 0 (case 3).
+A candidate succeeds when its operator has a nonzero kernel in degree
+<= d: the kernel is taken over the images of the monomials w^j, j <= d,
+and the polynomial it gives is certified by applying the operator to it
+again (case 1 also re-substitutes omega into the Riccati equation).
 
-Rejections of large rotation-group candidates are prescreened modulo a
-prime p at which -1 and every prime factor of the input's radicands are
-squares and which divides no coefficient denominator of the input: the
-coefficient matrix maps to GF(p) by a ring homomorphism, and full column
-rank mod p implies full column rank over the field, so a "no kernel"
-answer from the prescreen is rigorous.  Exact elimination runs only when
-the mod-p kernel is nonzero.
+Every decision is exact: poles, exponents and truncated square roots are
+field elements.  When a factor of the pole polynomial does not split over
+the field, or an exponent or leading-coefficient root is not in it, the
+decision ends as "indeterminate" with a log line naming what could not be
+made exact.
+
+A case-3 candidate is screened first by the GF(p) image of its recursion,
+with p a prime at which -1 and every prime factor of the input's radicands
+are squares and which divides no coefficient denominator of the input: the
+coefficient matrix maps to GF(p) by a ring homomorphism, and full rank mod
+p implies full rank over the field, so a "no kernel" answer mod p is a
+rigorous rejection.  Exact elimination runs only when the mod-p kernel is
+nonzero.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -173,44 +181,58 @@ def _theta(terms, tail=None):
 
 
 def _nullspace(rows, ncols):
-    """Kernel basis of the matrix given as a list of row vectors, from its
-    reduced row echelon form."""
-    mat = [list(row) + [ZERO] * (ncols - len(row)) for row in rows]
+    """The kernel vector with a 1 in the first free column of the matrix
+    given as a list of rows of ncols entries, or None when its columns are
+    independent.  The reduced row echelon form is only needed left of that
+    column: the rows of later pivots are zero there, so eliminating them
+    would not change the vector."""
+    mat = list(rows)
     pivots = []
-    rank_row = 0
     for col in range(ncols):
-        sel = next((i for i in range(rank_row, len(mat))
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(mat))
                     if not mat[i][col].is_zero()), None)
         if sel is None:
-            continue
-        mat[rank_row], mat[sel] = mat[sel], mat[rank_row]
-        piv_inv = mat[rank_row][col].inverse()
-        mat[rank_row] = [v * piv_inv for v in mat[rank_row]]
+            vec = [ZERO] * ncols
+            vec[col] = ONE
+            for prow, pcol in enumerate(pivots):
+                vec[pcol] = -mat[prow][col]
+            return vec
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        piv_inv = mat[rank][col].inverse()
+        mat[rank] = [v * piv_inv for v in mat[rank]]
         for i in range(len(mat)):
-            if i != rank_row and not mat[i][col].is_zero():
+            if i != rank and not mat[i][col].is_zero():
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank_row])]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
-        rank_row += 1
-        if rank_row == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -mat[prow][fc]
-        basis.append(vec)
-    return basis
+    return None
 
 
-def _rows_from_polys(polys):
-    width = max((p.degree + 1 for p in polys), default=0)
-    rows = []
-    for k in range(width):
-        rows.append([p.coeff(k) for p in polys])
-    return rows
+def _kernel_poly(op, d):
+    """A nonzero P of degree <= d with op(P) = 0 for the linear operator op,
+    or None.  Column j of the coefficient matrix holds op(w^j); P comes
+    from its kernel and is certified by applying op to it."""
+    images = [op(Poly([ZERO] * j + [ONE])) for j in range(d + 1)]
+    rows = [[img.coeff(k) for img in images]
+            for k in range(max(img.degree for img in images) + 1)]
+    vec = _nullspace(rows, d + 1)
+    if vec is None:
+        return None
+    P = Poly(vec)
+    return P if op(P).is_zero() else None
+
+
+def _degrees(inf_set, pole_sets, scale):
+    """(e_inf, combo, d) for every choice of an exponent e_inf at infinity
+    and one per pole, in ascending order, for which
+    d = scale * (e_inf - sum(combo)) is a non-negative integer."""
+    pole_lists = [sorted(s) for s in pole_sets]
+    for e_inf in sorted(inf_set):
+        for combo in itertools.product(*pole_lists):
+            d = scale * (e_inf - sum(combo))
+            if d.denominator == 1 and d >= 0:
+                yield e_inf, combo, int(d)
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +362,12 @@ def _case1_solve(profile, r, combo, tail, d):
     A1 = 2 * N * r.den * D
     A0 = (N.derivative() * D - N * D.derivative() + N * N) * r.den \
         - r.num * D * D
-    sys_polys = []
-    for j in range(d + 1):
-        pj = Poly([ZERO] * j + [ONE])
-        lhs = A2 * pj.derivative().derivative() + A1 * pj.derivative() + A0 * pj
-        sys_polys.append(lhs)
-    basis = _nullspace(_rows_from_polys(sys_polys), d + 1)
-    if not basis:
+    P = _kernel_poly(lambda P: (A2 * P.derivative().derivative()
+                                + A1 * P.derivative() + A0 * P), d)
+    if P is None:
         return None
-    P = Poly(basis[0])
-    if P.is_zero():
-        return None
-    # certificate: omega = theta + P'/P re-substituted into the Riccati
-    # equation
+    # second certificate: omega = theta + P'/P re-substituted into the
+    # Riccati equation
     prf = RationalFunction.from_poly(P)
     omega = RationalFunction(N, D) + prf.derivative() / prf
     if (omega.derivative() + omega * omega) != r:
@@ -403,23 +418,18 @@ def _case2_try(profile, r, log):
                for p in profile.poles):
         log.append("case 2: inadmissible (needs a pole of order 2 or odd > 2)")
         return None
-    pole_sets = [sorted(_case2_pole_set(p)) for p in profile.poles]
-    inf_set = _case2_inf_set(profile)
     tried = 0
-    for e_inf in sorted(inf_set):
-        for combo in itertools.product(*pole_sets):
-            num = e_inf - sum(combo)
-            if num < 0 or num % 2:
-                continue
-            d = num // 2
-            tried += 1
-            res = _case2_solve(profile, r, combo, d)
-            if res is not None:
-                log.append(f"case 2: success with e_inf={e_inf}, "
-                           f"e={list(combo)}, d={d}")
-                return res
-            log.append(f"case 2: candidate e_inf={e_inf}, e={list(combo)}, "
-                       f"d={d} rejected (exact)")
+    for e_inf, combo, d in _degrees(_case2_inf_set(profile),
+                                    map(_case2_pole_set, profile.poles),
+                                    Fraction(1, 2)):
+        tried += 1
+        res = _case2_solve(profile, r, combo, d)
+        if res is not None:
+            log.append(f"case 2: success with e_inf={e_inf}, "
+                       f"e={list(combo)}, d={d}")
+            return res
+        log.append(f"case 2: candidate e_inf={e_inf}, e={list(combo)}, "
+                   f"d={d} rejected (exact)")
     log.append(f"case 2: {tried} candidates with integer d >= 0, none admissible")
     return None
 
@@ -441,20 +451,13 @@ def _case2_solve(profile, r, combo, d):
           + (3 * N * N1 + N * N * N) * dr * dr * D
           - 4 * r.num * N * dr * D3
           - 2 * nr1 * D4)
-    sys_polys = []
-    for j in range(d + 1):
-        pj = Poly([ZERO] * j + [ONE])
-        p1 = pj.derivative(); p2 = p1.derivative(); p3 = p2.derivative()
-        sys_polys.append(A3 * p3 + A2 * p2 + A1 * p1 + A0 * pj)
-    basis = _nullspace(_rows_from_polys(sys_polys), d + 1)
-    if not basis:
-        return None
-    P = Poly(basis[0])
-    if P.is_zero():
-        return None
-    # certificate: re-evaluate the cubic operator on P exactly
-    p1 = P.derivative(); p2 = p1.derivative(); p3 = p2.derivative()
-    if not (A3 * p3 + A2 * p2 + A1 * p1 + A0 * P).is_zero():
+
+    def op(P):
+        p1 = P.derivative(); p2 = p1.derivative(); p3 = p2.derivative()
+        return A3 * p3 + A2 * p2 + A1 * p1 + A0 * P
+
+    P = _kernel_poly(op, d)
+    if P is None:
         return None
     omega = ("root of omega^2 - phi omega + (phi'/2 + phi^2/2 - r) = 0, "
              "phi = theta + P'/P, deg P = %d" % P.degree)
@@ -470,35 +473,14 @@ def _case2_solve(profile, r, combo, d):
 # -- modular prescreen -------------------------------------------------------
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2; s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division: the prescreen's primes lie near 10^6."""
+    return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
 
 
 def _tonelli(a, p):
+    """A square root mod the odd prime p of a nonzero square a (Tonelli-
+    Shanks)."""
     a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2; s += 1
@@ -591,75 +573,62 @@ def _get_modp(elements) -> _ModP:
 
 
 def _mp_mul(A, ker, p):
-    """Multiply each row (ascending poly coeffs) by the small poly ker."""
-    rows, L = A.shape
-    out = np.zeros((rows, L + len(ker) - 1), dtype=np.int64)
-    for i, kv in enumerate(ker):
+    """Multiply each row of A (ascending coefficients below p) by the
+    polynomial ker, keeping the width of A.  The result is not reduced: each
+    entry is a sum of at most len(ker) products below p^2."""
+    out = np.zeros_like(A)
+    width = A.shape[1]
+    for i, kv in enumerate(ker[:width]):
         kv = int(kv) % p
         if kv:
-            out[:, i:i + L] = (out[:, i:i + L] + kv * A) % p
+            out[:, i:] += kv * A[:, :width - i]
     return out
 
 
-def _mp_deriv(A, p):
-    rows, L = A.shape
-    if L <= 1:
-        return np.zeros((rows, 1), dtype=np.int64)
-    mult = np.arange(1, L, dtype=np.int64)
-    return (A[:, 1:] * mult) % p
+def _case3_matrix_modp(S, Sth, S2r, n, d, modp):
+    """Row j is the GF(p) image of P_{-1} of _case3_recursion for P = w^j,
+    given the images S, Sth and S2r (ascending coefficients).
 
-
-def _mp_pad(A, L):
-    if A.shape[1] >= L:
-        return A
-    out = np.zeros((A.shape[0], L), dtype=np.int64)
-    out[:, :A.shape[1]] = A
-    return out
-
-
-def _case3_matrix_modp(Sk, dSk, Sthk, S2rk, n, d, p):
-    """Columns of P_{-1} for basis monomials w^j, computed over GF(p)."""
-    eye = np.zeros((d + 1, d + 1), dtype=np.int64)
-    np.fill_diagonal(eye, p - 1)                       # P_n = -P
-    cur = eye
-    prev = np.zeros((d + 1, 1), dtype=np.int64)        # P_{n+1} (unused: factor 0)
+    The rows have the fixed width W = d + 1 + (n + 1)(deg S - 1), the
+    degree bound of P_{-1} plus one: each step raises the degree by at most
+    deg S - 1, since deg S^2 r <= 2 deg S - 2 when o(inf) >= 2.  No
+    coefficient of any term lies beyond it, so keeping the width drops only
+    zeros."""
+    p = modp.p
+    width = d + 1 + (n + 1) * (len(S) - 2)
+    ramp = np.arange(1, width, dtype=np.int64)
+    dS = S[1:] * ramp[:len(S) - 1] % p
+    cur = np.zeros((d + 1, width), dtype=np.int64)
+    np.fill_diagonal(cur, p - 1)                       # P_n = -P
+    prev = np.zeros_like(cur)                          # P_{n+1} = 0
     for i in range(n, -1, -1):
-        t1 = _mp_mul(_mp_deriv(cur, p), (p - Sk) % p, p)
-        coef2 = ((n - i) % p) * dSk % p
-        ker2 = (coef2 - Sthk) % p
-        t2 = _mp_mul(cur, ker2, p)
-        c3 = (-(n - i) * (i + 1)) % p
-        t3 = _mp_mul(prev, (c3 * S2rk) % p, p)
-        L = max(t1.shape[1], t2.shape[1], t3.shape[1])
-        nxt = (_mp_pad(t1, L) + _mp_pad(t2, L) + _mp_pad(t3, L)) % p
+        dcur = np.zeros_like(cur)
+        dcur[:, :-1] = cur[:, 1:] * ramp % p
+        ker2 = [(n - i) * a - b for a, b in
+                itertools.zip_longest(dS, Sth, fillvalue=0)]
+        nxt = (_mp_mul(dcur, -S, p) + _mp_mul(cur, ker2, p)
+               + _mp_mul(prev, -(n - i) * (i + 1) * S2r, p)) % p
         prev, cur = cur, nxt
-    return cur      # this is P_{-1}
+    return cur
 
 
 def _modp_has_kernel(M, p):
-    """True iff the columns of M (rows = coefficients) are linearly
-    dependent over GF(p).  M shape: (d+1, L) rows-per-basis layout."""
+    """True iff the rows of M (one per monomial w^j) are linearly dependent
+    over GF(p), by row echelon elimination."""
     A = M % p
-    rows, L = A.shape
     rank = 0
-    for col in range(L):
-        sel = None
-        for i in range(rank, rows):
-            if A[i, col]:
-                sel = i
-                break
-        if sel is None:
+    for col in range(A.shape[1]):
+        nonzero = np.flatnonzero(A[rank:, col])
+        if not nonzero.size:
             continue
+        sel = rank + nonzero[0]
         A[[rank, sel]] = A[[sel, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank] = (A[rank] * inv) % p
-        for i in range(rows):
-            if i != rank and A[i, col]:
-                A[i] = (A[i] - A[i, col] * A[rank]) % p
+        pivot = A[rank] * pow(int(A[rank, col]), p - 2, p) % p
+        A[rank + 1:] = (A[rank + 1:] - np.outer(A[rank + 1:, col], pivot)) % p
         rank += 1
-        if rank == rows:
-            break
-    return rank < rows
+        if rank == A.shape[0]:
+            return False
+    return True
 
 
 def _case3_recursion(S, Sth, S2r, n, P):
@@ -674,6 +643,11 @@ def _case3_recursion(S, Sth, S2r, n, P):
     return cur
 
 
+_CASE3_GROUPS = {4: "finite primitive (tetrahedral)",
+                 6: "finite primitive (octahedral)",
+                 12: "finite primitive (icosahedral)"}
+
+
 def _case3_try(profile, r, log):
     if any(p.order > 2 for p in profile.poles) or profile.o_inf < 2:
         log.append("case 3: inadmissible (pole order > 2 or o(inf) < 2)")
@@ -681,19 +655,17 @@ def _case3_try(profile, r, log):
     S = Poly([ONE])
     for p in profile.poles:
         S = S * Poly([-p.point, ONE])
-    S2r_rf = RationalFunction.from_poly(S * S) * r
-    if not S2r_rf.is_poly():
-        log.append("case 3: S^2 r not polynomial (unexpected)")
-        return None
-    S2r = S2r_rf.num
+    # a polynomial: no pole has order above 2
+    S2r = (S * S * r.num).exact_div(r.den)
     modp = _get_modp(S.coeffs + S2r.coeffs + [p.point for p in profile.poles])
-    # S/(w - c) for each pole c
+    # S/(w - c) for each pole c, and the GF(p) images, once per decision
     quotients = [S.exact_div(Poly([-p.point, ONE])) for p in profile.poles]
+    S_p, S2r_p = modp.poly(S), modp.poly(S2r)
+    quotients_p = [modp.poly(q) for q in quotients]
     for n in (4, 6, 12):
         # exponents e = 6 + (12k/n) sqrt(1+4b), |k| <= n/2
         steps = range(-6, 7, 12 // n)
-        pole_sets = [sorted({12} if p.order == 1 else
-                            _int_candidates(6, steps, p.b))
+        pole_sets = [{12} if p.order == 1 else _int_candidates(6, steps, p.b)
                      for p in profile.poles]
         if not all(pole_sets):
             log.append(f"case 3 (n={n}): a pole admits no integer exponent")
@@ -703,66 +675,35 @@ def _case3_try(profile, r, log):
             log.append(f"case 3 (n={n}): infinity admits no integer exponent")
             continue
         tried = screened = 0
-        for e_inf in sorted(inf_set):
-            for combo in itertools.product(*pole_sets):
-                num = Fraction(n, 12) * (e_inf - sum(combo))
-                if num.denominator != 1 or num < 0:
-                    continue
-                d = int(num)
-                tried += 1
-                # S*theta = (n/12) sum e_c S/(w - c): a polynomial
-                Sth = Poly([])
-                for e, quo in zip(combo, quotients):
-                    Sth = Sth + quo.scale(FE(Fraction(e * n, 12)))
-                Mk = _case3_matrix_modp(
-                    modp.poly(S),
-                    _mp_pad_vec(modp.poly(S.derivative()), len(S.coeffs)),
-                    _mp_pad_vec(modp.poly(Sth), len(S.coeffs)),
-                    modp.poly(S2r), n, d, modp.p)
-                if not _modp_has_kernel(Mk, modp.p):
-                    screened += 1
-                    continue
-                res = _case3_solve(S, Sth, S2r, n, d)
-                if res is not None:
-                    log.append(f"case 3 (n={n}): success with e_inf={e_inf}, "
-                               f"e={list(combo)}, d={d} after {tried} "
-                               f"candidates ({screened} rejected by the "
-                               "GF(p) prescreen)")
-                    return res
-                log.append(f"case 3 (n={n}): candidate e_inf={e_inf}, "
-                           f"e={list(combo)}, d={d} rejected")
+        for e_inf, combo, d in _degrees(inf_set, pole_sets, Fraction(n, 12)):
+            tried += 1
+            # S*theta = (n/12) sum e_c S/(w - c): a polynomial
+            weights = [FE(Fraction(e * n, 12)) for e in combo]
+            Sth_p = sum(modp.fe(wt) * q
+                        for wt, q in zip(weights, quotients_p)) % modp.p
+            if not _modp_has_kernel(
+                    _case3_matrix_modp(S_p, Sth_p, S2r_p, n, d, modp), modp.p):
+                screened += 1
+                continue
+            Sth = sum((q.scale(wt) for wt, q in zip(weights, quotients)),
+                      Poly([]))
+            P = _kernel_poly(lambda P: _case3_recursion(S, Sth, S2r, n, P), d)
+            if P is not None:
+                log.append(f"case 3 (n={n}): success with e_inf={e_inf}, "
+                           f"e={list(combo)}, d={d} after {tried} "
+                           f"candidates ({screened} rejected by the "
+                           "GF(p) prescreen)")
+                omega = ("root of sum_i S^i P_i omega^i / (n-i)! = 0 from the "
+                         "degree-%d recursion solution" % P.degree)
+                return KovacicResult(verdict="liouvillian", case=3,
+                                     group=_CASE3_GROUPS[n], d=d, n=n,
+                                     omega=omega, certificate="exact",
+                                     residual=0.0)
+            log.append(f"case 3 (n={n}): candidate e_inf={e_inf}, "
+                       f"e={list(combo)}, d={d} rejected")
         log.append(f"case 3 (n={n}): {tried} candidates with integer d >= 0 "
                    f"({screened} rejected by the GF(p) prescreen), none admissible")
     return None
-
-
-def _mp_pad_vec(v, L):
-    if len(v) >= L:
-        return v
-    out = np.zeros(L, dtype=np.int64)
-    out[:len(v)] = v
-    return out
-
-
-def _case3_solve(S, Sth, S2r, n, d):
-    polys = [_case3_recursion(S, Sth, S2r, n, Poly([ZERO] * j + [ONE]))
-             for j in range(d + 1)]
-    basis = _nullspace(_rows_from_polys(polys), d + 1)
-    if not basis:
-        return None
-    P = Poly(basis[0])
-    if P.is_zero():
-        return None
-    if not _case3_recursion(S, Sth, S2r, n, P).is_zero():
-        return None
-    groups = {4: "finite primitive (tetrahedral)",
-              6: "finite primitive (octahedral)",
-              12: "finite primitive (icosahedral)"}
-    omega = ("root of sum_i S^i P_i omega^i / (n-i)! = 0 from the "
-             "degree-%d recursion solution" % P.degree)
-    return KovacicResult(verdict="liouvillian", case=3, group=groups[n],
-                         d=d, n=n, omega=omega, certificate="exact",
-                         residual=0.0)
 
 
 # ---------------------------------------------------------------------------

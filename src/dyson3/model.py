@@ -96,9 +96,6 @@ class TruncatedHamiltonian:
     def potential(self) -> MultiPoly:
         return self.poly.momentum_free()
 
-    def kinetic_matrix(self):
-        return ((FE(2), FE(-1)), (FE(-1), FE(2)))
-
 
 _S3_INV = SQRT3 * FE(Fraction(1, 3))   # 1/sqrt3 = sqrt3/3
 

@@ -129,9 +129,6 @@ class MultiPoly:
             out[tuple(e2)] = c * e[k]
         return MultiPoly(out, self.cutoff)
 
-    def gradient(self):
-        return [self.derivative(v) for v in VARS]
-
     # -- substitution --------------------------------------------------------
     def diagonal_univariate(self) -> Poly:
         """Substitute q1=q2=q, p1=p2=0 -> polynomial in q over the tower."""

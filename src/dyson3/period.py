@@ -81,9 +81,9 @@ def _b_coeffs(prec):
 def big_b(c, prec: int = 128):
     """Closed-form B(c) on the principal (real, 0 < c <= c*) branch."""
     with mp.workprec(prec):
-        c = mp.mpf(c) if not isinstance(c, mp.mpc) else c
+        c = mp.mpf(c)
         rad = 27 * c ** 4 - 256 * c ** 6
-        if not isinstance(c, mp.mpc) and rad < 0:
+        if rad < 0:
             # roundoff below the branch point c*: the radicand is >= 0
             # throughout (0, c*]
             rad = mp.mpf(0)

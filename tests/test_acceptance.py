@@ -133,23 +133,21 @@ def test_criterion_7_kovacic_regression_corpus():
         assert res.certificate == "exact" and res.residual == 0.0
 
 
-def test_criterion_8_paper_verdict_reproduction():
+def test_criterion_8_paper_verdict_reproduction(dyson_decisions):
     with criterion(8, "Lame sieve all-fail; quartic NVE not Liouvillian"):
         sv = kovacic.lame_sieve(4)
         assert not sv["lame_hermite"]
         assert not sv["brioschi_halphen_crawford"]
         assert not sv["baldassarri_union"]
-        res_paper = kovacic.kovacic(nve.algebrize(nve.paper_nve_l()).r)
+        res_paper = dyson_decisions["paper"]
         assert res_paper.verdict == "not_liouvillian"
         assert res_paper.numeric_rejections == 0
         # the mechanically derived variant is produced and reported alongside;
         # its symmetric mode diverges from the printed equation for a
         # structural reason that is surfaced, never suppressed
         vs = nve.derive_variational(model.taylor_truncate(4))
-        res_tan = kovacic.kovacic(
-            nve.algebrize(nve.scalar_nve(vs, "symmetric")).r)
-        res_nor = kovacic.kovacic(
-            nve.algebrize(nve.scalar_nve(vs, "antisymmetric")).r)
+        res_tan = dyson_decisions["tangential"]
+        res_nor = dyson_decisions["transverse"]
         assert res_nor.verdict == "not_liouvillian"
         assert res_tan.verdict == "liouvillian"
         # divergence check: the derived symmetric coefficient is g'(q), so

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from dyson3 import nve
 from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement
-from dyson3.kovacic import _get_modp, kovacic, lame_sieve, pole_profile
-from dyson3.model import taylor_truncate
+from dyson3.kovacic import (_case3_matrix_modp, _case3_recursion, _degrees,
+                            _get_modp, _int_candidates, _modp_has_kernel,
+                            _nullspace, kovacic, lame_sieve, pole_profile)
 from dyson3.poly import Poly, RationalFunction
 
 W = Poly.x()
@@ -179,14 +180,56 @@ def test_modp_prime_for_the_dyson_generators():
     assert _get_modp([SQRT3, SQRT26, I]).p == 1000081
 
 
-def test_moebius_shift_invariance():
+_PAPER_R = nve.algebrize(nve.paper_nve_l()).r
+
+
+@pytest.mark.parametrize("r, n", [
+    pytest.param(schwarz_form(_H, _T, _T), 4, id="tetrahedral"),
+    pytest.param(schwarz_form(_H, _T, Fraction(1, 5)), 12, id="icosahedral"),
+    pytest.param(_PAPER_R, 4, id="paper_n4"),
+    pytest.param(_PAPER_R, 6, id="paper_n6"),
+    pytest.param(_PAPER_R, 12, id="paper_n12"),
+])
+def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
+    """Row j of the GF(p) case-3 matrix of the first candidate at n is the
+    image of the exact recursion at P = w^j, zero-padded to the row width.
+    A width too small for P_{-1} would drop coefficients, and a GF(p)
+    rejection would no longer prove an exact one.  On these inputs the
+    GF(p) rank test also agrees with exact elimination: the Schwarz forms
+    succeed at their first candidate, the paper NVE rejects it."""
+    profile = pole_profile(r)
+    points = [p.point for p in profile.poles]
+    S = Poly([1])
+    for c in points:
+        S = S * (W - Poly([c]))
+    S2r = (S * S * r.num).exact_div(r.den)
+    steps = range(-6, 7, 12 // n)
+    pole_sets = [_int_candidates(6, steps, p.b) if p.order == 2 else {12}
+                 for p in profile.poles]
+    _, combo, d = next(_degrees(_int_candidates(6, steps, profile.b_inf),
+                                pole_sets, Fraction(n, 12)))
+    Sth = sum((S.exact_div(W - Poly([c])).scale(FE(Fraction(e * n, 12)))
+               for e, c in zip(combo, points)), Poly([]))
+    modp = _get_modp(S.coeffs + S2r.coeffs + points)
+    M = _case3_matrix_modp(modp.poly(S), modp.poly(Sth), modp.poly(S2r),
+                           n, d, modp)
+    assert M.shape[0] == d + 1
+    exact = [_case3_recursion(S, Sth, S2r, n, W ** j) for j in range(d + 1)]
+    for row, poly in zip(M, exact):
+        image = list(modp.poly(poly))
+        assert len(image) <= len(row)
+        assert list(row) == image + [0] * (len(row) - len(image))
+    rows = [[poly.coeff(k) for poly in exact] for k in range(M.shape[1])]
+    assert _modp_has_kernel(M, modp.p) == (_nullspace(rows, d + 1) is not None)
+
+
+def test_moebius_shift_invariance(dyson_decisions):
     """Kovacic verdicts are invariant under w -> w + const; run the paper
     variant shifted by 1 and compare."""
     r = nve.algebrize(nve.paper_nve_l()).r
-    res = kovacic(r)
     shifted = RationalFunction(r.num.shift_var(FE(1)), r.den.shift_var(FE(1)))
     res2 = kovacic(shifted)
-    assert res.verdict == res2.verdict == "not_liouvillian"
+    assert dyson_decisions["paper"].verdict == res2.verdict == "not_liouvillian"
 
 
 def test_pole_profile_of_quartic_nve():
@@ -201,34 +244,30 @@ def test_pole_profile_of_quartic_nve():
     assert all(p.b == FE(Fraction(-3, 16)) for p in others)
 
 
-def test_dyson_quartic_paper_variant_not_liouvillian():
-    res = kovacic(nve.algebrize(nve.paper_nve_l()).r)
+def test_dyson_quartic_paper_variant_not_liouvillian(dyson_decisions):
+    res = dyson_decisions["paper"]
     assert res.verdict == "not_liouvillian"
     assert res.group == "SL(2,C)"
     assert res.numeric_rejections == 0, "verdict must rest on exact rejections"
 
 
-def test_dyson_quartic_derived_transverse_not_liouvillian():
-    vs = nve.derive_variational(taylor_truncate(4))
-    r = nve.algebrize(nve.scalar_nve(vs, "antisymmetric")).r
-    res = kovacic(r)
+def test_dyson_quartic_derived_transverse_not_liouvillian(dyson_decisions):
+    res = dyson_decisions["transverse"]
     assert res.verdict == "not_liouvillian"
     assert res.numeric_rejections == 0
 
 
-def test_dyson_quartic_derived_tangential_liouvillian():
+def test_dyson_quartic_derived_tangential_liouvillian(dyson_decisions):
     """The symmetric derived coefficient is g'(q): the tangential variation
     psidot solves it, so Kovacic must find a Liouvillian solution."""
-    vs = nve.derive_variational(taylor_truncate(4))
-    r = nve.algebrize(nve.scalar_nve(vs, "symmetric")).r
-    res = kovacic(r)
+    res = dyson_decisions["tangential"]
     assert res.verdict == "liouvillian"
     assert res.case == 1 and res.certificate == "exact"
 
 
-def test_kovacic_log_is_deterministic():
+def test_kovacic_log_is_deterministic(dyson_decisions):
     r = nve.algebrize(nve.paper_nve_l()).r
-    assert kovacic(r).log == kovacic(r).log
+    assert dyson_decisions["paper"].log == kovacic(r).log
 
 
 def test_lame_sieve_paper_coupling():

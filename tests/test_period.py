@@ -73,11 +73,6 @@ def test_quadrature_vs_return_map_on_grid():
         assert abs(t_quad - t_map) < 1e-6, f"offset {off}"
 
 
-def test_energy_drift_over_1000_periods():
-    e = float(period.e_min(80)) + 0.3
-    assert period.energy_drift(e, h=1e-3, n_periods=1000) < 1e-8
-
-
 @pytest.mark.parametrize("q0,p0", [(0.01, -20.0), (1.56, 20.0)])
 def test_integrate_diagonal_leaving_the_cell_is_a_domain_error(q0, p0):
     with pytest.raises(period.PeriodDomainError):
