@@ -23,9 +23,6 @@ class EllipticInvariants:
     g2: object
     g3: object
 
-    def discriminant(self):
-        return self.g2 ** 3 - 27 * self.g3 ** 2
-
 
 def invariants_for_energy(h, prec: int = 128) -> EllipticInvariants:
     """g2 = 4/3, g3 = -4(h-2)/27 for the cubic-truncation energy h."""

@@ -215,18 +215,6 @@ class FieldElement:
             return NotImplemented
         return other * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         other = coerce(other)
         if other is NotImplemented:

@@ -85,20 +85,15 @@ def pole_profile(r: RationalFunction) -> PoleProfile:
     if r.is_zero():
         return PoleProfile(poles=(), o_inf=r.order_at_infinity(),
                            poly_part=Poly([]), res_sum=ZERO, b_inf=ZERO)
-    roots = []
-    if r.den.degree > 0:
-        roots, solved = exact_roots(r.den)
-        if not solved:
-            rest = r.den
-            for root, mult in roots:
-                rest = rest.exact_div(Poly([-root, ONE]) ** mult)
-            rest = rest.exact_div(rest.gcd(rest.derivative()))
-            raise _Inexact(f"poles: the factor {rest!r} of the denominator "
-                           "does not split over the field")
-    if roots:
-        poly_part, ladders = partial_fractions(r, roots=roots)
-    else:
-        poly_part, ladders = r.num.divmod(r.den)[0], []
+    roots, solved = exact_roots(r.den)
+    if not solved:
+        rest = r.den
+        for root, mult in roots:
+            rest = rest.exact_div(Poly([-root, ONE]) ** mult)
+        rest = rest.exact_div(rest.gcd(rest.derivative()))
+        raise _Inexact(f"poles: the factor {rest!r} of the denominator "
+                       "does not split over the field")
+    poly_part, ladders = partial_fractions(r, roots=roots)
     poles = tuple(sorted(
         (Pole(point=pole, order=order, principal=tuple(ladder))
          for pole, order, ladder in ladders),
@@ -282,15 +277,14 @@ def _truncated_sqrt(coef, k, lo, where):
 
 
 def _case1_pole_options(pole: Pole):
-    """[(sqrt_part_terms, alpha)] for one pole; sqrt_part_terms are
+    """[(sqrt_part_terms, alpha)] for one pole of order 1, 2 or even >= 4
+    (_case1_try rejects odd orders >= 3 first); sqrt_part_terms are
     (coef, k) pairs of coef/(w-c)**k."""
     c = pole.point
     if pole.order == 1:
         return [([], ONE)]
     if pole.order == 2:
         return [([], alpha) for alpha in _exponents(pole.b, f"the pole {c!r}")]
-    if pole.order % 2:
-        return []                         # odd order >= 3: case 1 impossible
     k = pole.order // 2
     # coefficient of (w-c)^-m
     r_m = dict(zip(range(pole.order, 0, -1), pole.principal))
@@ -301,13 +295,12 @@ def _case1_pole_options(pole: Pole):
 
 
 def _case1_inf_options(profile: PoleProfile):
-    """[(tail Poly or None, alpha)] at infinity."""
+    """[(tail Poly or None, alpha)] at infinity, whose order is > 2, 2 or
+    even <= 0 (_case1_try rejects odd orders <= 2 first)."""
     if profile.o_inf > 2:
         return [(None, ZERO), (None, ONE)]
     if profile.o_inf == 2:
         return [(None, alpha) for alpha in _exponents(profile.b_inf, "infinity")]
-    if profile.o_inf % 2:
-        return []                      # odd order < 2: case 1 impossible
     k = -profile.o_inf // 2
 
     def coef(m):                       # coefficient of w^m
@@ -320,7 +313,8 @@ def _case1_inf_options(profile: PoleProfile):
 
 
 def _case1_try(profile, r, log):
-    """Run all case-1 candidates; return KovacicResult on success."""
+    """Run all case-1 candidates; return KovacicResult on success.  Past
+    the two order checks every pole and infinity has an exponent option."""
     if any(p.order % 2 and p.order > 1 for p in profile.poles):
         log.append("case 1: inadmissible (odd pole order > 1)")
         return None
@@ -329,9 +323,6 @@ def _case1_try(profile, r, log):
         return None
     pole_opts = [_case1_pole_options(p) for p in profile.poles]
     inf_opts = _case1_inf_options(profile)
-    if any(not o for o in pole_opts) or not inf_opts:
-        log.append("case 1: no admissible exponent data")
-        return None
     tried = 0
     for tail, a_inf in inf_opts:
         for combo in itertools.product(*pole_opts):
@@ -649,6 +640,9 @@ _CASE3_GROUPS = {4: "finite primitive (tetrahedral)",
 
 
 def _case3_try(profile, r, log):
+    """Run the case-3 candidates for n = 4, 6, 12; KovacicResult on success.
+    Every exponent set holds 12 (a simple pole) or 6 (_int_candidates at
+    t = 0)."""
     if any(p.order > 2 for p in profile.poles) or profile.o_inf < 2:
         log.append("case 3: inadmissible (pole order > 2 or o(inf) < 2)")
         return None
@@ -667,13 +661,7 @@ def _case3_try(profile, r, log):
         steps = range(-6, 7, 12 // n)
         pole_sets = [{12} if p.order == 1 else _int_candidates(6, steps, p.b)
                      for p in profile.poles]
-        if not all(pole_sets):
-            log.append(f"case 3 (n={n}): a pole admits no integer exponent")
-            continue
         inf_set = _int_candidates(6, steps, profile.b_inf)
-        if not inf_set:
-            log.append(f"case 3 (n={n}): infinity admits no integer exponent")
-            continue
         tried = screened = 0
         for e_inf, combo, d in _degrees(inf_set, pole_sets, Fraction(n, 12)):
             tried += 1

@@ -92,16 +92,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        out = MultiPoly.const(1, self.cutoff)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         return (self - self._like(other)).is_zero()
 

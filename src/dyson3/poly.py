@@ -233,29 +233,33 @@ def poly_squarefree_factor(p: Poly):
 def exact_roots(p: Poly):
     """Roots of p in the field, with multiplicities.
 
-    Pulls rational roots out of every square-free factor, then solves the
-    residual quadratics with field_sqrt.  Returns (roots, fully_solved);
-    when fully_solved is False some factor did not split and its roots are
+    A square-free factor of degree 1 gives its root directly, and one of
+    degree 2 goes to the quadratic formula with field_sqrt.  A factor of
+    degree >= 3 first has its rational roots pulled out; a quadratic left
+    over is solved the same way.  Returns (roots, fully_solved); when
+    fully_solved is False some factor did not split and its roots are
     missing from the list.
     """
     roots = []
     solved = True
     for fac, mult in poly_squarefree_factor(p):
         rem = fac
-        for r in _rational_roots(fac):
-            roots.append((FieldElement.from_rational(r), mult))
-            rem = rem.exact_div(Poly([-r, 1]))
-        if rem.degree == 2:
+        if fac.degree >= 3:
+            for r in _rational_roots(fac):
+                roots.append((FieldElement.from_rational(r), mult))
+                rem = rem.exact_div(Poly([-r, 1]))
+        if rem.degree == 1:
+            roots.append((-rem.coeffs[0] * rem.coeffs[1].inverse(), mult))
+        elif rem.degree == 2:
             a, b, c = rem.coeffs[2], rem.coeffs[1], rem.coeffs[0]
-            disc = b * b - 4 * a * c
-            s = field_sqrt(disc)
+            s = field_sqrt(b * b - 4 * a * c)
             if s is None:
                 solved = False
                 continue
             inv2a = (2 * a).inverse()
             roots.append(((-b + s) * inv2a, mult))
             roots.append(((-b - s) * inv2a, mult))
-        elif rem.degree >= 1:
+        elif rem.degree >= 3:
             solved = False
     return roots, solved
 
@@ -337,9 +341,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
     # -- field operations ------------------------------------------------
     def _same(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
@@ -403,15 +404,6 @@ class RationalFunction:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den)
 
-    def __call__(self, x):
-        dv = self.den(x)
-        if dv.is_zero():
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.num(x) * dv.inverse()
-
-    def shift_var(self, a) -> "RationalFunction":
-        return RationalFunction(self.num.shift_var(a), self.den.shift_var(a))
-
     def order_at_infinity(self) -> int:
         """deg den - deg num; +inf order is represented by a large int."""
         if self.num.is_zero():
@@ -430,6 +422,10 @@ def partial_fractions(f: RationalFunction, roots=None):
     multiplicity) pairs for the denominator; otherwise they are found by
     exact_roots, and ArithmeticError is raised when the denominator does
     not split over the field.
+
+    The ladder at a pole c is the first `order` coefficients of the power
+    series num/core, with num = rem(w + c) for rem = f.num mod f.den and
+    core = f.den(w + c)/w**order, found by series division.
     """
     if roots is None:
         roots, solved = exact_roots(f.den)
@@ -439,19 +435,14 @@ def partial_fractions(f: RationalFunction, roots=None):
     poly_part, rem = f.num.divmod(f.den)
     terms = []
     for pole, order in roots:
-        # h(w) = f(w + pole) * w**order is regular at 0; its Taylor
-        # coefficients are the Laurent ladder of f at the pole.
-        shifted_den = f.den.shift_var(pole)
-        shifted_num = rem.shift_var(pole)
-        core = Poly(shifted_den.coeffs[order:])
-        hj = RationalFunction(shifted_num, core)
+        num = rem.shift_var(pole)
+        core = Poly(f.den.shift_var(pole).coeffs[order:])
+        inv0 = core.coeffs[0].inverse()
         ladder = []
-        fact = 1
         for j in range(order):
-            if j > 0:
-                hj = hj.derivative()
-                fact *= j
-            ladder.append(hj(ZERO) * Fraction(1, fact))
+            known = sum((core.coeff(i) * ladder[j - i]
+                         for i in range(1, j + 1)), ZERO)
+            ladder.append((num.coeff(j) - known) * inv0)
         terms.append((pole, order, ladder))
     return poly_part, terms
 

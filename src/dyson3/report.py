@@ -549,8 +549,8 @@ _CLAIM_A_EVIDENCE = (
 )
 _CLAIM_B_EVIDENCE = (
     "kovacic.lame_sieve_paper_A4", "kovacic.quartic_paper_variant",
-    "nve.scalar_vs_4d_L_symmetric", "truncations.diagonal_quartic",
-    "verify_solutions.psi",
+    "kovacic.quartic_derived_transverse", "nve.scalar_vs_4d_L_antisymmetric",
+    "truncations.diagonal_quartic", "verify_solutions.psi",
 )
 
 

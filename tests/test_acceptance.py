@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from dyson3 import elliptic, kovacic, model, nve, period
+from dyson3 import cli, elliptic, kovacic, model, nve, period
 from dyson3 import report as rpt
 from dyson3.field import FE, SQRT3
 from dyson3.poly import Poly, RationalFunction
@@ -160,10 +160,16 @@ def test_criterion_8_paper_verdict_reproduction(dyson_decisions):
               "not Liouvillian")
 
 
-def test_criterion_9_end_to_end_determinism():
+def test_criterion_9_end_to_end_determinism(tmp_path):
     with criterion(9, "two report runs produce byte-identical JSON"):
+        assert cli.main(["report", "--out", str(tmp_path)]) == 0
+        a = (tmp_path / "report.json").read_text(encoding="utf-8")
         cfg = rpt.PipelineConfig()
-        a = rpt.render_json(rpt.build_report(cfg))
         b = rpt.render_json(rpt.build_report(cfg))
         assert a == b
         assert json.loads(a) == json.loads(b)
+        summary = (tmp_path / "summary.md").read_text(encoding="utf-8")
+        assert "## Coefficient-variant divergence" in summary
+        csv_lines = (tmp_path / "period_scan.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert len(csv_lines) == cfg.grid_count + 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyson3 import nve
-from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement
+from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement, field_sqrt
 from dyson3.kovacic import (_case3_matrix_modp, _case3_recursion, _degrees,
                             _get_modp, _int_candidates, _modp_has_kernel,
                             _nullspace, kovacic, lame_sieve, pole_profile)
@@ -78,6 +78,51 @@ def test_unsplit_pole_polynomial_is_indeterminate():
     assert res.certificate is None
     assert repr(W ** 3 - 2) in res.log[-1]
     assert res.log[-1].endswith("verdict indeterminate")
+
+
+_SQRT2 = field_sqrt(FE(2))
+
+
+@pytest.mark.parametrize("r, verdict, last_log", [
+    # xi = 1/(w - sqrt3): the pole factor w - sqrt3 is solved directly
+    pytest.param(rf(Poly([2]), (W - Poly([SQRT3])) ** 2), "liouvillian",
+                 "case 1: success at d=0", id="double_pole_at_sqrt3"),
+    # xi = w e^(w^2/2): deg P = 1, truncated square root at infinity
+    pytest.param(rf(W * W + Poly([3])), "liouvillian",
+                 "case 1: success at d=1", id="w2_plus_3"),
+    # xi = w e^w: a simple pole and o(inf) = 0
+    pytest.param(rf(W + Poly([2]), W), "liouvillian",
+                 "case 1: success at d=0", id="simple_pole"),
+    # xi = e^(-1/w): a pole of order 4, truncated square root at the pole
+    pytest.param(rf(Poly([1, -2]), W ** 4), "liouvillian",
+                 "case 1: success at d=0", id="pole_of_order_4"),
+    # Bessel with nu = 3/2: deg P = 1
+    pytest.param(rf(Poly([2, 0, -1]), W * W), "liouvillian",
+                 "case 1: success at d=1", id="bessel_nu_3_2"),
+    # Bessel with nu = 1/3: case 2 with o(inf) = 0 has no candidate
+    pytest.param(rf(Poly([FE(Fraction(-5, 36)), 0, -1]), W * W),
+                 "not_liouvillian", "group SL(2,C)", id="bessel_nu_1_3"),
+    # Bessel with nu = 1 in the variable 2/sqrt(w): an odd pole, E_c = {3}
+    # and E_inf = {0, 2, 4}
+    pytest.param(rf(ONE, W ** 3), "not_liouvillian", "group SL(2,C)",
+                 id="odd_pole"),
+    # sqrt(1 + 4 sqrt2) is not in the field
+    pytest.param(rf(Poly([_SQRT2]), W * W), "indeterminate",
+                 "sqrt(1 + 4b)", id="exponent_outside_the_field"),
+    # the leading coefficient 1 + sqrt2 has no square root in the field
+    pytest.param(rf(Poly([1 + _SQRT2]), W ** 4), "indeterminate",
+                 "has no square root in the field", id="leading_coefficient"),
+])
+def test_decision_branch_controls(r, verdict, last_log):
+    """Verdicts known by construction (xi given) or from Bessel's equation
+    (Liouvillian iff nu - 1/2 is an integer), reaching the kernel pivots
+    of deg P >= 1, truncated square roots of order >= 1 and the case-1
+    and case-2 exponent sets of pole orders other than 2."""
+    res = kovacic(r)
+    assert res.verdict == verdict
+    assert last_log in res.log[-1]
+    if verdict == "liouvillian":
+        assert res.case == 1 and res.certificate == "exact"
 
 
 def schwarz_form(lam, mu, nu, p1=FE(0), p2=FE(1)):
@@ -265,11 +310,6 @@ def test_dyson_quartic_derived_tangential_liouvillian(dyson_decisions):
     assert res.case == 1 and res.certificate == "exact"
 
 
-def test_kovacic_log_is_deterministic(dyson_decisions):
-    r = nve.algebrize(nve.paper_nve_l()).r
-    assert dyson_decisions["paper"].log == kovacic(r).log
-
-
 def test_lame_sieve_paper_coupling():
     sv = lame_sieve(4)
     assert not sv["lame_hermite"]
@@ -277,6 +317,7 @@ def test_lame_sieve_paper_coupling():
     assert not sv["baldassarri_union"]
     assert not sv["admissible"]
     assert sv["index_n"] == []      # 1 + 4A = 17 is not a rational square
+    assert lame_sieve(FE(4)) == sv
 
 
 def test_lame_sieve_derived_coupling():

@@ -1,7 +1,6 @@
 """Variational systems, scalar reductions, and algebrization."""
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from dyson3 import nve
@@ -61,19 +60,6 @@ def test_scalar_nve_matches_4d_variational_flow():
             # negative control: a perturbed coefficient must not track
             ctrl = nve.nve_flow_oracle(sc, vs, perturb=0.05)
             assert ctrl > 1e-4, (source, mode, ctrl)
-
-
-def test_variational_monodromy_is_symplectic():
-    for order in (3, 4):
-        m = nve.monodromy_matrix(_vs(order))
-        assert abs(np.linalg.det(m) - 1.0) < 1e-8
-
-
-def test_wronskian_constant():
-    for order in (3, 4):
-        vs = _vs(order)
-        for mode in ("antisymmetric", "symmetric"):
-            assert nve.wronskian_drift(nve.scalar_nve(vs, mode)) < 1e-8
 
 
 def test_algebrized_normal_form_identity():

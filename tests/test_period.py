@@ -23,26 +23,6 @@ def test_c_energy_bijection():
         assert 0 < c < period.c_star()
 
 
-def test_turning_points_closed_vs_numeric_50_values():
-    prec = 128
-    with mp.workprec(prec):
-        cstar = period.c_star(prec)
-        emin = period.e_min(prec)
-        worst_q = worst_res = 0.0
-        for k in range(50):
-            c = mp.mpf("0.02") + (cstar - mp.mpf("0.02")) * k / 49
-            tp = period.turning_points_closed(c, prec)
-            if tp.energy - emin < mp.mpf(2) ** (16 - prec):
-                qm = qp = mp.pi / 3    # degenerate endpoint c = c*
-            else:
-                qm, qp = period.turning_points_numeric(tp.energy, prec)
-            worst_q = max(worst_q, float(abs(tp.q_minus - qm)),
-                          float(abs(tp.q_plus - qp)))
-            worst_res = max(worst_res, float(tp.quartic_residual()))
-        assert worst_q < 1e-9
-        assert worst_res < 1e-12
-
-
 def test_double_root_at_c_star():
     tp = period.turning_points_closed(period.c_star(128), 128)
     assert abs(float(tp.r1) + 0.5) < 1e-10
@@ -55,22 +35,6 @@ def test_domain_guards():
         period.turning_points_closed(0.4)      # above c*
     with pytest.raises(period.PeriodDomainError):
         period.turning_points_numeric(float(period.e_min()) - 0.1)
-
-
-def test_period_limit_is_pi():
-    with mp.workprec(128):
-        t = period.period(period.e_min() + mp.mpf(1e-6)).period
-        assert abs(t - mp.pi) < 1e-3
-
-
-def test_quadrature_vs_return_map_on_grid():
-    emin = float(period.e_min(80))
-    offsets = [0.02 * 1.6 ** k for k in range(10)]
-    for off in offsets:
-        e = emin + off
-        t_quad = float(period.period(e, prec=80).period)
-        t_map = period.return_map_period(e, h=1e-4)
-        assert abs(t_quad - t_map) < 1e-6, f"offset {off}"
 
 
 @pytest.mark.parametrize("q0,p0", [(0.01, -20.0), (1.56, 20.0)])

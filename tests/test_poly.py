@@ -53,13 +53,19 @@ def test_exact_roots_in_tower():
     # w^3 - 2 has no root in any field of square roots
     roots, solved = exact_roots(w ** 3 - 2)
     assert not solved and roots == []
+    # a linear factor with an irrational root is solved directly
+    roots, solved = exact_roots((w - SQRT3) ** 2 * (w - 1))
+    assert solved
+    assert sorted(roots, key=lambda rm: rm[1]) == [(FE(1), 1), (SQRT3, 2)]
 
 
 def test_partial_fraction_roundtrip_exact():
     w = Poly.x()
-    f = RationalFunction(_p(1, 2, 0, 1), (w - 1) ** 2 * (w + 3))
-    poly_part, terms = partial_fractions(f)
-    assert recombine(poly_part, terms) == f
+    for f in (RationalFunction(_p(1, 2, 0, 1), (w - 1) ** 2 * (w + 3)),
+              # a triple pole at an irrational point
+              RationalFunction(_p(1, 2, 3), (w - SQRT3) ** 3 * (w - 1))):
+        poly_part, terms = partial_fractions(f)
+        assert recombine(poly_part, terms) == f
 
 
 def test_rational_function_reduction_and_order():

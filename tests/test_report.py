@@ -47,6 +47,23 @@ def test_partial_report_marks_verdicts(fast_report):
     assert rpt.report_exit_code(fast_report) == 0
 
 
+def test_claim_b_needs_the_transverse_decision():
+    """--variant paper runs no transverse decision, so claim b stays
+    PARTIAL however the other checks come out."""
+    present = [cid for cid in rpt._CLAIM_B_EVIDENCE
+               if cid != "kovacic.quartic_derived_transverse"]
+    sections = {"s": {"checks": [{"id": cid, "status": "PASS"}
+                                 for cid in present]}}
+    claim_b = rpt.build_verdicts(sections)["meromorphic_nonintegrability"]
+    assert claim_b["status"] == "PARTIAL"
+    assert claim_b["missing"] == ["kovacic.quartic_derived_transverse"]
+    assert "nve.scalar_vs_4d_L_antisymmetric" in claim_b["evidence"]
+    sections["s"]["checks"].append(
+        {"id": "kovacic.quartic_derived_transverse", "status": "PASS"})
+    claim_b = rpt.build_verdicts(sections)["meromorphic_nonintegrability"]
+    assert claim_b["status"] == "PASS"
+
+
 def test_every_check_carries_tolerance_when_numeric(fast_report):
     for sec in fast_report["sections"].values():
         for chk in sec["checks"]:
