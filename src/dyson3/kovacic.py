@@ -23,8 +23,11 @@ with p a prime at which -1 and every prime factor of the input's radicands
 are squares and which divides no coefficient denominator of the input: the
 coefficient matrix maps to GF(p) by a ring homomorphism, and full rank mod
 p implies full rank over the field, so a "no kernel" answer mod p is a
-rigorous rejection.  Exact elimination runs only when the mod-p kernel is
-nonzero.
+rigorous rejection.  The candidates of one rotation order n and degree d
+differ only in S*theta, so the screen runs on a stack of them at a time:
+one numpy recursion over the shared images of S, S' and S^2 r, and one
+rank test with a pivot per matrix.  Exact elimination, and the exact
+S*theta, come only for a candidate whose mod-p kernel is nonzero.
 """
 
 from __future__ import annotations
@@ -219,15 +222,16 @@ def _kernel_poly(op, d):
 
 
 def _degrees(inf_set, pole_sets, scale):
-    """(e_inf, combo, d) for every choice of an exponent e_inf at infinity
-    and one per pole, in ascending order, for which
+    """(e_inf, combo, d) for every choice of an integer exponent e_inf at
+    infinity and one per pole, in ascending order, for which
     d = scale * (e_inf - sum(combo)) is a non-negative integer."""
     pole_lists = [sorted(s) for s in pole_sets]
+    num, den = scale.numerator, scale.denominator
     for e_inf in sorted(inf_set):
         for combo in itertools.product(*pole_lists):
-            d = scale * (e_inf - sum(combo))
-            if d.denominator == 1 and d >= 0:
-                yield e_inf, combo, int(d)
+            d, rest = divmod(num * (e_inf - sum(combo)), den)
+            if not rest and d >= 0:
+                yield e_inf, combo, d
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +526,14 @@ class _ModP:
         return v
 
     def fe(self, x: FieldElement) -> int:
+        """The image of x.  Raises ArithmeticError when p divides a
+        coefficient denominator: such an element has no image, and
+        inverting the denominator by Fermat would silently map it to 0."""
         p = self.p
         acc = 0
         for r, q in x.terms.items():
+            if q.denominator % p == 0:
+                raise ArithmeticError(f"{p} divides the denominator of {q}")
             acc += (q.numerator * pow(q.denominator, p - 2, p)
                     * self._radical(r))
         return acc % p
@@ -563,63 +572,76 @@ def _get_modp(elements) -> _ModP:
             return modp
 
 
-def _mp_mul(A, ker, p):
-    """Multiply each row of A (ascending coefficients below p) by the
-    polynomial ker, keeping the width of A.  The result is not reduced: each
-    entry is a sum of at most len(ker) products below p^2."""
-    out = np.zeros_like(A)
-    width = A.shape[1]
-    for i, kv in enumerate(ker[:width]):
-        kv = int(kv) % p
-        if kv:
-            out[:, i:] += kv * A[:, :width - i]
-    return out
+def _mp_mul_into(out, src, ker):
+    """Add to out the product of each row of the stack src (C, rows, W) by
+    a polynomial, keeping the width W: ker is one polynomial (K,) shared by
+    the stack or one per matrix (C, K), in ascending coefficients below p.
+    Each added term is a product below p^2."""
+    ker = np.atleast_2d(ker)[:, :, None, None]
+    width = out.shape[-1]
+    for k in range(min(ker.shape[1], width)):
+        out[..., k:] += ker[:, k] * src[..., :width - k]
 
 
-def _case3_matrix_modp(S, Sth, S2r, n, d, modp):
-    """Row j is the GF(p) image of P_{-1} of _case3_recursion for P = w^j,
-    given the images S, Sth and S2r (ascending coefficients).
+def _case3_matrix_modp(S, Sth, S2r, n, d, p):
+    """The stack of GF(p) case-3 matrices of the candidates that share n and
+    d: row j of matrix c is the image of P_{-1} of _case3_recursion for
+    P = w^j and S*theta = Sth[c].
 
-    The rows have the fixed width W = d + 1 + (n + 1)(deg S - 1), the
-    degree bound of P_{-1} plus one: each step raises the degree by at most
-    deg S - 1, since deg S^2 r <= 2 deg S - 2 when o(inf) >= 2.  No
-    coefficient of any term lies beyond it, so keeping the width drops only
-    zeros."""
-    p = modp.p
+    S and S2r are the images shared by the stack, Sth holds one image per
+    candidate with deg S coefficients (S*theta is a combination of the
+    S/(w - c)); all are ascending coefficients below p.  The rows have the
+    fixed width W = d + 1 + (n + 1)(deg S - 1), the degree bound of P_{-1}
+    plus one: each step raises the degree by at most deg S - 1, since
+    deg S^2 r <= 2 deg S - 2 when o(inf) >= 2.  No coefficient of any term
+    lies beyond it, so keeping the width drops only zeros."""
     width = d + 1 + (n + 1) * (len(S) - 2)
     ramp = np.arange(1, width, dtype=np.int64)
     dS = S[1:] * ramp[:len(S) - 1] % p
-    cur = np.zeros((d + 1, width), dtype=np.int64)
-    np.fill_diagonal(cur, p - 1)                       # P_n = -P
+    neg_S, neg_Sth = -S % p, -Sth % p
+    cur = np.zeros((len(Sth), d + 1, width), dtype=np.int64)
+    diag = np.arange(d + 1)
+    cur[:, diag, diag] = p - 1                         # P_n = -P
     prev = np.zeros_like(cur)                          # P_{n+1} = 0
+    dcur = np.zeros_like(cur)
     for i in range(n, -1, -1):
-        dcur = np.zeros_like(cur)
-        dcur[:, :-1] = cur[:, 1:] * ramp % p
-        ker2 = [(n - i) * a - b for a, b in
-                itertools.zip_longest(dS, Sth, fillvalue=0)]
-        nxt = (_mp_mul(dcur, -S, p) + _mp_mul(cur, ker2, p)
-               + _mp_mul(prev, -(n - i) * (i + 1) * S2r, p)) % p
+        dcur[..., :-1] = cur[..., 1:] * ramp % p
+        nxt = np.zeros_like(cur)
+        _mp_mul_into(nxt, dcur, neg_S)
+        _mp_mul_into(nxt, cur, ((n - i) * dS + neg_Sth) % p)
+        _mp_mul_into(nxt, prev, -(n - i) * (i + 1) * S2r % p)
+        nxt %= p
         prev, cur = cur, nxt
     return cur
 
 
 def _modp_has_kernel(M, p):
-    """True iff the rows of M (one per monomial w^j) are linearly dependent
-    over GF(p), by row echelon elimination."""
+    """One bool per matrix of the stack M (C, rows, W): True iff its rows
+    (one per monomial w^j) are linearly dependent over GF(p).
+
+    Fraction-free row echelon elimination, each matrix with its own
+    pivots: at each column a matrix takes its first unused row with a
+    nonzero entry as the pivot row and replaces every row by
+    piv*row - f*pivot_row (mod p), f the row's entry in the column and
+    f = 0 for the used rows, so rows are only scaled by nonzero pivots and
+    no inverse is needed.  int64 cannot wrap: entries are reduced below
+    p ~ 10^6 after each column, and each term is a product below p^2."""
     A = M % p
-    rank = 0
-    for col in range(A.shape[1]):
-        nonzero = np.flatnonzero(A[rank:, col])
-        if not nonzero.size:
+    used = np.zeros(A.shape[:2], dtype=bool)
+    for col in range(A.shape[2]):
+        live = (A[:, :, col] != 0) & ~used
+        k = np.flatnonzero(live.any(axis=1))
+        if not k.size:
             continue
-        sel = rank + nonzero[0]
-        A[[rank, sel]] = A[[sel, rank]]
-        pivot = A[rank] * pow(int(A[rank, col]), p - 2, p) % p
-        A[rank + 1:] = (A[rank + 1:] - np.outer(A[rank + 1:, col], pivot)) % p
-        rank += 1
-        if rank == A.shape[0]:
-            return False
-    return True
+        sel = live[k].argmax(axis=1)
+        prow = A[k, sel]
+        used[k, sel] = True
+        f = np.where(used[k], 0, A[k, :, col])
+        A[k] = (prow[:, col, None, None] * A[k]
+                - f[:, :, None] * prow[:, None, :]) % p
+        if used.all():
+            break
+    return ~used.all(axis=1)
 
 
 def _case3_recursion(S, Sth, S2r, n, P):
@@ -634,6 +656,10 @@ def _case3_recursion(S, Sth, S2r, n, P):
     return cur
 
 
+# Most candidates screened in one GF(p) stack: it bounds the memory of the
+# (C, d + 1, W) recursion while keeping numpy's per-call overhead shared.
+_STACK = 16
+
 _CASE3_GROUPS = {4: "finite primitive (tetrahedral)",
                  6: "finite primitive (octahedral)",
                  12: "finite primitive (icosahedral)"}
@@ -647,34 +673,47 @@ def _case3_try(profile, r, log):
         log.append("case 3: inadmissible (pole order > 2 or o(inf) < 2)")
         return None
     S = Poly([ONE])
-    for p in profile.poles:
-        S = S * Poly([-p.point, ONE])
+    for c in profile.poles:
+        S = S * Poly([-c.point, ONE])
     # a polynomial: no pole has order above 2
     S2r = (S * S * r.num).exact_div(r.den)
-    modp = _get_modp(S.coeffs + S2r.coeffs + [p.point for p in profile.poles])
+    modp = _get_modp(S.coeffs + S2r.coeffs + [c.point for c in profile.poles])
+    p = modp.p
     # S/(w - c) for each pole c, and the GF(p) images, once per decision
-    quotients = [S.exact_div(Poly([-p.point, ONE])) for p in profile.poles]
+    quotients = [S.exact_div(Poly([-c.point, ONE])) for c in profile.poles]
     S_p, S2r_p = modp.poly(S), modp.poly(S2r)
-    quotients_p = [modp.poly(q) for q in quotients]
+    quotients_p = np.array([modp.poly(q) for q in quotients])
+    twelfth = modp.fe(FE(Fraction(1, 12)))
     for n in (4, 6, 12):
         # exponents e = 6 + (12k/n) sqrt(1+4b), |k| <= n/2
         steps = range(-6, 7, 12 // n)
-        pole_sets = [{12} if p.order == 1 else _int_candidates(6, steps, p.b)
-                     for p in profile.poles]
+        pole_sets = [{12} if c.order == 1 else _int_candidates(6, steps, c.b)
+                     for c in profile.poles]
         inf_set = _int_candidates(6, steps, profile.b_inf)
+        candidates = list(_degrees(inf_set, pole_sets, Fraction(n, 12)))
+        unscreened = {}          # d -> its unscreened candidates, in order
+        for j, (_, _, d) in enumerate(candidates):
+            unscreened.setdefault(d, []).append(j)
+        has_kernel = {}          # candidate -> its GF(p) matrix has a kernel
         tried = screened = 0
-        for e_inf, combo, d in _degrees(inf_set, pole_sets, Fraction(n, 12)):
+        for j, (e_inf, combo, d) in enumerate(candidates):
             tried += 1
-            # S*theta = (n/12) sum e_c S/(w - c): a polynomial
-            weights = [FE(Fraction(e * n, 12)) for e in combo]
-            Sth_p = sum(modp.fe(wt) * q
-                        for wt, q in zip(weights, quotients_p)) % modp.p
-            if not _modp_has_kernel(
-                    _case3_matrix_modp(S_p, Sth_p, S2r_p, n, d, modp), modp.p):
+            if j not in has_kernel:
+                # candidate j heads its group's unscreened candidates:
+                # screen it with the next ones of the same n and d
+                stack = unscreened[d][:_STACK]
+                del unscreened[d][:_STACK]
+                # S*theta = (n/12) sum e_c S/(w - c), one row per candidate
+                weights = np.array([[e % p for e in candidates[k][1]]
+                                    for k in stack], dtype=np.int64)
+                Sth_p = (weights * (n * twelfth % p) % p) @ quotients_p % p
+                has_kernel.update(zip(stack, _modp_has_kernel(
+                    _case3_matrix_modp(S_p, Sth_p, S2r_p, n, d, p), p)))
+            if not has_kernel[j]:
                 screened += 1
                 continue
-            Sth = sum((q.scale(wt) for wt, q in zip(weights, quotients)),
-                      Poly([]))
+            Sth = sum((q.scale(FE(Fraction(e * n, 12)))
+                       for e, q in zip(combo, quotients)), Poly([]))
             P = _kernel_poly(lambda P: _case3_recursion(S, Sth, S2r, n, P), d)
             if P is not None:
                 log.append(f"case 3 (n={n}): success with e_inf={e_inf}, "

@@ -1,9 +1,12 @@
 """Liouvillian-solvability decision procedure and the Lame sieve."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from dyson3 import nve
 from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement, field_sqrt
@@ -195,9 +198,16 @@ def test_schwarz_list_controls(exps, poles, case, n):
 
 
 def test_case3_success_logs_its_candidate_counts():
+    """The second form, tetrahedral moved by integers, succeeds after three
+    GF(p) rejections, two of them in one (n, d) stack: the counts show that
+    each stacked answer reaches its own candidate."""
     res = kovacic(schwarz_form(_H, _T, _T))
     assert res.log[-1] == ("case 3 (n=4): success with e_inf=7, e=[3, 4], "
                            "d=0 after 1 candidates (0 rejected by the GF(p) "
+                           "prescreen)")
+    res = kovacic(schwarz_form(_H, Fraction(4, 3), _T))
+    assert res.log[-1] == ("case 3 (n=4): success with e_inf=7, e=[3, -2], "
+                           "d=2 after 4 candidates (3 rejected by the GF(p) "
                            "prescreen)")
 
 
@@ -236,12 +246,17 @@ _PAPER_R = nve.algebrize(nve.paper_nve_l()).r
     pytest.param(_PAPER_R, 12, id="paper_n12"),
 ])
 def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
-    """Row j of the GF(p) case-3 matrix of the first candidate at n is the
-    image of the exact recursion at P = w^j, zero-padded to the row width.
-    A width too small for P_{-1} would drop coefficients, and a GF(p)
-    rejection would no longer prove an exact one.  On these inputs the
-    GF(p) rank test also agrees with exact elimination: the Schwarz forms
-    succeed at their first candidate, the paper NVE rejects it."""
+    """The GF(p) case-3 stack of the whole first (n, d) group, built in one
+    call: matrix c is the image of candidate c's own exact recursion,
+    zero-padded to the row width.  A width too small for P_{-1} would drop
+    coefficients, and a GF(p) rejection would no longer prove an exact one.
+
+    The recursion is linear in P, so one exact run at P = sum (j+1) w^j
+    checks the combination sum (j+1) row_j of every matrix; the first
+    candidate is also checked row by row, and its GF(p) rank answer against
+    exact elimination (the Schwarz forms succeed there, the paper NVE
+    rejects it).  Each stacked rank answer is checked against sympy's rank
+    of the same matrix over GF(p)."""
     profile = pole_profile(r)
     points = [p.point for p in profile.poles]
     S = Poly([1])
@@ -251,21 +266,91 @@ def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
     steps = range(-6, 7, 12 // n)
     pole_sets = [_int_candidates(6, steps, p.b) if p.order == 2 else {12}
                  for p in profile.poles]
-    _, combo, d = next(_degrees(_int_candidates(6, steps, profile.b_inf),
-                                pole_sets, Fraction(n, 12)))
-    Sth = sum((S.exact_div(W - Poly([c])).scale(FE(Fraction(e * n, 12)))
-               for e, c in zip(combo, points)), Poly([]))
+    candidates = list(_degrees(_int_candidates(6, steps, profile.b_inf),
+                               pole_sets, Fraction(n, 12)))
+    d = candidates[0][2]
+    group = [combo for _, combo, dc in candidates if dc == d]
     modp = _get_modp(S.coeffs + S2r.coeffs + points)
-    M = _case3_matrix_modp(modp.poly(S), modp.poly(Sth), modp.poly(S2r),
-                           n, d, modp)
-    assert M.shape[0] == d + 1
-    exact = [_case3_recursion(S, Sth, S2r, n, W ** j) for j in range(d + 1)]
-    for row, poly in zip(M, exact):
+    p = modp.p
+
+    def padded(poly, width):
         image = list(modp.poly(poly))
-        assert len(image) <= len(row)
-        assert list(row) == image + [0] * (len(row) - len(image))
-    rows = [[poly.coeff(k) for poly in exact] for k in range(M.shape[1])]
-    assert _modp_has_kernel(M, modp.p) == (_nullspace(rows, d + 1) is not None)
+        assert len(image) <= width
+        return image + [0] * (width - len(image))
+
+    Sths = [sum((S.exact_div(W - Poly([c])).scale(FE(Fraction(e * n, 12)))
+                 for e, c in zip(combo, points)), Poly([]))
+            for combo in group]
+    Sth_p = np.array([padded(Sth, S.degree) for Sth in Sths])
+    stack = _case3_matrix_modp(modp.poly(S), Sth_p, modp.poly(S2r), n, d, p)
+    assert stack.shape[:2] == (len(group), d + 1)
+    width = stack.shape[2]
+    has_kernel = _modp_has_kernel(stack, p)
+    mix = np.arange(1, d + 2)
+    P = Poly([FE(int(a)) for a in mix])
+    gf = GF(p)
+    for M, Sth, kernel in zip(stack, Sths, has_kernel):
+        assert list(mix @ M % p) == padded(_case3_recursion(S, Sth, S2r, n, P),
+                                           width)
+        rank = DomainMatrix([[gf(int(x)) for x in row] for row in M],
+                            M.shape, gf).rank()
+        assert kernel == (rank <= d)
+    exact = [_case3_recursion(S, Sths[0], S2r, n, W ** j)
+             for j in range(d + 1)]
+    assert [list(row) for row in stack[0]] == [padded(e, width) for e in exact]
+    rows = [[poly.coeff(k) for poly in exact] for k in range(width)]
+    assert has_kernel[0] == (_nullspace(rows, d + 1) is not None)
+
+
+@st.composite
+def _stacks(draw):
+    """(stack, p): random matrices mod p with a dependent row planted in
+    some of them, and a zero column or a leading run of zeros in some rows,
+    so that the matrices of one stack pick different pivots."""
+    p = draw(st.sampled_from([3, 1000081]))
+    count = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 7))
+    entry = st.integers(0, p - 1)
+    stack = []
+    for _ in range(count):
+        M = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+        for row in M:
+            lead = draw(st.integers(0, cols))
+            row[:lead] = [0] * lead
+        if rows > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(rows)))[:2]
+            a, b = draw(entry), draw(entry)
+            k = draw(st.integers(0, rows - 1).filter(lambda k: k != i))
+            M[i] = [(a * x + b * y) % p for x, y in zip(M[j], M[k])]
+        if draw(st.booleans()):
+            col = draw(st.integers(0, cols - 1))
+            for row in M:
+                row[col] = 0
+        stack.append(M)
+    return np.array(stack, dtype=np.int64), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+def test_stacked_modp_rank_matches_sympy(data):
+    """_modp_has_kernel answers each matrix of a stack as an independent
+    rank computation over GF(p) would."""
+    stack, p = data
+    K = GF(p)
+    expected = [DomainMatrix([[K(int(x)) for x in row] for row in M],
+                             M.shape, K).rank() < M.shape[0] for M in stack]
+    assert list(_modp_has_kernel(stack, p)) == expected
+
+
+def test_modp_image_refuses_denominators_divisible_by_p():
+    """1/p has no image in GF(p): mapping it to 0 would break the
+    homomorphism that makes a GF(p) rejection rigorous."""
+    modp = _get_modp([SQRT3, SQRT26, I])
+    with pytest.raises(ArithmeticError):
+        modp.fe(FE(Fraction(1, modp.p)))
+    with pytest.raises(ArithmeticError):
+        modp.fe(SQRT3 * FE(Fraction(5, 3 * modp.p)) + 1)
 
 
 def test_moebius_shift_invariance(dyson_decisions):
