@@ -9,6 +9,7 @@ argument reduction to a fundamental cell is attempted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -31,27 +32,31 @@ def invariants_for_energy(h, prec: int = 128) -> EllipticInvariants:
                                   g3=-mp.mpf(4) * (mp.mpf(h) - 2) / 27)
 
 
-def _laurent_coeffs(g2, g3, nterms: int):
-    """c_k with p(t) = t^-2 + sum_{k>=2} c_k t^(2k-2).
+_SERIES_RADIUS = 0.3
+_SERIES_TERMS = 64
+
+
+@functools.lru_cache(maxsize=16)
+def _laurent_coeffs(g2, g3, wp: int):
+    """(c_0, ..., c_n) with p(t) = t^-2 + sum_{k>=2} c_k t^(2k-2) and
+    n = _SERIES_TERMS, computed at working precision wp.
 
     Standard recursion: c_2 = g2/20, c_3 = g3/28,
     c_k = 3/((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_{k-m}.
+    The recursion is O(n^2), and a report evaluates p many times on the
+    invariants of a few energies, so the coefficients are kept per
+    (g2, g3, wp); wp is in the key because it rounds every c_k.
     """
-    c = [mp.mpf(0)] * (nterms + 1)
-    if nterms >= 2:
+    with mp.workprec(wp):
+        c = [mp.mpf(0)] * (_SERIES_TERMS + 1)
         c[2] = g2 / 20
-    if nterms >= 3:
         c[3] = g3 / 28
-    for k in range(4, nterms + 1):
-        acc = mp.mpf(0)
-        for m in range(2, k - 1):
-            acc += c[m] * c[k - m]
-        c[k] = 3 * acc / ((2 * k + 1) * (k - 3))
-    return c
-
-
-_SERIES_RADIUS = 0.3
-_SERIES_TERMS = 64
+        for k in range(4, _SERIES_TERMS + 1):
+            acc = mp.mpf(0)
+            for m in range(2, k - 1):
+                acc += c[m] * c[k - m]
+            c[k] = 3 * acc / ((2 * k + 1) * (k - 3))
+        return tuple(c)
 
 
 def weierstrass_p(t, inv: EllipticInvariants, prec: int = 128):
@@ -70,7 +75,7 @@ def weierstrass_p(t, inv: EllipticInvariants, prec: int = 128):
         while abs(t) > _SERIES_RADIUS:
             t /= 2
             ndup += 1
-        c = _laurent_coeffs(g2, g3, _SERIES_TERMS)
+        c = _laurent_coeffs(g2, g3, prec + 40)
         t2 = t * t
         x = 1 / t2
         y = -2 / (t2 * t)

@@ -16,6 +16,13 @@ g sqrt(r1 r2 / g^2) with g = gcd(r1, r2), times -1 when both are negative.
 The generators of an element are the primes dividing its radicands, and -1
 when one is negative; `conj(g)` flips the sign of sqrt(g), and `inverse`
 conjugates the generators away one at a time.
+
+An element is stored as integer numerators over one common denominator:
+`num` maps each radicand r to a nonzero integer n_r and `den` is a
+positive integer, x = (sum_r n_r sqrt(r)) / den.  The pair is kept
+canonical, gcd(den, *num.values()) = 1 and zero is {} over 1, so equality
+and hashing compare a dict and an int, and addition, negation,
+multiplication, conjugation and inversion work on Python ints alone.
 """
 
 from __future__ import annotations
@@ -85,13 +92,16 @@ def _radical_mul(r1: int, r2: int):
 
 
 class FieldElement:
-    """Immutable element sum_r q_r sqrt(r); `terms` maps each squarefree
-    radicand r to its nonzero rational coefficient q_r."""
+    """Immutable element (sum_r n_r sqrt(r)) / den.  `num` maps each
+    squarefree radicand r to its nonzero integer numerator n_r, and `den`
+    is a positive integer with gcd(den, *num.values()) = 1, so every
+    element has one representation (zero is {} over 1)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        clean = {}
+        """The element sum_r q_r sqrt(r) of a map {r: rational q_r}."""
+        qs = {}
         for r, q in (terms or {}).items():
             q = Fraction(q)
             if not q:
@@ -102,15 +112,13 @@ class FieldElement:
                     raise ValueError(f"radicand {r} is not a squarefree "
                                      "integer with a known factorization")
                 _register(r, split[2])
-            clean[r] = q
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _make(cls, terms: dict) -> "FieldElement":
-        """Trusted constructor: nonzero Fraction values, known radicands."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "terms", terms)
-        return x
+            qs[r] = q
+        # over the lcm of the denominators, some numerator is prime to
+        # each prime power of it, so the pair is already canonical
+        den = math.lcm(*(q.denominator for q in qs.values()))
+        _set_num(self, {r: q.numerator * (den // q.denominator)
+                        for r, q in qs.items()})
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
@@ -118,90 +126,93 @@ class FieldElement:
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_rational(q) -> "FieldElement":
+        if q.__class__ is int:
+            return _make({1: q} if q else {}, 1)
         q = Fraction(q)
-        return FieldElement._make({1: q} if q else {})
+        return _make({1: q.numerator} if q else {}, q.denominator)
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 1 in self.terms)
+        return not self.num or (len(self.num) == 1 and 1 in self.num)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element: %s" % (self,))
-        return self.terms.get(1, Fraction(0))
+        return Fraction(self.num.get(1, 0), self.den)
 
     def generators(self) -> frozenset:
         """Primes dividing a radicand, and -1 when a radicand is negative."""
-        return frozenset().union(*(_GENS[r] for r in self.terms))
+        return frozenset().union(*(_GENS[r] for r in self.num))
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        other = coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for r, q in other.terms.items():
-            s = out.get(r)
-            if s is None:
-                out[r] = q
-            else:
-                s += q
-                if s:
-                    out[r] = s
-                else:
-                    del out[r]
-        return FieldElement._make(out)
+        if other.__class__ is not FieldElement:
+            other = coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement._make({r: -q for r, q in self.terms.items()})
+        return _make({r: -n for r, n in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        other = coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not FieldElement:
+            other = coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return _add(other, self, -1)
 
     def __mul__(self, other):
-        other = coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldElement:
+            other = coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        x, y = self.num, other.num
+        if not x or not y:
+            return ZERO
         out = {}
-        for r1, q1 in self.terms.items():
-            for r2, q2 in other.terms.items():
-                c, r = _radical_mul(r1, r2)
-                out[r] = out.get(r, 0) + q1 * q2 * c
-        return FieldElement._make({r: q for r, q in out.items() if q})
+        get = out.get
+        for r1, n1 in x.items():
+            for r2, n2 in y.items():
+                c, r = _RADMUL.get((r1, r2)) or _radical_mul(r1, r2)
+                out[r] = get(r, 0) + n1 * n2 * c
+        if len(out) < len(x) * len(y):          # terms merged
+            out = {r: n for r, n in out.items() if n}
+        return _reduce(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def conj(self, g: int) -> "FieldElement":
         """The automorphism sqrt(g) -> -sqrt(g) for a prime g, or i -> -i
         for g = -1."""
-        return FieldElement._make({r: (-q if g in _GENS[r] else q)
-                                   for r, q in self.terms.items()})
+        return _make({r: (-n if g in _GENS[r] else n)
+                      for r, n in self.num.items()}, self.den)
 
     def inverse(self) -> "FieldElement":
-        """Exact inverse: x * conj_g(x) is free of g, so conjugating the
-        generators away one at a time leaves a rational denominator."""
-        if self.is_zero():
+        """Exact inverse of x = N / den: N * conj_g(N) is free of g and of
+        every generator N lacks, so conjugating the generators away one at
+        a time, smallest first, turns the integer element N into an integer
+        m, and 1 / x = den * (product of the conjugates) / m."""
+        if not self.num:
             raise ZeroDivisionError("inverse of zero field element")
-        num, den = ONE, self
-        for g in sorted(self.generators()):
-            if g in den.generators():
-                c = den.conj(g)
-                num, den = num * c, den * c
-        return num * FieldElement.from_rational(1 / den.as_rational())
+        num, den = ONE, _make(self.num, 1)
+        while not den.is_rational():
+            c = den.conj(min(den.generators()))
+            num, den = num * c, den * c
+        m = den.num[1]
+        scale = self.den if m > 0 else -self.den
+        return _reduce({r: n * scale for r, n in num.num.items()}, abs(m))
 
     def __truediv__(self, other):
         other = coerce(other)
@@ -216,19 +227,20 @@ class FieldElement:
         return other * self.inverse()
 
     def __eq__(self, other):
-        other = coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+        if other.__class__ is not FieldElement:
+            other = coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     # -- embedding -------------------------------------------------------
     def to_complex(self) -> complex:
         re = im = 0.0
-        for r in sorted(self.terms, key=abs):
-            v = float(self.terms[r]) * math.sqrt(abs(r))
+        for r in sorted(self.num, key=abs):
+            v = self.num[r] / self.den * math.sqrt(abs(r))
             if r > 0:
                 re += v
             else:
@@ -240,11 +252,57 @@ class FieldElement:
         """Terms ordered real before imaginary, then by |r|: the tower
         basis prints as 1, s3, s26, s78, i, i*s3, i*s26, i*s78."""
         terms = []
-        for r in sorted(self.terms, key=lambda r: (r < 0, abs(r))):
+        for r in sorted(self.num, key=lambda r: (r < 0, abs(r))):
             name = ("*i" if r < 0 else "") + (f"*s{abs(r)}" if abs(r) > 1
                                               else "")
-            terms.append(f"{self.terms[r]}{name}")
+            terms.append(f"{Fraction(self.num[r], self.den)}{name}")
         return "FE(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+_new = object.__new__
+_set_num = FieldElement.num.__set__
+_set_den = FieldElement.den.__set__
+
+
+def _make(num: dict, den: int) -> FieldElement:
+    """Trusted constructor: a canonical pair of known radicands."""
+    x = _new(FieldElement)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _reduce(num: dict, den: int) -> FieldElement:
+    """The canonical element num / den: nonzero integer numerators of known
+    radicands over a positive den, with their common factor divided out."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {r: n // g for r, n in num.items()}
+            den //= g
+    return _make(num, den)
+
+
+def _add(x: FieldElement, y: FieldElement, sign: int) -> FieldElement:
+    """x + sign * y over the lcm of the denominators.  With g the gcd of
+    the two denominators, a prime dividing only one of them leaves some sum
+    prime to it, since each operand is canonical; only g can cancel."""
+    if not y.num:
+        return x
+    if not x.num:
+        return y if sign == 1 else -y
+    g = math.gcd(x.den, y.den)
+    sx, sy = y.den // g, x.den // g * sign
+    out = {r: n * sx for r, n in x.num.items()} if sx != 1 else dict(x.num)
+    get = out.get
+    for r, n in y.num.items():
+        t = get(r, 0) + n * sy
+        if t:
+            out[r] = t
+        else:
+            del out[r]
+    den = x.den * sx
+    return _make(out, den) if g == 1 else _reduce(out, den)
 
 
 def coerce(x) -> Union[FieldElement, type(NotImplemented)]:
@@ -279,17 +337,17 @@ def _rational_square_root(q: Fraction):
     return None
 
 
-def _rational_sqrt(q: Fraction):
-    """sqrt(q) = (s/d) sqrt(+-f) for q = n/d, n d = s^2 f, or None."""
-    if q == 0:
+def _rational_sqrt(n: int, d: int):
+    """sqrt(n/d) = (s/d) sqrt(+-f) for n d = s^2 f and d > 0, or None."""
+    if not n:
         return ZERO
-    split = _squarefree_split(abs(q.numerator) * q.denominator)
+    split = _squarefree_split(abs(n) * d)
     if split is None:
         return None
     s, f, primes = split
-    r = f if q > 0 else -f
+    r = f if n > 0 else -f
     _register(r, primes)
-    return FieldElement._make({r: Fraction(s, q.denominator)})
+    return _reduce({r: s}, d)
 
 
 def field_sqrt(x: FieldElement):
@@ -302,23 +360,23 @@ def field_sqrt(x: FieldElement):
     recursion runs on (a +- sqrt(N))/2.  The result is checked by squaring.
     """
     if x.is_rational():
-        return _rational_sqrt(x.as_rational())
+        return _rational_sqrt(x.num.get(1, 0), x.den)
     gens = x.generators()
     g = max(gens)
     a, b = {}, {}
-    for r, q in x.terms.items():
+    for r, n in x.num.items():
         if g in _GENS[r]:
             _GENS.setdefault(r // g, _GENS[r] - {g})
-            b[r // g] = q
+            b[r // g] = n
         else:
-            a[r] = q
-    a, b = FieldElement._make(a), FieldElement._make(b)
+            a[r] = n
+    a, b = _reduce(a, x.den), _reduce(b, x.den)
     root_n = field_sqrt(a * a - b * b * g)
     if root_n is None or not root_n.generators() <= gens - {g}:
         return None
-    half = FE(Fraction(1, 2))
+    half = _make({1: 1}, 2)
     _GENS.setdefault(g, frozenset({g}))
-    sqrt_g = FieldElement._make({g: Fraction(1)})
+    sqrt_g = _make({g: 1}, 1)
     for s in (root_n, -root_n):
         c = field_sqrt((a + s) * half)
         if c is None or c.is_zero():

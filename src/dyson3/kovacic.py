@@ -151,11 +151,7 @@ class KovacicResult:
 
 def _fe_int(x):
     """Integer value of a FieldElement, or None."""
-    if x.is_rational():
-        q = x.as_rational()
-        if q.denominator == 1:
-            return int(q)
-    return None
+    return x.num.get(1, 0) if x.den == 1 and x.is_rational() else None
 
 
 def _theta(terms, tail=None):
@@ -526,17 +522,17 @@ class _ModP:
         return v
 
     def fe(self, x: FieldElement) -> int:
-        """The image of x.  Raises ArithmeticError when p divides a
-        coefficient denominator: such an element has no image, and
-        inverting the denominator by Fermat would silently map it to 0."""
+        """The image of x = N / den: the image of the integer element N
+        times one inverse of den.  Raises ArithmeticError when p divides
+        den, the lcm of the coefficient denominators: such an element has
+        no image, and inverting den by Fermat would silently map it to 0."""
         p = self.p
+        if x.den % p == 0:
+            raise ArithmeticError(f"{p} divides the denominator of {x!r}")
         acc = 0
-        for r, q in x.terms.items():
-            if q.denominator % p == 0:
-                raise ArithmeticError(f"{p} divides the denominator of {q}")
-            acc += (q.numerator * pow(q.denominator, p - 2, p)
-                    * self._radical(r))
-        return acc % p
+        for r, n in x.num.items():
+            acc += n * self._radical(r)
+        return acc * pow(x.den, p - 2, p) % p
 
     def poly(self, q: Poly):
         return np.array([self.fe(c) for c in q.coeffs], dtype=np.int64)
@@ -566,7 +562,7 @@ def _get_modp(elements) -> _ModP:
     elements is a square and which divides no coefficient denominator of
     them, so that all of them have an image in GF(p)."""
     gens = frozenset().union(*(x.generators() for x in elements))
-    dens = {q.denominator for x in elements for q in x.terms.values()}
+    dens = {x.den for x in elements}
     for modp in _modp_candidates():
         if modp.has_roots(gens) and all(d % modp.p for d in dens):
             return modp

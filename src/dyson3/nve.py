@@ -351,10 +351,15 @@ _TOWER = (1, 3, 26, 78, -1, -3, -26, -78)
 
 
 def _fe_coords(x: FieldElement):
-    if not set(x.terms) <= set(_TOWER):
+    """The reduced [numerator, denominator] of each tower coordinate."""
+    if not set(x.num) <= set(_TOWER):
         raise ValueError(f"{x!r} lies outside Q(sqrt3, sqrt26, i)")
-    return [[c.numerator, c.denominator]
-            for c in (x.terms.get(r, Fraction(0)) for r in _TOWER)]
+    coords = []
+    for r in _TOWER:
+        n = x.num.get(r, 0)
+        g = math.gcd(n, x.den)
+        coords.append([n // g, x.den // g])
+    return coords
 
 
 def _poly_json(p: Poly):

@@ -124,8 +124,12 @@ def turning_points_closed(c, prec: int = 128) -> TurningPointData:
 
 
 def turning_points_numeric(e, prec: int = 128):
-    """Roots of E - Vtilde(q) = 0 bracketing pi/3, found by bisection plus
-    Newton polish; residual below 2^-(prec-10)."""
+    """Roots of E - Vtilde(q) = 0 on either side of pi/3, found by plain
+    bisection (_bracket_root): prec + 20 halvings of a sign-change bracket
+    at working precision prec, with no Newton polish.  Each root is the
+    midpoint of the last bracket, or a point where E - Vtilde is exactly 0,
+    so its error is about the spacing of prec-bit numbers near it; no
+    residual bound is checked here."""
     with mp.workprec(prec):
         e = mp.mpf(e)
         emin = e_min(prec)

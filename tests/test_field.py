@@ -1,4 +1,5 @@
 """Exact arithmetic in the field of square roots of rationals."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,35 @@ def test_ring_axioms_and_inverse_beyond_the_tower(a, b, c):
     assert abs((a * b).to_complex() - za * zb) < 1e-9 * (1 + abs(za * zb))
     if not a.is_zero():
         assert a.inverse() * a == ONE
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert all(x.num.values())
+    assert math.gcd(x.den, *x.num.values()) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_elements(), wide_elements(), field_elements(), _fracs)
+def test_canonical_form_and_hash_after_every_operation(a, b, z, q):
+    """Every result is canonical: den > 0, no zero numerator and
+    gcd(den, *num) = 1.  So equal values reached by different routes
+    compare and hash equal; kovacic._theta keys a dict by pole elements,
+    and a second representation of one value would split a pole."""
+    rebuilt = FieldElement({r: Fraction(n, a.den) for r, n in a.num.items()})
+    results = [a + b, a - b, a - a, -a, a * b, a * FE(q), a.conj(-1),
+               a.conj(2), a.conj(5), field_sqrt(z * z), field_sqrt(FE(q)),
+               rebuilt]
+    routes = [((a + b) - b, a), (rebuilt, a), (FE(q) * a - a * q, ZERO)]
+    if not b.is_zero():
+        round_trip = (a * b) * b.inverse()
+        results += [b.inverse(), a / b, round_trip]
+        routes.append((round_trip, a))
+    for x in results:
+        if x is not None:
+            _assert_canonical(x)
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y)
 
 
 @settings(max_examples=40, deadline=None)

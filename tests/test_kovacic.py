@@ -14,6 +14,7 @@ from dyson3.kovacic import (_case3_matrix_modp, _case3_recursion, _degrees,
                             _get_modp, _int_candidates, _modp_has_kernel,
                             _nullspace, kovacic, lame_sieve, pole_profile)
 from dyson3.poly import Poly, RationalFunction
+from test_field import wide_elements
 
 W = Poly.x()
 ONE = Poly([1])
@@ -222,13 +223,18 @@ def _wide_elements(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_wide_elements(), _wide_elements())
-def test_modp_image_is_a_ring_homomorphism(a, b):
-    """The GF(p) prescreen is sound only if its map respects + and *."""
-    modp = _get_modp([a, b, a + b, a * b])
+@given(_wide_elements(), _wide_elements(), wide_elements())
+def test_modp_image_is_a_ring_homomorphism(a, b, c):
+    """The GF(p) prescreen is sound only if its map respects + and *.  c,
+    drawn from test_field, brings i sqrt7 and denominators up to 12, so
+    den, the lcm that `fe` inverts once per element, varies by pair."""
+    pairs = ((a, b), (a, c), (b, c))
+    modp = _get_modp([a, b, c] + [x + y for x, y in pairs]
+                     + [x * y for x, y in pairs])
     p = modp.p
-    assert modp.fe(a + b) == (modp.fe(a) + modp.fe(b)) % p
-    assert modp.fe(a * b) == modp.fe(a) * modp.fe(b) % p
+    for x, y in pairs:
+        assert modp.fe(x + y) == (modp.fe(x) + modp.fe(y)) % p
+        assert modp.fe(x * y) == modp.fe(x) * modp.fe(y) % p
 
 
 def test_modp_prime_for_the_dyson_generators():
