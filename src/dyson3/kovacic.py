@@ -3,14 +3,18 @@ rationals, plus the classical solvability sieve for the Lame equation.
 
 The three cases (reducible / dihedral / finite primitive) are run in
 order.  Each enumerates candidate exponents at the poles and at infinity
-whose degree d is a non-negative integer, and each candidate gives one
-linear operator on polynomials: the second-order equation for P in
-omega = theta + P'/P (case 1), the third-order equation for the symmetric
-square (case 2), and the recursion P_n = -P, ..., P_{-1} = 0 (case 3).
-A candidate succeeds when its operator has a nonzero kernel in degree
-<= d: the kernel is taken over the images of the monomials w^j, j <= d,
-and the polynomial it gives is certified by applying the operator to it
-again (case 1 also re-substitutes omega into the Riccati equation).
+whose degree d is a non-negative integer, and every candidate is one
+linear operator on polynomials, the recursion of Ulmer and Weil:
+P_n = -P, P_{i-1} = -S P_i' + ((n - i) S' - S theta) P_i
+- (n - i)(i + 1) S^2 r P_{i+1}, at n = 1 (case 1), 2 (case 2) and 4, 6, 12
+(case 3).  S drops out of Q_i = P_i / S^(n-i), as Q_{i-1} = -Q_i'
+- theta Q_i - (n - i)(i + 1) r Q_{i+1} and P_{-1} = S^(n+1) Q_{-1}: -Q_{-1}
+is case 1's P'' + 2 theta P' + (theta' + theta^2 - r) P at n = 1, and
+Q_{-1} case 2's equation for the symmetric square at n = 2.  A candidate
+succeeds when P_{-1} = 0 has a nonzero solution of degree <= d, taken from
+the kernel over the monomials w^j, j <= d, and certified by running the
+recursion on it again (case 1 also re-substitutes omega = theta + P'/P
+into the Riccati equation).
 
 Every decision is exact: poles, exponents and truncated square roots are
 field elements.  When a factor of the pole polynomial does not split over
@@ -18,12 +22,12 @@ the field, or an exponent or leading-coefficient root is not in it, the
 decision ends as "indeterminate" with a log line naming what could not be
 made exact.
 
-A case-3 candidate is screened first by the GF(p) image of its recursion,
-with p a prime at which -1 and every prime factor of the input's radicands
-are squares and which divides no coefficient denominator of the input: the
-coefficient matrix maps to GF(p) by a ring homomorphism, and full rank mod
-p implies full rank over the field, so a "no kernel" answer mod p is a
-rigorous rejection.  The candidates of one rotation order n and degree d
+A case-2 or case-3 candidate is screened first by the GF(p) image of its
+recursion, with p a prime at which -1 and every prime factor of the
+input's radicands are squares and which divides no coefficient denominator
+of the input: the coefficient matrix maps to GF(p) by a ring homomorphism,
+and full rank mod p implies full rank over the field, so a "no kernel"
+answer mod p is a rigorous rejection.  The candidates of one n and d
 differ only in S*theta, so the screen runs on a stack of them at a time:
 one numpy recursion over the shared images of S, S' and S^2 r, and one
 rank test with a pivot per matrix.  Exact elimination, and the exact
@@ -105,10 +109,7 @@ def pole_profile(r: RationalFunction) -> PoleProfile:
     res_sum = ZERO
     for p in poles:
         res_sum = res_sum + p.principal[p.order - 1]
-    if o_inf == 2:
-        b_inf = r.num.lc()         # den is monic
-    else:
-        b_inf = ZERO
+    b_inf = r.num.lc() if o_inf == 2 else ZERO      # den is monic
     return PoleProfile(poles=poles, o_inf=o_inf, poly_part=poly_part,
                        res_sum=res_sum, b_inf=b_inf)
 
@@ -203,18 +204,32 @@ def _nullspace(rows, ncols):
     return None
 
 
-def _kernel_poly(op, d):
-    """A nonzero P of degree <= d with op(P) = 0 for the linear operator op,
-    or None.  Column j of the coefficient matrix holds op(w^j); P comes
-    from its kernel and is certified by applying op to it."""
-    images = [op(Poly([ZERO] * j + [ONE])) for j in range(d + 1)]
+def _recursion(S, Sth, S2r, n, P):
+    """P_{-1} of the recursion in the module docstring: Sth = S*theta."""
+    cur = -P
+    prev = Poly([])
+    dS = S.derivative()
+    for i in range(n, -1, -1):
+        nxt = (-(S * cur.derivative())
+               + (dS.scale(n - i) - Sth) * cur
+               - (S2r * prev).scale((n - i) * (i + 1)))
+        prev, cur = cur, nxt
+    return cur
+
+
+def _kernel_poly(S, Sth, S2r, n, d):
+    """A nonzero P of degree <= d with P_{-1} = 0 in _recursion, or None.
+    Column j of the coefficient matrix holds P_{-1} for P = w^j; P comes
+    from its kernel and is certified by running the recursion on it."""
+    images = [_recursion(S, Sth, S2r, n, Poly([ZERO] * j + [ONE]))
+              for j in range(d + 1)]
     rows = [[img.coeff(k) for img in images]
             for k in range(max(img.degree for img in images) + 1)]
     vec = _nullspace(rows, d + 1)
     if vec is None:
         return None
     P = Poly(vec)
-    return P if op(P).is_zero() else None
+    return P if _recursion(S, Sth, S2r, n, P).is_zero() else None
 
 
 def _degrees(inf_set, pole_sets, scale):
@@ -348,13 +363,9 @@ def _case1_solve(profile, r, combo, tail, d):
         terms.append((alpha, pole.point, 1))
         terms.extend((cf, pole.point, k) for cf, k in sqrt_terms)
     N, D = _theta(terms, tail)
-    # operator multiplied through by Dc = den(r) * D^2
-    A2 = r.den * D * D
-    A1 = 2 * N * r.den * D
-    A0 = (N.derivative() * D - N * D.derivative() + N * N) * r.den \
-        - r.num * D * D
-    P = _kernel_poly(lambda P: (A2 * P.derivative().derivative()
-                                + A1 * P.derivative() + A0 * P), d)
+    # n = 1 with S = D and S*theta = N; D^2 r is a polynomial because D
+    # carries (w - c)^ceil(order/2) at every pole c
+    P = _kernel_poly(D, N, (D * D * r.num).exact_div(r.den), 1, d)
     if P is None:
         return None
     # second certificate: omega = theta + P'/P re-substituted into the
@@ -389,79 +400,48 @@ def _int_candidates(center, steps, b):
 
 
 def _case2_pole_set(pole: Pole):
-    if pole.order == 1:
-        return {4}
     if pole.order == 2:
-        return _int_candidates(2, (2, -2), pole.b) | {2}
-    return {pole.order}
+        return _int_candidates(2, (2, 0, -2), pole.b)
+    return {4 if pole.order == 1 else pole.order}
 
 
 def _case2_inf_set(profile: PoleProfile):
-    if profile.o_inf > 2:
-        return {0, 2, 4}
-    if profile.o_inf == 2:
-        return _int_candidates(2, (2, -2), profile.b_inf) | {2}
+    """b_inf is zero when o(inf) > 2, which gives {0, 2, 4}."""
+    if profile.o_inf >= 2:
+        return _int_candidates(2, (2, 0, -2), profile.b_inf)
     return {profile.o_inf}
 
 
-def _case2_try(profile, r, log):
+def _case2_try(profile, sweep, log):
+    """Run the case-2 candidates; KovacicResult on success.  A GF(p) rank
+    rejection is as rigorous as an exact one: both log "rejected (exact)"."""
     if not any(p.order == 2 or (p.order > 2 and p.order % 2 == 1)
                for p in profile.poles):
         log.append("case 2: inadmissible (needs a pole of order 2 or odd > 2)")
         return None
     tried = 0
-    for e_inf, combo, d in _degrees(_case2_inf_set(profile),
-                                    map(_case2_pole_set, profile.poles),
-                                    Fraction(1, 2)):
+    for e_inf, combo, d, _, P in sweep.run(2, Fraction(1, 2),
+                                           _case2_inf_set(profile),
+                                           map(_case2_pole_set, profile.poles)):
         tried += 1
-        res = _case2_solve(profile, r, combo, d)
-        if res is not None:
+        if P is not None:
             log.append(f"case 2: success with e_inf={e_inf}, "
                        f"e={list(combo)}, d={d}")
-            return res
+            omega = ("root of omega^2 - phi omega + (phi'/2 + phi^2/2 - r) "
+                     "= 0, phi = theta + P'/P, deg P = %d" % P.degree)
+            return KovacicResult(verdict="liouvillian", case=2,
+                                 group="imprimitive (dihedral)", d=d,
+                                 omega=omega, certificate="exact",
+                                 residual=0.0)
         log.append(f"case 2: candidate e_inf={e_inf}, e={list(combo)}, "
                    f"d={d} rejected (exact)")
     log.append(f"case 2: {tried} candidates with integer d >= 0, none admissible")
     return None
 
 
-def _case2_solve(profile, r, combo, d):
-    N, D = _theta([(HALF * e, p.point, 1)
-                   for e, p in zip(combo, profile.poles)])
-    dr = r.den
-    # common multiple Dc = dr^2 * D^4; all operator coefficients below are
-    # polynomials by construction.
-    D2, D3, D4 = D * D, D * D * D, D * D * D * D
-    N1 = N.derivative() * D - N * D.derivative()          # theta' = N1/D^2
-    N2 = N1.derivative() * D2 - N1 * (D2).derivative()    # theta'' = N2/D^4
-    nr1 = r.num.derivative() * dr - r.num * dr.derivative()  # r' = nr1/dr^2
-    A3 = dr * dr * D4
-    A2 = 3 * (N * dr * dr * D3)
-    A1 = (3 * N1 + 3 * N * N) * dr * dr * D2 - 4 * r.num * dr * D4
-    A0 = (N2 * dr * dr
-          + (3 * N * N1 + N * N * N) * dr * dr * D
-          - 4 * r.num * N * dr * D3
-          - 2 * nr1 * D4)
-
-    def op(P):
-        p1 = P.derivative(); p2 = p1.derivative(); p3 = p2.derivative()
-        return A3 * p3 + A2 * p2 + A1 * p1 + A0 * P
-
-    P = _kernel_poly(op, d)
-    if P is None:
-        return None
-    omega = ("root of omega^2 - phi omega + (phi'/2 + phi^2/2 - r) = 0, "
-             "phi = theta + P'/P, deg P = %d" % P.degree)
-    return KovacicResult(verdict="liouvillian", case=2,
-                         group="imprimitive (dihedral)", d=d,
-                         omega=omega, certificate="exact", residual=0.0)
-
-
 # ---------------------------------------------------------------------------
-# case 3 (finite primitive groups, n = 4, 6, 12)
+# the GF(p) screen and the candidate sweep of cases 2 and 3
 # ---------------------------------------------------------------------------
-
-# -- modular prescreen -------------------------------------------------------
 
 def _is_prime(n):
     """Trial division: the prescreen's primes lie near 10^6."""
@@ -579,19 +559,20 @@ def _mp_mul_into(out, src, ker):
         out[..., k:] += ker[:, k] * src[..., :width - k]
 
 
-def _case3_matrix_modp(S, Sth, S2r, n, d, p):
-    """The stack of GF(p) case-3 matrices of the candidates that share n and
-    d: row j of matrix c is the image of P_{-1} of _case3_recursion for
-    P = w^j and S*theta = Sth[c].
+def _recursion_modp(S, Sth, S2r, n, d, p):
+    """The stack of GF(p) matrices of the candidates that share n and d:
+    row j of matrix c is the image of P_{-1} of _recursion for P = w^j and
+    S*theta = Sth[c].
 
     S and S2r are the images shared by the stack, Sth holds one image per
     candidate with deg S coefficients (S*theta is a combination of the
     S/(w - c)); all are ascending coefficients below p.  The rows have the
-    fixed width W = d + 1 + (n + 1)(deg S - 1), the degree bound of P_{-1}
-    plus one: each step raises the degree by at most deg S - 1, since
-    deg S^2 r <= 2 deg S - 2 when o(inf) >= 2.  No coefficient of any term
-    lies beyond it, so keeping the width drops only zeros."""
-    width = d + 1 + (n + 1) * (len(S) - 2)
+    fixed width W = d + 1 + (n + 1) a, a = max(deg S - 1, ceil(deg S^2 r/2)),
+    the degree bound of P_{-1} plus one: deg P_i <= d + (n - i) a, since a
+    step adds deg S - 1 to deg P_i and deg S^2 r to deg P_{i+1} (a is
+    deg S - 1 when o(inf) >= 2).  No coefficient of any term lies beyond
+    it, so keeping the width drops only zeros."""
+    width = d + 1 + (n + 1) * max(len(S) - 2, len(S2r) // 2)
     ramp = np.arange(1, width, dtype=np.int64)
     dS = S[1:] * ramp[:len(S) - 1] % p
     neg_S, neg_Sth = -S % p, -Sth % p
@@ -640,77 +621,91 @@ def _modp_has_kernel(M, p):
     return ~used.all(axis=1)
 
 
-def _case3_recursion(S, Sth, S2r, n, P):
-    cur = -P
-    prev = Poly([])
-    dS = S.derivative()
-    for i in range(n, -1, -1):
-        nxt = (-(S * cur.derivative())
-               + (dS.scale(n - i) - Sth) * cur
-               - (S2r * prev).scale((n - i) * (i + 1)))
-        prev, cur = cur, nxt
-    return cur
-
-
 # Most candidates screened in one GF(p) stack: it bounds the memory of the
 # (C, d + 1, W) recursion while keeping numpy's per-call overhead shared.
 _STACK = 16
+
+
+class _Sweep:
+    """What the case-2 and case-3 candidates of one decision share: S, the
+    product of (w - c)^ceil(order/2) over the poles c so that S^2 r is a
+    polynomial, each S/(w - c), a prime (_get_modp) and the images mod p."""
+
+    def __init__(self, profile, r):
+        S = Poly([ONE])
+        for c in profile.poles:
+            S = S * Poly([-c.point, ONE]) ** ((c.order + 1) // 2)
+        self.S, self.S2r = S, (S * S * r.num).exact_div(r.den)
+        self.quotients = [S.exact_div(Poly([-c.point, ONE]))
+                          for c in profile.poles]
+        self.modp = _get_modp(S.coeffs + self.S2r.coeffs
+                              + [c.point for c in profile.poles])
+        self.S_p, self.S2r_p = self.modp.poly(S), self.modp.poly(self.S2r)
+        self.quotients_p = np.array([self.modp.poly(q)
+                                     for q in self.quotients])
+
+    def run(self, n, scale, inf_set, pole_sets):
+        """(e_inf, combo, d, screened, P) for each candidate of _degrees, in
+        order, with S*theta = scale * sum e_c S/(w - c): screened when its
+        GF(p) matrix has full rank, else P from _kernel_poly."""
+        candidates = list(_degrees(inf_set, pole_sets, scale))
+        unscreened = {}          # d -> its unscreened candidates, in order
+        for j, (_, _, d) in enumerate(candidates):
+            unscreened.setdefault(d, []).append(j)
+        has_kernel = {}          # candidate -> its GF(p) matrix has a kernel
+        p = self.modp.p
+        scale_p = self.modp.fe(FE(scale))
+        for j, (e_inf, combo, d) in enumerate(candidates):
+            if j not in has_kernel:
+                # candidate j heads its group's unscreened candidates:
+                # screen it with the next ones of the same n and d
+                stack = unscreened[d][:_STACK]
+                del unscreened[d][:_STACK]
+                # the images of S*theta, one row per candidate
+                weights = np.array([[e % p for e in candidates[k][1]]
+                                    for k in stack], dtype=np.int64)
+                Sth_p = (weights * scale_p % p) @ self.quotients_p % p
+                has_kernel.update(zip(stack, _modp_has_kernel(
+                    _recursion_modp(self.S_p, Sth_p, self.S2r_p, n, d, p),
+                    p)))
+            if not has_kernel[j]:
+                yield e_inf, combo, d, True, None
+                continue
+            Sth = sum((q.scale(FE(e * scale))
+                       for e, q in zip(combo, self.quotients)), Poly([]))
+            yield e_inf, combo, d, False, _kernel_poly(self.S, Sth, self.S2r,
+                                                       n, d)
+
+
+# ---------------------------------------------------------------------------
+# case 3 (finite primitive groups, n = 4, 6, 12)
+# ---------------------------------------------------------------------------
 
 _CASE3_GROUPS = {4: "finite primitive (tetrahedral)",
                  6: "finite primitive (octahedral)",
                  12: "finite primitive (icosahedral)"}
 
 
-def _case3_try(profile, r, log):
+def _case3_try(profile, sweep, log):
     """Run the case-3 candidates for n = 4, 6, 12; KovacicResult on success.
     Every exponent set holds 12 (a simple pole) or 6 (_int_candidates at
     t = 0)."""
     if any(p.order > 2 for p in profile.poles) or profile.o_inf < 2:
         log.append("case 3: inadmissible (pole order > 2 or o(inf) < 2)")
         return None
-    S = Poly([ONE])
-    for c in profile.poles:
-        S = S * Poly([-c.point, ONE])
-    # a polynomial: no pole has order above 2
-    S2r = (S * S * r.num).exact_div(r.den)
-    modp = _get_modp(S.coeffs + S2r.coeffs + [c.point for c in profile.poles])
-    p = modp.p
-    # S/(w - c) for each pole c, and the GF(p) images, once per decision
-    quotients = [S.exact_div(Poly([-c.point, ONE])) for c in profile.poles]
-    S_p, S2r_p = modp.poly(S), modp.poly(S2r)
-    quotients_p = np.array([modp.poly(q) for q in quotients])
-    twelfth = modp.fe(FE(Fraction(1, 12)))
     for n in (4, 6, 12):
         # exponents e = 6 + (12k/n) sqrt(1+4b), |k| <= n/2
         steps = range(-6, 7, 12 // n)
         pole_sets = [{12} if c.order == 1 else _int_candidates(6, steps, c.b)
                      for c in profile.poles]
         inf_set = _int_candidates(6, steps, profile.b_inf)
-        candidates = list(_degrees(inf_set, pole_sets, Fraction(n, 12)))
-        unscreened = {}          # d -> its unscreened candidates, in order
-        for j, (_, _, d) in enumerate(candidates):
-            unscreened.setdefault(d, []).append(j)
-        has_kernel = {}          # candidate -> its GF(p) matrix has a kernel
         tried = screened = 0
-        for j, (e_inf, combo, d) in enumerate(candidates):
+        for e_inf, combo, d, rejected_mod_p, P in sweep.run(
+                n, Fraction(n, 12), inf_set, pole_sets):
             tried += 1
-            if j not in has_kernel:
-                # candidate j heads its group's unscreened candidates:
-                # screen it with the next ones of the same n and d
-                stack = unscreened[d][:_STACK]
-                del unscreened[d][:_STACK]
-                # S*theta = (n/12) sum e_c S/(w - c), one row per candidate
-                weights = np.array([[e % p for e in candidates[k][1]]
-                                    for k in stack], dtype=np.int64)
-                Sth_p = (weights * (n * twelfth % p) % p) @ quotients_p % p
-                has_kernel.update(zip(stack, _modp_has_kernel(
-                    _case3_matrix_modp(S_p, Sth_p, S2r_p, n, d, p), p)))
-            if not has_kernel[j]:
+            if rejected_mod_p:
                 screened += 1
                 continue
-            Sth = sum((q.scale(FE(Fraction(e * n, 12)))
-                       for e, q in zip(combo, quotients)), Poly([]))
-            P = _kernel_poly(lambda P: _case3_recursion(S, Sth, S2r, n, P), d)
             if P is not None:
                 log.append(f"case 3 (n={n}): success with e_inf={e_inf}, "
                            f"e={list(combo)}, d={d} after {tried} "
@@ -743,11 +738,13 @@ def kovacic(r: RationalFunction) -> KovacicResult:
         # every pole is exact; "exact=True" keeps the line's format
         log.append(f"poles: {[(str(p.point), p.order) for p in profile.poles]},"
                    f" o(inf)={profile.o_inf}, exact=True")
-        for case_fn in (_case1_try, _case2_try, _case3_try):
-            res = case_fn(profile, r, log)
-            if res is not None:
-                res.log = log
-                return res
+        # the sweep of cases 2 and 3 is built only when case 1 fails
+        res = (_case1_try(profile, r, log)
+               or _case2_try(profile, sweep := _Sweep(profile, r), log)
+               or _case3_try(profile, sweep, log))
+        if res is not None:
+            res.log = log
+            return res
     except _Inexact as exc:
         log.append(f"{exc}: verdict indeterminate")
         return KovacicResult(verdict="indeterminate", group="undetermined",

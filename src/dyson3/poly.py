@@ -26,7 +26,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [c if type(c) is FieldElement else _coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = cs

@@ -1,5 +1,7 @@
 """Liouvillian-solvability decision procedure and the Lame sieve."""
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from dyson3 import nve
 from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement, field_sqrt
-from dyson3.kovacic import (_case3_matrix_modp, _case3_recursion, _degrees,
+from dyson3.kovacic import (_Sweep, _case2_inf_set, _case2_pole_set, _degrees,
                             _get_modp, _int_candidates, _modp_has_kernel,
-                            _nullspace, kovacic, lame_sieve, pole_profile)
+                            _nullspace, _recursion, _recursion_modp, kovacic,
+                            lame_sieve, pole_profile)
 from dyson3.poly import Poly, RationalFunction
 from test_field import wide_elements
 
@@ -87,46 +90,62 @@ def test_unsplit_pole_polynomial_is_indeterminate():
 _SQRT2 = field_sqrt(FE(2))
 
 
-@pytest.mark.parametrize("r, verdict, last_log", [
+# xi = w^(1/4) e^(+-2 sqrt(w)) solves xi'' = r xi for r = (16w - 3)/(16w^2)
+_O_INF_1 = rf(Poly([FE(Fraction(-3, 16)), 1]), W * W)
+# Bessel with nu = 3/2, o(inf) = 0: case 2's first candidate has d = 2
+_BESSEL_3_2 = rf(Poly([2, 0, -1]), W * W)
+
+
+@pytest.mark.parametrize("r, verdict, case, last_log", [
     # xi = 1/(w - sqrt3): the pole factor w - sqrt3 is solved directly
-    pytest.param(rf(Poly([2]), (W - Poly([SQRT3])) ** 2), "liouvillian",
+    pytest.param(rf(Poly([2]), (W - Poly([SQRT3])) ** 2), "liouvillian", 1,
                  "case 1: success at d=0", id="double_pole_at_sqrt3"),
     # xi = w e^(w^2/2): deg P = 1, truncated square root at infinity
-    pytest.param(rf(W * W + Poly([3])), "liouvillian",
+    pytest.param(rf(W * W + Poly([3])), "liouvillian", 1,
                  "case 1: success at d=1", id="w2_plus_3"),
     # xi = w e^w: a simple pole and o(inf) = 0
-    pytest.param(rf(W + Poly([2]), W), "liouvillian",
+    pytest.param(rf(W + Poly([2]), W), "liouvillian", 1,
                  "case 1: success at d=0", id="simple_pole"),
     # xi = e^(-1/w): a pole of order 4, truncated square root at the pole
-    pytest.param(rf(Poly([1, -2]), W ** 4), "liouvillian",
+    pytest.param(rf(Poly([1, -2]), W ** 4), "liouvillian", 1,
                  "case 1: success at d=0", id="pole_of_order_4"),
     # Bessel with nu = 3/2: deg P = 1
-    pytest.param(rf(Poly([2, 0, -1]), W * W), "liouvillian",
-                 "case 1: success at d=1", id="bessel_nu_3_2"),
+    pytest.param(_BESSEL_3_2, "liouvillian", 1, "case 1: success at d=1",
+                 id="bessel_nu_3_2"),
     # Bessel with nu = 1/3: case 2 with o(inf) = 0 has no candidate
     pytest.param(rf(Poly([FE(Fraction(-5, 36)), 0, -1]), W * W),
-                 "not_liouvillian", "group SL(2,C)", id="bessel_nu_1_3"),
+                 "not_liouvillian", None, "group SL(2,C)", id="bessel_nu_1_3"),
     # Bessel with nu = 1 in the variable 2/sqrt(w): an odd pole, E_c = {3}
     # and E_inf = {0, 2, 4}
-    pytest.param(rf(ONE, W ** 3), "not_liouvillian", "group SL(2,C)",
+    pytest.param(rf(ONE, W ** 3), "not_liouvillian", None, "group SL(2,C)",
                  id="odd_pole"),
+    # case 2 with o(inf) = 1, so deg S^2 r = 2 deg S - 1
+    pytest.param(_O_INF_1, "liouvillian", 2,
+                 "case 2: success with e_inf=1, e=[1], d=0", id="o_inf_1"),
+    # the same equation under w -> 1/w, r = (16 - 3w)/(16w^3): a pole of
+    # order 3, so S = w^2 has a repeated factor
+    pytest.param(rf(Poly([1, FE(Fraction(-3, 16))]), W ** 3), "liouvillian",
+                 2, "case 2: success with e_inf=3, e=[3], d=0",
+                 id="pole_of_order_3"),
     # sqrt(1 + 4 sqrt2) is not in the field
-    pytest.param(rf(Poly([_SQRT2]), W * W), "indeterminate",
+    pytest.param(rf(Poly([_SQRT2]), W * W), "indeterminate", None,
                  "sqrt(1 + 4b)", id="exponent_outside_the_field"),
     # the leading coefficient 1 + sqrt2 has no square root in the field
-    pytest.param(rf(Poly([1 + _SQRT2]), W ** 4), "indeterminate",
+    pytest.param(rf(Poly([1 + _SQRT2]), W ** 4), "indeterminate", None,
                  "has no square root in the field", id="leading_coefficient"),
 ])
-def test_decision_branch_controls(r, verdict, last_log):
+def test_decision_branch_controls(r, verdict, case, last_log):
     """Verdicts known by construction (xi given) or from Bessel's equation
     (Liouvillian iff nu - 1/2 is an integer), reaching the kernel pivots
-    of deg P >= 1, truncated square roots of order >= 1 and the case-1
-    and case-2 exponent sets of pole orders other than 2."""
+    of deg P >= 1, truncated square roots of order >= 1, the case-1 and
+    case-2 exponent sets of pole orders other than 2, and case-2 successes
+    with o(inf) < 2 and with a pole of order > 2."""
     res = kovacic(r)
     assert res.verdict == verdict
+    assert res.case == case
     assert last_log in res.log[-1]
     if verdict == "liouvillian":
-        assert res.case == 1 and res.certificate == "exact"
+        assert res.certificate == "exact"
 
 
 def schwarz_form(lam, mu, nu, p1=FE(0), p2=FE(1)):
@@ -250,33 +269,43 @@ _PAPER_R = nve.algebrize(nve.paper_nve_l()).r
     pytest.param(_PAPER_R, 4, id="paper_n4"),
     pytest.param(_PAPER_R, 6, id="paper_n6"),
     pytest.param(_PAPER_R, 12, id="paper_n12"),
+    pytest.param(_O_INF_1, 2, id="o_inf_1_n2"),
+    pytest.param(_BESSEL_3_2, 2, id="bessel_nu_3_2_n2"),
+    pytest.param(_PAPER_R, 2, id="paper_n2"),
 ])
 def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
-    """The GF(p) case-3 stack of the whole first (n, d) group, built in one
-    call: matrix c is the image of candidate c's own exact recursion,
+    """The GF(p) stack of the whole first (n, d) group, built in one call:
+    matrix c is the image of candidate c's own exact recursion,
     zero-padded to the row width.  A width too small for P_{-1} would drop
     coefficients, and a GF(p) rejection would no longer prove an exact one.
+    n = 2 takes case 2's exponent sets and scale 1/2.  When o(inf) < 2,
+    deg S^2 r > 2 deg S - 2: for Bessel's nu = 3/2 form (o(inf) = 0) the
+    rows outgrow d + 1 + (n + 1)(deg S - 1), the width that suffices when
+    o(inf) >= 2.
 
     The recursion is linear in P, so one exact run at P = sum (j+1) w^j
     checks the combination sum (j+1) row_j of every matrix; the first
     candidate is also checked row by row, and its GF(p) rank answer against
-    exact elimination (the Schwarz forms succeed there, the paper NVE
-    rejects it).  Each stacked rank answer is checked against sympy's rank
-    of the same matrix over GF(p)."""
+    exact elimination (the Schwarz forms and the o(inf) = 1 control succeed
+    there, the paper NVE rejects it).  Each stacked rank answer is checked
+    against sympy's rank of the same matrix over GF(p)."""
     profile = pole_profile(r)
     points = [p.point for p in profile.poles]
-    S = Poly([1])
-    for c in points:
-        S = S * (W - Poly([c]))
-    S2r = (S * S * r.num).exact_div(r.den)
-    steps = range(-6, 7, 12 // n)
-    pole_sets = [_int_candidates(6, steps, p.b) if p.order == 2 else {12}
-                 for p in profile.poles]
-    candidates = list(_degrees(_int_candidates(6, steps, profile.b_inf),
-                               pole_sets, Fraction(n, 12)))
+    sweep = _Sweep(profile, r)
+    S, S2r, modp = sweep.S, sweep.S2r, sweep.modp
+    if n == 2:
+        scale = Fraction(1, 2)
+        inf_set = _case2_inf_set(profile)
+        pole_sets = [_case2_pole_set(p) for p in profile.poles]
+    else:
+        scale = Fraction(n, 12)
+        steps = range(-6, 7, 12 // n)
+        inf_set = _int_candidates(6, steps, profile.b_inf)
+        pole_sets = [_int_candidates(6, steps, p.b) if p.order == 2 else {12}
+                     for p in profile.poles]
+    candidates = list(_degrees(inf_set, pole_sets, scale))
     d = candidates[0][2]
     group = [combo for _, combo, dc in candidates if dc == d]
-    modp = _get_modp(S.coeffs + S2r.coeffs + points)
     p = modp.p
 
     def padded(poly, width):
@@ -284,11 +313,11 @@ def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
         assert len(image) <= width
         return image + [0] * (width - len(image))
 
-    Sths = [sum((S.exact_div(W - Poly([c])).scale(FE(Fraction(e * n, 12)))
+    Sths = [sum((S.exact_div(W - Poly([c])).scale(FE(e * scale))
                  for e, c in zip(combo, points)), Poly([]))
             for combo in group]
     Sth_p = np.array([padded(Sth, S.degree) for Sth in Sths])
-    stack = _case3_matrix_modp(modp.poly(S), Sth_p, modp.poly(S2r), n, d, p)
+    stack = _recursion_modp(modp.poly(S), Sth_p, modp.poly(S2r), n, d, p)
     assert stack.shape[:2] == (len(group), d + 1)
     width = stack.shape[2]
     has_kernel = _modp_has_kernel(stack, p)
@@ -296,13 +325,12 @@ def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
     P = Poly([FE(int(a)) for a in mix])
     gf = GF(p)
     for M, Sth, kernel in zip(stack, Sths, has_kernel):
-        assert list(mix @ M % p) == padded(_case3_recursion(S, Sth, S2r, n, P),
+        assert list(mix @ M % p) == padded(_recursion(S, Sth, S2r, n, P),
                                            width)
         rank = DomainMatrix([[gf(int(x)) for x in row] for row in M],
                             M.shape, gf).rank()
         assert kernel == (rank <= d)
-    exact = [_case3_recursion(S, Sths[0], S2r, n, W ** j)
-             for j in range(d + 1)]
+    exact = [_recursion(S, Sths[0], S2r, n, W ** j) for j in range(d + 1)]
     assert [list(row) for row in stack[0]] == [padded(e, width) for e in exact]
     rows = [[poly.coeff(k) for poly in exact] for k in range(width)]
     assert has_kernel[0] == (_nullspace(rows, d + 1) is not None)
@@ -378,6 +406,15 @@ def test_pole_profile_of_quartic_nve():
     assert zero_pole.b == FE(6)
     others = [p for p in prof.poles if p.point != FE(0)]
     assert all(p.b == FE(Fraction(-3, 16)) for p in others)
+
+
+def test_dyson_decisions_match_the_pinned_ones(dyson_decisions):
+    """The three Dyson decisions, logs included, equal the ones pinned in
+    dyson_decisions.json: a change to any candidate's outcome or to a log
+    line that perfbench/spans.py parses shows here."""
+    pinned = json.loads(Path(__file__).with_name("dyson_decisions.json")
+                        .read_text(encoding="utf-8"))
+    assert {k: res.to_json() for k, res in dyson_decisions.items()} == pinned
 
 
 def test_dyson_quartic_paper_variant_not_liouvillian(dyson_decisions):
