@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 
 import mpmath as mp
+import numpy as np
 
 
 class PeriodDomainError(ValueError):
@@ -210,80 +212,99 @@ def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
 
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
+# steps per kernel call in integrate_diagonal and return_map_period: bounds
+# the buffers of t and p a call fills for the numpy pass over them
+_CHUNK = 1024
 
 
-def _yoshida4_step(q: float, p: float, h: float):
-    """One fourth-order Yoshida step: leapfrogs of w1*h, w0*h, w1*h, each
-    kick-drift-kick with the force pdot = -Vtilde'(q)/2 = cot q + cot 2q,
-    written out so that a step makes no further Python calls."""
-    tan = math.tan
-    h1 = _W1 * h
-    h0 = _W0 * h
-    p += 0.5 * h1 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
-    q += h1 * p
-    p += 0.5 * h1 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
-    p += 0.5 * h0 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
-    q += h0 * p
-    p += 0.5 * h0 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
-    p += 0.5 * h1 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
-    q += h1 * p
-    p += 0.5 * h1 * (1.0 / tan(q) + 1.0 / tan(2.0 * q))
-    return q, p
+def _force(t: float) -> float:
+    """pdot = -Vtilde'(q)/2 = cot q + cot 2q = (3 - t^2)/(2t), t = tan q."""
+    return (3.0 - t * t) / (2.0 * t)
+
+
+def _energy(t, p):
+    """p^2 + Vtilde(q) for numpy arrays of t = tan q and p, with
+    Vtilde = log((1 + t^2)^2 / (2 t^3))."""
+    return p * p + np.log((1.0 + t * t) ** 2 / (2.0 * t * t * t))
+
+
+def _yoshida4(q: float, p: float, f: float, h: float, n: int):
+    """n steps of Yoshida's fourth-order composition: kick-drift-kick
+    leapfrogs of w1*h, w0*h, w1*h, with f = _force(tan q) the force at the
+    starting q.  The two kicks at each interior drift point share one
+    force, and the last kick's force is the next step's first, so a step
+    takes three forces, each from one tangent (_force, written out in the
+    loop).  Raises PeriodDomainError at the first step that ends outside
+    0 < q < pi/2.  Returns the final q, p and force, and two double
+    arrays of tan q and p after each step."""
+    tan, half_pi = math.tan, math.pi / 2
+    h1, h0 = _W1 * h, _W0 * h
+    k1, k10 = 0.5 * h1, 0.5 * (h1 + h0)
+    ts, ps = array('d'), array('d')
+    t_append, p_append = ts.append, ps.append
+    for _ in range(n):
+        p += k1 * f
+        q += h1 * p
+        t = tan(q)
+        p += k10 * ((3.0 - t * t) / (2.0 * t))
+        q += h0 * p
+        t = tan(q)
+        p += k10 * ((3.0 - t * t) / (2.0 * t))
+        q += h1 * p
+        t = tan(q)
+        f = (3.0 - t * t) / (2.0 * t)
+        p += k1 * f
+        if not 0 < q < half_pi:
+            raise PeriodDomainError(f"q={q} outside (0, pi/2)")
+        t_append(t)
+        p_append(p)
+    return q, p, f, ts, ps
 
 
 def integrate_diagonal(q0: float, p0: float, h: float, nsteps: int):
-    """Fourth-order Yoshida composition; returns final state and the max
-    deviation of the energy p^2 + Vtilde(q) seen along the way."""
-    step, sin, log = _yoshida4_step, math.sin, math.log
-    half_pi = math.pi / 2
-    q, p = q0, p0
-    e0 = p * p + potential_tilde(q)
+    """nsteps of the _yoshida4 kernel from (q0, p0); returns the final
+    state and the max deviation of the energy p^2 + Vtilde(q) over every
+    step, taken with numpy per chunk of at most _CHUNK steps."""
+    if not 0 < q0 < math.pi / 2:
+        raise PeriodDomainError(f"q={q0} outside (0, pi/2)")
+    q, p, t = q0, p0, math.tan(q0)
+    f = _force(t)
+    e0 = _energy(np.array([t]), np.array([p]))[0]
     emax = 0.0
-    for _ in range(nsteps):
-        q, p = step(q, p, h)
-        if not 0 < q < half_pi:
-            raise PeriodDomainError(f"q={q} outside (0, pi/2)")
-        de = abs(p * p + (-log(sin(2 * q)) - 2 * log(sin(q))) - e0)
-        if de > emax:
-            emax = de
+    for done in range(0, nsteps, _CHUNK):
+        q, p, f, ts, ps = _yoshida4(q, p, f, h, min(_CHUNK, nsteps - done))
+        de = np.abs(_energy(np.frombuffer(ts), np.frombuffer(ps)) - e0).max()
+        emax = max(emax, float(de))
     return q, p, emax
 
 
 def return_map_period(e: float, h: float = 1e-4) -> float:
-    """Period from the symplectic flow: start at the inner turning point
-    and time two successive p=0 crossings (half period), refined by
-    bisection with a fine-step integrator across the crossing step."""
-    qm, qp = turning_points_numeric(e, prec=80)
+    """Period from the symplectic flow: start at rest at the inner turning
+    point, find the first step across which p turns from > 0 to <= 0 (half
+    a period), and bisect on that step with 16 fine substeps."""
+    qm, _ = turning_points_numeric(e, prec=80)
     q, p = float(qm), 0.0
-    # one nudge forward so the p=0 start is not re-detected
-    q, p = _yoshida4_step(q, p, h)
-    t = h
-    prev_q, prev_p = q, p
+    f = _force(math.tan(q))
+    k = 0                                   # steps taken to reach (q, p)
     while True:
-        q2, p2 = _yoshida4_step(q, p, h)
-        t2 = t + h
-        if p > 0 and p2 <= 0:
+        q1, p1, f1, _, ps = _yoshida4(q, p, f, h, _CHUNK)
+        pa = np.concatenate(([p], ps))
+        hits = np.flatnonzero((pa[:-1] > 0) & (pa[1:] <= 0))
+        if hits.size:
             break
-        q, p, t = q2, p2, t2
-        if t > 1e6:
+        q, p, f, k = q1, p1, f1, k + _CHUNK
+        if k * h > 1e6:
             raise ArithmeticError("no return detected")
-    # bisection on the crossing inside [t, t+h] using fine substeps
+    i = int(hits[0])
+    q, p, f, _, _ = _yoshida4(q, p, f, h, i)
     lo, hi = 0.0, h
-    q0, p0 = q, p
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        qq, pp = q0, p0
-        nfine = 16
-        dh = mid / nfine
-        if dh > 0:
-            for _ in range(nfine):
-                qq, pp = _yoshida4_step(qq, pp, dh)
-        if pp > 0:
+        if _yoshida4(q, p, f, mid / 16, 16)[1] > 0:
             lo = mid
         else:
             hi = mid
-    half = t + 0.5 * (lo + hi)
-    return 2.0 * half
+    return 2.0 * ((k + i) * h + 0.5 * (lo + hi))
 
 
 def energy_drift(e: float, h: float = 1e-3, n_periods: int = 1000) -> float:

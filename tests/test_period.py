@@ -1,7 +1,9 @@
 """Period function, turning points, and branch monodromy."""
 import math
+import re
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,15 +41,84 @@ def test_domain_guards():
 
 @pytest.mark.parametrize("q0,p0", [(0.01, -20.0), (1.56, 20.0)])
 def test_integrate_diagonal_leaving_the_cell_is_a_domain_error(q0, p0):
-    with pytest.raises(period.PeriodDomainError):
-        period.integrate_diagonal(q0, p0, 1e-3, 50)
+    def error(nsteps):
+        try:
+            period.integrate_diagonal(q0, p0, 1e-3, nsteps)
+        except period.PeriodDomainError as exc:
+            return str(exc)
+        return None
+
+    message = error(50)
+    q = float(re.fullmatch(r"q=(\S+) outside \(0, pi/2\)", message).group(1))
+    assert not 0 < q < math.pi / 2
+    # the error names the first step outside the cell, not a later one
+    assert message == next(m for m in map(error, range(1, 51)) if m)
+
+
+def _step(q, p, h):
+    """One step of the period kernel from (q, p)."""
+    return period._yoshida4(q, p, period._force(math.tan(q)), h, 1)[:2]
+
+
+def _q_minus(offset):
+    e = float(period.e_min()) + offset
+    return float(period.turning_points_numeric(e, prec=80)[0])
+
+
+def test_kernel_matches_the_textbook_composition():
+    # Yoshida's fourth-order step as three kick-drift-kick leapfrogs,
+    # taking the force cot q + cot 2q six times
+    w1 = 1 / (2 - 2 ** (1 / 3))
+    w0 = 1 - 2 * w1
+
+    def force(q):
+        return 1 / math.tan(q) + 1 / math.tan(2 * q)
+
+    def step(q, p, h):
+        for w in (w1, w0, w1):
+            p += 0.5 * w * h * force(q)
+            q += w * h * p
+            p += 0.5 * w * h * force(q)
+        return q, p
+
+    q0, h, n = _q_minus(0.3), 1e-3, 10 ** 4
+    q, p = q0, 0.0
+    for _ in range(n):
+        q, p = step(q, p, h)
+    qk, pk, _ = period.integrate_diagonal(q0, 0.0, h, n)
+    assert abs(qk - q) < 1e-12 and abs(pk - p) < 1e-12
+
+
+def test_tangent_forms_of_force_and_energy():
+    qs = [(k + 0.5) / 200 * math.pi / 2 for k in range(200)]
+    ts = np.tan(qs)
+    energy = period._energy(ts, np.zeros(len(qs)))
+    for q, t, v in zip(qs, ts, energy):
+        f = 1 / math.tan(q) + 1 / math.tan(2 * q)
+        assert abs(period._force(t) - f) <= 1e-13 * abs(f)
+        vt = period.potential_tilde(q)
+        assert abs(v - vt) <= 1e-13 * abs(vt)
+
+
+@pytest.mark.parametrize("nsteps", [1, period._CHUNK - 1, period._CHUNK,
+                                    period._CHUNK + 1, 2 * period._CHUNK + 3])
+def test_integrate_diagonal_across_chunk_boundaries(nsteps):
+    q0, h = _q_minus(0.3), 1e-3
+    e0 = period.potential_tilde(q0)
+    q, p, emax = q0, 0.0, 0.0
+    for _ in range(nsteps):
+        q, p = _step(q, p, h)
+        emax = max(emax, abs(p * p + period.potential_tilde(q) - e0))
+    qk, pk, ek = period.integrate_diagonal(q0, 0.0, h, nsteps)
+    assert (qk, pk) == (q, p)
+    assert abs(ek - emax) < 1e-15
 
 
 @settings(max_examples=200, deadline=None)
 @given(q=st.floats(0.3, 1.2), p=st.floats(-1.0, 1.0),
        h=st.sampled_from([1e-2, 1e-3, 1e-4]))
 def test_yoshida_step_is_time_reversible(q, p, h):
-    q1, p1 = period._yoshida4_step(*period._yoshida4_step(q, p, h), -h)
+    q1, p1 = _step(*_step(q, p, h), -h)
     assert abs(q1 - q) < 1e-13 and abs(p1 - p) < 1e-13
 
 
