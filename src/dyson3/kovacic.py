@@ -27,11 +27,16 @@ recursion, with p a prime at which -1 and every prime factor of the
 input's radicands are squares and which divides no coefficient denominator
 of the input: the coefficient matrix maps to GF(p) by a ring homomorphism,
 and full rank mod p implies full rank over the field, so a "no kernel"
-answer mod p is a rigorous rejection.  The candidates of one n and d
-differ only in S*theta, so the screen runs on a stack of them at a time:
-one numpy recursion over the shared images of S, S' and S^2 r, and one
-rank test with a pivot per matrix.  Exact elimination, and the exact
-S*theta, come only for a candidate whose mod-p kernel is nonzero.
+answer mod p is a rigorous rejection.  The candidates of one n differ
+only in S*theta, which depends only on their pole exponents, and in d,
+and the matrix at d is the first d + 1 rows of the one at any larger d.
+So the screen runs once per exponent combination, on a stack of them at
+a time: one numpy recursion over the shared images of S, S' and S^2 r at
+the largest d, and one elimination in row order that finds, per matrix,
+the first row that depends on the rows above it; the candidates at
+smaller d are rejected when it lies beyond their d.  Exact elimination,
+and the exact S*theta, come only for a candidate whose mod-p kernel is
+nonzero.
 """
 
 from __future__ import annotations
@@ -560,18 +565,21 @@ def _mp_mul_into(out, src, ker):
 
 
 def _recursion_modp(S, Sth, S2r, n, d, p):
-    """The stack of GF(p) matrices of the candidates that share n and d:
-    row j of matrix c is the image of P_{-1} of _recursion for P = w^j and
-    S*theta = Sth[c].
+    """The stack of GF(p) matrices of the exponent combinations screened
+    together: row j of matrix c is the image of P_{-1} of _recursion for
+    P = w^j and S*theta = Sth[c], for j <= d.
 
     S and S2r are the images shared by the stack, Sth holds one image per
-    candidate with deg S coefficients (S*theta is a combination of the
+    combination with deg S coefficients (S*theta is a combination of the
     S/(w - c)); all are ascending coefficients below p.  The rows have the
-    fixed width W = d + 1 + (n + 1) a, a = max(deg S - 1, ceil(deg S^2 r/2)),
-    the degree bound of P_{-1} plus one: deg P_i <= d + (n - i) a, since a
-    step adds deg S - 1 to deg P_i and deg S^2 r to deg P_{i+1} (a is
-    deg S - 1 when o(inf) >= 2).  No coefficient of any term lies beyond
-    it, so keeping the width drops only zeros."""
+    fixed width W_d = d + 1 + (n + 1) a, a = max(deg S - 1,
+    ceil(deg S^2 r/2)), the degree bound of P_{-1} plus one: deg P_i <=
+    deg P + (n - i) a, since a step adds deg S - 1 to deg P_i and
+    deg S^2 r to deg P_{i+1} (a is deg S - 1 when o(inf) >= 2).  No
+    coefficient of any term lies beyond it, so keeping the width drops only
+    zeros.  Row j does not depend on d, and rows j <= d' < d have no entry
+    at or beyond W_d': the first d' + 1 rows are the matrix at d',
+    zero-padded."""
     width = d + 1 + (n + 1) * max(len(S) - 2, len(S2r) // 2)
     ramp = np.arange(1, width, dtype=np.int64)
     dS = S[1:] * ramp[:len(S) - 1] % p
@@ -592,37 +600,43 @@ def _recursion_modp(S, Sth, S2r, n, d, p):
     return cur
 
 
-def _modp_has_kernel(M, p):
-    """One bool per matrix of the stack M (C, rows, W): True iff its rows
-    (one per monomial w^j) are linearly dependent over GF(p).
+def _first_dependent_row(M, p):
+    """One index per matrix of the stack M (C, rows, W): the first row that
+    is a linear combination over GF(p) of the rows above it, or rows when
+    all are independent.  The first k rows are independent iff k <= it.
 
-    Fraction-free row echelon elimination, each matrix with its own
-    pivots: at each column a matrix takes its first unused row with a
-    nonzero entry as the pivot row and replaces every row by
-    piv*row - f*pivot_row (mod p), f the row's entry in the column and
-    f = 0 for the used rows, so rows are only scaled by nonzero pivots and
-    no inverse is needed.  int64 cannot wrap: entries are reduced below
-    p ~ 10^6 after each column, and each term is a product below p^2."""
+    Fraction-free elimination in row order, each matrix with its own
+    pivots: row k, already reduced by the rows above it, is zero exactly
+    when it depends on them; otherwise its first nonzero column is its
+    pivot, and every later row becomes piv*row - f*row_k (mod p), f the
+    later row's entry in that column, so rows are only scaled by nonzero
+    pivots and no inverse is needed.  A matrix leaves the stack at its
+    first dependent row.  int64 cannot wrap: entries are reduced below
+    p ~ 10^6 after each row, and each term is a product below p^2."""
     A = M % p
-    used = np.zeros(A.shape[:2], dtype=bool)
-    for col in range(A.shape[2]):
-        live = (A[:, :, col] != 0) & ~used
-        k = np.flatnonzero(live.any(axis=1))
-        if not k.size:
-            continue
-        sel = live[k].argmax(axis=1)
-        prow = A[k, sel]
-        used[k, sel] = True
-        f = np.where(used[k], 0, A[k, :, col])
-        A[k] = (prow[:, col, None, None] * A[k]
-                - f[:, :, None] * prow[:, None, :]) % p
-        if used.all():
-            break
-    return ~used.all(axis=1)
+    rows = A.shape[1]
+    first = np.full(len(A), rows)
+    live = np.arange(len(A))         # the matrices with no dependent row yet
+    for k in range(rows):
+        nonzero = A[:, k] != 0
+        dependent = ~nonzero.any(axis=1)
+        if dependent.any():
+            first[live[dependent]] = k
+            A, nonzero, live = (x[~dependent] for x in (A, nonzero, live))
+            if not live.size:
+                break
+        sel = np.arange(len(A))
+        col = nonzero.argmax(axis=1)
+        row = A[:, k]
+        f = A[sel, k + 1:, col]
+        A[:, k + 1:] = (row[sel, col, None, None] * A[:, k + 1:]
+                        - f[:, :, None] * row[:, None, :]) % p
+    return first
 
 
-# Most candidates screened in one GF(p) stack: it bounds the memory of the
-# (C, d + 1, W) recursion while keeping numpy's per-call overhead shared.
+# Most exponent combinations screened in one GF(p) stack: it bounds the
+# memory of the (C, d + 1, W) recursion, d the largest of the stack, while
+# keeping numpy's per-call overhead shared.
 _STACK = 16
 
 
@@ -647,28 +661,37 @@ class _Sweep:
     def run(self, n, scale, inf_set, pole_sets):
         """(e_inf, combo, d, screened, P) for each candidate of _degrees, in
         order, with S*theta = scale * sum e_c S/(w - c): screened when its
-        GF(p) matrix has full rank, else P from _kernel_poly."""
+        GF(p) matrix has full rank, else P from _kernel_poly.
+
+        S*theta, and so the GF(p) matrix, depends on the candidate only
+        through combo and d, and the matrix at d is the first d + 1 rows of
+        the one at any larger d (_recursion_modp).  So each combo runs the
+        recursion once, at the largest d that any e_inf gives it, and its
+        candidate at d has full rank iff the first dependent row of that
+        matrix lies beyond d."""
         candidates = list(_degrees(inf_set, pole_sets, scale))
-        unscreened = {}          # d -> its unscreened candidates, in order
-        for j, (_, _, d) in enumerate(candidates):
-            unscreened.setdefault(d, []).append(j)
-        has_kernel = {}          # candidate -> its GF(p) matrix has a kernel
+        top = {}                 # combo -> its largest d, in first-seen order
+        for _, combo, d in candidates:
+            top[combo] = max(top.get(combo, d), d)
+        combos = list(top)
+        first_dependent = {}     # combo -> first dependent row of its matrix
         p = self.modp.p
         scale_p = self.modp.fe(FE(scale))
-        for j, (e_inf, combo, d) in enumerate(candidates):
-            if j not in has_kernel:
-                # candidate j heads its group's unscreened candidates:
-                # screen it with the next ones of the same n and d
-                stack = unscreened[d][:_STACK]
-                del unscreened[d][:_STACK]
-                # the images of S*theta, one row per candidate
-                weights = np.array([[e % p for e in candidates[k][1]]
-                                    for k in stack], dtype=np.int64)
+        for e_inf, combo, d in candidates:
+            if combo not in first_dependent:
+                # combo heads the unscreened combos: screen it with the next
+                # ones, all at the stack's largest d
+                k = len(first_dependent)
+                stack = combos[k:k + _STACK]
+                # the images of S*theta, one row per combo
+                weights = np.array([[e % p for e in c] for c in stack],
+                                   dtype=np.int64)
                 Sth_p = (weights * scale_p % p) @ self.quotients_p % p
-                has_kernel.update(zip(stack, _modp_has_kernel(
-                    _recursion_modp(self.S_p, Sth_p, self.S2r_p, n, d, p),
-                    p)))
-            if not has_kernel[j]:
+                M = _recursion_modp(self.S_p, Sth_p, self.S2r_p, n,
+                                    max(top[c] for c in stack), p)
+                first_dependent.update(zip(stack,
+                                           _first_dependent_row(M, p)))
+            if first_dependent[combo] > d:
                 yield e_inf, combo, d, True, None
                 continue
             Sth = sum((q.scale(FE(e * scale))

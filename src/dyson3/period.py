@@ -126,40 +126,67 @@ def turning_points_closed(c, prec: int = 128) -> TurningPointData:
 
 
 def turning_points_numeric(e, prec: int = 128):
-    """Roots of E - Vtilde(q) = 0 on either side of pi/3, found by plain
-    bisection (_bracket_root): prec + 20 halvings of a sign-change bracket
-    at working precision prec, with no Newton polish.  Each root is the
-    midpoint of the last bracket, or a point where E - Vtilde is exactly 0,
-    so its error is about the spacing of prec-bit numbers near it; no
-    residual bound is checked here."""
+    """Roots q- < pi/3 < q+ of E - Vtilde(q) = 0 at working precision prec,
+    each by a safeguarded Newton iteration (_bracket_root) in its
+    sign-change bracket, (0, pi/3] or [pi/3, pi/2), from
+    pi/3 -+ sqrt((E - E_min)/4), since Vtilde''(pi/3) = 8.  The slope
+    -Vtilde'(q) = 2 cot 2q + 2 cot q is (3 - t^2)/t with t = tan q.  A root
+    is returned once a step falls below 2^(4 - prec) |q|, and never
+    unconverged; its residual is near the rounding of E - Vtilde at prec
+    bits."""
     with mp.workprec(prec):
         e = mp.mpf(e)
         emin = e_min(prec)
         if e <= emin:
             raise PeriodDomainError("energy at or below the equilibrium energy")
         f = lambda q: e - potential_tilde(q)
-        q_minus = _bracket_root(f, mp.mpf(2) ** (-prec), mp.pi / 3, prec)
-        q_plus = _bracket_root(f, mp.pi / 3, mp.pi / 2 - mp.mpf(2) ** (-prec), prec)
+
+        def slope(q):
+            t = mp.tan(q)
+            return (3 - t * t) / t
+
+        half_width = mp.sqrt((e - emin) / 4)
+        tiny = mp.mpf(2) ** (-prec)
+        q_minus = _bracket_root(f, slope, tiny, mp.pi / 3,
+                                mp.pi / 3 - half_width, prec)
+        q_plus = _bracket_root(f, slope, mp.pi / 3, mp.pi / 2 - tiny,
+                               mp.pi / 3 + half_width, prec)
         return q_minus, q_plus
 
 
-def _bracket_root(f, lo, hi, prec):
+def _bracket_root(f, df, lo, hi, q, prec):
+    """The root of f in [lo, hi], across which f changes sign once, by
+    Newton's method from q.  Every evaluation of f shrinks the bracket to
+    the side that keeps the sign change, and a Newton step that would leave
+    the bracket (or a zero slope) is replaced by its midpoint.  Stops when
+    a step falls below 2^(4 - prec) |q|; raises ArithmeticError when
+    prec + 20 steps do not get there."""
     flo, fhi = f(lo), f(hi)
     if flo == 0:
         return lo
     if fhi == 0:
         return hi
-    # Vtilde - E changes sign exactly once per side of the minimum
+    if not lo < q < hi:
+        q = (lo + hi) / 2
+    tol = mp.mpf(2) ** (4 - prec)
     for _ in range(prec + 20):
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if mp.sign(fm) == mp.sign(flo):
-            lo, flo = mid, fm
+        fq = f(q)
+        if fq == 0:
+            return q
+        if mp.sign(fq) == mp.sign(flo):
+            lo = q
         else:
-            hi, fhi = mid, fm
-    return (lo + hi) / 2
+            hi = q
+        slope = df(q)
+        step = fq / slope if slope else mp.inf
+        new = q - step
+        if abs(step) > tol * abs(q) and not lo < new < hi:
+            new = (lo + hi) / 2
+        if abs(new - q) <= tol * abs(q):
+            return new
+        q = new
+    raise ArithmeticError(f"no turning point to {prec} bits in [{lo}, {hi}] "
+                          f"after {prec + 20} steps")
 
 
 @dataclass(frozen=True)
@@ -169,6 +196,7 @@ class PeriodSample:
     period: object
     log_eta: object
     phi: object
+    q_minus: object     # the inner turning point the quadrature started from
 
 
 def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
@@ -205,7 +233,7 @@ def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
         else:
             log_eta = mp.ninf
         return PeriodSample(c=c, energy=e, period=t, log_eta=log_eta,
-                            phi=t - log_eta)
+                            phi=t - log_eta, q_minus=q_minus)
 
 
 # -- symplectic oracle --------------------------------------------------------
@@ -278,12 +306,15 @@ def integrate_diagonal(q0: float, p0: float, h: float, nsteps: int):
     return q, p, emax
 
 
-def return_map_period(e: float, h: float = 1e-4) -> float:
+def return_map_period(e: float, h: float = 1e-4, q_minus=None) -> float:
     """Period from the symplectic flow: start at rest at the inner turning
     point, find the first step across which p turns from > 0 to <= 0 (half
-    a period), and bisect on that step with 16 fine substeps."""
-    qm, _ = turning_points_numeric(e, prec=80)
-    q, p = float(qm), 0.0
+    a period), and bisect on that step with 16 fine substeps.  q_minus is
+    that turning point when the caller has it (PeriodSample.q_minus);
+    otherwise it is solved for at 80 bits."""
+    if q_minus is None:
+        q_minus, _ = turning_points_numeric(e, prec=80)
+    q, p = float(q_minus), 0.0
     f = _force(math.tan(q))
     k = 0                                   # steps taken to reach (q, p)
     while True:
@@ -308,11 +339,11 @@ def return_map_period(e: float, h: float = 1e-4) -> float:
 
 
 def energy_drift(e: float, h: float = 1e-3, n_periods: int = 1000) -> float:
-    """Max |H - E| along n_periods of symplectic evolution."""
-    qm, _ = turning_points_numeric(e, prec=80)
-    t_total = n_periods * float(period(e, prec=80).period)
-    nsteps = int(t_total / h) + 1
-    _, _, emax = integrate_diagonal(float(qm), 0.0, h, nsteps)
+    """Max |H - E| along n_periods of symplectic evolution, from rest at
+    the inner turning point that period() solves for."""
+    sample = period(e, prec=80)
+    nsteps = int(n_periods * float(sample.period) / h) + 1
+    _, _, emax = integrate_diagonal(float(sample.q_minus), 0.0, h, nsteps)
     return emax
 
 

@@ -212,8 +212,9 @@ def section_period_scan(cfg: PipelineConfig) -> dict:
     eps_star = max(abs(_f(tp_star.eps)), abs(_f(tp_star.delta)))
     # cross-check quadrature against the symplectic return map at one energy
     e_mid = _f(period.e_min(prec)) + 0.25
-    t_quad = _f(period.period(e_mid, tol=cfg.tol, prec=prec).period)
-    t_map = period.return_map_period(e_mid, h=1e-4)
+    mid = period.period(e_mid, tol=cfg.tol, prec=prec)
+    t_quad = _f(mid.period)
+    t_map = period.return_map_period(e_mid, h=1e-4, q_minus=mid.q_minus)
     monotone = all(b > a for a, b in zip(periods, periods[1:]))
     checks = [
         _check("period_scan.limit_probe", probe_err < 1e-3,

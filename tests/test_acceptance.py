@@ -69,8 +69,10 @@ def test_criterion_3_period_limit_and_symplectic_oracle():
         emin = float(period.e_min(80))
         for off in [0.02 * 1.6 ** k for k in range(10)]:
             e = emin + off
-            t_quad = float(period.period(e, prec=80).period)
-            t_map = period.return_map_period(e, h=1e-4)
+            sample = period.period(e, prec=80)
+            t_quad = float(sample.period)
+            t_map = period.return_map_period(e, h=1e-4,
+                                             q_minus=sample.q_minus)
             assert abs(t_quad - t_map) < 1e-6
         assert period.energy_drift(emin + 0.3, h=1e-3, n_periods=1000) < 1e-8
 

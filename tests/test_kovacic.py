@@ -12,10 +12,11 @@ from sympy.polys.matrices import DomainMatrix
 
 from dyson3 import nve
 from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement, field_sqrt
-from dyson3.kovacic import (_Sweep, _case2_inf_set, _case2_pole_set, _degrees,
-                            _get_modp, _int_candidates, _modp_has_kernel,
-                            _nullspace, _recursion, _recursion_modp, kovacic,
-                            lame_sieve, pole_profile)
+from dyson3.kovacic import (_STACK, _Sweep, _case2_inf_set, _case2_pole_set,
+                            _degrees, _first_dependent_row, _get_modp,
+                            _int_candidates, _nullspace, _recursion,
+                            _recursion_modp, kovacic, lame_sieve,
+                            pole_profile)
 from dyson3.poly import Poly, RationalFunction
 from test_field import wide_elements
 
@@ -265,6 +266,9 @@ _PAPER_R = nve.algebrize(nve.paper_nve_l()).r
 
 @pytest.mark.parametrize("r, n", [
     pytest.param(schwarz_form(_H, _T, _T), 4, id="tetrahedral"),
+    # tetrahedral moved by integers: each combination has two d's
+    pytest.param(schwarz_form(_H, Fraction(4, 3), _T), 4,
+                 id="tetrahedral_shifted"),
     pytest.param(schwarz_form(_H, _T, Fraction(1, 5)), 12, id="icosahedral"),
     pytest.param(_PAPER_R, 4, id="paper_n4"),
     pytest.param(_PAPER_R, 6, id="paper_n6"),
@@ -274,21 +278,27 @@ _PAPER_R = nve.algebrize(nve.paper_nve_l()).r
     pytest.param(_PAPER_R, 2, id="paper_n2"),
 ])
 def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
-    """The GF(p) stack of the whole first (n, d) group, built in one call:
-    matrix c is the image of candidate c's own exact recursion,
-    zero-padded to the row width.  A width too small for P_{-1} would drop
-    coefficients, and a GF(p) rejection would no longer prove an exact one.
-    n = 2 takes case 2's exponent sets and scale 1/2.  When o(inf) < 2,
-    deg S^2 r > 2 deg S - 2: for Bessel's nu = 3/2 form (o(inf) = 0) the
-    rows outgrow d + 1 + (n + 1)(deg S - 1), the width that suffices when
-    o(inf) >= 2.
+    """The first GF(p) stack of the sweep, built in one call as
+    _Sweep.run builds it: up to _STACK exponent combinations, all at the
+    stack's largest d.  Matrix c is the image of combination c's own exact
+    recursion, zero-padded to the row width.  A width too small for P_{-1}
+    would drop coefficients, and a GF(p) rejection would no longer prove an
+    exact one.  n = 2 takes case 2's exponent sets and scale 1/2.  When
+    o(inf) < 2, deg S^2 r > 2 deg S - 2: for Bessel's nu = 3/2 form
+    (o(inf) = 0) the rows outgrow d + 1 + (n + 1)(deg S - 1), the width that
+    suffices when o(inf) >= 2.
+
+    Sharing: for every candidate (e_inf, combo, d) of those combinations,
+    the first d + 1 rows of the stacked matrix are the combination's own
+    matrix at d, _recursion_modp(..., d, p), in their first W_d columns and
+    zero beyond them.
 
     The recursion is linear in P, so one exact run at P = sum (j+1) w^j
     checks the combination sum (j+1) row_j of every matrix; the first
-    candidate is also checked row by row, and its GF(p) rank answer against
+    candidate is also checked row by row, and its GF(p) answer against
     exact elimination (the Schwarz forms and the o(inf) = 1 control succeed
-    there, the paper NVE rejects it).  Each stacked rank answer is checked
-    against sympy's rank of the same matrix over GF(p)."""
+    there, the paper NVE rejects it).  Each matrix's first dependent row is
+    checked against sympy's rank of its row prefixes over GF(p)."""
     profile = pole_profile(r)
     points = [p.point for p in profile.poles]
     sweep = _Sweep(profile, r)
@@ -304,8 +314,10 @@ def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
         pole_sets = [_int_candidates(6, steps, p.b) if p.order == 2 else {12}
                      for p in profile.poles]
     candidates = list(_degrees(inf_set, pole_sets, scale))
-    d = candidates[0][2]
-    group = [combo for _, combo, dc in candidates if dc == d]
+    group = list(dict.fromkeys(combo for _, combo, _ in candidates))[:_STACK]
+    d_of = {combo: [dc for _, c, dc in candidates if c == combo]
+            for combo in group}
+    d = max(max(ds) for ds in d_of.values())
     p = modp.p
 
     def padded(poly, width):
@@ -317,23 +329,35 @@ def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
                  for e, c in zip(combo, points)), Poly([]))
             for combo in group]
     Sth_p = np.array([padded(Sth, S.degree) for Sth in Sths])
-    stack = _recursion_modp(modp.poly(S), Sth_p, modp.poly(S2r), n, d, p)
+    S_p, S2r_p = modp.poly(S), modp.poly(S2r)
+    stack = _recursion_modp(S_p, Sth_p, S2r_p, n, d, p)
     assert stack.shape[:2] == (len(group), d + 1)
     width = stack.shape[2]
-    has_kernel = _modp_has_kernel(stack, p)
+    for M, Sth_c, combo in zip(stack, Sth_p, group):
+        for dc in d_of[combo]:
+            own = _recursion_modp(S_p, Sth_c[None], S2r_p, n, dc, p)[0]
+            assert (M[:dc + 1, :own.shape[1]] == own).all()
+            assert not M[:dc + 1, own.shape[1]:].any()
+    first = _first_dependent_row(stack, p)
     mix = np.arange(1, d + 2)
     P = Poly([FE(int(a)) for a in mix])
     gf = GF(p)
-    for M, Sth, kernel in zip(stack, Sths, has_kernel):
+
+    def rank(rows):
+        return DomainMatrix([[gf(int(x)) for x in row] for row in rows],
+                            rows.shape, gf).rank()
+
+    for M, Sth, k in zip(stack, Sths, first):
         assert list(mix @ M % p) == padded(_recursion(S, Sth, S2r, n, P),
                                            width)
-        rank = DomainMatrix([[gf(int(x)) for x in row] for row in M],
-                            M.shape, gf).rank()
-        assert kernel == (rank <= d)
-    exact = [_recursion(S, Sths[0], S2r, n, W ** j) for j in range(d + 1)]
-    assert [list(row) for row in stack[0]] == [padded(e, width) for e in exact]
+        assert k == 0 or rank(M[:k]) == k
+        assert k == d + 1 or rank(M[:k + 1]) == k
+    d0 = candidates[0][2]
+    exact = [_recursion(S, Sths[0], S2r, n, W ** j) for j in range(d0 + 1)]
+    assert [list(row) for row in stack[0, :d0 + 1]] == [
+        padded(e, width) for e in exact]
     rows = [[poly.coeff(k) for poly in exact] for k in range(width)]
-    assert has_kernel[0] == (_nullspace(rows, d + 1) is not None)
+    assert (first[0] <= d0) == (_nullspace(rows, d0 + 1) is not None)
 
 
 @st.composite
@@ -368,13 +392,21 @@ def _stacks(draw):
 @settings(max_examples=200, deadline=None)
 @given(_stacks())
 def test_stacked_modp_rank_matches_sympy(data):
-    """_modp_has_kernel answers each matrix of a stack as an independent
-    rank computation over GF(p) would."""
+    """_first_dependent_row answers each matrix of a stack as independent
+    rank computations over GF(p) would: the smallest k with
+    rank(M[:k + 1]) <= k, or the row count when there is none."""
     stack, p = data
     K = GF(p)
-    expected = [DomainMatrix([[K(int(x)) for x in row] for row in M],
-                             M.shape, K).rank() < M.shape[0] for M in stack]
-    assert list(_modp_has_kernel(stack, p)) == expected
+
+    def first_dependent(M):
+        return next((k for k in range(len(M))
+                     if DomainMatrix([[K(int(x)) for x in row]
+                                      for row in M[:k + 1]],
+                                     (k + 1, M.shape[1]), K).rank() <= k),
+                    len(M))
+
+    assert list(_first_dependent_row(stack, p)) == list(map(first_dependent,
+                                                             stack))
 
 
 def test_modp_image_refuses_denominators_divisible_by_p():

@@ -39,6 +39,55 @@ def test_domain_guards():
         period.turning_points_numeric(float(period.e_min()) - 0.1)
 
 
+@pytest.mark.parametrize("offset", ["2^(20-prec)", 1e-6, 0.5, 40])
+@pytest.mark.parametrize("prec", [80, 128, 200])
+def test_turning_points_solve_to_the_working_precision(prec, offset):
+    """Both roots at the rounding level of prec bits: E - Vtilde at each is
+    below its change over a few ulps of q plus the rounding of E.  Where
+    the closed form is well conditioned, c >= 0.02 (the range of the
+    report's comparison; at E_min + 40, c ~ 1e-18 and its radicands cancel
+    to nothing), the two agree to the rounding of E - Vtilde over its
+    slope, about 4 sqrt(E - E_min) near E_min."""
+    with mp.workprec(prec):
+        off = (mp.mpf(2) ** (20 - prec) if offset == "2^(20-prec)"
+               else mp.mpf(offset))
+        e = period.e_min(prec) + off
+        qm, qp = period.turning_points_numeric(e, prec)
+        assert 0 < qm < mp.pi / 3 < qp < mp.pi / 2
+        ulps = mp.mpf(2) ** (8 - prec)
+        for q in (qm, qp):
+            t = mp.tan(q)
+            slope = (3 - t * t) / t
+            assert abs(e - period.potential_tilde(q)) <= ulps * (
+                abs(q * slope) + abs(e))
+        c = period.c_of_energy(e, prec)
+        if c >= mp.mpf("0.02"):
+            tp = period.turning_points_closed(c, prec)
+            tol = ulps / min(1, mp.sqrt(off))
+            assert abs(tp.q_minus - qm) <= tol
+            assert abs(tp.q_plus - qp) <= tol
+
+
+@pytest.mark.parametrize("slope", [lambda q: -2 * q, lambda q: 0],
+                         ids=["wrong_sign", "zero"])
+def test_newton_safeguard_returns_the_bracketed_root(slope):
+    """A derivative that sends every Newton step out of the bracket (or
+    none at all) leaves bisection, which still converges to the root."""
+    with mp.workprec(128):
+        root = period._bracket_root(lambda q: q * q - 2, slope, mp.mpf(0),
+                                    mp.mpf(2), mp.mpf("1.9"), 128)
+        assert abs(root - mp.sqrt(2)) <= mp.mpf(2) ** (6 - 128)
+
+
+def test_newton_without_convergence_raises():
+    """Steps a million times too short never reach the stopping test in
+    prec + 20 evaluations: no unconverged point is returned."""
+    with mp.workprec(80):
+        with pytest.raises(ArithmeticError):
+            period._bracket_root(lambda q: q * q - 2, lambda q: 2e6 * q,
+                                 mp.mpf(0), mp.mpf(2), mp.mpf(1), 80)
+
+
 @pytest.mark.parametrize("q0,p0", [(0.01, -20.0), (1.56, 20.0)])
 def test_integrate_diagonal_leaving_the_cell_is_a_domain_error(q0, p0):
     def error(nsteps):
