@@ -8,7 +8,6 @@ FAIL, 2 any Indeterminate/partial evidence, 3 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -132,10 +131,9 @@ def main(argv=None) -> int:
         rpt.write_outputs(report_doc, out)
     else:
         out.mkdir(parents=True, exist_ok=True)
-        section_path = out / f"{sections[0]}.json"
-        section_path.write_text(
-            json.dumps(report_doc["sections"][sections[0]], sort_keys=True,
-                       indent=2, allow_nan=False) + "\n", encoding="utf-8")
+        (out / f"{sections[0]}.json").write_text(
+            rpt.render_json(report_doc["sections"][sections[0]]),
+            encoding="utf-8")
         if args.command == "period-scan":
             (out / "period_scan.csv").write_text(rpt.render_csv(report_doc),
                                                  encoding="utf-8")

@@ -114,32 +114,28 @@ def phi_solution(t, h, prec: int = 128):
         return -s3 / 2 - 3 * s3 / 2 * x, -3 * s3 / 2 * y
 
 
-def verify_phi(h, grid=None, prec: int = 128):
+def verify_phi(h, prec: int = 128):
     """Max residual of qdot^2 = -(8 sqrt3/9) q^3 - 4 q^2 + h along phi."""
     with mp.workprec(prec + 40):
-        if grid is None:
-            grid = [mp.mpf(1) / 10 + mp.mpf(k) / 40 for k in range(20)]
         s3 = mp.sqrt(3)
         worst = mp.mpf(0)
-        for t in grid:
+        for t in [mp.mpf(1) / 10 + mp.mpf(k) / 40 for k in range(20)]:
             q, qd = phi_solution(t, h, prec)
             res = qd * qd - (-(8 * s3 / 9) * q ** 3 - 4 * q * q + mp.mpf(h))
             worst = max(worst, abs(res))
         return worst
 
 
-def verify_phi_accel(h, grid=None, prec: int = 128):
+def verify_phi_accel(h, prec: int = 128):
     """Differentiated energy relation: 2 qddot = -(8 sqrt3/3) q^2 - 8 q.
 
     qddot = -(3 sqrt3/2) p'' with p'' = 6 p^2 - g2/2.
     """
     inv = invariants_for_energy(h, prec)
     with mp.workprec(prec + 40):
-        if grid is None:
-            grid = [mp.mpf(1) / 10 + mp.mpf(k) / 40 for k in range(20)]
         s3 = mp.sqrt(3)
         worst = mp.mpf(0)
-        for t in grid:
+        for t in [mp.mpf(1) / 10 + mp.mpf(k) / 40 for k in range(20)]:
             x, _ = weierstrass_p(t, inv, prec)
             q = -s3 / 2 - 3 * s3 / 2 * x
             qdd = -(3 * s3 / 2) * (6 * x * x - mp.mpf(inv.g2) / 2)
@@ -166,14 +162,12 @@ def psi_solution(t, prec: int = 128):
         return psi, psid, psidd
 
 
-def verify_psi(grid=None, prec: int = 128):
+def verify_psi(prec: int = 128):
     """Max residual of qddot = -4q - (4 sqrt3/3) q^2 - 8 q^3 along psi."""
     with mp.workprec(prec + 40):
-        if grid is None:
-            grid = [mp.mpf(k) / 16 for k in range(25)]
         s3 = mp.sqrt(3)
         worst = mp.mpf(0)
-        for t in grid:
+        for t in [mp.mpf(k) / 16 for k in range(25)]:
             q, _, qdd = psi_solution(t, prec)
             res = qdd - (-4 * q - (4 * s3 / 3) * q * q - 8 * q ** 3)
             worst = max(worst, abs(res))

@@ -13,15 +13,16 @@ the recomputed ones).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .field import FieldElement, FE, SQRT3
-from .model import TruncatedHamiltonian, diagonal_reduce, diagonal_potential
+from .model import (TruncatedHamiltonian, diagonal_potential, diagonal_reduce,
+                    taylor_truncate)
 from .poly import Poly, RationalFunction, float_horner
 
 
@@ -147,25 +148,44 @@ def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
 
 # -- numeric oracles --------------------------------------------------------
 
+_ORDER = {"K": 3, "L": 4}    # Taylor order of each named truncation
+
+
+def _dop853(rhs, y0, t_end: float, **kw):
+    """Integrate y' = rhs(t, y) from 0 to t_end: DOP853 at rtol 1e-12 and
+    atol 1e-13 for every oracle.  scipy is imported here, so it loads only
+    when the first NVE oracle runs."""
+    from scipy import integrate
+    sol = integrate.solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
+                              rtol=1e-12, atol=1e-13, **kw)
+    if not sol.success:
+        raise ArithmeticError(f"DOP853 integration failed: {sol.message}")
+    return sol
+
+
+@functools.lru_cache(maxsize=None)
+def _base_orbit(source: str, q0: float):
+    """Float diagonal force and period of the diagonal orbit through
+    (q0, p=0) of the truncation `source` ("K" or "L")."""
+    trunc = taylor_truncate(_ORDER[source])
+    return float_horner(diagonal_reduce(trunc)), base_period(trunc, q0)
+
+
 def base_period(trunc: TruncatedHamiltonian, q0: float) -> float:
     """Period of the diagonal orbit of the truncation through (q0, p=0),
-    by singularity-removing quadrature of the energy relation."""
+    by singularity-removing quadrature of the energy relation.  The other
+    turning point is the real root of U - h nearest 0 on the side opposite
+    q0."""
     u = diagonal_potential(trunc)
     uval = float_horner(u)
     h = uval(q0)
-    # other turning point: root of u - h on the opposite side of 0
     shifted = [c.to_complex().real for c in u.coeffs][::-1]
     shifted[-1] -= h
-    roots = np.roots(shifted)
-    real = sorted(r.real for r in roots if abs(r.imag) < 1e-10)
-    if q0 > 0:
-        qm = max(r for r in real if r < 0 - 1e-14) if any(r < 0 for r in real) else None
-        qp = q0
-    else:
-        qm = q0
-        qp = min(r for r in real if r > 0 + 1e-14)
-    if qm is None:
+    opposite = [r.real for r in np.roots(shifted)
+                if abs(r.imag) < 1e-10 and r.real * q0 < 0]
+    if not opposite:
         raise ValueError("no opposite turning point")
+    qm, qp = sorted((q0, min(opposite, key=abs)))
     span = qp - qm
     nodes, weights = np.polynomial.legendre.leggauss(240)
     theta = 0.25 * math.pi * (nodes + 1.0)
@@ -182,20 +202,20 @@ def base_period(trunc: TruncatedHamiltonian, q0: float) -> float:
 
 
 def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
-                    t_end: float | None = None, rtol: float = 1e-12,
                     perturb: float = 0.0):
     """Integrate the 4D variational system and the scalar NVE side by side
-    along the numeric diagonal base solution; return the max deviation of
-    the scalar solution from the tagged combination.
+    along the numeric diagonal base solution, over one base period; return
+    the max deviation of the scalar solution from the tagged combination
+    xi1 + sign * xi2.
 
     `perturb` adds a constant to the scalar coefficient for the negative
     control experiment.
     """
     alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
-    accel = float_horner(diagonal_reduce_poly_cache(vs.source))
+    accel, t_end = _base_orbit(vs.source, q0)
     a_nve = float_horner(nve.a)
     sign = -1.0 if nve.mode == "antisymmetric" else 1.0
-    kin = 3.0 if nve.mode == "antisymmetric" else 1.0
+    kin = 2.0 - sign      # kinetic eigenvalue of the mode: 3 or 1
 
     def rhs(t, y):
         q, p = y[0], y[1]
@@ -213,52 +233,17 @@ def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
     # start inside the tagged subspace
     x1, e1 = 1.0, 0.3
     x2, e2 = sign * x1, sign * e1
-    if nve.mode == "antisymmetric":
-        xs0, xd0 = x1 - x2, kin * (e1 - e2)
-    else:
-        xs0, xd0 = x1 + x2, kin * (e1 + e2)
-    if t_end is None:
-        t_end = base_period_cached(vs.source, q0)
-    sol = solve_ivp(rhs, (0.0, t_end), [q0, 0.0, x1, x2, e1, e2, xs0, xd0],
-                    rtol=rtol, atol=1e-13, dense_output=True, method="DOP853",
-                    max_step=t_end / 50)
-    ts = np.linspace(0.0, t_end, 400)
-    ys = sol.sol(ts)
-    if nve.mode == "antisymmetric":
-        combo = ys[2] - ys[3]
-    else:
-        combo = ys[2] + ys[3]
-    return float(np.max(np.abs(combo - ys[6])))
+    xs0, xd0 = x1 + sign * x2, kin * (e1 + sign * e2)
+    sol = _dop853(rhs, [q0, 0.0, x1, x2, e1, e2, xs0, xd0], t_end,
+                  dense_output=True, max_step=t_end / 50)
+    ys = sol.sol(np.linspace(0.0, t_end, 400))
+    return float(np.max(np.abs(ys[2] + sign * ys[3] - ys[6])))
 
 
-_DIAG_CACHE = {}
-
-
-def diagonal_reduce_poly_cache(source: str) -> Poly:
-    from .model import taylor_truncate
-    if source not in _DIAG_CACHE:
-        order = 3 if source == "K" else 4
-        _DIAG_CACHE[source] = diagonal_reduce(taylor_truncate(order))
-    return _DIAG_CACHE[source]
-
-
-_PERIOD_CACHE = {}
-
-
-def base_period_cached(source: str, q0: float) -> float:
-    from .model import taylor_truncate
-    key = (source, q0)
-    if key not in _PERIOD_CACHE:
-        order = 3 if source == "K" else 4
-        _PERIOD_CACHE[key] = base_period(taylor_truncate(order), q0)
-    return _PERIOD_CACHE[key]
-
-
-def monodromy_matrix(vs: VariationalSystem, q0: float = 0.1,
-                     rtol: float = 1e-12):
+def monodromy_matrix(vs: VariationalSystem, q0: float = 0.1):
     """Fundamental 4x4 solution over one base period."""
     alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
-    accel = float_horner(diagonal_reduce_poly_cache(vs.source))
+    accel, t_end = _base_orbit(vs.source, q0)
 
     def rhs(t, y):
         q, p = y[0], y[1]
@@ -272,16 +257,13 @@ def monodromy_matrix(vs: VariationalSystem, q0: float = 0.1,
         ])
         return np.concatenate(([p, accel(q)], (jac @ m).ravel()))
 
-    t_end = base_period_cached(vs.source, q0)
     y0 = np.concatenate(([q0, 0.0], np.eye(4).ravel()))
-    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=rtol, atol=1e-13,
-                    method="DOP853")
-    return sol.y[2:, -1].reshape(4, 4)
+    return _dop853(rhs, y0, t_end).y[2:, -1].reshape(4, 4)
 
 
-def wronskian_drift(nve: ScalarNVE, q0: float = 0.1, rtol: float = 1e-12):
+def wronskian_drift(nve: ScalarNVE, q0: float = 0.1):
     """Max drift of the Wronskian of two independent scalar solutions."""
-    accel = float_horner(diagonal_reduce_poly_cache(nve.source))
+    accel, t_end = _base_orbit(nve.source, q0)
     a_nve = float_horner(nve.a)
 
     def rhs(t, y):
@@ -289,23 +271,22 @@ def wronskian_drift(nve: ScalarNVE, q0: float = 0.1, rtol: float = 1e-12):
         a = a_nve(q)
         return [p, accel(q), v1, a * x1, v2, a * x2]
 
-    t_end = base_period_cached(nve.source, q0)
-    sol = solve_ivp(rhs, (0.0, t_end), [q0, 0.0, 1.0, 0.0, 0.0, 1.0],
-                    rtol=rtol, atol=1e-13, dense_output=True, method="DOP853")
-    ts = np.linspace(0.0, t_end, 300)
-    ys = sol.sol(ts)
+    sol = _dop853(rhs, [q0, 0.0, 1.0, 0.0, 0.0, 1.0], t_end,
+                  dense_output=True)
+    ys = sol.sol(np.linspace(0.0, t_end, 300))
     wr = ys[2] * ys[5] - ys[3] * ys[4]
     return float(np.max(np.abs(wr - wr[0])))
 
 
-def algebrize_gauge_oracle(nve: ScalarNVE, t_end: float = 0.4) -> float:
+def algebrize_gauge_oracle(nve: ScalarNVE) -> float:
     """Consistency of the algebrized normal form with the time-domain NVE.
 
     Along w(t) = sqrt26 sinh(2it) + 1 the normal-form solution is
     zeta = xi * exp(+(1/2) int p dw), so the logarithmic derivatives obey
         (d/dt log zeta) - (d/dt log xi) = p(w) wdot / 2.
-    Both equations are integrated side by side with matched initial data
-    and the maximal violation of this identity is returned.
+    Both equations are integrated side by side over 0 <= t <= 0.4 with
+    matched initial data and the maximal violation of this identity is
+    returned.
     """
     ode = algebrize(nve)
     s26 = 26 ** 0.5
@@ -330,12 +311,10 @@ def algebrize_gauge_oracle(nve: ScalarNVE, t_end: float = 0.4) -> float:
     w0, wd0 = wpath(0.0)
     pw0 = p_num(w0) / p_den(w0)
     y0 = [1 + 0j, 0.3 + 0j, 1 + 0j, (0.3 + pw0 * wd0 / 2) / wd0]
+    t_end = 0.4
     # 80 checkpoints, t_end/80 apart
     ts = t_end * (50 * np.arange(80) + 1) / 4000
-    sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=ts, rtol=1e-12,
-                    atol=1e-13, method="DOP853")
-    if not sol.success:
-        raise ArithmeticError(f"gauge oracle integration failed: {sol.message}")
+    sol = _dop853(rhs, y0, t_end, t_eval=ts)
     worst = 0.0
     for t, (xi, xid, ze, zew) in zip(sol.t, sol.y.T):
         w, wd = wpath(t)

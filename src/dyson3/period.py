@@ -75,7 +75,9 @@ def _b_coeffs(prec):
     # B solves the resolvent B^3 - 64 c^2 B - 64 c^2 = 0 of the
     # turning-point quartic; Cardano gives
     #   B = K1 c^2 / t + K2 t,  t = (9c^2 - sqrt3 * sqrt(27c^4-256c^6))^(1/3)
-    # with K1 = 16 (2/3)^(1/3) and K2 = (32/9)^(1/3).
+    # with K1 = 16 (2/3)^(1/3) and K2 = (32/9)^(1/3).  big_b takes t^3 in
+    # the rationalized form 768c^6 / (9c^2 + sqrt3 * sqrt(27c^4-256c^6)),
+    # which does not cancel as c -> 0.
     with mp.workprec(prec):
         return 16 * mp.cbrt(mp.mpf(2) / 3), mp.cbrt(mp.mpf(32) / 9)
 
@@ -90,7 +92,7 @@ def big_b(c, prec: int = 128):
             # throughout (0, c*]
             rad = mp.mpf(0)
         inner = mp.sqrt(rad)
-        t = mp.cbrt(9 * c ** 2 - mp.sqrt(3) * inner)
+        t = mp.cbrt(768 * c ** 6 / (9 * c ** 2 + mp.sqrt(3) * inner))
         k1, k2 = _b_coeffs(prec)
         return k1 * c ** 2 / t + k2 * t
 
@@ -465,12 +467,3 @@ def eta_monodromy(radius: float = 1e-3, steps: int = 2000, loops: int = 1,
         log_eta_increment=complex(
             math.log(abs(eta_prev)) - math.log(abs(eta_start)), arg_acc),
         eta_winding=round(arg_acc / (2 * math.pi)))
-
-
-def period_scan(offsets, tol: float = 1e-10, prec: int = 128):
-    """PeriodSamples for energies E = E_min + offset."""
-    emin = e_min(prec)
-    out = []
-    for off in offsets:
-        out.append(period(emin + mp.mpf(off), tol=tol, prec=prec))
-    return out

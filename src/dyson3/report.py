@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import jsonschema
 import mpmath as mp
+import numpy as np
 
 from . import elliptic, kovacic, model, nve, period
 from .field import FE, SQRT3, FieldElement
@@ -191,11 +192,11 @@ def _scan_offsets(cfg: PipelineConfig):
 
 def section_period_scan(cfg: PipelineConfig) -> dict:
     prec = cfg.precision
-    offsets = _scan_offsets(cfg)
+    emin = period.e_min(prec)
     rows, errors = [], []
-    for off in offsets:
+    for off in _scan_offsets(cfg):
         try:
-            s = period.period_scan([off], tol=cfg.tol, prec=prec)[0]
+            s = period.period(emin + mp.mpf(off), tol=cfg.tol, prec=prec)
             rows.append({"offset": off, "c": _f(s.c), "E": _f(s.energy),
                          "T": _f(s.period), "log_eta": _f(s.log_eta),
                          "phi": _f(s.phi), "error": None})
@@ -205,7 +206,7 @@ def section_period_scan(cfg: PipelineConfig) -> dict:
     good = [r for r in rows if r["error"] is None]
     periods = [r["T"] for r in good]
     # limit probe at E_min + 1e-6 (always included regardless of grid)
-    probe = period.period_scan([1e-6], tol=cfg.tol, prec=prec)[0]
+    probe = period.period(emin + mp.mpf(1e-6), tol=cfg.tol, prec=prec)
     probe_err = abs(_f(probe.period) - math.pi)
     # degenerate row at c = c* has coincident turning points
     tp_star = period.turning_points_closed(period.c_star(prec), prec)
@@ -394,9 +395,7 @@ def section_nve(cfg: PipelineConfig) -> dict:
     dets = {}
     for source, order in (("K", 3), ("L", 4)):
         vs = nve.derive_variational(model.taylor_truncate(order))
-        mono = nve.monodromy_matrix(vs)
-        import numpy as _np
-        det = _f(_np.linalg.det(mono))
+        det = _f(np.linalg.det(nve.monodromy_matrix(vs)))
         dets[source] = det
         checks.append(_check(f"nve.monodromy_det_{source}",
                              abs(det - 1.0) < 1e-8, value=det, tol=1e-8))
@@ -467,6 +466,19 @@ _DIVERGENCE_NOTE = (
     "conclusion is supported on both routes."
 )
 
+# check id, expected verdict and note of each quartic Kovacic run.  The
+# tangential mode is Liouvillian by construction: it is surfaced, and an
+# indeterminate verdict there does not make the section indeterminate.
+_QUARTIC_CHECKS = {
+    "L_paper": ("kovacic.quartic_paper_variant", "not_liouvillian",
+                "differential Galois group SL(2,C)"),
+    "L_derived_antisymmetric": ("kovacic.quartic_derived_transverse",
+                                "not_liouvillian",
+                                "normal variations: SL(2,C)"),
+    "L_derived_symmetric": ("kovacic.quartic_derived_tangential",
+                            "liouvillian", _DIVERGENCE_NOTE),
+}
+
 
 def section_kovacic(cfg: PipelineConfig) -> dict:
     from .poly import RationalFunction
@@ -503,25 +515,11 @@ def section_kovacic(cfg: PipelineConfig) -> dict:
     for label, sc in _quartic_variants(cfg.variant).items():
         res = kovacic.kovacic(nve.algebrize(sc).r)
         runs[label] = res.to_json()
-        if label == "L_paper":
-            ok = res.verdict == "not_liouvillian"
+        cid, want, note = _QUARTIC_CHECKS[label]
+        if want == "not_liouvillian":
             indeterminate |= res.verdict == "indeterminate"
-            checks.append(_check("kovacic.quartic_paper_variant", ok,
-                                 value=res.verdict, tol=0.0,
-                                 note="differential Galois group SL(2,C)"))
-        elif label == "L_derived_antisymmetric":
-            ok = res.verdict == "not_liouvillian"
-            indeterminate |= res.verdict == "indeterminate"
-            checks.append(_check("kovacic.quartic_derived_transverse", ok,
-                                 value=res.verdict, tol=0.0,
-                                 note="normal variations: SL(2,C)"))
-        else:
-            # tangential mode: Liouvillian by construction; surfaced, not
-            # folded into the pass/fail aggregate as a non-integrability claim
-            checks.append(_check("kovacic.quartic_derived_tangential",
-                                 res.verdict == "liouvillian",
-                                 value=res.verdict, tol=0.0,
-                                 note=_DIVERGENCE_NOTE))
+        checks.append(_check(cid, res.verdict == want, value=res.verdict,
+                             tol=0.0, note=note))
     return _section("kovacic", checks, indeterminate=indeterminate, extra={
         "corpus": corpus, "lame_sieve": sieve, "quartic_runs": runs,
         "divergence_note": _DIVERGENCE_NOTE if cfg.variant != "paper" else None})

@@ -1,8 +1,13 @@
 """Command-line interface: flags, config files, exit codes, outputs."""
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import dyson3
 from dyson3 import cli
 
 
@@ -79,3 +84,16 @@ def test_section_json_deterministic(tmp_path):
     cli.main(["turning-points", "--out", str(out2)])
     assert (out1 / "turning_points.json").read_bytes() == \
         (out2 / "turning_points.json").read_bytes()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """scipy.integrate is imported by the first NVE oracle, not by the
+    command-line front end: a fresh interpreter that imports dyson3.cli
+    has not loaded it."""
+    src = str(pathlib.Path(dyson3.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, dyson3.cli; "
+            "assert 'scipy.integrate' not in sys.modules, 'loaded'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

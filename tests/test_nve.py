@@ -2,11 +2,12 @@
 from fractions import Fraction
 
 import pytest
+from scipy.optimize import brentq
 
 from dyson3 import nve
 from dyson3.field import FE, I, SQRT3, SQRT78, FieldElement
-from dyson3.model import taylor_truncate
-from dyson3.poly import Poly
+from dyson3.model import diagonal_potential, diagonal_reduce, taylor_truncate
+from dyson3.poly import Poly, float_horner
 
 
 def _vs(order):
@@ -62,6 +63,26 @@ def test_scalar_nve_matches_4d_variational_flow():
             assert ctrl > 1e-4, (source, mode, ctrl)
 
 
+@pytest.mark.parametrize("order", [3, 4], ids=["K", "L"])
+def test_base_period_from_either_turning_point(order):
+    """The orbit through (0.1, 0) and the one through its negative turning
+    point are the same orbit, so base_period gives one period from both
+    sides."""
+    trunc = taylor_truncate(order)
+    uval = float_horner(diagonal_potential(trunc))
+    h = uval(0.1)
+    q_minus = brentq(lambda q: uval(q) - h, -0.5, 0.0, xtol=1e-15)
+    assert abs(nve.base_period(trunc, 0.1)
+               - nve.base_period(trunc, q_minus)) < 1e-9
+
+
+def test_base_period_without_opposite_turning_point_raises():
+    """At q0 = 0.9 the cubic orbit's energy lies above the barrier on the
+    negative side: there is no closed orbit to take the period of."""
+    with pytest.raises(ValueError):
+        nve.base_period(taylor_truncate(3), 0.9)
+
+
 def test_algebrized_normal_form_identity():
     for sc in (nve.paper_nve_l(), nve.scalar_nve(_vs(4), "symmetric"),
                nve.scalar_nve(_vs(4), "antisymmetric")):
@@ -86,7 +107,7 @@ def test_tangential_mode_solved_by_psidot():
     """The derived symmetric coefficient equals g'(q) along the diagonal,
     so xi = psidot solves that NVE: the variation is tangent to the orbit."""
     sym = nve.scalar_nve(_vs(4), "symmetric")
-    g = nve.diagonal_reduce_poly_cache("L")
+    g = diagonal_reduce(taylor_truncate(4))
     assert sym.a == g.derivative()
     pap = nve.paper_nve_l()
     assert pap.a != g.derivative()

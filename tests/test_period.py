@@ -45,9 +45,11 @@ def test_turning_points_solve_to_the_working_precision(prec, offset):
     """Both roots at the rounding level of prec bits: E - Vtilde at each is
     below its change over a few ulps of q plus the rounding of E.  Where
     the closed form is well conditioned, c >= 0.02 (the range of the
-    report's comparison; at E_min + 40, c ~ 1e-18 and its radicands cancel
-    to nothing), the two agree to the rounding of E - Vtilde over its
-    slope, about 4 sqrt(E - E_min) near E_min."""
+    report's comparison), the two agree to the rounding of E - Vtilde over
+    its slope, about 4 sqrt(E - E_min) near E_min.  At E_min + 40, c ~ 1e-18:
+    the rationalized Cardano radicand keeps q- to near the working
+    precision, while q+ = pi/3 + eps loses about half its bits to acos
+    near r1 = -1."""
     with mp.workprec(prec):
         off = (mp.mpf(2) ** (20 - prec) if offset == "2^(20-prec)"
                else mp.mpf(offset))
@@ -66,6 +68,11 @@ def test_turning_points_solve_to_the_working_precision(prec, offset):
             tol = ulps / min(1, mp.sqrt(off))
             assert abs(tp.q_minus - qm) <= tol
             assert abs(tp.q_plus - qp) <= tol
+        elif offset == 40:
+            tp = period.turning_points_closed(c, prec)
+            tol = mp.mpf({80: "1e-15", 128: "1e-30", 200: "1e-50"}[prec])
+            assert abs(tp.q_minus - qm) <= tol
+            assert abs(tp.q_plus - qp) <= mp.mpf("1e-15")
 
 
 @pytest.mark.parametrize("slope", [lambda q: -2 * q, lambda q: 0],
@@ -172,7 +179,9 @@ def test_yoshida_step_is_time_reversible(q, p, h):
 
 
 def test_period_scan_is_monotone():
-    samples = period.period_scan([0.5, 0.1, 0.01, 1e-4], prec=96)
+    emin = period.e_min(96)
+    samples = [period.period(emin + mp.mpf(off), prec=96)
+               for off in (0.5, 0.1, 0.01, 1e-4)]
     ts = [float(s.period) for s in samples]
     assert ts == sorted(ts)
     assert all(float(s.phi) == float(s.period - s.log_eta) for s in samples)
