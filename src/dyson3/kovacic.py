@@ -11,14 +11,19 @@ P_n = -P, P_{i-1} = -S P_i' + ((n - i) S' - S theta) P_i
 - theta Q_i - (n - i)(i + 1) r Q_{i+1} and P_{-1} = S^(n+1) Q_{-1}: -Q_{-1}
 is case 1's P'' + 2 theta P' + (theta' + theta^2 - r) P at n = 1, and
 Q_{-1} case 2's equation for the symmetric square at n = 2.  A candidate
-succeeds when P_{-1} = 0 has a nonzero solution of degree <= d, taken from
-the kernel over the monomials w^j, j <= d, and certified by running the
-recursion on it again (case 1 also re-substitutes omega = theta + P'/P
-into the Riccati equation).
+succeeds when P_{-1} = 0 has a nonzero solution of degree <= d: the
+kernel vector, over the monomials w^j, j <= d, monic at the first w^j
+whose image depends on those below it.  That vector is found in GF(p) at
+a few primes, for each automorphism of the field of the input's
+coefficients, lifted by CRT and rational reconstruction, and certified by
+one exact run of the recursion on it (case 1 also re-substitutes
+omega = theta + P'/P into the Riccati equation); no elimination runs over
+the field.
 
 Every decision is exact: poles, exponents and truncated square roots are
 field elements.  When a factor of the pole polynomial does not split over
-the field, or an exponent or leading-coefficient root is not in it, the
+the field, an exponent or leading-coefficient root is not in it, or a
+kernel vector does not certify within the lift's cap on primes, the
 decision ends as "indeterminate" with a log line naming what could not be
 made exact.
 
@@ -34,9 +39,9 @@ So the screen runs once per exponent combination, on a stack of them at
 a time: one numpy recursion over the shared images of S, S' and S^2 r at
 the largest d, and one elimination in row order that finds, per matrix,
 the first row that depends on the rows above it; the candidates at
-smaller d are rejected when it lies beyond their d.  Exact elimination,
-and the exact S*theta, come only for a candidate whose mod-p kernel is
-nonzero.
+smaller d are rejected when it lies beyond their d.  The lift, and the
+exact S*theta, come only for a candidate whose mod-p kernel is nonzero,
+and the screen's answer is the lift's at its first prime.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import (FE, ONE, ZERO, FieldElement, _rational_square_root,
-                    field_sqrt, radical_generators)
+from .field import (FE, ONE, ZERO, FieldElement, _radical_mul,
+                    _rational_square_root, field_sqrt, radical_generators)
 from .poly import Poly, RationalFunction, exact_roots, partial_fractions
 
 HALF = FE(Fraction(1, 2))
@@ -180,35 +185,6 @@ def _theta(terms, tail=None):
     return num, den
 
 
-def _nullspace(rows, ncols):
-    """The kernel vector with a 1 in the first free column of the matrix
-    given as a list of rows of ncols entries, or None when its columns are
-    independent.  The reduced row echelon form is only needed left of that
-    column: the rows of later pivots are zero there, so eliminating them
-    would not change the vector."""
-    mat = list(rows)
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        sel = next((i for i in range(rank, len(mat))
-                    if not mat[i][col].is_zero()), None)
-        if sel is None:
-            vec = [ZERO] * ncols
-            vec[col] = ONE
-            for prow, pcol in enumerate(pivots):
-                vec[pcol] = -mat[prow][col]
-            return vec
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        piv_inv = mat[rank][col].inverse()
-        mat[rank] = [v * piv_inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-    return None
-
-
 def _recursion(S, Sth, S2r, n, P):
     """P_{-1} of the recursion in the module docstring: Sth = S*theta."""
     cur = -P
@@ -220,21 +196,6 @@ def _recursion(S, Sth, S2r, n, P):
                - (S2r * prev).scale((n - i) * (i + 1)))
         prev, cur = cur, nxt
     return cur
-
-
-def _kernel_poly(S, Sth, S2r, n, d):
-    """A nonzero P of degree <= d with P_{-1} = 0 in _recursion, or None.
-    Column j of the coefficient matrix holds P_{-1} for P = w^j; P comes
-    from its kernel and is certified by running the recursion on it."""
-    images = [_recursion(S, Sth, S2r, n, Poly([ZERO] * j + [ONE]))
-              for j in range(d + 1)]
-    rows = [[img.coeff(k) for img in images]
-            for k in range(max(img.degree for img in images) + 1)]
-    vec = _nullspace(rows, d + 1)
-    if vec is None:
-        return None
-    P = Poly(vec)
-    return P if _recursion(S, Sth, S2r, n, P).is_zero() else None
 
 
 def _degrees(inf_set, pole_sets, scale):
@@ -542,15 +503,14 @@ def _modp_candidates():
         n += 2
 
 
-def _get_modp(elements) -> _ModP:
-    """The smallest such prime at which every generator of the given
-    elements is a square and which divides no coefficient denominator of
-    them, so that all of them have an image in GF(p)."""
+def _get_modp(elements):
+    """The _ModP of the primes, ascending, at which every generator of the
+    given elements is a square and which divide no coefficient denominator
+    of them, so that all of them have an image in GF(p)."""
     gens = frozenset().union(*(x.generators() for x in elements))
     dens = {x.den for x in elements}
-    for modp in _modp_candidates():
-        if modp.has_roots(gens) and all(d % modp.p for d in dens):
-            return modp
+    return (modp for modp in _modp_candidates()
+            if modp.has_roots(gens) and all(d % modp.p for d in dens))
 
 
 def _mp_mul_into(out, src, ker):
@@ -565,25 +525,29 @@ def _mp_mul_into(out, src, ker):
 
 
 def _recursion_modp(S, Sth, S2r, n, d, p):
-    """The stack of GF(p) matrices of the exponent combinations screened
+    """The stack of GF(p) matrices of the inputs screened or lifted
     together: row j of matrix c is the image of P_{-1} of _recursion for
     P = w^j and S*theta = Sth[c], for j <= d.
 
-    S and S2r are the images shared by the stack, Sth holds one image per
-    combination with deg S coefficients (S*theta is a combination of the
-    S/(w - c)); all are ascending coefficients below p.  The rows have the
-    fixed width W_d = d + 1 + (n + 1) a, a = max(deg S - 1,
-    ceil(deg S^2 r/2)), the degree bound of P_{-1} plus one: deg P_i <=
-    deg P + (n - i) a, since a step adds deg S - 1 to deg P_i and
-    deg S^2 r to deg P_{i+1} (a is deg S - 1 when o(inf) >= 2).  No
+    Sth holds one image per matrix; S and S2r are one image shared by the
+    stack or one per matrix; all are ascending coefficients below p.  The
+    rows have the fixed width W_d = d + 1 + (n + 1) a, a = max(deg S - 1,
+    deg S*theta, ceil(deg S^2 r/2)), the degree bound of P_{-1} plus one:
+    deg P_i <= deg P + (n - i) a, since a step adds deg S - 1 or
+    deg S*theta to deg P_i and deg S^2 r to deg P_{i+1} (a is deg S - 1
+    when o(inf) >= 2 and S*theta is a combination of the S/(w - c)).  No
     coefficient of any term lies beyond it, so keeping the width drops only
     zeros.  Row j does not depend on d, and rows j <= d' < d have no entry
     at or beyond W_d': the first d' + 1 rows are the matrix at d',
     zero-padded."""
-    width = d + 1 + (n + 1) * max(len(S) - 2, len(S2r) // 2)
+    lin = max(S.shape[-1] - 1, Sth.shape[-1])      # terms of (n - i)S' - Sth
+    width = d + 1 + (n + 1) * max(lin - 1, S2r.shape[-1] // 2)
     ramp = np.arange(1, width, dtype=np.int64)
-    dS = S[1:] * ramp[:len(S) - 1] % p
-    neg_S, neg_Sth = -S % p, -Sth % p
+    dS = np.zeros(S.shape[:-1] + (lin,), dtype=np.int64)
+    dS[..., :S.shape[-1] - 1] = S[..., 1:] * np.arange(1, S.shape[-1]) % p
+    neg_Sth = np.zeros((len(Sth), lin), dtype=np.int64)
+    neg_Sth[:, :Sth.shape[-1]] = -Sth % p
+    neg_S = -S % p
     cur = np.zeros((len(Sth), d + 1, width), dtype=np.int64)
     diag = np.arange(d + 1)
     cur[:, diag, diag] = p - 1                         # P_n = -P
@@ -600,28 +564,31 @@ def _recursion_modp(S, Sth, S2r, n, d, p):
     return cur
 
 
-def _first_dependent_row(M, p):
-    """One index per matrix of the stack M (C, rows, W): the first row that
-    is a linear combination over GF(p) of the rows above it, or rows when
-    all are independent.  The first k rows are independent iff k <= it.
+def _eliminate(A, width, p):
+    """Per matrix of the stack A (C, rows, >= width), reduced mod p, the
+    first row whose first width entries are a combination over GF(p) of
+    those of the rows above it, or rows when there is none, and that row
+    when it became zero there (zero for none).
 
     Fraction-free elimination in row order, each matrix with its own
     pivots: row k, already reduced by the rows above it, is zero exactly
     when it depends on them; otherwise its first nonzero column is its
     pivot, and every later row becomes piv*row - f*row_k (mod p), f the
     later row's entry in that column, so rows are only scaled by nonzero
-    pivots and no inverse is needed.  A matrix leaves the stack at its
-    first dependent row.  int64 cannot wrap: entries are reduced below
-    p ~ 10^6 after each row, and each term is a product below p^2."""
-    A = M % p
-    rows = A.shape[1]
-    first = np.full(len(A), rows)
-    live = np.arange(len(A))         # the matrices with no dependent row yet
+    pivots and no inverse is needed.  Columns beyond width take the same
+    row operations.  A matrix leaves the stack at its first dependent row.
+    int64 cannot wrap: entries are reduced below p ~ 10^6 after each row,
+    and each term is a product below p^2."""
+    count, rows = A.shape[:2]
+    first = np.full(count, rows)
+    found = np.zeros((count, A.shape[2]), dtype=np.int64)
+    live = np.arange(count)          # the matrices with no dependent row yet
     for k in range(rows):
-        nonzero = A[:, k] != 0
+        nonzero = A[:, k, :width] != 0
         dependent = ~nonzero.any(axis=1)
         if dependent.any():
             first[live[dependent]] = k
+            found[live[dependent]] = A[dependent, k]
             A, nonzero, live = (x[~dependent] for x in (A, nonzero, live))
             if not live.size:
                 break
@@ -631,7 +598,197 @@ def _first_dependent_row(M, p):
         f = A[sel, k + 1:, col]
         A[:, k + 1:] = (row[sel, col, None, None] * A[:, k + 1:]
                         - f[:, :, None] * row[:, None, :]) % p
-    return first
+    return first, found
+
+
+def _first_dependent_row(M, p):
+    """Per matrix of the stack M (C, rows, W), the first row that is a
+    linear combination over GF(p) of the rows above it, and that
+    dependency: (first, deps) with first[c] = rows when all rows of matrix
+    c are independent, and otherwise deps[c] the v with sum_j v_j M[c, j]
+    = 0, v_j = 0 for j > first[c] and v_first[c] = 1 (deps[c] = 0 for full
+    rank).  The first k rows are independent iff k <= first[c], so v is
+    the only such dependency.
+
+    _eliminate finds the first dependent rows.  The matrices that have one
+    are eliminated again with the identity appended to their rows, so that
+    each row carries its combination of the rows of M: at the dependent
+    row that combination is the dependency, times the product of the
+    pivots above it.  The second pass runs only on those matrices, so a
+    screen that rejects every matrix pays for no dependency."""
+    count, rows, width = M.shape
+    first = _eliminate(M % p, width, p)[0]
+    deps = np.zeros((count, rows), dtype=np.int64)
+    some = np.flatnonzero(first < rows)
+    if some.size:
+        eye = np.broadcast_to(np.eye(rows, dtype=np.int64),
+                              (some.size, rows, rows))
+        dep = _eliminate(np.concatenate([M[some] % p, eye], axis=2), width,
+                         p)[1][:, width:]
+        scale = [pow(int(x), -1, p) for x in dep[np.arange(some.size),
+                                                 first[some]]]
+        deps[some] = dep * np.array(scale, dtype=np.int64)[:, None] % p
+    return first, deps
+
+
+# ---------------------------------------------------------------------------
+# the kernel of a candidate: found mod p, lifted by CRT, certified once
+# ---------------------------------------------------------------------------
+
+def _rational(a, m):
+    """The fraction x/y = a mod m with |x|, y <= sqrt(m/2), or None: the
+    half-extended Euclidean rational reconstruction, unique when it exists
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+class _Lift:
+    """The kernel vector v of a candidate's matrix, monic at its first
+    dependent row k, lifted from its images at several primes.
+
+    Its coordinates lie in the field F that the radicands of the input's
+    coefficients generate: v_j = sum_s q_js sqrt(s) over the radicands s
+    those span.  An automorphism sigma of F flips the sign of some sqrt(s),
+    a character chi_sigma of the span, and is a composition of
+    `FieldElement.conj`; F has one per radicand of the span, so Q(sqrt-78)
+    has 2, not the 16 sign choices of its generators -1, 2, 3 and 13.
+    sigma(v) is the kernel vector of the conjugated input, whose matrix
+    mod p gives its image, and the orthogonality of characters undoes
+    them: q_js = sum_sigma chi_sigma(s) image(sigma(v_j)) / (F's degree
+    times the image of sqrt(s)) mod p.
+
+    Mod p the first dependent row is at most k, and it is k with the image
+    of v as its dependency unless the prime is unlucky (rows above k lose
+    rank).  So a prime at which any automorphism shows a row below the
+    largest seen is dropped, and one above it drops every prime kept so
+    far.  The kept primes' coordinates are combined by CRT and
+    reconstructed as rationals, and a reconstruction is returned once the
+    next prime agrees with it; with k = 0 there is nothing to lift, and
+    v = (1) is returned at once.  The caller certifies what it returns."""
+
+    def __init__(self, elements):
+        span = [1]
+        for x in elements:
+            for r in x.num:
+                if r not in span:
+                    span += [_radical_mul(s, r)[1] for s in span]
+        gens = frozenset().union(*map(radical_generators, span))
+        flips = {0: ()}   # bit i set: sqrt(span[i]) flips -> generators
+        for g in sorted(gens):
+            bit = sum(1 << i for i, s in enumerate(span)
+                      if g in radical_generators(s))
+            for mask, conj in list(flips.items()):
+                flips.setdefault(mask ^ bit, conj + (g,))
+        self.span = span
+        self.conjugations = list(flips.values())      # the identity first
+        self.chi = np.array([[-1 if mask >> i & 1 else 1
+                              for i in range(len(span))] for mask in flips],
+                            dtype=np.int64)
+        self.top, self.mod, self.residues, self.guess = -1, 1, [], None
+
+    def conjugates(self, q: Poly):
+        """sigma(q) for each automorphism, in the order of `conjugations`."""
+        out = []
+        for conj in self.conjugations:
+            cs = q.coeffs
+            for g in conj:
+                cs = [c.conj(g) for c in cs]
+            out.append(Poly(cs))
+        return out
+
+    def add(self, modp, first, deps):
+        """Take one prime's first dependent rows and dependencies, one per
+        automorphism in the order of `conjugations`; return v_0..v_{k-1}
+        when a reconstruction survives this prime, else None."""
+        p = modp.p
+        if first.max() > self.top:
+            k = int(first.max())
+            self.top, self.mod, self.residues, self.guess = (
+                k, 1, [0] * (k * len(self.span)), None)
+        k = self.top
+        if first.min() < k:
+            return None
+        inv = np.array([pow(len(self.span) * modp._radical(s), -1, p)
+                        for s in self.span], dtype=np.int64)
+        coords = [int(c) for c in (deps[:, :k].T @ self.chi % p * inv % p).flat]
+        guess = self.guess
+        if guess is None or any((q.numerator - q.denominator * c) % p
+                                for q, c in zip(guess, coords)):
+            m, t = self.mod, pow(self.mod, -1, p)
+            self.residues = [r + m * ((c - r) * t % p)
+                             for r, c in zip(self.residues, coords)]
+            self.mod = m * p
+            self.guess = guess = self._reconstruct()
+            if guess is None or coords:
+                return None
+        self.guess = None
+        size = len(self.span)
+        return [FieldElement(dict(zip(self.span, guess[j * size:
+                                                      (j + 1) * size])))
+                for j in range(k)]
+
+    def _reconstruct(self):
+        """The rationals of the combined residues, or None when one has
+        none."""
+        out = []
+        for r in self.residues:
+            q = _rational(r, self.mod)
+            if q is None:
+                return None
+            out.append(q)
+        return out
+
+
+# Most primes the lift of one kernel vector takes, about 20 bits each: far
+# more than the coordinates of the icosahedral kernels at d = 12 need
+# (about 220 bits of numerator and denominator).  A kernel vector that
+# does not certify within them ends the decision as indeterminate.
+_LIFT_PRIMES = 40
+
+
+def _kernel_poly(S, Sth, S2r, n, d, screened=None):
+    """A nonzero P of degree <= d with P_{-1} = 0 in _recursion, or None.
+
+    Row j of the coefficient matrix is P_{-1} for P = w^j
+    (_recursion_modp), and P is its kernel vector monic at the first
+    dependent row k, so deg P = k; there is none when the rows up to d are
+    independent.  At each prime of _get_modp and each automorphism of
+    _Lift, the GF(p) matrix gives the image of that vector's conjugate
+    (_first_dependent_row).  Full rank at any of them rejects the candidate
+    as rigorously as the screen does; otherwise _Lift lifts the vector,
+    and one exact run of the recursion on P certifies it.  `screened` is
+    (p, k, v) from the sweep's screen, the identity's answer at p.  A lift
+    that does not certify within _LIFT_PRIMES primes raises _Inexact."""
+    coeffs = S.coeffs + Sth.coeffs + S2r.coeffs
+    lift = _Lift(coeffs)
+    # (sigma(S), sigma(Sth), sigma(S2r)) per automorphism, the identity first
+    conjugates = list(zip(*map(lift.conjugates, (S, Sth, S2r))))
+    for count, modp in enumerate(_get_modp(coeffs)):
+        if count == _LIFT_PRIMES:
+            raise _Inexact(f"the kernel of the n={n}, d={d} candidate was "
+                           f"not certified from {count} primes")
+        p = modp.p
+        found = [] if screened is None or screened[0] != p else [
+            (np.array([screened[1]]), screened[2][None, :d + 1])]
+        if len(found) < len(conjugates):
+            found.append(_first_dependent_row(_recursion_modp(
+                *(np.array([modp.poly(q) for q in qs])
+                  for qs in zip(*conjugates[len(found):])), n, d, p), p))
+        first, deps = (np.concatenate(x) for x in zip(*found))
+        if first.max() > d:
+            return None
+        vec = lift.add(modp, first, deps)
+        if vec is not None:
+            P = Poly(vec + [ONE])
+            if _recursion(S, Sth, S2r, n, P).is_zero():
+                return P
 
 
 # Most exponent combinations screened in one GF(p) stack: it bounds the
@@ -652,8 +809,8 @@ class _Sweep:
         self.S, self.S2r = S, (S * S * r.num).exact_div(r.den)
         self.quotients = [S.exact_div(Poly([-c.point, ONE]))
                           for c in profile.poles]
-        self.modp = _get_modp(S.coeffs + self.S2r.coeffs
-                              + [c.point for c in profile.poles])
+        self.modp = next(_get_modp(S.coeffs + self.S2r.coeffs
+                                   + [c.point for c in profile.poles]))
         self.S_p, self.S2r_p = self.modp.poly(S), self.modp.poly(self.S2r)
         self.quotients_p = np.array([self.modp.poly(q)
                                      for q in self.quotients])
@@ -668,20 +825,21 @@ class _Sweep:
         the one at any larger d (_recursion_modp).  So each combo runs the
         recursion once, at the largest d that any e_inf gives it, and its
         candidate at d has full rank iff the first dependent row of that
-        matrix lies beyond d."""
+        matrix lies beyond d; otherwise that row and its dependency are
+        _kernel_poly's answer at this prime."""
         candidates = list(_degrees(inf_set, pole_sets, scale))
         top = {}                 # combo -> its largest d, in first-seen order
         for _, combo, d in candidates:
             top[combo] = max(top.get(combo, d), d)
         combos = list(top)
-        first_dependent = {}     # combo -> first dependent row of its matrix
+        screen = {}      # combo -> first dependent row and dependency
         p = self.modp.p
         scale_p = self.modp.fe(FE(scale))
         for e_inf, combo, d in candidates:
-            if combo not in first_dependent:
+            if combo not in screen:
                 # combo heads the unscreened combos: screen it with the next
                 # ones, all at the stack's largest d
-                k = len(first_dependent)
+                k = len(screen)
                 stack = combos[k:k + _STACK]
                 # the images of S*theta, one row per combo
                 weights = np.array([[e % p for e in c] for c in stack],
@@ -689,15 +847,15 @@ class _Sweep:
                 Sth_p = (weights * scale_p % p) @ self.quotients_p % p
                 M = _recursion_modp(self.S_p, Sth_p, self.S2r_p, n,
                                     max(top[c] for c in stack), p)
-                first_dependent.update(zip(stack,
-                                           _first_dependent_row(M, p)))
-            if first_dependent[combo] > d:
+                screen.update(zip(stack, zip(*_first_dependent_row(M, p))))
+            k, dep = screen[combo]
+            if k > d:
                 yield e_inf, combo, d, True, None
                 continue
             Sth = sum((q.scale(FE(e * scale))
                        for e, q in zip(combo, self.quotients)), Poly([]))
             yield e_inf, combo, d, False, _kernel_poly(self.S, Sth, self.S2r,
-                                                       n, d)
+                                                       n, d, (p, k, dep))
 
 
 # ---------------------------------------------------------------------------

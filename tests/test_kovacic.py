@@ -1,22 +1,24 @@
 """Liouvillian-solvability decision procedure and the Lame sieve."""
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF
+from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from dyson3 import nve
 from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement, field_sqrt
-from dyson3.kovacic import (_STACK, _Sweep, _case2_inf_set, _case2_pole_set,
-                            _degrees, _first_dependent_row, _get_modp,
-                            _int_candidates, _nullspace, _recursion,
-                            _recursion_modp, kovacic, lame_sieve,
-                            pole_profile)
+from dyson3.kovacic import (_LIFT_PRIMES, _STACK, _Inexact, _Lift, _Sweep,
+                            _case2_inf_set, _case2_pole_set, _degrees,
+                            _first_dependent_row, _get_modp, _int_candidates,
+                            _kernel_poly, _recursion, _recursion_modp,
+                            kovacic, lame_sieve, pole_profile)
 from dyson3.poly import Poly, RationalFunction
 from test_field import wide_elements
 
@@ -249,8 +251,8 @@ def test_modp_image_is_a_ring_homomorphism(a, b, c):
     drawn from test_field, brings i sqrt7 and denominators up to 12, so
     den, the lcm that `fe` inverts once per element, varies by pair."""
     pairs = ((a, b), (a, c), (b, c))
-    modp = _get_modp([a, b, c] + [x + y for x, y in pairs]
-                     + [x * y for x, y in pairs])
+    modp = next(_get_modp([a, b, c] + [x + y for x, y in pairs]
+                          + [x * y for x, y in pairs]))
     p = modp.p
     for x, y in pairs:
         assert modp.fe(x + y) == (modp.fe(x) + modp.fe(y)) % p
@@ -258,7 +260,7 @@ def test_modp_image_is_a_ring_homomorphism(a, b, c):
 
 
 def test_modp_prime_for_the_dyson_generators():
-    assert _get_modp([SQRT3, SQRT26, I]).p == 1000081
+    assert next(_get_modp([SQRT3, SQRT26, I])).p == 1000081
 
 
 _PAPER_R = nve.algebrize(nve.paper_nve_l()).r
@@ -295,10 +297,12 @@ def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
 
     The recursion is linear in P, so one exact run at P = sum (j+1) w^j
     checks the combination sum (j+1) row_j of every matrix; the first
-    candidate is also checked row by row, and its GF(p) answer against
-    exact elimination (the Schwarz forms and the o(inf) = 1 control succeed
-    there, the paper NVE rejects it).  Each matrix's first dependent row is
-    checked against sympy's rank of its row prefixes over GF(p)."""
+    candidate is also checked row by row, and its GF(p) answer and
+    _kernel_poly's lifted P against the rank of its exact matrix, taken by
+    sympy over the field its entries generate (the Schwarz forms and the
+    o(inf) = 1 control succeed there, the paper NVE rejects it).  Each
+    matrix's first dependent row is checked against sympy's rank of its
+    row prefixes over GF(p), and its dependency against the matrix."""
     profile = pole_profile(r)
     points = [p.point for p in profile.poles]
     sweep = _Sweep(profile, r)
@@ -338,7 +342,7 @@ def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
             own = _recursion_modp(S_p, Sth_c[None], S2r_p, n, dc, p)[0]
             assert (M[:dc + 1, :own.shape[1]] == own).all()
             assert not M[:dc + 1, own.shape[1]:].any()
-    first = _first_dependent_row(stack, p)
+    first, deps = _first_dependent_row(stack, p)
     mix = np.arange(1, d + 2)
     P = Poly([FE(int(a)) for a in mix])
     gf = GF(p)
@@ -347,17 +351,49 @@ def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
         return DomainMatrix([[gf(int(x)) for x in row] for row in rows],
                             rows.shape, gf).rank()
 
-    for M, Sth, k in zip(stack, Sths, first):
+    for M, Sth, k, v in zip(stack, Sths, first, deps):
         assert list(mix @ M % p) == padded(_recursion(S, Sth, S2r, n, P),
                                            width)
         assert k == 0 or rank(M[:k]) == k
         assert k == d + 1 or rank(M[:k + 1]) == k
+        assert not (v @ M % p).any()
     d0 = candidates[0][2]
     exact = [_recursion(S, Sths[0], S2r, n, W ** j) for j in range(d0 + 1)]
     assert [list(row) for row in stack[0, :d0 + 1]] == [
         padded(e, width) for e in exact]
-    rows = [[poly.coeff(k) for poly in exact] for k in range(width)]
-    assert (first[0] <= d0) == (_nullspace(rows, d0 + 1) is not None)
+    # columns j of the exact matrix: the coefficients of P_{-1} for w^j
+    columns = [[e.coeff(i) for i in range(width)] for e in exact]
+    assert (first[0] <= d0) == (_exact_rank(columns) <= d0)
+    lifted = _kernel_poly(S, Sths[0], S2r, n, d0)
+    assert (lifted is None) == (_exact_rank(columns) == d0 + 1)
+    if lifted is not None:
+        k = lifted.degree
+        assert lifted.lc() == 1
+        assert _exact_rank(columns[:k]) == _exact_rank(columns[:k + 1]) == k
+        assert _recursion(S, Sths[0], S2r, n, lifted).is_zero()
+
+
+def _exact_rank(rows):
+    """The rank of a matrix of FieldElements over the field they generate,
+    from sympy's DomainMatrix over QQ or QQ.algebraic_field: a reference
+    that shares no code with the GF(p) lift."""
+    entries = [x for row in rows for x in row]
+    if not entries:
+        return 0
+    gens = sorted(frozenset().union(*(x.generators() for x in entries)))
+    K = QQ.algebraic_field(*map(sympy.sqrt, gens)) if gens else QQ
+    roots = {}
+
+    def convert(x):
+        out = K.zero
+        for r, n in x.num.items():
+            if r not in roots:
+                roots[r] = K.from_sympy(sympy.sqrt(r))
+            out += K.from_sympy(sympy.Rational(n, x.den)) * roots[r]
+        return out
+
+    return DomainMatrix([[convert(x) for x in row] for row in rows],
+                        (len(rows), len(rows[0])), K).rank()
 
 
 @st.composite
@@ -394,7 +430,9 @@ def _stacks(draw):
 def test_stacked_modp_rank_matches_sympy(data):
     """_first_dependent_row answers each matrix of a stack as independent
     rank computations over GF(p) would: the smallest k with
-    rank(M[:k + 1]) <= k, or the row count when there is none."""
+    rank(M[:k + 1]) <= k, or the row count when there is none.  Its
+    dependency v has v_k = 1 and v_j = 0 for j > k, and sum v_j M_j = 0
+    mod p; it is zero for a matrix of full rank."""
     stack, p = data
     K = GF(p)
 
@@ -405,14 +443,126 @@ def test_stacked_modp_rank_matches_sympy(data):
                                      (k + 1, M.shape[1]), K).rank() <= k),
                     len(M))
 
-    assert list(_first_dependent_row(stack, p)) == list(map(first_dependent,
-                                                             stack))
+    first, deps = _first_dependent_row(stack, p)
+    assert list(first) == list(map(first_dependent, stack))
+    for M, k, v in zip(stack, first, deps):
+        assert not (v @ M % p).any()
+        if k == len(M):
+            assert not v.any()
+        else:
+            assert v[k] == 1 and not v[k + 1:].any()
+
+
+_TOWER = (1, 3, 26, 78, -1, -3, -26, -78)
+
+
+@st.composite
+def _lift_runs(draw):
+    """(v, unlucky, at): 1 to 3 elements of Q(sqrt3, sqrt26, i) whose
+    coordinates have numerators and denominators below 2^24 (three primes
+    reconstruct them), and an unlucky prime to insert at position `at`:
+    first dependent rows below k = len(v) at the automorphisms it names,
+    with arbitrary dependencies there."""
+    size = draw(st.integers(1, 3))
+    height = st.integers(-2 ** 24, 2 ** 24)
+    den = st.integers(1, 2 ** 24)
+    v = [FieldElement({r: Fraction(draw(height), draw(den))
+                       for r in _TOWER if draw(st.booleans())})
+         for _ in range(size)]
+    autos = draw(st.sets(st.integers(0, 7), min_size=1))
+    unlucky = {a: (draw(st.integers(0, size - 1)),
+                   [draw(st.integers(0, 1000)) for _ in range(size)])
+               for a in autos}
+    return v, unlucky, draw(st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lift_runs())
+def test_lift_round_trip(run):
+    """_Lift recovers elements over Q(sqrt3, sqrt26, i) exactly from their
+    images under the field's 8 automorphisms at successive primes, as the
+    dependency monic at k = len(v).  Nothing it lifts is ever wrong: not
+    with too few primes to reconstruct, and not with an unlucky prime (one
+    whose first dependent row lies below k at some automorphism) among the
+    good ones, which it must drop so that the good primes still lift v.
+    The one vector it returns unchecked is v = (1) at a prime where row 0
+    is dependent at every automorphism, since it has nothing to lift; when
+    that prime comes first and is unlucky, the caller's exact run refutes
+    it (test_lift_certifies_exactly)."""
+    v, unlucky, at = run
+    k = len(v)
+    lift = _Lift([SQRT3, SQRT26, I])
+    assert len(lift.conjugations) == 8
+    conjugates = lift.conjugates(Poly(v + [FE(1)]))
+    lifted = []
+    for i, modp in enumerate(itertools.islice(_get_modp(v), 9)):
+        first = np.full(8, k)
+        deps = np.array([modp.poly(c) for c in conjugates])
+        if i == at:
+            for a, (low, junk) in unlucky.items():
+                first[a] = low
+                deps[a] = junk + [0]
+                deps[a, low:] = [1] + [0] * (k - low)
+        got = lift.add(modp, first, deps)
+        if got is not None and not (i == at == 0 and (first == 0).all()):
+            assert got == v
+            lifted.append(i)
+    assert lifted, "eight good primes did not lift v"
+
+
+def test_lift_certifies_exactly():
+    """P'' = N P (n = 1, S = 1, theta = 0) has no nonzero polynomial
+    solution.  With N the product of the lift's first two primes its matrix
+    mod each is that of P'' = 0, whose kernel vector is P = 1: only the
+    exact run refutes it, and the third prime rejects the candidate.  With
+    N = 0, P = 1 is certified."""
+    primes = [m.p for m in itertools.islice(_get_modp([]), _LIFT_PRIMES)]
+    S, Sth = Poly([FE(1)]), Poly([])
+    assert _kernel_poly(S, Sth, Poly([]), 1, 2).coeffs == [FE(1)]
+    assert _kernel_poly(S, Sth, Poly([FE(primes[0] * primes[1])]), 1,
+                        2) is None
+    # every prime of the cap sees the kernel that the exact run refutes
+    with pytest.raises(_Inexact, match=f"from {_LIFT_PRIMES} primes"):
+        _kernel_poly(S, Sth, Poly([FE(np.prod(primes, dtype=object))]), 1, 0)
+
+
+@st.composite
+def _riccati_forms(draw):
+    """omega with rational residues at up to three integer points and at
+    the pair u -+ v sqrt3, and a polynomial part a w + b.  A residue 1
+    puts a zero of P, not a double pole of r, at its point, so d reaches 1
+    to 3.  The pair's residues are not 1: both its points stay poles of r,
+    and the pole polynomial has rational factors, which exact_roots
+    splits."""
+    others = [Fraction(x) for x in
+              (2, -1, "1/2", "-1/2", "3/2", "1/3", "-2/3", "5/4")]
+    terms = [(FE(c), draw(st.sampled_from([Fraction(1)] * 4 + others)))
+             for c in draw(st.sets(st.integers(-2, 2), max_size=3))]
+    u, v = draw(st.integers(-2, 2)), draw(st.integers(1, 2))
+    terms += [(FE(u) - SQRT3 * FE(v), draw(st.sampled_from(others))),
+              (FE(u) + SQRT3 * FE(v), draw(st.sampled_from(others)))]
+    tail = Poly([FE(draw(st.sampled_from((0, 1, -2, Fraction(1, 2))))),
+                 FE(draw(st.sampled_from((0, 0, 1, -1))))])
+    omega = rf(tail)
+    for c, a in terms:
+        omega = omega + rf(Poly([FE(a)]), W - Poly([c]))
+    return omega.derivative() + omega * omega
+
+
+@settings(max_examples=15, deadline=None)
+@given(_riccati_forms())
+def test_riccati_forms_succeed_in_case_1(r):
+    """r = omega' + omega^2 has the solution exp(int omega) with omega
+    rational, so Kovacic's case 1, which is complete, must find one."""
+    res = kovacic(r)
+    assert res.verdict == "liouvillian" and res.case == 1, res.log
+    assert res.certificate == "exact"
 
 
 def test_modp_image_refuses_denominators_divisible_by_p():
     """1/p has no image in GF(p): mapping it to 0 would break the
     homomorphism that makes a GF(p) rejection rigorous."""
-    modp = _get_modp([SQRT3, SQRT26, I])
+    modp = next(_get_modp([SQRT3, SQRT26, I]))
     with pytest.raises(ArithmeticError):
         modp.fe(FE(Fraction(1, modp.p)))
     with pytest.raises(ArithmeticError):
