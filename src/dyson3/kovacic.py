@@ -25,7 +25,11 @@ field elements.  When a factor of the pole polynomial does not split over
 the field, an exponent or leading-coefficient root is not in it, or a
 kernel vector does not certify within the lift's cap on primes, the
 decision ends as "indeterminate" with a log line naming what could not be
-made exact.
+made exact.  The cap makes the decision incomplete: a kernel vector whose
+coordinates need more than about 400 bits of numerator and denominator
+(_LIFT_PRIMES primes of about 20 bits), or an input whose minors the first
+_LIFT_PRIMES good primes all divide, is reported indeterminate, and the
+candidates and cases after it are not tried.
 
 A case-2 or case-3 candidate is screened first by the GF(p) image of its
 recursion, with p a prime at which -1 and every prime factor of the
@@ -40,8 +44,7 @@ a time: one numpy recursion over the shared images of S, S' and S^2 r at
 the largest d, and one elimination in row order that finds, per matrix,
 the first row that depends on the rows above it; the candidates at
 smaller d are rejected when it lies beyond their d.  The lift, and the
-exact S*theta, come only for a candidate whose mod-p kernel is nonzero,
-and the screen's answer is the lift's at its first prime.
+exact S*theta, come only for a candidate whose mod-p kernel is nonzero.
 """
 
 from __future__ import annotations
@@ -610,25 +613,19 @@ def _first_dependent_row(M, p):
     rank).  The first k rows are independent iff k <= first[c], so v is
     the only such dependency.
 
-    _eliminate finds the first dependent rows.  The matrices that have one
-    are eliminated again with the identity appended to their rows, so that
-    each row carries its combination of the rows of M: at the dependent
-    row that combination is the dependency, times the product of the
-    pivots above it.  The second pass runs only on those matrices, so a
-    screen that rejects every matrix pays for no dependency."""
+    _eliminate runs with the identity appended to the rows, so that each
+    row carries its combination of the rows of M: at the dependent row
+    that combination is the dependency, times the product of the pivots
+    above it, which scaling by the inverse of its own entry removes."""
     count, rows, width = M.shape
-    first = _eliminate(M % p, width, p)[0]
-    deps = np.zeros((count, rows), dtype=np.int64)
-    some = np.flatnonzero(first < rows)
-    if some.size:
-        eye = np.broadcast_to(np.eye(rows, dtype=np.int64),
-                              (some.size, rows, rows))
-        dep = _eliminate(np.concatenate([M[some] % p, eye], axis=2), width,
-                         p)[1][:, width:]
-        scale = [pow(int(x), -1, p) for x in dep[np.arange(some.size),
-                                                 first[some]]]
-        deps[some] = dep * np.array(scale, dtype=np.int64)[:, None] % p
-    return first, deps
+    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (count, rows, rows))
+    first, found = _eliminate(np.concatenate([M % p, eye], axis=2), width, p)
+    deps = found[:, width:]
+    dependent = np.flatnonzero(first < rows)
+    scale = np.ones(count, dtype=np.int64)
+    scale[dependent] = [pow(int(x), -1, p)
+                        for x in deps[dependent, first[dependent]]]
+    return first, deps * scale[:, None] % p
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +750,7 @@ class _Lift:
 _LIFT_PRIMES = 40
 
 
-def _kernel_poly(S, Sth, S2r, n, d, screened=None):
+def _kernel_poly(S, Sth, S2r, n, d):
     """A nonzero P of degree <= d with P_{-1} = 0 in _recursion, or None.
 
     Row j of the coefficient matrix is P_{-1} for P = w^j
@@ -763,9 +760,8 @@ def _kernel_poly(S, Sth, S2r, n, d, screened=None):
     _Lift, the GF(p) matrix gives the image of that vector's conjugate
     (_first_dependent_row).  Full rank at any of them rejects the candidate
     as rigorously as the screen does; otherwise _Lift lifts the vector,
-    and one exact run of the recursion on P certifies it.  `screened` is
-    (p, k, v) from the sweep's screen, the identity's answer at p.  A lift
-    that does not certify within _LIFT_PRIMES primes raises _Inexact."""
+    and one exact run of the recursion on P certifies it.  A lift that
+    does not certify within _LIFT_PRIMES primes raises _Inexact."""
     coeffs = S.coeffs + Sth.coeffs + S2r.coeffs
     lift = _Lift(coeffs)
     # (sigma(S), sigma(Sth), sigma(S2r)) per automorphism, the identity first
@@ -774,14 +770,9 @@ def _kernel_poly(S, Sth, S2r, n, d, screened=None):
         if count == _LIFT_PRIMES:
             raise _Inexact(f"the kernel of the n={n}, d={d} candidate was "
                            f"not certified from {count} primes")
-        p = modp.p
-        found = [] if screened is None or screened[0] != p else [
-            (np.array([screened[1]]), screened[2][None, :d + 1])]
-        if len(found) < len(conjugates):
-            found.append(_first_dependent_row(_recursion_modp(
-                *(np.array([modp.poly(q) for q in qs])
-                  for qs in zip(*conjugates[len(found):])), n, d, p), p))
-        first, deps = (np.concatenate(x) for x in zip(*found))
+        first, deps = _first_dependent_row(_recursion_modp(
+            *(np.array([modp.poly(q) for q in qs]) for qs in zip(*conjugates)),
+            n, d, modp.p), modp.p)
         if first.max() > d:
             return None
         vec = lift.add(modp, first, deps)
@@ -825,14 +816,13 @@ class _Sweep:
         the one at any larger d (_recursion_modp).  So each combo runs the
         recursion once, at the largest d that any e_inf gives it, and its
         candidate at d has full rank iff the first dependent row of that
-        matrix lies beyond d; otherwise that row and its dependency are
-        _kernel_poly's answer at this prime."""
+        matrix lies beyond d."""
         candidates = list(_degrees(inf_set, pole_sets, scale))
         top = {}                 # combo -> its largest d, in first-seen order
         for _, combo, d in candidates:
             top[combo] = max(top.get(combo, d), d)
         combos = list(top)
-        screen = {}      # combo -> first dependent row and dependency
+        screen = {}      # combo -> first dependent row
         p = self.modp.p
         scale_p = self.modp.fe(FE(scale))
         for e_inf, combo, d in candidates:
@@ -847,15 +837,14 @@ class _Sweep:
                 Sth_p = (weights * scale_p % p) @ self.quotients_p % p
                 M = _recursion_modp(self.S_p, Sth_p, self.S2r_p, n,
                                     max(top[c] for c in stack), p)
-                screen.update(zip(stack, zip(*_first_dependent_row(M, p))))
-            k, dep = screen[combo]
-            if k > d:
+                screen.update(zip(stack, _eliminate(M % p, M.shape[2], p)[0]))
+            if screen[combo] > d:
                 yield e_inf, combo, d, True, None
                 continue
             Sth = sum((q.scale(FE(e * scale))
                        for e, q in zip(combo, self.quotients)), Poly([]))
             yield e_inf, combo, d, False, _kernel_poly(self.S, Sth, self.S2r,
-                                                       n, d, (p, k, dep))
+                                                       n, d)
 
 
 # ---------------------------------------------------------------------------
