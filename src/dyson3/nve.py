@@ -12,13 +12,13 @@ the recomputed ones).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .field import FieldElement, FE, SQRT3
 from .model import (TruncatedHamiltonian, diagonal_potential, diagonal_reduce,
@@ -150,17 +150,86 @@ def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
 
 _ORDER = {"K": 3, "L": 4}    # Taylor order of each named truncation
 
+# One Chebyshev-Picard integrator serves every oracle (Clenshaw & Norton,
+# Comput. J. 6, 1963; Bai & Junkins, J. Astronaut. Sci. 58, 2011): on each
+# segment the solution is the degree-24 polynomial through 25
+# Chebyshev-Lobatto nodes, found by Picard iteration y <- y0 + int f(t, y).
+_DEG = 24
+_TAU = -np.cos(np.pi * np.arange(_DEG + 1) / _DEG)   # ascending on [-1, 1]
+_HALF = np.ones(_DEG + 1)
+_HALF[[0, -1]] = 0.5
+# node values -> Chebyshev coefficients (discrete orthogonality at the nodes)
+_TO_COEF = (2.0 / _DEG) * _HALF[:, None] * cheb.chebvander(_TAU, _DEG).T * _HALF
+# node values of f -> node values of its integral from -1
+_INTEGRATE = cheb.chebvander(_TAU, _DEG + 1) @ (
+    cheb.chebint(np.eye(_DEG + 1), lbnd=-1) @ _TO_COEF)
+# A segment is accepted when the last Picard update and its last three
+# Chebyshev coefficients are below _TOL * (1 + max|y|): tighter than the
+# DOP853 rtol 1e-12, atol 1e-13 these oracles used before.
+_TOL = 1e-14
+_PICARD_ITERS = 60
+_MIN_WIDTH = 1e-6     # refuse below this fraction of the interval
 
-def _dop853(rhs, y0, t_end: float, **kw):
-    """Integrate y' = rhs(t, y) from 0 to t_end: DOP853 at rtol 1e-12 and
-    atol 1e-13 for every oracle.  scipy is imported here, so it loads only
-    when the first NVE oracle runs."""
-    from scipy import integrate
-    sol = integrate.solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
-                              rtol=1e-12, atol=1e-13, **kw)
-    if not sol.success:
-        raise ArithmeticError(f"DOP853 integration failed: {sol.message}")
-    return sol
+
+def _picard_segment(rhs, y0, t0: float, width: float):
+    """Chebyshev coefficients [node, component] of the solution on
+    [t0, t0 + width], or None when the segment does not converge."""
+    t = t0 + 0.5 * width * (_TAU + 1.0)
+    y = np.broadcast_to(y0, (_DEG + 1,) + y0.shape)
+    for _ in range(_PICARD_ITERS):
+        new = y0 + 0.5 * width * (_INTEGRATE @ rhs(t, y))
+        update = np.max(np.abs(new - y))
+        bound = _TOL * (1.0 + np.max(np.abs(new)))
+        y = new
+        if not np.isfinite(update):
+            return None
+        if update <= bound:
+            break
+    else:
+        return None
+    coef = _TO_COEF @ y
+    if not np.max(np.abs(coef[-3:])) <= bound:
+        return None
+    return coef
+
+
+def _chebyshev_picard(rhs, y0, t_end: float):
+    """Integrate y' = rhs(t, y) from 0 to t_end; rhs is vectorized,
+    rhs(t[k], y[k, d]) -> [k, d].  Segments grow by 1.5x after an accepted
+    one and halve after a rejected one; ArithmeticError when a segment
+    would fall below _MIN_WIDTH * t_end.  Returns the dense solution:
+    t[...] -> y[..., d], the stored Chebyshev series evaluated at t."""
+    y0 = np.asarray(y0) + 0.0
+    breaks, coefs = [0.0], []
+    width = t_end
+    with np.errstate(over="ignore", invalid="ignore"):
+        while breaks[-1] < t_end:
+            t0 = breaks[-1]
+            last = width >= t_end - t0
+            step = t_end - t0 if last else width
+            coef = _picard_segment(rhs, y0, t0, step)
+            if coef is None:
+                width = 0.5 * step
+                if width < _MIN_WIDTH * t_end:
+                    raise ArithmeticError(
+                        f"Chebyshev-Picard integration failed at t = {t0!r}")
+                continue
+            coefs.append(coef)
+            breaks.append(t_end if last else t0 + step)
+            y0 = coef.sum(axis=0)        # the series at tau = 1
+            width = 1.5 * step
+    edges, series = np.array(breaks), np.array(coefs)
+
+    def solution(t):
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(edges, t, side="right") - 1,
+                      0, len(series) - 1)
+        lo, hi = edges[seg], edges[seg + 1]
+        vander = cheb.chebvander((2.0 * t - lo - hi) / (hi - lo), _DEG)
+        return np.einsum("...k,...kd->...d", vander.reshape(t.shape + (-1,)),
+                         series[seg])
+
+    return solution
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,11 +240,18 @@ def _base_orbit(source: str, q0: float):
     return float_horner(diagonal_reduce(trunc)), base_period(trunc, q0)
 
 
+_PERIOD_NODES = 32    # midpoint nodes of base_period
+
+
 def base_period(trunc: TruncatedHamiltonian, q0: float) -> float:
     """Period of the diagonal orbit of the truncation through (q0, p=0),
     by singularity-removing quadrature of the energy relation.  The other
     turning point is the real root of U - h nearest 0 on the side opposite
-    q0."""
+    q0.
+
+    With q = q- + span sin^2(theta) the half period is the integral over
+    0 <= theta <= pi/2 of an integrand that is smooth, even and pi-periodic
+    in theta, so the midpoint rule converges geometrically."""
     u = diagonal_potential(trunc)
     uval = float_horner(u)
     h = uval(q0)
@@ -187,26 +263,19 @@ def base_period(trunc: TruncatedHamiltonian, q0: float) -> float:
         raise ValueError("no opposite turning point")
     qm, qp = sorted((q0, min(opposite, key=abs)))
     span = qp - qm
-    nodes, weights = np.polynomial.legendre.leggauss(240)
-    theta = 0.25 * math.pi * (nodes + 1.0)
-    wts = 0.25 * math.pi * weights
-    total = 0.0
-    for th, wt in zip(theta, wts):
-        s = math.sin(th)
-        q = qm + span * s * s
-        val = h - uval(q)
-        if val <= 0:
-            continue
-        total += wt * 2.0 * span * s * math.cos(th) / math.sqrt(val)
-    return 2.0 * total
+    dtheta = 0.5 * math.pi / _PERIOD_NODES
+    theta = dtheta * (np.arange(_PERIOD_NODES) + 0.5)
+    s, c = np.sin(theta), np.cos(theta)
+    integrand = 2.0 * span * s * c / np.sqrt(h - uval(qm + span * s * s))
+    return float(2.0 * dtheta * np.sum(integrand))
 
 
 def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
                     perturb: float = 0.0):
     """Integrate the 4D variational system and the scalar NVE side by side
-    along the numeric diagonal base solution, over one base period; return
-    the max deviation of the scalar solution from the tagged combination
-    xi1 + sign * xi2.
+    along the numeric diagonal base solution, over one base period, with
+    the Chebyshev-Picard integrator; return the max deviation of the scalar
+    solution from the tagged combination xi1 + sign * xi2 at 400 points.
 
     `perturb` adds a constant to the scalar coefficient for the negative
     control experiment.
@@ -218,63 +287,60 @@ def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
     kin = 2.0 - sign      # kinetic eigenvalue of the mode: 3 or 1
 
     def rhs(t, y):
-        q, p = y[0], y[1]
-        x1, x2, e1, e2 = y[2], y[3], y[4], y[5]
+        q, p, x1, x2, e1, e2, xs, xd = y.T
         a, b = alpha(q), beta(q)
-        xs, xd = y[6], y[7]
-        anve = a_nve(q) + perturb
-        return [
+        return np.stack([
             p, accel(q),
             2 * e1 - e2, -e1 + 2 * e2,
             -a * x1 - b * x2, -b * x1 - a * x2,
-            xd, anve * xs,
-        ]
+            xd, (a_nve(q) + perturb) * xs,
+        ], axis=-1)
 
     # start inside the tagged subspace
     x1, e1 = 1.0, 0.3
     x2, e2 = sign * x1, sign * e1
     xs0, xd0 = x1 + sign * x2, kin * (e1 + sign * e2)
-    sol = _dop853(rhs, [q0, 0.0, x1, x2, e1, e2, xs0, xd0], t_end,
-                  dense_output=True, max_step=t_end / 50)
-    ys = sol.sol(np.linspace(0.0, t_end, 400))
-    return float(np.max(np.abs(ys[2] + sign * ys[3] - ys[6])))
+    sol = _chebyshev_picard(rhs, [q0, 0.0, x1, x2, e1, e2, xs0, xd0], t_end)
+    ys = sol(np.linspace(0.0, t_end, 400))
+    return float(np.max(np.abs(ys[:, 2] + sign * ys[:, 3] - ys[:, 6])))
+
+
+_KINETIC = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
 
 def monodromy_matrix(vs: VariationalSystem, q0: float = 0.1):
-    """Fundamental 4x4 solution over one base period."""
+    """Fundamental 4x4 solution over one base period, by the
+    Chebyshev-Picard integrator."""
     alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
     accel, t_end = _base_orbit(vs.source, q0)
 
     def rhs(t, y):
-        q, p = y[0], y[1]
-        m = y[2:].reshape(4, 4)
-        a, b = alpha(q), beta(q)
-        jac = np.array([
-            [0.0, 0.0, 2.0, -1.0],
-            [0.0, 0.0, -1.0, 2.0],
-            [-a, -b, 0.0, 0.0],
-            [-b, -a, 0.0, 0.0],
-        ])
-        return np.concatenate(([p, accel(q)], (jac @ m).ravel()))
+        q, p = y[:, 0], y[:, 1]
+        m = y[:, 2:].reshape(-1, 4, 4)
+        x, e = m[:, :2], m[:, 2:]      # position and momentum rows
+        a, b = alpha(q)[:, None, None], beta(q)[:, None, None]
+        # J Hess H = [[0, K], [-A, 0]] with A = [[a, b], [b, a]]
+        dm = np.concatenate((_KINETIC @ e, -a * x - b * x[:, ::-1]), axis=1)
+        return np.column_stack((p, accel(q), dm.reshape(-1, 16)))
 
     y0 = np.concatenate(([q0, 0.0], np.eye(4).ravel()))
-    return _dop853(rhs, y0, t_end).y[2:, -1].reshape(4, 4)
+    return _chebyshev_picard(rhs, y0, t_end)(t_end)[2:].reshape(4, 4)
 
 
 def wronskian_drift(nve: ScalarNVE, q0: float = 0.1):
-    """Max drift of the Wronskian of two independent scalar solutions."""
+    """Max drift of the Wronskian of two independent scalar solutions at
+    300 points of one base period, by the Chebyshev-Picard integrator."""
     accel, t_end = _base_orbit(nve.source, q0)
     a_nve = float_horner(nve.a)
 
     def rhs(t, y):
-        q, p, x1, v1, x2, v2 = y
+        q, p, x1, v1, x2, v2 = y.T
         a = a_nve(q)
-        return [p, accel(q), v1, a * x1, v2, a * x2]
+        return np.stack([p, accel(q), v1, a * x1, v2, a * x2], axis=-1)
 
-    sol = _dop853(rhs, [q0, 0.0, 1.0, 0.0, 0.0, 1.0], t_end,
-                  dense_output=True)
-    ys = sol.sol(np.linspace(0.0, t_end, 300))
-    wr = ys[2] * ys[5] - ys[3] * ys[4]
+    sol = _chebyshev_picard(rhs, [q0, 0.0, 1.0, 0.0, 0.0, 1.0], t_end)
+    ys = sol(np.linspace(0.0, t_end, 300))
+    wr = ys[:, 2] * ys[:, 5] - ys[:, 3] * ys[:, 4]
     return float(np.max(np.abs(wr - wr[0])))
 
 
@@ -285,15 +351,15 @@ def algebrize_gauge_oracle(nve: ScalarNVE) -> float:
     zeta = xi * exp(+(1/2) int p dw), so the logarithmic derivatives obey
         (d/dt log zeta) - (d/dt log xi) = p(w) wdot / 2.
     Both equations are integrated side by side over 0 <= t <= 0.4 with
-    matched initial data and the maximal violation of this identity is
-    returned.
+    matched initial data by the Chebyshev-Picard integrator, and the
+    maximal violation of this identity at 80 checkpoints is returned.
     """
     ode = algebrize(nve)
     s26 = 26 ** 0.5
 
     def wpath(t):
-        w = s26 * cmath.sinh(2j * t) + 1
-        wd = 2j * s26 * cmath.cosh(2j * t)
+        w = s26 * np.sinh(2j * t) + 1
+        wd = 2j * s26 * np.cosh(2j * t)
         return w, wd
 
     a_nve = float_horner(nve.a)
@@ -302,11 +368,12 @@ def algebrize_gauge_oracle(nve: ScalarNVE) -> float:
     s3 = 3 ** 0.5
 
     def rhs(t, y):
-        xi, xid, ze, zew = y
+        xi, xid, ze, zew = y.T
         w, wd = wpath(t)
         psi = -3 * s3 / w
         rw = r_num(w) / r_den(w)
-        return [xid, a_nve(psi) * xi, zew * wd, rw * ze * wd]
+        return np.stack([xid, a_nve(psi) * xi, zew * wd, rw * ze * wd],
+                        axis=-1)
 
     w0, wd0 = wpath(0.0)
     pw0 = p_num(w0) / p_den(w0)
@@ -314,13 +381,10 @@ def algebrize_gauge_oracle(nve: ScalarNVE) -> float:
     t_end = 0.4
     # 80 checkpoints, t_end/80 apart
     ts = t_end * (50 * np.arange(80) + 1) / 4000
-    sol = _dop853(rhs, y0, t_end, t_eval=ts)
-    worst = 0.0
-    for t, (xi, xid, ze, zew) in zip(sol.t, sol.y.T):
-        w, wd = wpath(t)
-        gap = (zew * wd) / ze - xid / xi
-        worst = max(worst, abs(gap - p_num(w) / p_den(w) * wd / 2))
-    return float(worst)
+    xi, xid, ze, zew = _chebyshev_picard(rhs, y0, t_end)(ts).T
+    w, wd = wpath(ts)
+    gap = (zew * wd) / ze - xid / xi
+    return float(np.max(np.abs(gap - p_num(w) / p_den(w) * wd / 2)))
 
 
 # -- serialization ------------------------------------------------------------

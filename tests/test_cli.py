@@ -86,14 +86,18 @@ def test_section_json_deterministic(tmp_path):
         (out2 / "turning_points.json").read_bytes()
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    """scipy.integrate is imported by the first NVE oracle, not by the
-    command-line front end: a fresh interpreter that imports dyson3.cli
-    has not loaded it."""
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    """SciPy is a test dependency only: a fresh interpreter that imports
+    dyson3.cli and writes the full report has loaded no scipy module."""
     src = str(pathlib.Path(dyson3.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, dyson3.cli; "
-            "assert 'scipy.integrate' not in sys.modules, 'loaded'")
+    code = ("import sys\n"
+            "from dyson3 import cli\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            f"assert cli.main(['report', '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert not scipy_modules(), scipy_modules()\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
