@@ -164,8 +164,10 @@ _TO_COEF = (2.0 / _DEG) * _HALF[:, None] * cheb.chebvander(_TAU, _DEG).T * _HALF
 _INTEGRATE = cheb.chebvander(_TAU, _DEG + 1) @ (
     cheb.chebint(np.eye(_DEG + 1), lbnd=-1) @ _TO_COEF)
 # A segment is accepted when the last Picard update and its last three
-# Chebyshev coefficients are below _TOL * (1 + max|y|): tighter than the
-# DOP853 rtol 1e-12, atol 1e-13 these oracles used before.
+# Chebyshev coefficients are below _TOL * (1 + max|y|), no looser than the
+# DOP853 at rtol 1e-12, atol 1e-13 that the tests cross-check against.  A
+# segment whose Picard iteration has not converged after _PICARD_ITERS
+# sweeps is rejected.
 _TOL = 1e-14
 _PICARD_ITERS = 60
 _MIN_WIDTH = 1e-6     # refuse below this fraction of the interval
