@@ -1,6 +1,6 @@
 """Weierstrass p-function evaluation and the particular-solution
 certificates phi (cubic truncation, elliptic) and psi (quartic
-truncation, hyperbolic).
+truncation, hyperbolic), evaluated from `model`'s exact derivation.
 
 p is evaluated from its Laurent series near 0 together with the
 duplication formula, which is all the verification grids need; no
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+from . import model
+
 
 class LatticePointError(ArithmeticError):
     pass
@@ -25,11 +27,21 @@ class EllipticInvariants:
     g3: object
 
 
+def _mp(x):
+    """A field element as an mpf when it is real, else as an mpc."""
+    return sum((n * mp.sqrt(r) if r > 0 else mp.mpc(0, n * mp.sqrt(-r))
+                for r, n in sorted(x.num.items())), mp.mpf(0)) / x.den
+
+
+def _mp_poly(p, x):
+    return mp.polyval([_mp(c) for c in reversed(p.coeffs)], x)
+
+
 def invariants_for_energy(h, prec: int = 128) -> EllipticInvariants:
-    """g2 = 4/3, g3 = -4(h-2)/27 for the cubic-truncation energy h."""
+    """g2 and g3 of phi on the cubic truncation's rational energy h."""
+    phi = model.elliptic_solution()
     with mp.workprec(prec):
-        return EllipticInvariants(g2=mp.mpf(4) / 3,
-                                  g3=-mp.mpf(4) * (mp.mpf(h) - 2) / 27)
+        return EllipticInvariants(g2=_mp(phi.g2), g3=_mp(phi.g3(h)))
 
 
 _SERIES_RADIUS = 0.3
@@ -106,83 +118,62 @@ def weierstrass_ode_residual(t, inv: EllipticInvariants, prec: int = 128):
 
 
 def phi_solution(t, h, prec: int = 128):
-    """phi(t) = -sqrt3/2 - (3 sqrt3/2) p(t; 4/3, -4(h-2)/27) and phidot."""
+    """phi(t) = a + b p(t; g2, g3(h)) and phidot."""
+    phi = model.elliptic_solution()
     inv = invariants_for_energy(h, prec)
     with mp.workprec(prec + 40):
         x, y = weierstrass_p(t, inv, prec)
-        s3 = mp.sqrt(3)
-        return -s3 / 2 - 3 * s3 / 2 * x, -3 * s3 / 2 * y
+        b = _mp(phi.b)
+        return _mp(phi.a) + b * x, b * y
+
+
+def phi_residual(u, h, ts, prec: int = 128):
+    """Max residual of qdot^2 = h - u(q) along phi at the times ts."""
+    with mp.workprec(prec + 40):
+        return max(abs(qd * qd - (h - _mp_poly(u, q)))
+                   for q, qd in (phi_solution(t, h, prec) for t in ts))
 
 
 def verify_phi(h, prec: int = 128):
-    """Max residual of qdot^2 = -(8 sqrt3/9) q^3 - 4 q^2 + h along phi."""
+    """Max residual of the cubic truncation's energy relation along phi."""
+    u = model.diagonal_potential(model.taylor_truncate(3))
     with mp.workprec(prec + 40):
-        s3 = mp.sqrt(3)
-        worst = mp.mpf(0)
-        for t in [mp.mpf(1) / 10 + mp.mpf(k) / 40 for k in range(20)]:
-            q, qd = phi_solution(t, h, prec)
-            res = qd * qd - (-(8 * s3 / 9) * q ** 3 - 4 * q * q + mp.mpf(h))
-            worst = max(worst, abs(res))
-        return worst
-
-
-def verify_phi_accel(h, prec: int = 128):
-    """Differentiated energy relation: 2 qddot = -(8 sqrt3/3) q^2 - 8 q.
-
-    qddot = -(3 sqrt3/2) p'' with p'' = 6 p^2 - g2/2.
-    """
-    inv = invariants_for_energy(h, prec)
-    with mp.workprec(prec + 40):
-        s3 = mp.sqrt(3)
-        worst = mp.mpf(0)
-        for t in [mp.mpf(1) / 10 + mp.mpf(k) / 40 for k in range(20)]:
-            x, _ = weierstrass_p(t, inv, prec)
-            q = -s3 / 2 - 3 * s3 / 2 * x
-            qdd = -(3 * s3 / 2) * (6 * x * x - mp.mpf(inv.g2) / 2)
-            res = 2 * qdd - (-(8 * s3 / 3) * q * q - 8 * q)
-            worst = max(worst, abs(res))
-        return worst
+        ts = [mp.mpf(1) / 10 + mp.mpf(k) / 40 for k in range(20)]
+        return phi_residual(u, h, ts, prec)
 
 
 def psi_solution(t, prec: int = 128):
-    """psi(t) = -3 sqrt3 / w, w = sqrt26 sinh(2it) + 1; returns
+    """psi(t) = alpha / w with w = 1 + rho sin(omega t); returns
     (psi, psidot, psiddot) by direct trigonometric differentiation."""
+    pole = model.pole_solution()
     with mp.workprec(prec + 40):
         t = mp.mpc(t)
-        s26 = mp.sqrt(26)
-        s3 = mp.sqrt(3)
-        w = s26 * mp.sinh(2j * t) + 1
+        alpha, rho, omega = _mp(pole.alpha), _mp(pole.rho), _mp(pole.omega)
+        s = rho * mp.sin(omega * t)
+        w = 1 + s
         if abs(w) < mp.mpf(2) ** (-prec // 2):
             raise LatticePointError("t lies next to a pole of psi")
-        wd = 2j * s26 * mp.cosh(2j * t)
-        wdd = -4 * s26 * mp.sinh(2j * t)
-        psi = -3 * s3 / w
-        psid = 3 * s3 * wd / w ** 2
-        psidd = 3 * s3 * (wdd * w - 2 * wd * wd) / w ** 3
-        return psi, psid, psidd
+        wd = rho * omega * mp.cos(omega * t)
+        wdd = -omega * omega * s
+        return (alpha / w, -alpha * wd / w ** 2,
+                alpha * (2 * wd * wd - wdd * w) / w ** 3)
 
 
 def verify_psi(prec: int = 128):
-    """Max residual of qddot = -4q - (4 sqrt3/3) q^2 - 8 q^3 along psi."""
+    """Max residual of the quartic truncation's force qddot = g(q) along
+    psi."""
+    g = model.diagonal_reduce(model.taylor_truncate(4))
     with mp.workprec(prec + 40):
-        s3 = mp.sqrt(3)
-        worst = mp.mpf(0)
-        for t in [mp.mpf(k) / 16 for k in range(25)]:
-            q, _, qdd = psi_solution(t, prec)
-            res = qdd - (-4 * q - (4 * s3 / 3) * q * q - 8 * q ** 3)
-            worst = max(worst, abs(res))
-        return worst
+        return max(abs(qdd - _mp_poly(g, q)) for q, _, qdd in
+                   (psi_solution(mp.mpf(k) / 16, prec) for k in range(25)))
 
 
 def psi_diagonal_energy(prec: int = 128):
-    """Energy parameter h of psi in the quartic diagonal relation
-    qdot^2 = h - 4q^2 - (8 sqrt3/9) q^3 - 4 q^4, evaluated on a grid
-    (it is identically 0; the report stores the measured value)."""
+    """Energy h = qdot^2 + U(q) of psi in the quartic truncation's diagonal
+    relation, evaluated on a grid (it is identically 0; the report stores
+    the measured value)."""
+    u = model.diagonal_potential(model.taylor_truncate(4))
     with mp.workprec(prec + 40):
-        s3 = mp.sqrt(3)
-        vals = []
-        for k in range(1, 8):
-            t = mp.mpf(k) / 8
-            q, qd, _ = psi_solution(t, prec)
-            vals.append(qd * qd + 4 * q * q + (8 * s3 / 9) * q ** 3 + 4 * q ** 4)
+        vals = [qd * qd + _mp_poly(u, q) for q, qd, _ in
+                (psi_solution(mp.mpf(k) / 8, prec) for k in range(1, 8))]
         return max(abs(v) for v in vals), vals[0]

@@ -10,13 +10,14 @@ q1 = q2 = pi/3, p = 0; all work happens in the singularity-free cell
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FE, SQRT3
+from .field import FE, SQRT3, FieldElement, field_sqrt
 from .multipoly import MultiPoly, cos_series, sin_series, neg_log1p_series
-from .poly import Poly
+from .poly import Poly, RationalFunction
 
 
 class DomainError(ValueError):
@@ -157,15 +158,91 @@ def diagonal_reduce_via_energy(th: TruncatedHamiltonian) -> Poly:
     """
     if not th.poly.swap_symmetric():
         raise ValueError("Hamiltonian is not symmetric under index swap")
-    u = th.potential().diagonal_univariate()
-    du = u.derivative()
-    half = FE(Fraction(-1, 2))
-    return du.scale(half)
+    return diagonal_potential(th).derivative().scale(FE(Fraction(-1, 2)))
 
 
 def diagonal_potential(th: TruncatedHamiltonian) -> Poly:
     """U(q) with qdot^2 = h - U(q) on the invariant plane."""
     return th.potential().diagonal_univariate()
+
+
+# -- particular solutions, read off the diagonal U = u2 q^2 + u3 q^3 + u4 q^4
+
+@dataclass(frozen=True)
+class PoleSolution:
+    """psi = alpha/w, w = 1 + rho sin(omega t), where 1/psi = y0 +
+    y1 sin(omega t), alpha = 1/y0 and rho = y1/y0.  As polynomials in w,
+    wdot^2 = omega^2 rho^2 - omega^2 (w-1)^2 and wddot = -omega^2 (w-1)."""
+    omega: FieldElement
+    y0: FieldElement
+    y1: FieldElement
+    alpha: FieldElement
+    rho: FieldElement
+    wdot2: Poly
+    wddot: Poly
+
+    def solves(self, force: Poly) -> bool:
+        """psiddot = force(psi) exactly, as rational functions of w, where
+        psiddot = alpha (2 wdot^2 - w wddot) / w^3."""
+        w = Poly.x()
+        lhs = (self.wdot2.scale(2) - w * self.wddot).scale(self.alpha)
+        psi = RationalFunction(Poly([self.alpha]), w)
+        return RationalFunction(lhs, w * w * w) == force(psi)
+
+
+def _root(x: FieldElement) -> FieldElement:
+    """The square root of x in the upper half plane or on the positive
+    reals."""
+    y = field_sqrt(x)
+    z = y.to_complex()
+    return y if z.imag > 0 or (z.imag == 0 and z.real > 0) else -y
+
+
+def derive_pole(u: Poly) -> PoleSolution:
+    """The zero-level solution of qdot^2 = -U(q) through q = infinity: for
+    y = 1/q, ydot^2 = -(u2 y^2 + u3 y + u4) holds along y0 + y1 sin(omega t)
+    with omega^2 = u2, y0 = -u3/(2 u2) and y1^2 = (u3^2/(4 u2) - u4)/u2.
+    omega and rho are `_root`s; the other rho runs the mirror path w(-t)."""
+    u2, u3, u4 = u.coeff(2), u.coeff(3), u.coeff(4)
+    y0 = -u3 / (2 * u2)
+    y1_squared = (u3 * u3 / (4 * u2) - u4) / u2
+    rho = _root(y1_squared / (y0 * y0))
+    w1 = Poly([-1, 1])                               # w - 1
+    return PoleSolution(_root(u2), y0, rho * y0, 1 / y0, rho,
+                        Poly([u2 * rho * rho]) - (w1 * w1).scale(u2),
+                        w1.scale(-u2))
+
+
+@dataclass(frozen=True)
+class EllipticSolution:
+    """phi = a + b p(t; g2, g3(h)) on the level h of qdot^2 = h - U(q);
+    g3 = (U(a) - h)/b^2 is a polynomial in h."""
+    a: FieldElement
+    b: FieldElement
+    g2: FieldElement
+    g3: Poly
+
+
+def derive_elliptic(u: Poly) -> EllipticSolution:
+    """q = a + b p in qdot^2 = h - u2 q^2 - u3 q^3 with p'^2 = 4p^3 - g2 p
+    - g3: the p^3 terms give b = -4/u3, no p^2 term a = -u2/(3 u3), the
+    p terms g2 = (2 u2 a + 3 u3 a^2)/b."""
+    u2, u3 = u.coeff(2), u.coeff(3)
+    b, a = -4 / u3, -u2 / (3 * u3)
+    return EllipticSolution(a, b, (2 * u2 * a + 3 * u3 * a * a) / b,
+                            Poly([u(a), -1]).scale(1 / (b * b)))
+
+
+@functools.lru_cache(maxsize=None)
+def pole_solution() -> PoleSolution:
+    """psi of the quartic truncation."""
+    return derive_pole(diagonal_potential(taylor_truncate(4)))
+
+
+@functools.lru_cache(maxsize=None)
+def elliptic_solution() -> EllipticSolution:
+    """phi of the cubic truncation."""
+    return derive_elliptic(diagonal_potential(taylor_truncate(3)))
 
 
 def qddot_exact(q: float) -> float:

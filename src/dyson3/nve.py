@@ -22,7 +22,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from .field import FieldElement, FE, SQRT3
 from .model import (TruncatedHamiltonian, diagonal_potential, diagonal_reduce,
-                    taylor_truncate)
+                    elliptic_solution, pole_solution, taylor_truncate)
 from .poly import Poly, RationalFunction, float_horner
 
 
@@ -100,48 +100,32 @@ def paper_nve_l() -> ScalarNVE:
 
 
 def substitute_elliptic(nve: ScalarNVE):
-    """Rewrite a(phi(t)) as A*p + B using phi = -sqrt3/2 - (3 sqrt3/2) p.
+    """Rewrite a(phi(t)) as A*p + B along the cubic truncation's
+    phi = a + b p (`model.elliptic_solution`): A = b a1, B = a(a).
 
     Only valid for affine a (the cubic truncation).  Returns (A, B) as
     exact tower elements.
     """
     if nve.a.degree > 1:
         raise ValueError("substitution needs an affine coefficient")
-    a0 = nve.a.coeff(0)
-    a1 = nve.a.coeff(1)
-    half_s3 = SQRT3 * FE(Fraction(1, 2))
-    big_a = -(SQRT3 * FE(Fraction(3, 2))) * a1
-    big_b = a0 - half_s3 * a1
-    return big_a, big_b
-
-
-W_POLY_WDOT2 = Poly([FE(-108), FE(8), FE(-4)])   # wdot^2 = -104 - 4(w-1)^2
-W_POLY_WDDOT = Poly([FE(4), FE(-4)])             # wddot = -4(w-1)
+    phi = elliptic_solution()
+    return phi.b * nve.a.coeff(1), nve.a(phi.a)
 
 
 def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
-    """Change variables t -> w = sqrt26 sinh(2it) + 1 along psi = -3 sqrt3/w.
-
-    With wdot^2 = -104 - 4(w-1)^2 and wddot = -4(w-1) (exact identities in
-    the tower), xiddot = a(psi) xi becomes
+    """Change variables t -> w along the quartic truncation's pole solution
+    psi = alpha/w, w = 1 + rho sin(omega t) (`model.pole_solution`).  With
+    the exact polynomials wdot^2 and wddot in w, xiddot = a(psi) xi becomes
         xi'' + p(w) xi' + q(w) xi = 0,
-        p = wddot/wdot^2,  q = -a(-3 sqrt3/w)/wdot^2,
+        p = wddot/wdot^2,  q = -a(alpha/w)/wdot^2,
     and the normal form r = p^2/4 + p'/2 - q.
     """
     if nve.source != "L":
         raise ValueError("algebrization is defined for the quartic NVE")
-    w = Poly.x()
-    wdot2 = RationalFunction.from_poly(W_POLY_WDOT2)
-    wddot = RationalFunction.from_poly(W_POLY_WDDOT)
-    psi = RationalFunction(Poly([SQRT3 * FE(-3)]), w)
-    a_of_psi = RationalFunction.const(FieldElement())
-    pw = RationalFunction.from_poly(Poly([1]))
-    for k, c in enumerate(nve.a.coeffs):
-        if k > 0:
-            pw = pw * psi
-        a_of_psi = a_of_psi + pw * c
-    p = wddot / wdot2
-    q = (-a_of_psi) / wdot2
+    pole = pole_solution()
+    wdot2 = RationalFunction.from_poly(pole.wdot2)
+    p = RationalFunction.from_poly(pole.wddot) / wdot2
+    q = -nve.a(RationalFunction(Poly([pole.alpha]), Poly.x())) / wdot2
     r = p * p * Fraction(1, 4) + p.derivative() * Fraction(1, 2) - q
     return AlgebraizedODE(p=p, q=q, r=r, variant=nve.variant)
 
@@ -349,7 +333,7 @@ def wronskian_drift(nve: ScalarNVE, q0: float = 0.1):
 def algebrize_gauge_oracle(nve: ScalarNVE) -> float:
     """Consistency of the algebrized normal form with the time-domain NVE.
 
-    Along w(t) = sqrt26 sinh(2it) + 1 the normal-form solution is
+    Along the pole solution's w(t) the normal-form solution is
     zeta = xi * exp(+(1/2) int p dw), so the logarithmic derivatives obey
         (d/dt log zeta) - (d/dt log xi) = p(w) wdot / 2.
     Both equations are integrated side by side over 0 <= t <= 0.4 with
@@ -357,22 +341,21 @@ def algebrize_gauge_oracle(nve: ScalarNVE) -> float:
     maximal violation of this identity at 80 checkpoints is returned.
     """
     ode = algebrize(nve)
-    s26 = 26 ** 0.5
+    pole = pole_solution()
+    omega = pole.omega.to_complex().real
+    alpha, rho = pole.alpha.to_complex(), pole.rho.to_complex()
 
     def wpath(t):
-        w = s26 * np.sinh(2j * t) + 1
-        wd = 2j * s26 * np.cosh(2j * t)
-        return w, wd
+        return 1 + rho * np.sin(omega * t), rho * omega * np.cos(omega * t)
 
     a_nve = float_horner(nve.a)
     p_num, p_den = float_horner(ode.p.num), float_horner(ode.p.den)
     r_num, r_den = float_horner(ode.r.num), float_horner(ode.r.den)
-    s3 = 3 ** 0.5
 
     def rhs(t, y):
         xi, xid, ze, zew = y.T
         w, wd = wpath(t)
-        psi = -3 * s3 / w
+        psi = alpha / w
         rw = r_num(w) / r_den(w)
         return np.stack([xid, a_nve(psi) * xi, zew * wd, rw * ze * wd],
                         axis=-1)

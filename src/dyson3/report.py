@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-import jsonschema
 import mpmath as mp
 import numpy as np
 
@@ -31,51 +30,30 @@ SECTION_NAMES = (
     "truncations", "verify_solutions", "nve", "kovacic",
 )
 
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "config", "sections", "verdicts"],
-    "properties": {
-        "schema_version": {"type": "string"},
-        "config": {"type": "object"},
-        "sections": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["status", "checks"],
-                "properties": {
-                    "status": {"enum": ["PASS", "FAIL", "INDETERMINATE"]},
-                    "checks": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["id", "status"],
-                            "properties": {
-                                "id": {"type": "string"},
-                                "status": {
-                                    "enum": ["PASS", "FAIL", "INDETERMINATE"],
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "verdicts": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["status", "evidence"],
-                "properties": {
-                    "status": {
-                        "enum": ["PASS", "FAIL", "INDETERMINATE", "PARTIAL"],
-                    },
-                    "evidence": {"type": "array", "items": {"type": "string"}},
-                },
-            },
-        },
-    },
-}
+_STATUSES = ("PASS", "INDETERMINATE", "FAIL")     # ascending severity
+
+
+def validate(report: dict) -> None:
+    """ValueError unless the report has its fixed shape: a string
+    schema_version, a config object, sections that hold a status and a
+    list of checks (each with a string id and a status), and verdicts that
+    hold a status or PARTIAL and a list of string evidence ids."""
+    def has(obj, statuses, key, kind):
+        return (isinstance(obj, dict) and obj.get("status") in statuses
+                and isinstance(obj.get(key), kind))
+
+    if not (isinstance(report, dict)
+            and isinstance(report.get("schema_version"), str)
+            and isinstance(report.get("config"), dict)
+            and isinstance(report.get("sections"), dict)
+            and isinstance(report.get("verdicts"), dict)
+            and all(has(s, _STATUSES, "checks", list)
+                    and all(has(c, _STATUSES, "id", str) for c in s["checks"])
+                    for s in report["sections"].values())
+            and all(has(v, _STATUSES + ("PARTIAL",), "evidence", list)
+                    and all(isinstance(e, str) for e in v["evidence"])
+                    for v in report["verdicts"].values())):
+        raise ValueError("the report does not have the fixed report shape")
 
 
 @dataclass(frozen=True)
@@ -135,14 +113,14 @@ def _check(cid, ok, value=None, tol=None, note=None) -> dict:
     return out
 
 
-def _section(name, checks, extra=None, indeterminate=False) -> dict:
-    if indeterminate:
-        status = "INDETERMINATE"
-    elif all(c["status"] == "PASS" for c in checks):
-        status = "PASS"
-    else:
-        status = "FAIL"
-    out = {"name": name, "status": status, "checks": checks}
+def _status(statuses) -> str:
+    """The most severe status: FAIL over INDETERMINATE over PASS."""
+    return max(statuses, key=_STATUSES.index, default="PASS")
+
+
+def _section(name, checks, extra=None) -> dict:
+    out = {"name": name, "status": _status(c["status"] for c in checks),
+           "checks": checks}
     if extra:
         out.update(extra)
     return out
@@ -346,48 +324,23 @@ def section_verify_solutions(cfg: PipelineConfig) -> dict:
     checks.append(_check("verify_solutions.psi_energy", abs(h_psi) < 1e-20,
                          value=h_psi, tol=1e-20,
                          note="the pole solution sits on the zero level"))
+    g4 = model.diagonal_reduce(model.taylor_truncate(4))
     checks.append(_check("verify_solutions.psi_exact_identity",
-                         _psi_identity_exact(), tol=0.0,
+                         model.pole_solution().solves(g4), tol=0.0,
                          note="w^3 * (psiddot - g(psi)) = 0 as a polynomial "
                               "identity in the tower"))
-    # negative control: corrupt the cubic coefficient and demand a visible
-    # failure, demonstrating the residual oracle is sensitive
-    control = _corrupted_phi_residual(prec)
+    # negative control: the cubic coefficient of the energy relation,
+    # -8*sqrt3/9, replaced by -sqrt3 must fail visibly, demonstrating the
+    # residual oracle is sensitive
+    u = model.diagonal_potential(model.taylor_truncate(3))
+    with mp.workprec(prec + 40):
+        ts = [mp.mpf(1) / 10 + mp.mpf(k) / 8 for k in range(5)]
+        control = _f(elliptic.phi_residual(Poly(u.coeffs[:3] + [SQRT3]), 2,
+                                           ts, prec))
     checks.append(_check("verify_solutions.corrupted_control",
                          control > 1e-3, value=control, tol=1e-3,
                          note="corrupted coefficient must FAIL the oracle"))
     return _section("verify_solutions", checks)
-
-
-def _psi_identity_exact() -> bool:
-    """With psi = -3*sqrt3/w, wdot^2 = -4(w^2-2w+27), wddot = -4(w-1):
-    w^3 * psiddot equals w^3 * (-4 psi - (4 sqrt3/3) psi^2 - 8 psi^3)."""
-    s3 = SQRT3
-    wddot = nve.W_POLY_WDDOT
-    wdot2 = nve.W_POLY_WDOT2
-    w = Poly.x()
-    three_s3 = s3 * FE(3)
-    # psiddot = 3 sqrt3 (wddot*w - 2*wdot^2) / w^3
-    lhs = (wddot * w - wdot2.scale(FE(2))).scale(three_s3)
-    # rhs * w^3 with psi^k contributing (-3 sqrt3)^k w^(3-k)
-    psi1 = -three_s3
-    coeffs = [FE(-4) * psi1, SQRT3 * FE(Fraction(-4, 3)) * psi1 * psi1,
-              FE(-8) * psi1 * psi1 * psi1]
-    rhs = Poly([coeffs[2], coeffs[1], coeffs[0]])
-    return lhs == rhs
-
-
-def _corrupted_phi_residual(prec: int) -> float:
-    with mp.workprec(prec + 40):
-        s3 = mp.sqrt(3)
-        worst = mp.mpf(0)
-        for k in range(5):
-            t = mp.mpf(1) / 10 + mp.mpf(k) / 8
-            q, qd = elliptic.phi_solution(t, 2, prec)
-            # wrong cubic coefficient: -8*sqrt3/9 replaced by -sqrt3
-            res = qd * qd - (-s3 * q ** 3 - 4 * q * q + 2)
-            worst = max(worst, abs(res))
-        return _f(worst)
 
 
 def section_nve(cfg: PipelineConfig) -> dict:
@@ -467,8 +420,7 @@ _DIVERGENCE_NOTE = (
 )
 
 # check id, expected verdict and note of each quartic Kovacic run.  The
-# tangential mode is Liouvillian by construction: it is surfaced, and an
-# indeterminate verdict there does not make the section indeterminate.
+# tangential mode is Liouvillian by construction: it is surfaced, not cited.
 _QUARTIC_CHECKS = {
     "L_paper": ("kovacic.quartic_paper_variant", "not_liouvillian",
                 "differential Galois group SL(2,C)"),
@@ -478,6 +430,16 @@ _QUARTIC_CHECKS = {
     "L_derived_symmetric": ("kovacic.quartic_derived_tangential",
                             "liouvillian", _DIVERGENCE_NOTE),
 }
+
+
+def _decision_check(res, cid, want, note) -> dict:
+    """A Kovacic decision against its expected verdict; an indeterminate
+    one is INDETERMINATE, noted with the decision's last log line."""
+    out = _check(cid, res.verdict == want, value=res.verdict, tol=0.0,
+                 note=note)
+    if res.verdict == "indeterminate":
+        out.update(status="INDETERMINATE", note=res.log[-1])
+    return out
 
 
 def section_kovacic(cfg: PipelineConfig) -> dict:
@@ -496,8 +458,8 @@ def section_kovacic(cfg: PipelineConfig) -> dict:
     for name, r, want in cases:
         res = kovacic.kovacic(r)
         corpus[name] = res.to_json()
-        checks.append(_check(f"kovacic.corpus_{name}", res.verdict == want,
-                             value=res.verdict, tol=0.0, note=f"expect {want}"))
+        checks.append(_decision_check(res, f"kovacic.corpus_{name}", want,
+                                      f"expect {want}"))
     # Lame sieve on the cubic truncation couplings
     sieve = {}
     for label, a_val in (("paper_A4", 4), ("derived_Am12", -12)):
@@ -511,16 +473,11 @@ def section_kovacic(cfg: PipelineConfig) -> dict:
                              note="no solvable family admits this coupling"))
     # full algorithm on the algebrized quartic equations
     runs = {}
-    indeterminate = False
     for label, sc in _quartic_variants(cfg.variant).items():
         res = kovacic.kovacic(nve.algebrize(sc).r)
         runs[label] = res.to_json()
-        cid, want, note = _QUARTIC_CHECKS[label]
-        if want == "not_liouvillian":
-            indeterminate |= res.verdict == "indeterminate"
-        checks.append(_check(cid, res.verdict == want, value=res.verdict,
-                             tol=0.0, note=note))
-    return _section("kovacic", checks, indeterminate=indeterminate, extra={
+        checks.append(_decision_check(res, *_QUARTIC_CHECKS[label]))
+    return _section("kovacic", checks, extra={
         "corpus": corpus, "lame_sieve": sieve, "quartic_runs": runs,
         "divergence_note": _DIVERGENCE_NOTE if cfg.variant != "paper" else None})
 
@@ -560,14 +517,7 @@ def _verdict(sections: dict, evidence_ids) -> dict:
             index[chk["id"]] = chk["status"]
     missing = [cid for cid in evidence_ids if cid not in index]
     present = [index[cid] for cid in evidence_ids if cid in index]
-    if missing:
-        status = "PARTIAL"
-    elif any(s == "FAIL" for s in present):
-        status = "FAIL"
-    elif any(s == "INDETERMINATE" for s in present):
-        status = "INDETERMINATE"
-    else:
-        status = "PASS"
+    status = "PARTIAL" if missing else _status(present)
     out = {"status": status, "evidence": list(evidence_ids)}
     if missing:
         out["missing"] = missing
@@ -607,7 +557,7 @@ def build_report(cfg: PipelineConfig, only=None) -> dict:
         "sections": sections,
         "verdicts": build_verdicts(sections),
     }
-    jsonschema.validate(report, REPORT_SCHEMA)
+    validate(report)
     return report
 
 
@@ -618,11 +568,8 @@ def report_exit_code(report: dict) -> int:
     statuses = [s["status"] for s in report["sections"].values()]
     if set(SECTION_NAMES) <= set(report["sections"]):
         statuses += [v["status"] for v in report["verdicts"].values()]
-    if any(s == "FAIL" for s in statuses):
-        return 1
-    if any(s in ("INDETERMINATE", "PARTIAL") for s in statuses):
-        return 2
-    return 0
+    worst = _status("INDETERMINATE" if s == "PARTIAL" else s for s in statuses)
+    return {"PASS": 0, "FAIL": 1, "INDETERMINATE": 2}[worst]
 
 
 # ---------------------------------------------------------------------------

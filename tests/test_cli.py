@@ -87,17 +87,19 @@ def test_section_json_deterministic(tmp_path):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    """SciPy is a test dependency only: a fresh interpreter that imports
-    dyson3.cli and writes the full report has loaded no scipy module."""
+    """SciPy and jsonschema are test dependencies only: a fresh interpreter
+    that imports dyson3.cli and writes the full report has loaded no scipy
+    and no jsonschema module."""
     src = str(pathlib.Path(dyson3.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys\n"
             "from dyson3 import cli\n"
-            "def scipy_modules():\n"
-            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-            "assert not scipy_modules(), scipy_modules()\n"
+            "def test_only_modules():\n"
+            "    return [m for m in sys.modules\n"
+            "            if m.split('.')[0] in ('scipy', 'jsonschema')]\n"
+            "assert not test_only_modules(), test_only_modules()\n"
             f"assert cli.main(['report', '--out', {str(tmp_path)!r}]) == 0\n"
-            "assert not scipy_modules(), scipy_modules()\n")
+            "assert not test_only_modules(), test_only_modules()\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

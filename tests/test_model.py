@@ -3,10 +3,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyson3.field import FE, SQRT3, FieldElement
 from dyson3.model import (DomainError, canonical_inverse, canonical_transform,
-                          diagonal_potential, diagonal_reduce,
+                          derive_pole, diagonal_potential, diagonal_reduce,
                           diagonal_reduce_via_energy, h_full_eval, h_reg_eval,
                           hamiltonian_vector_field, in_cell, qddot_exact,
                           taylor_truncate, transform_jacobian)
@@ -127,3 +129,33 @@ def test_diagonal_potential_energy_relation():
         u = diagonal_potential(th)
         g = diagonal_reduce(th)
         assert u.derivative() == g.scale(FE(-2))
+
+
+_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+_NONZERO = _RATIONALS.filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega=st.fractions(min_value=Fraction(1, 8), max_value=8,
+                          max_denominator=12),
+       y0=_NONZERO, c=_NONZERO,
+       s=st.sampled_from([1, 3, 26, 78, -1, -3, -26, -78]))
+def test_pole_derivation_round_trip(omega, y0, c, s):
+    """From y = 1/q = y0 + y1 sin(omega t) with y1 = c sqrt(s), build the
+    quartic diagonal U = u2 q^2 + u3 q^3 + u4 q^4 whose zero level it
+    solves; the derivation gives omega, y0 and y1 back, y1 up to the sign
+    that puts rho = y1/y0 in the upper half plane, and the exact identity
+    holds for the force -U'/2."""
+    omega, y0 = FE(omega), FE(y0)
+    y1 = FieldElement({s: c})
+    u2 = omega * omega
+    u = Poly([0, 0, u2, -2 * u2 * y0, u2 * (y0 * y0 - y1 * y1)])
+    pole = derive_pole(u)
+    assert pole.omega == omega and pole.y0 == y0
+    assert pole.y1 in (y1, -y1)
+    rho = pole.rho.to_complex()
+    assert rho.imag > 0 or (rho.imag == 0 and rho.real > 0)
+    assert pole.alpha == 1 / y0 and pole.rho == pole.y1 / y0
+    force = u.derivative().scale(FE(Fraction(-1, 2)))
+    assert pole.solves(force)
+    assert not pole.solves(force + Poly([0, 0, 0, 1]))

@@ -7,8 +7,9 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from dyson3 import nve
-from dyson3.field import FE, I, SQRT3, SQRT78, FieldElement
-from dyson3.model import diagonal_potential, diagonal_reduce, taylor_truncate
+from dyson3.field import FE, I, SQRT3, SQRT26, SQRT78, FieldElement
+from dyson3.model import (diagonal_potential, diagonal_reduce,
+                          elliptic_solution, pole_solution, taylor_truncate)
 from dyson3.poly import Poly, float_horner
 
 
@@ -296,10 +297,23 @@ def test_serialization_keeps_the_tower_coordinates():
 
 
 def test_w_substitution_identities_exact():
-    """wdot^2 = -104 - 4(w-1)^2 and wddot = -4(w-1) as tower polynomials."""
+    """The derived pole solution psi = alpha/w, w = 1 + rho sin(omega t):
+    wdot^2 = -104 - 4(w-1)^2 and wddot = -4(w-1) as tower polynomials,
+    alpha = -3 sqrt3 and rho = i sqrt26 (the parent path, not w(-t))."""
+    pole = pole_solution()
     w = Poly.x()
-    assert nve.W_POLY_WDOT2 == Poly([FE(-104)]) - ((w - 1) * (w - 1)).scale(FE(4))
-    assert nve.W_POLY_WDDOT == (w - 1).scale(FE(-4))
+    assert pole.wdot2 == Poly([FE(-104)]) - ((w - 1) * (w - 1)).scale(FE(4))
+    assert pole.wddot == (w - 1).scale(FE(-4))
+    assert pole.omega == FE(2)
+    assert pole.alpha == SQRT3 * FE(-3)
+    assert pole.rho == I * SQRT26
     # and nothing flat: the derivative chain rule closes,
     # d(wdot^2)/dw = 2 wddot
-    assert nve.W_POLY_WDOT2.derivative() == nve.W_POLY_WDDOT.scale(FE(2))
+    assert pole.wdot2.derivative() == pole.wddot.scale(FE(2))
+    # phi = a + b p(t; g2, g3(h)) of the cubic truncation
+    phi = elliptic_solution()
+    assert phi.a == SQRT3 * FE(Fraction(-1, 2))
+    assert phi.b == SQRT3 * FE(Fraction(-3, 2))
+    assert phi.g2 == FE(Fraction(4, 3))
+    for h in (1, 2, 3):
+        assert phi.g3(h) == FE(Fraction(-4 * (h - 2), 27))

@@ -1,12 +1,61 @@
 """Report assembly, schema, determinism, and renderers."""
+import copy
 import json
 
 import jsonschema
 import pytest
 
+from dyson3 import kovacic, nve
 from dyson3 import report as rpt
 
 FAST_SECTIONS = ("equilibrium", "truncations", "verify_solutions")
+
+# The reference for the shape that report.validate checks by hand.
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["schema_version", "config", "sections", "verdicts"],
+    "properties": {
+        "schema_version": {"type": "string"},
+        "config": {"type": "object"},
+        "sections": {
+            "type": "object",
+            "additionalProperties": {
+                "type": "object",
+                "required": ["status", "checks"],
+                "properties": {
+                    "status": {"enum": ["PASS", "FAIL", "INDETERMINATE"]},
+                    "checks": {
+                        "type": "array",
+                        "items": {
+                            "type": "object",
+                            "required": ["id", "status"],
+                            "properties": {
+                                "id": {"type": "string"},
+                                "status": {
+                                    "enum": ["PASS", "FAIL", "INDETERMINATE"],
+                                },
+                            },
+                        },
+                    },
+                },
+            },
+        },
+        "verdicts": {
+            "type": "object",
+            "additionalProperties": {
+                "type": "object",
+                "required": ["status", "evidence"],
+                "properties": {
+                    "status": {
+                        "enum": ["PASS", "FAIL", "INDETERMINATE", "PARTIAL"],
+                    },
+                    "evidence": {"type": "array", "items": {"type": "string"}},
+                },
+            },
+        },
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +78,53 @@ def test_config_validation():
 
 
 def test_schema_valid_and_versioned(fast_report):
-    jsonschema.validate(fast_report, rpt.REPORT_SCHEMA)
+    jsonschema.validate(fast_report, REPORT_SCHEMA)
+    rpt.validate(fast_report)
     assert fast_report["schema_version"] == rpt.SCHEMA_VERSION
+
+
+def _set(path, value):
+    def mutate(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        del doc[last]
+    return mutate
+
+
+_CLAIM_B = ("verdicts", "meromorphic_nonintegrability")
+_MUTATIONS = {
+    "bad section status": _set(("sections", "truncations", "status"), "OK"),
+    "bad check status": _set(
+        ("sections", "truncations", "checks", 0, "status"), "passed"),
+    "missing checks": _drop(("sections", "equilibrium", "checks")),
+    "non-string check id": _set(
+        ("sections", "equilibrium", "checks", 1, "id"), 7),
+    "bad verdict status": _set(_CLAIM_B + ("status",), "MAYBE"),
+    "non-list evidence": _set(_CLAIM_B + ("evidence",), "kovacic"),
+    "non-string evidence": _set(_CLAIM_B + ("evidence", 0), None),
+    "missing verdicts": _drop(("verdicts",)),
+    "non-string schema version": _set(("schema_version",), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+def test_validate_rejects_what_the_schema_rejects(fast_report, name):
+    doc = copy.deepcopy(fast_report)
+    _MUTATIONS[name](doc)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, REPORT_SCHEMA)
+    with pytest.raises(ValueError):
+        rpt.validate(doc)
 
 
 def test_json_roundtrip(fast_report):
@@ -127,3 +221,55 @@ def test_output_directory_does_not_enter_the_report():
     assert "out" not in a.to_json()
     assert (rpt.render_json(rpt.build_report(a, only=("equilibrium",)))
             == rpt.render_json(rpt.build_report(b, only=("equilibrium",))))
+
+
+def _patch_kovacic(monkeypatch, verdicts):
+    """kovacic.kovacic with the decisions of the normal forms in `verdicts`
+    replaced by a bare result of the given verdict."""
+    real = kovacic.kovacic
+
+    def fake(r):
+        for target, verdict in verdicts:
+            if r == target:
+                return kovacic.KovacicResult(
+                    verdict=verdict, group="undetermined",
+                    log=["kernel lift exhausted: verdict indeterminate"])
+        return real(r)
+
+    monkeypatch.setattr(kovacic, "kovacic", fake)
+
+
+def test_indeterminate_decision_makes_claim_b_indeterminate(monkeypatch,
+                                                            tmp_path):
+    """An indeterminate paper-variant decision reads INDETERMINATE, with
+    the decision's last log line as its note, in its check, its section and
+    claim b, and the report exits 2."""
+    paper_r = nve.algebrize(nve.paper_nve_l()).r
+    _patch_kovacic(monkeypatch, [(paper_r, "indeterminate")])
+    cfg = rpt.PipelineConfig()
+    doc = rpt.build_report(cfg)
+    checks = {c["id"]: c for c in doc["sections"]["kovacic"]["checks"]}
+    chk = checks["kovacic.quartic_paper_variant"]
+    assert chk["status"] == "INDETERMINATE"
+    assert chk["note"] == "kernel lift exhausted: verdict indeterminate"
+    assert doc["sections"]["kovacic"]["status"] == "INDETERMINATE"
+    verdicts = doc["verdicts"]
+    assert verdicts["meromorphic_nonintegrability"]["status"] \
+        == "INDETERMINATE"
+    assert verdicts["analytic_nonintegrability"]["status"] == "PASS"
+    assert rpt.report_exit_code(doc) == 2
+
+
+def test_section_fail_beats_an_indeterminate_decision(monkeypatch):
+    """A corpus FAIL beside an indeterminate quartic run fails the
+    section."""
+    from dyson3.poly import Poly, RationalFunction
+    airy = RationalFunction(Poly.x(), Poly([1]))
+    paper_r = nve.algebrize(nve.paper_nve_l()).r
+    _patch_kovacic(monkeypatch, [(airy, "liouvillian"),
+                                 (paper_r, "indeterminate")])
+    sec = rpt.section_kovacic(rpt.PipelineConfig(variant="paper"))
+    status = {c["id"]: c["status"] for c in sec["checks"]}
+    assert status["kovacic.corpus_airy"] == "FAIL"
+    assert status["kovacic.quartic_paper_variant"] == "INDETERMINATE"
+    assert sec["status"] == "FAIL"
