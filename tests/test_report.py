@@ -7,6 +7,7 @@ import pytest
 
 from dyson3 import kovacic, nve
 from dyson3 import report as rpt
+from dyson3.poly import Poly, RationalFunction
 
 FAST_SECTIONS = ("equilibrium", "truncations", "verify_solutions")
 
@@ -263,7 +264,6 @@ def test_indeterminate_decision_makes_claim_b_indeterminate(monkeypatch,
 def test_section_fail_beats_an_indeterminate_decision(monkeypatch):
     """A corpus FAIL beside an indeterminate quartic run fails the
     section."""
-    from dyson3.poly import Poly, RationalFunction
     airy = RationalFunction(Poly.x(), Poly([1]))
     paper_r = nve.algebrize(nve.paper_nve_l()).r
     _patch_kovacic(monkeypatch, [(airy, "liouvillian"),
