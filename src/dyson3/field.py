@@ -91,6 +91,18 @@ def _radical_mul(r1: int, r2: int):
     return hit
 
 
+def radical_span(elements) -> list:
+    """The squarefree radicands spanned by those of the elements under
+    multiplication, 1 first: sqrt(s) for each s lies in the field the
+    elements generate, and these square roots are a basis of it over Q."""
+    span = [1]
+    for x in elements:
+        for r in x.num:
+            if r not in span:
+                span += [_radical_mul(s, r)[1] for s in span]
+    return span
+
+
 class FieldElement:
     """Immutable element (sum_r n_r sqrt(r)) / den.  `num` maps each
     squarefree radicand r to its nonzero integer numerator n_r, and `den`

@@ -7,7 +7,8 @@ whose degree d is a non-negative integer, and every candidate is one
 linear operator on polynomials, the recursion of Ulmer and Weil:
 P_n = -P, P_{i-1} = -S P_i' + ((n - i) S' - S theta) P_i
 - (n - i)(i + 1) S^2 r P_{i+1}, at n = 1 (case 1), 2 (case 2) and 4, 6, 12
-(case 3).  S drops out of Q_i = P_i / S^(n-i), as Q_{i-1} = -Q_i'
+(case 3), with one S = prod (w - c)^ceil(order/2) over the poles c for
+every candidate of the decision (_Sweep).  S drops out of Q_i = P_i / S^(n-i), as Q_{i-1} = -Q_i'
 - theta Q_i - (n - i)(i + 1) r Q_{i+1} and P_{-1} = S^(n+1) Q_{-1}: -Q_{-1}
 is case 1's P'' + 2 theta P' + (theta' + theta^2 - r) P at n = 1, and
 Q_{-1} case 2's equation for the symmetric square at n = 2.  A candidate
@@ -49,6 +50,7 @@ exact S*theta, come only for a candidate whose mod-p kernel is nonzero.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -56,8 +58,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import (FE, ONE, ZERO, FieldElement, _radical_mul,
-                    _rational_square_root, field_sqrt, radical_generators)
+from .field import (FE, ONE, ZERO, FieldElement, _rational_square_root,
+                    field_sqrt, radical_generators, radical_span)
 from .poly import Poly, RationalFunction, exact_roots, partial_fractions
 
 HALF = FE(Fraction(1, 2))
@@ -140,23 +142,10 @@ class KovacicResult:
     n: int | None = None       # rotation order for case 3
     omega: str | None = None
     certificate: str | None = None   # "exact" on success
-    residual: float | None = None
-    numeric_rejections: int = 0      # every rejection is exact: always 0
     log: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "case": self.case,
-            "group": self.group,
-            "d": self.d,
-            "n": self.n,
-            "omega": self.omega,
-            "certificate": self.certificate,
-            "residual": self.residual,
-            "numeric_rejections": self.numeric_rejections,
-            "log": list(self.log),
-        }
+        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -166,26 +155,6 @@ class KovacicResult:
 def _fe_int(x):
     """Integer value of a FieldElement, or None."""
     return x.num.get(1, 0) if x.den == 1 and x.is_rational() else None
-
-
-def _theta(terms, tail=None):
-    """theta = sum coef/(w-pole)**k + tail as an unreduced pair (N, D),
-    with D = prod (w-pole)**m, m the largest k at each pole, so that no gcd
-    is ever taken.  terms: [(coef, pole, k)]; tail: Poly or None."""
-    mult = {}
-    for _, pole, k in terms:
-        mult[pole] = max(mult.get(pole, 0), k)
-    lin = {pole: Poly([-pole, ONE]) for pole in mult}
-    den = Poly([ONE])
-    for pole, m in mult.items():
-        den = den * lin[pole] ** m
-    num = (tail if tail is not None else Poly([])) * den
-    for coef, pole, k in terms:
-        part = Poly([coef])
-        for other, m in mult.items():
-            part = part * lin[other] ** (m - k if other == pole else m)
-        num = num + part
-    return num, den
 
 
 def _recursion(S, Sth, S2r, n, P):
@@ -260,31 +229,39 @@ def _truncated_sqrt(coef, k, lo, where):
     return [a[i] for i in range(lo, k + 1)], b, a_k
 
 
-def _case1_pole_options(pole: Pole):
-    """[(sqrt_part_terms, alpha)] for one pole of order 1, 2 or even >= 4
-    (_case1_try rejects odd orders >= 3 first); sqrt_part_terms are
-    (coef, k) pairs of coef/(w-c)**k."""
+def _case1_pole_options(pole: Pole, quotient: Poly):
+    """[(S*theta_c, alpha)] for one pole c of order 1, 2 or even >= 4
+    (_case1_try rejects odd orders >= 3 first): theta_c = alpha/(w-c),
+    plus +-sum a_i/(w-c)^i, i = 2..k, at order 2k >= 4.  quotient is
+    S/(w-c), which (w-c)^(k-1) divides."""
     c = pole.point
     if pole.order == 1:
-        return [([], ONE)]
+        return [(quotient, ONE)]
     if pole.order == 2:
-        return [([], alpha) for alpha in _exponents(pole.b, f"the pole {c!r}")]
+        return [(quotient.scale(alpha), alpha)
+                for alpha in _exponents(pole.b, f"the pole {c!r}")]
     k = pole.order // 2
     # coefficient of (w-c)^-m
     r_m = dict(zip(range(pole.order, 0, -1), pole.principal))
     coeffs, b, a_k = _truncated_sqrt(r_m.__getitem__, k, 2, f"the pole {c!r}")
     ratio = b * a_k.inverse()
-    return [([(cf, i + 2) for i, cf in enumerate(coeffs)], (ratio + k) * HALF),
-            ([(-cf, i + 2) for i, cf in enumerate(coeffs)], (k - ratio) * HALF)]
+    sqrt_part, q = Poly([]), quotient
+    for cf in coeffs:                     # a_i S/(w-c)^i, i = 2..k
+        q = q.exact_div(Poly([-c, ONE]))
+        sqrt_part = sqrt_part + q.scale(cf)
+    return [(quotient.scale(alpha) + sign * sqrt_part, alpha)
+            for sign, alpha in ((1, (ratio + k) * HALF),
+                                (-1, (k - ratio) * HALF))]
 
 
 def _case1_inf_options(profile: PoleProfile):
-    """[(tail Poly or None, alpha)] at infinity, whose order is > 2, 2 or
-    even <= 0 (_case1_try rejects odd orders <= 2 first)."""
+    """[(tail Poly, alpha)] at infinity, whose order is > 2, 2 or even <= 0
+    (_case1_try rejects odd orders <= 2 first)."""
     if profile.o_inf > 2:
-        return [(None, ZERO), (None, ONE)]
+        return [(Poly([]), ZERO), (Poly([]), ONE)]
     if profile.o_inf == 2:
-        return [(None, alpha) for alpha in _exponents(profile.b_inf, "infinity")]
+        return [(Poly([]), alpha)
+                for alpha in _exponents(profile.b_inf, "infinity")]
     k = -profile.o_inf // 2
 
     def coef(m):                       # coefficient of w^m
@@ -296,16 +273,19 @@ def _case1_inf_options(profile: PoleProfile):
     return [(poly, (ratio - k) * HALF), (-poly, (-ratio - k) * HALF)]
 
 
-def _case1_try(profile, r, log):
+def _case1_try(profile, r, sweep, log):
     """Run all case-1 candidates; return KovacicResult on success.  Past
-    the two order checks every pole and infinity has an exponent option."""
+    the two order checks every pole and infinity has an exponent option.
+    A candidate's S*theta is the sum of its options' S*theta_c and tail*S,
+    on the S of the sweep."""
     if any(p.order % 2 and p.order > 1 for p in profile.poles):
         log.append("case 1: inadmissible (odd pole order > 1)")
         return None
     if profile.o_inf % 2 and profile.o_inf <= 2:
         log.append("case 1: inadmissible (odd order at infinity <= 2)")
         return None
-    pole_opts = [_case1_pole_options(p) for p in profile.poles]
+    pole_opts = [_case1_pole_options(p, q)
+                 for p, q in zip(profile.poles, sweep.quotients)]
     inf_opts = _case1_inf_options(profile)
     tried = 0
     for tail, a_inf in inf_opts:
@@ -317,7 +297,8 @@ def _case1_try(profile, r, log):
             d = _fe_int(dval)
             if d is None or d < 0:
                 continue
-            res = _case1_solve(profile, r, combo, tail, d)
+            Sth = sum((part for part, _ in combo), tail * sweep.S)
+            res = _case1_solve(r, sweep, Sth, d)
             if res is not None:
                 log.append(f"case 1: success at d={d}")
                 return res
@@ -326,27 +307,20 @@ def _case1_try(profile, r, log):
     return None
 
 
-def _case1_solve(profile, r, combo, tail, d):
-    terms = []
-    for (sqrt_terms, alpha), pole in zip(combo, profile.poles):
-        terms.append((alpha, pole.point, 1))
-        terms.extend((cf, pole.point, k) for cf, k in sqrt_terms)
-    N, D = _theta(terms, tail)
-    # n = 1 with S = D and S*theta = N; D^2 r is a polynomial because D
-    # carries (w - c)^ceil(order/2) at every pole c
-    P = _kernel_poly(D, N, (D * D * r.num).exact_div(r.den), 1, d)
+def _case1_solve(r, sweep, Sth, d):
+    P = _kernel_poly(sweep.S, Sth, sweep.S2r, 1, d)
     if P is None:
         return None
     # second certificate: omega = theta + P'/P re-substituted into the
     # Riccati equation
     prf = RationalFunction.from_poly(P)
-    omega = RationalFunction(N, D) + prf.derivative() / prf
+    omega = RationalFunction(Sth, sweep.S) + prf.derivative() / prf
     if (omega.derivative() + omega * omega) != r:
         return None
     return KovacicResult(verdict="liouvillian", case=1,
                          group="reducible (triangular)", d=d,
                          omega="theta + P'/P with deg P = %d" % P.degree,
-                         certificate="exact", residual=0.0)
+                         certificate="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +374,7 @@ def _case2_try(profile, sweep, log):
                      "= 0, phi = theta + P'/P, deg P = %d" % P.degree)
             return KovacicResult(verdict="liouvillian", case=2,
                                  group="imprimitive (dihedral)", d=d,
-                                 omega=omega, certificate="exact",
-                                 residual=0.0)
+                                 omega=omega, certificate="exact")
         log.append(f"case 2: candidate e_inf={e_inf}, e={list(combo)}, "
                    f"d={d} rejected (exact)")
     log.append(f"case 2: {tried} candidates with integer d >= 0, none admissible")
@@ -470,21 +443,25 @@ class _ModP:
             self.radicals[r] = v
         return v
 
-    def fe(self, x: FieldElement) -> int:
-        """The image of x = N / den: the image of the integer element N
-        times one inverse of den.  Raises ArithmeticError when p divides
-        den, the lcm of the coefficient denominators: such an element has
-        no image, and inverting den by Fermat would silently map it to 0."""
+    def fe(self, x: FieldElement, flips=frozenset()) -> int:
+        """The image of sigma(x) = N / den, sigma the automorphism that
+        flips sqrt(g) for each generator g in flips: the image of the
+        integer element N, with the image of sqrt(r) negated when sigma
+        flips an odd number of r's generators, times one inverse of den.
+        Raises ArithmeticError when p divides den, the lcm of the
+        coefficient denominators: such an element has no image, and
+        inverting den by Fermat would silently map it to 0."""
         p = self.p
         if x.den % p == 0:
             raise ArithmeticError(f"{p} divides the denominator of {x!r}")
         acc = 0
         for r, n in x.num.items():
-            acc += n * self._radical(r)
+            v = n * self._radical(r)
+            acc += -v if len(flips & radical_generators(r)) % 2 else v
         return acc * pow(x.den, p - 2, p) % p
 
-    def poly(self, q: Poly):
-        return np.array([self.fe(c) for c in q.coeffs], dtype=np.int64)
+    def poly(self, q: Poly, flips=frozenset()):
+        return np.array([self.fe(c, flips) for c in q.coeffs], dtype=np.int64)
 
 
 # i, sqrt3 and sqrt26 of the Dyson inputs: every prime takes roots of these
@@ -657,7 +634,8 @@ class _Lift:
     `FieldElement.conj`; F has one per radicand of the span, so Q(sqrt-78)
     has 2, not the 16 sign choices of its generators -1, 2, 3 and 13.
     sigma(v) is the kernel vector of the conjugated input, whose matrix
-    mod p gives its image, and the orthogonality of characters undoes
+    mod p (`_ModP.poly` of the input under sigma's flips) gives its
+    image, and the orthogonality of characters undoes
     them: q_js = sum_sigma chi_sigma(s) image(sigma(v_j)) / (F's degree
     times the image of sqrt(s)) mod p.
 
@@ -671,34 +649,20 @@ class _Lift:
     v = (1) is returned at once.  The caller certifies what it returns."""
 
     def __init__(self, elements):
-        span = [1]
-        for x in elements:
-            for r in x.num:
-                if r not in span:
-                    span += [_radical_mul(s, r)[1] for s in span]
+        span = radical_span(elements)
         gens = frozenset().union(*map(radical_generators, span))
-        flips = {0: ()}   # bit i set: sqrt(span[i]) flips -> generators
+        flips = {0: frozenset()}   # bit i set: sqrt(span[i]) flips -> gens
         for g in sorted(gens):
             bit = sum(1 << i for i, s in enumerate(span)
                       if g in radical_generators(s))
             for mask, conj in list(flips.items()):
-                flips.setdefault(mask ^ bit, conj + (g,))
+                flips.setdefault(mask ^ bit, conj | {g})
         self.span = span
         self.conjugations = list(flips.values())      # the identity first
         self.chi = np.array([[-1 if mask >> i & 1 else 1
                               for i in range(len(span))] for mask in flips],
                             dtype=np.int64)
         self.top, self.mod, self.residues, self.guess = -1, 1, [], None
-
-    def conjugates(self, q: Poly):
-        """sigma(q) for each automorphism, in the order of `conjugations`."""
-        out = []
-        for conj in self.conjugations:
-            cs = q.coeffs
-            for g in conj:
-                cs = [c.conj(g) for c in cs]
-            out.append(Poly(cs))
-        return out
 
     def add(self, modp, first, deps):
         """Take one prime's first dependent rows and dependencies, one per
@@ -764,15 +728,15 @@ def _kernel_poly(S, Sth, S2r, n, d):
     does not certify within _LIFT_PRIMES primes raises _Inexact."""
     coeffs = S.coeffs + Sth.coeffs + S2r.coeffs
     lift = _Lift(coeffs)
-    # (sigma(S), sigma(Sth), sigma(S2r)) per automorphism, the identity first
-    conjugates = list(zip(*map(lift.conjugates, (S, Sth, S2r))))
     for count, modp in enumerate(_get_modp(coeffs)):
         if count == _LIFT_PRIMES:
             raise _Inexact(f"the kernel of the n={n}, d={d} candidate was "
                            f"not certified from {count} primes")
+        # the images of sigma(S), sigma(Sth) and sigma(S2r), one row per
+        # automorphism, the identity first
         first, deps = _first_dependent_row(_recursion_modp(
-            *(np.array([modp.poly(q) for q in qs]) for qs in zip(*conjugates)),
-            n, d, modp.p), modp.p)
+            *(np.array([modp.poly(q, flips) for flips in lift.conjugations])
+              for q in (S, Sth, S2r)), n, d, modp.p), modp.p)
         if first.max() > d:
             return None
         vec = lift.add(modp, first, deps)
@@ -789,9 +753,10 @@ _STACK = 16
 
 
 class _Sweep:
-    """What the case-2 and case-3 candidates of one decision share: S, the
-    product of (w - c)^ceil(order/2) over the poles c so that S^2 r is a
-    polynomial, each S/(w - c), a prime (_get_modp) and the images mod p."""
+    """What the candidates of one decision share: S, the product of
+    (w - c)^ceil(order/2) over the poles c so that S^2 r is a polynomial,
+    each S/(w - c), a prime (_get_modp) and the images mod p.  Case 1 uses
+    S, S^2 r and the S/(w - c); cases 2 and 3 run their screen on it."""
 
     def __init__(self, profile, r):
         S = Poly([ONE])
@@ -885,8 +850,7 @@ def _case3_try(profile, sweep, log):
                          "degree-%d recursion solution" % P.degree)
                 return KovacicResult(verdict="liouvillian", case=3,
                                      group=_CASE3_GROUPS[n], d=d, n=n,
-                                     omega=omega, certificate="exact",
-                                     residual=0.0)
+                                     omega=omega, certificate="exact")
             log.append(f"case 3 (n={n}): candidate e_inf={e_inf}, "
                        f"e={list(combo)}, d={d} rejected")
         log.append(f"case 3 (n={n}): {tried} candidates with integer d >= 0 "
@@ -908,9 +872,9 @@ def kovacic(r: RationalFunction) -> KovacicResult:
         # every pole is exact; "exact=True" keeps the line's format
         log.append(f"poles: {[(str(p.point), p.order) for p in profile.poles]},"
                    f" o(inf)={profile.o_inf}, exact=True")
-        # the sweep of cases 2 and 3 is built only when case 1 fails
-        res = (_case1_try(profile, r, log)
-               or _case2_try(profile, sweep := _Sweep(profile, r), log)
+        sweep = _Sweep(profile, r)
+        res = (_case1_try(profile, r, sweep, log)
+               or _case2_try(profile, sweep, log)
                or _case3_try(profile, sweep, log))
         if res is not None:
             res.log = log

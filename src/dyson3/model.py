@@ -113,6 +113,7 @@ def _shifted_log_sin(arg: MultiPoly, sign_plus: bool) -> MultiPoly:
     return neg_log1p_series(u)
 
 
+@functools.lru_cache(maxsize=None)
 def taylor_truncate(order: int) -> TruncatedHamiltonian:
     """Exact Taylor polynomial of H_reg at (pi/3, pi/3, 0, 0).
 

@@ -112,6 +112,7 @@ def substitute_elliptic(nve: ScalarNVE):
     return phi.b * nve.a.coeff(1), nve.a(phi.a)
 
 
+@functools.lru_cache(maxsize=None)
 def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
     """Change variables t -> w along the quartic truncation's pole solution
     psi = alpha/w, w = 1 + rho sin(omega t) (`model.pole_solution`).  With

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import ONE, ZERO, FieldElement, field_sqrt, coerce as fe_coerce
+from .field import (ONE, ZERO, FieldElement, field_sqrt, radical_span,
+                    coerce as fe_coerce)
 
 
 def _coerce(x) -> FieldElement:
@@ -235,8 +236,9 @@ def exact_roots(p: Poly):
 
     A square-free factor of degree 1 gives its root directly, and one of
     degree 2 goes to the quadratic formula with field_sqrt.  A factor of
-    degree >= 3 first has its rational roots pulled out; a quadratic left
-    over is solved the same way.  Returns (roots, fully_solved); when
+    degree >= 3 first has its rational roots pulled out, then the roots
+    +-sqrt(s) for s in the radical span of its coefficients; a quadratic
+    left over is solved the same way.  Returns (roots, fully_solved); when
     fully_solved is False some factor did not split and its roots are
     missing from the list.
     """
@@ -248,6 +250,11 @@ def exact_roots(p: Poly):
             for r in _rational_roots(fac):
                 roots.append((FieldElement.from_rational(r), mult))
                 rem = rem.exact_div(Poly([-r, 1]))
+            for s in radical_span(fac.coeffs):
+                for x in (FieldElement({s: 1}), FieldElement({s: -1})):
+                    if rem.degree >= 3 and rem(x).is_zero():
+                        roots.append((x, mult))
+                        rem = rem.exact_div(Poly([-x, ONE]))
         if rem.degree == 1:
             roots.append((-rem.coeffs[0] * rem.coeffs[1].inverse(), mult))
         elif rem.degree == 2:

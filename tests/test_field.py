@@ -137,8 +137,8 @@ def _assert_canonical(x):
 def test_canonical_form_and_hash_after_every_operation(a, b, z, q):
     """Every result is canonical: den > 0, no zero numerator and
     gcd(den, *num) = 1.  So equal values reached by different routes
-    compare and hash equal; kovacic._theta keys a dict by pole elements,
-    and a second representation of one value would split a pole."""
+    compare and hash equal; nve.algebrize's cache hashes the coefficients
+    of its NVE, and a second representation of one value would miss it."""
     rebuilt = FieldElement({r: Fraction(n, a.den) for r, n in a.num.items()})
     results = [a + b, a - b, a - a, -a, a * b, a * FE(q), a.conj(-1),
                a.conj(2), a.conj(5), field_sqrt(z * z), field_sqrt(FE(q)),

@@ -30,6 +30,11 @@ def rf(num, den=ONE):
     return RationalFunction(num, den)
 
 
+def riccati(omega):
+    """r = omega' + omega^2, whose xi'' = r xi has xi = exp(int omega)."""
+    return omega.derivative() + omega * omega
+
+
 def test_corpus_zero_and_constant():
     res = kovacic(rf(Poly([0])))
     assert res.verdict == "liouvillian" and res.case == 1
@@ -43,7 +48,6 @@ def test_corpus_airy():
     res = kovacic(rf(W))
     assert res.verdict == "not_liouvillian"
     assert res.group == "SL(2,C)"
-    assert res.numeric_rejections == 0
 
 
 def test_corpus_regular_singular():
@@ -52,7 +56,6 @@ def test_corpus_regular_singular():
     res = kovacic(rf(Poly([FE(Fraction(3, 16))]), W * W))
     assert res.verdict == "liouvillian" and res.case == 1
     assert res.certificate == "exact"
-    assert res.residual == 0.0
 
 
 def test_exact_certificates_resubstitute():
@@ -61,7 +64,6 @@ def test_exact_certificates_resubstitute():
     for r in (rf(Poly([0])), rf(ONE)):
         res = kovacic(r)
         assert res.certificate == "exact"
-        assert res.residual == 0.0
         assert res.omega is not None
 
 
@@ -75,7 +77,6 @@ def test_exact_certificate_for_poles_outside_tower():
     assert res.verdict == "liouvillian"
     assert res.case == 1
     assert res.certificate == "exact"
-    assert res.residual == 0.0
     s5 = FieldElement({5: 1})
     assert {p.point for p in pole_profile(rf(num, den)).poles} == {s5, -s5}
 
@@ -91,6 +92,7 @@ def test_unsplit_pole_polynomial_is_indeterminate():
 
 
 _SQRT2 = field_sqrt(FE(2))
+_SQRT5 = FieldElement({5: 1})
 
 
 # xi = w^(1/4) e^(+-2 sqrt(w)) solves xi'' = r xi for r = (16w - 3)/(16w^2)
@@ -112,6 +114,16 @@ _BESSEL_3_2 = rf(Poly([2, 0, -1]), W * W)
     # xi = e^(-1/w): a pole of order 4, truncated square root at the pole
     pytest.param(rf(Poly([1, -2]), W ** 4), "liouvillian", 1,
                  "case 1: success at d=0", id="pole_of_order_4"),
+    # omega = 1/w^2 + 1/(w - 1) + w + 2: poles of order 4 and 1, o(inf) = -2
+    pytest.param(riccati(rf(ONE, W * W) + rf(ONE, W - ONE) + rf(W + 2)),
+                 "liouvillian", 1, "case 1: success at d=0",
+                 id="poles_of_order_4_and_1"),
+    # omega = sqrt3/(w - 2)^2 + 1/(2w): orders 4 and 2, and an irrational
+    # truncated square root at w = 2
+    pytest.param(riccati(rf(Poly([SQRT3]), (W - 2) ** 2)
+                         + rf(Poly([FE(Fraction(1, 2))]), W)),
+                 "liouvillian", 1, "case 1: success at d=0",
+                 id="poles_of_order_4_and_2"),
     # Bessel with nu = 3/2: deg P = 1
     pytest.param(_BESSEL_3_2, "liouvillian", 1, "case 1: success at d=1",
                  id="bessel_nu_3_2"),
@@ -136,13 +148,20 @@ _BESSEL_3_2 = rf(Poly([2, 0, -1]), W * W)
     # the leading coefficient 1 + sqrt2 has no square root in the field
     pytest.param(rf(Poly([1 + _SQRT2]), W ** 4), "indeterminate", None,
                  "has no square root in the field", id="leading_coefficient"),
+    # the pole polynomial splits by the radicals of its coefficients, and
+    # the exponent at sqrt2 is not in the field
+    pytest.param(rf(ONE, ((W - Poly([_SQRT2])) * (W - Poly([SQRT3]))
+                          * (W - Poly([_SQRT5]))) ** 2), "indeterminate", None,
+                 "at the pole FE(1*s2) is not in the field",
+                 id="radical_poles_of_a_cubic"),
 ])
 def test_decision_branch_controls(r, verdict, case, last_log):
     """Verdicts known by construction (xi given) or from Bessel's equation
     (Liouvillian iff nu - 1/2 is an integer), reaching the kernel pivots
     of deg P >= 1, truncated square roots of order >= 1, the case-1 and
-    case-2 exponent sets of pole orders other than 2, and case-2 successes
-    with o(inf) < 2 and with a pole of order > 2."""
+    case-2 exponent sets of pole orders other than 2, case-1 successes
+    with poles of different orders, and case-2 successes with o(inf) < 2
+    and with a pole of order > 2."""
     res = kovacic(r)
     assert res.verdict == verdict
     assert res.case == case
@@ -173,7 +192,6 @@ _H, _T = Fraction(1, 2), Fraction(1, 3)
 # with that denominator has no image mod p, so the sweep must move on to
 # another prime instead of rejecting the true candidate.
 _P = Fraction(1, 1000081)
-_SQRT5 = FieldElement({5: 1})
 # generic poles in Q(sqrt3, sqrt26, i): the pole polynomial has an
 # irrational discriminant
 _GENERIC_A = (FE(_H) + SQRT3 - I * SQRT26 * FE(_T), FE(-1) + 2 * I * SQRT78)
@@ -214,7 +232,6 @@ def test_schwarz_list_controls(exps, poles, case, n):
     assert res.case == case and res.n == n
     if case is None:
         assert res.verdict == "not_liouvillian"
-        assert res.numeric_rejections == 0
     else:
         assert res.verdict == "liouvillian"
         assert res.certificate == "exact"
@@ -493,11 +510,11 @@ def test_lift_round_trip(run):
     k = len(v)
     lift = _Lift([SQRT3, SQRT26, I])
     assert len(lift.conjugations) == 8
-    conjugates = lift.conjugates(Poly(v + [FE(1)]))
+    P = Poly(v + [FE(1)])
     lifted = []
     for i, modp in enumerate(itertools.islice(_get_modp(v), 9)):
         first = np.full(8, k)
-        deps = np.array([modp.poly(c) for c in conjugates])
+        deps = np.array([modp.poly(P, flips) for flips in lift.conjugations])
         if i == at:
             for a, (low, junk) in unlucky.items():
                 first[a] = low
@@ -508,6 +525,24 @@ def test_lift_round_trip(run):
             assert got == v
             lifted.append(i)
     assert lifted, "eight good primes did not lift v"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.builds(FieldElement, st.fixed_dictionaries(
+           {}, optional={r: st.fractions(-30, 30, max_denominator=9)
+                         for r in _TOWER})), max_size=4),
+       st.sets(st.sampled_from((-1, 2, 3, 13))))
+def test_modp_flips_map_the_conjugate(coeffs, flips):
+    """modp.poly(q, flips) is the image of q conjugated by FieldElement.conj
+    over each flipped generator: the lift reads each automorphism's matrix
+    off S, S*theta and S^2 r this way, without conjugating them."""
+    q = Poly(coeffs)
+    modp = next(_get_modp(q.coeffs))
+    conj = q.coeffs
+    for g in flips:
+        conj = [c.conj(g) for c in conj]
+    assert (list(modp.poly(q, frozenset(flips)))
+            == list(modp.poly(Poly(conj))))
 
 
 def test_lift_certifies_exactly():
@@ -546,7 +581,7 @@ def _riccati_forms(draw):
     omega = rf(tail)
     for c, a in terms:
         omega = omega + rf(Poly([FE(a)]), W - Poly([c]))
-    return omega.derivative() + omega * omega
+    return riccati(omega)
 
 
 @settings(max_examples=15, deadline=None)
@@ -603,13 +638,11 @@ def test_dyson_quartic_paper_variant_not_liouvillian(dyson_decisions):
     res = dyson_decisions["paper"]
     assert res.verdict == "not_liouvillian"
     assert res.group == "SL(2,C)"
-    assert res.numeric_rejections == 0, "verdict must rest on exact rejections"
 
 
 def test_dyson_quartic_derived_transverse_not_liouvillian(dyson_decisions):
     res = dyson_decisions["transverse"]
     assert res.verdict == "not_liouvillian"
-    assert res.numeric_rejections == 0
 
 
 def test_dyson_quartic_derived_tangential_liouvillian(dyson_decisions):

@@ -59,6 +59,25 @@ def test_exact_roots_in_tower():
     assert sorted(roots, key=lambda rm: rm[1]) == [(FE(1), 1), (SQRT3, 2)]
 
 
+def test_exact_roots_tries_the_radicals_of_a_cubic():
+    """A square-free cubic with irrational coefficients splits when its
+    roots are +-sqrt(s) for s in the span of its coefficients' radicands;
+    one whose roots are not, like (1 + sqrt2)/3, (1 - sqrt3)/2 and 2 sqrt5,
+    stays unsplit (that needs a factorization over the field)."""
+    w = Poly.x()
+    s2, s3, s5 = (FieldElement({r: 1}) for r in (2, 3, 5))
+    roots, solved = exact_roots((w - s2) * (w - s3) * (w - s5))
+    assert solved
+    assert sorted(roots, key=lambda rm: rm[0].to_complex().real) == [
+        (s2, 1), (s3, 1), (s5, 1)]
+    roots, solved = exact_roots((w + s2) * (w - s3) * (w - 1 - s5))
+    assert solved
+    assert {r for r, _ in roots} == {-s2, s3, 1 + s5}
+    roots, solved = exact_roots((w - (1 + s2) / 3) * (w - (1 - s3) / 2)
+                                * (w - 2 * s5))
+    assert not solved and roots == []
+
+
 def test_partial_fraction_roundtrip_exact():
     w = Poly.x()
     for f in (RationalFunction(_p(1, 2, 0, 1), (w - 1) ** 2 * (w + 3)),
