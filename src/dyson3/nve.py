@@ -227,9 +227,6 @@ def _base_orbit(source: str, q0: float):
     return float_horner(diagonal_reduce(trunc)), base_period(trunc, q0)
 
 
-_PERIOD_NODES = 32    # midpoint nodes of base_period
-
-
 def base_period(trunc: TruncatedHamiltonian, q0: float) -> float:
     """Period of the diagonal orbit of the truncation through (q0, p=0),
     by singularity-removing quadrature of the energy relation.  The other
@@ -238,7 +235,10 @@ def base_period(trunc: TruncatedHamiltonian, q0: float) -> float:
 
     With q = q- + span sin^2(theta) the half period is the integral over
     0 <= theta <= pi/2 of an integrand that is smooth, even and pi-periodic
-    in theta, so the midpoint rule converges geometrically."""
+    in theta (U is a polynomial), which period.quarter_midpoint takes at
+    53 bits."""
+    # imported here, so that the exact modules load no mpmath
+    from .period import quarter_midpoint
     u = diagonal_potential(trunc)
     uval = float_horner(u)
     h = uval(q0)
@@ -250,11 +250,13 @@ def base_period(trunc: TruncatedHamiltonian, q0: float) -> float:
         raise ValueError("no opposite turning point")
     qm, qp = sorted((q0, min(opposite, key=abs)))
     span = qp - qm
-    dtheta = 0.5 * math.pi / _PERIOD_NODES
-    theta = dtheta * (np.arange(_PERIOD_NODES) + 0.5)
-    s, c = np.sin(theta), np.cos(theta)
-    integrand = 2.0 * span * s * c / np.sqrt(h - uval(qm + span * s * s))
-    return float(2.0 * dtheta * np.sum(integrand))
+
+    def integrand(theta):
+        s = math.sin(theta)
+        return 2.0 * span * s * math.cos(theta) / math.sqrt(
+            h - uval(qm + span * s * s))
+
+    return float(2 * quarter_midpoint(integrand)[0])
 
 
 def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
@@ -417,17 +419,3 @@ def algebraized_json(ode: AlgebraizedODE) -> dict:
         "variant": ode.variant,
         "basis": "rational coords over {1,s3,s26,s78}x{1,i}",
     }
-
-
-def _fe_from_coords(coords) -> FieldElement:
-    if len(coords) != len(_TOWER):
-        raise ValueError("need 8 coordinates over {1,s3,s26,s78}x{1,i}")
-    return FieldElement({r: Fraction(n, d) for r, (n, d) in zip(_TOWER, coords)})
-
-
-def poly_from_json(data) -> Poly:
-    return Poly([_fe_from_coords(c) for c in data])
-
-
-def rf_from_json(data) -> RationalFunction:
-    return RationalFunction(poly_from_json(data["num"]), poly_from_json(data["den"]))

@@ -201,29 +201,53 @@ class PeriodSample:
     q_minus: object     # the inner turning point the quadrature started from
 
 
+def quarter_midpoint(f, prec: int = 53):
+    """Midpoint rule for int_0^(pi/2) f(theta) dtheta at prec bits, for f
+    even, pi-periodic and analytic in a strip, where it converges
+    geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  From 24
+    nodes it doubles until two levels agree to 2^(-3 prec/4) relative, or
+    their difference stops shrinking fourfold (the rounding floor of f).
+    Returns the last level and its difference from the one before."""
+    with mp.workprec(prec):
+        def level(n):
+            h = mp.pi / (2 * n)
+            return h * mp.fsum(f(h * (k + 0.5)) for k in range(n))
+
+        agree = mp.mpf(2) ** (-3 * prec / 4)
+        n, value, diff = 48, level(24), mp.inf
+        while True:
+            new = level(n)
+            last, diff, value = diff, abs(new - value), new
+            if diff <= agree * abs(value) or not 4 * diff <= last:
+                return value, diff
+            n *= 2
+
+
 def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
     """Full return-map period T = 2 * int dq / sqrt(E - Vtilde).
 
-    The substitution q = q- + (q+ - q-) sin^2(theta) removes both
-    inverse-square-root endpoint singularities; the integral is then done
-    with mpmath's Gauss-Legendre quadrature.  Some published forms quote
-    the half-period between turning points; we keep the true return time.
+    In u = log tan q, Vtilde = 2 log(1 + e^(2u)) - 3u - log 2 is analytic
+    for |Im u| < pi/2 at every energy (in q the strip closes as q+ nears
+    pi/2), and dq/du = sin(2q)/2.  u = u- + (u+ - u-) sin^2(theta) removes
+    both endpoint singularities; quarter_midpoint integrates over theta,
+    and ArithmeticError is raised when its last difference exceeds tol.
+    Some published forms quote the half-period; we keep the return time.
     """
     with mp.workprec(prec):
         q_minus, q_plus = turning_points_numeric(e, prec)
-        span = q_plus - q_minus
+        u_minus = mp.log(mp.tan(q_minus))
+        span = mp.log(mp.tan(q_plus)) - u_minus
         e = mp.mpf(e)
 
         def integrand(theta):
             s = mp.sin(theta)
-            q = q_minus + span * s * s
+            q = mp.atan(mp.exp(u_minus + span * s * s))
             val = e - potential_tilde(q)
             if val <= 0:
                 return mp.mpf(0)
-            return 2 * span * s * mp.cos(theta) / mp.sqrt(val)
+            return span * mp.sin(2 * theta) * mp.sin(2 * q) / (2 * mp.sqrt(val))
 
-        val, err = mp.quad(integrand, [0, mp.pi / 2], method="gauss-legendre",
-                           error=True)
+        val, err = quarter_midpoint(integrand, prec)
         t = 2 * val
         if err > tol:
             raise ArithmeticError(

@@ -162,15 +162,14 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly([])
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
-        return acc
-
     def shift_var(self, a) -> "Poly":
-        """p(w) -> p(w + a)."""
-        return self.compose(Poly([a, 1]))
+        """p(w) -> p(w + a), the Taylor shift: n synthetic divisions by
+        w - a leave the Taylor coefficients of p at a in place."""
+        a, cs = _coerce(a), list(self.coeffs)
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] = cs[j] + a * cs[j + 1]
+        return Poly(cs)
 
     def scale(self, c) -> "Poly":
         c = _coerce(c)

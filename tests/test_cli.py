@@ -103,3 +103,18 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
             f"assert cli.main(['report', '--out', {str(tmp_path)!r}]) == 0\n"
             "assert not test_only_modules(), test_only_modules()\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_exact_modules_leave_mpmath_unloaded():
+    """The exact pipeline (field, model, poly, nve, kovacic) loads no
+    mpmath module: nve imports the midpoint rule only when base_period
+    runs."""
+    src = str(pathlib.Path(dyson3.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from dyson3 import field, kovacic, model, nve, poly\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'mpmath']\n"
+            "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -187,6 +187,29 @@ def test_period_scan_is_monotone():
     assert all(float(s.phi) == float(s.period - s.log_eta) for s in samples)
 
 
+@pytest.mark.parametrize("prec", [53, 128])
+def test_quarter_midpoint_takes_a_periodic_integral(prec):
+    """int_0^(pi/2) dtheta / (2 + cos 2theta) = pi / (2 sqrt3): even,
+    pi-periodic and analytic in a strip, so the rule meets its agreement
+    stop, 2^(-3 prec/4) relative."""
+    with mp.workprec(prec):
+        exact = mp.pi / (2 * mp.sqrt(3))
+        value, diff = period.quarter_midpoint(
+            lambda theta: 1 / (2 + mp.cos(2 * theta)), prec)
+        assert abs(value - exact) <= mp.mpf(2) ** (-3 * prec / 4) * exact
+        assert diff <= mp.mpf(2) ** (-3 * prec / 4) * exact
+
+
+@pytest.mark.parametrize("offset", [1e-6, 20])
+def test_period_does_not_depend_on_the_precision(offset):
+    """T at 80 bits is the 128-bit T to 1e-15, near E_min, where E - Vtilde
+    cancels at the turning points, and at E_min + 20, where the outer
+    turning point nears the log singularity at pi/2."""
+    ref = period.period(period.e_min(128) + mp.mpf(offset), prec=128).period
+    low = period.period(period.e_min(80) + mp.mpf(offset), prec=80).period
+    assert abs(low - ref) < 1e-15 * ref
+
+
 def test_monodromy_single_loop_flips_branch():
     res = period.eta_monodromy(radius=1e-3, steps=800, loops=1)
     assert res.branch_changed

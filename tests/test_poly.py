@@ -1,9 +1,13 @@
 """Univariate polynomials and rational functions over the field."""
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dyson3.field import FE, I, SQRT3, FieldElement, field_sqrt
 from dyson3.poly import (Poly, RationalFunction, exact_roots,
                          partial_fractions, poly_squarefree_factor, recombine)
+from test_field import field_elements
 
 
 def _p(*coeffs):
@@ -76,6 +80,16 @@ def test_exact_roots_tries_the_radicals_of_a_cubic():
     roots, solved = exact_roots((w - (1 + s2) / 3) * (w - (1 - s3) / 2)
                                 * (w - 2 * s5))
     assert not solved and roots == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(field_elements(), max_size=8), field_elements(),
+       field_elements())
+def test_shift_var_is_the_taylor_shift(coeffs, a, x):
+    """p.shift_var(a)(x) = p(x + a) over the tower, for degrees 0 to 7 and
+    the zero polynomial."""
+    p = Poly(coeffs)
+    assert p.shift_var(a)(x) == p(x + a)
 
 
 def test_partial_fraction_roundtrip_exact():
