@@ -13,6 +13,10 @@ import csv
 import io
 import json
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -541,16 +545,94 @@ def build_verdicts(sections: dict) -> dict:
     }
 
 
+# The numeric sections, built in a forked child while this process builds
+# the rest.  Kovacic stays here, so a tracer installed in this process sees
+# every decision log; a tracer sees none of the child's spans.
+_FORKED_SECTIONS = ("period_scan", "turning_points", "monodromy", "nve")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _send_sections(cfg: PipelineConfig, names, wfd: int) -> None:
+    """The forked child's work: build `names` and pickle (True, sections),
+    or (False, exception), to the pipe.  An exception that does not survive
+    pickling goes as a RuntimeError carrying its traceback text."""
+    try:
+        msg = (True, {n: SECTION_BUILDERS[n](cfg) for n in names})
+    except BaseException as exc:
+        msg = (False, exc)
+    try:
+        data = pickle.dumps(msg)
+        if not msg[0]:
+            pickle.loads(data)  # some exceptions pickle but do not unpickle
+    except Exception as exc:
+        failed = exc if msg[0] else msg[1]
+        data = pickle.dumps((False, RuntimeError(
+            "".join(traceback.format_exception(failed)))))
+    with open(wfd, "wb") as pipe:
+        pipe.write(data)
+
+
+def _build_forked(cfg: PipelineConfig, forked, inline) -> dict:
+    """Build `forked` in one forked child while this process builds
+    `inline`; return both, or raise what a builder raised.  The child is
+    reaped before this returns or raises."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            _send_sections(cfg, forked, wfd)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    try:
+        with open(rfd, "rb") as pipe:
+            sections = {n: SECTION_BUILDERS[n](cfg) for n in inline}
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise RuntimeError(f"the report's forked child exited with status "
+                           f"{status} before sending its sections")
+    ok, payload = pickle.loads(data)
+    if not ok:
+        raise payload
+    sections.update(payload)
+    return sections
+
+
 def build_report(cfg: PipelineConfig, only=None) -> dict:
     """Run the requested sections (all by default) and assemble the report.
 
     ``only`` restricts the run; missing sections leave the verdicts marked
-    PARTIAL rather than failing the whole report.
+    PARTIAL rather than failing the whole report.  When the run holds
+    sections of both halves and the process may use more than one CPU, the
+    ``_FORKED_SECTIONS`` are built in a forked child at the same time; the
+    report is the same either way.
     """
     names = SECTION_NAMES if only is None else tuple(only)
-    sections = {}
-    for name in names:
-        sections[name] = SECTION_BUILDERS[name](cfg)
+    forked = [n for n in names if n in _FORKED_SECTIONS]
+    inline = [n for n in names if n not in _FORKED_SECTIONS]
+    if forked and inline and hasattr(os, "fork") and _usable_cpus() > 1:
+        built = _build_forked(cfg, forked, inline)
+    else:
+        built = {name: SECTION_BUILDERS[name](cfg) for name in names}
+    sections = {name: built[name] for name in names}
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_json(),

@@ -1,11 +1,12 @@
 """Report assembly, schema, determinism, and renderers."""
 import copy
 import json
+import os
 
 import jsonschema
 import pytest
 
-from dyson3 import kovacic, nve
+from dyson3 import cli, kovacic, nve
 from dyson3 import report as rpt
 from dyson3.poly import Poly, RationalFunction
 
@@ -222,6 +223,123 @@ def test_output_directory_does_not_enter_the_report():
     assert "out" not in a.to_json()
     assert (rpt.render_json(rpt.build_report(a, only=("equilibrium",)))
             == rpt.render_json(rpt.build_report(b, only=("equilibrium",))))
+
+
+# ---------------------------------------------------------------------------
+# the forked build: stub builders, so these run in milliseconds
+# ---------------------------------------------------------------------------
+
+def _stub_builders(monkeypatch, cpus=2, **replace):
+    """Every section builder becomes a stub whose section records the pid
+    that built it; `replace` maps a section name to its own builder.  The
+    process sees `cpus` CPUs."""
+    for name in rpt.SECTION_NAMES:
+        def stub(cfg, name=name):
+            return {"name": name, "status": "PASS", "checks": [],
+                    "pid": os.getpid()}
+        monkeypatch.setitem(rpt.SECTION_BUILDERS, name,
+                            replace.get(name, stub))
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_report_builds_the_numeric_half_in_a_child(monkeypatch):
+    _stub_builders(monkeypatch)
+    doc = rpt.build_report(rpt.PipelineConfig())
+    assert tuple(doc["sections"]) == rpt.SECTION_NAMES
+    pids = {n: s["pid"] for n, s in doc["sections"].items()}
+    child = {pids[n] for n in rpt._FORKED_SECTIONS}
+    assert len(child) == 1 and os.getpid() not in child
+    assert {p for n, p in pids.items()
+            if n not in rpt._FORKED_SECTIONS} == {os.getpid()}
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("name", ["period_scan", "kovacic"])
+def test_a_raise_in_either_half_reaches_the_caller(monkeypatch, name):
+    def broken(cfg):
+        raise ValueError(f"{name} broke")
+
+    _stub_builders(monkeypatch, **{name: broken})
+    with pytest.raises(ValueError, match=f"^{name} broke$"):
+        rpt.build_report(rpt.PipelineConfig())
+    _assert_no_child()
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: unpickling calls __init__ with the
+    one argument it passed to Exception."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what} {why}")
+
+
+@pytest.mark.parametrize("unpicklable", ["local_class", "two_arg_init"])
+def test_an_unpicklable_raise_in_the_child_keeps_its_traceback(monkeypatch,
+                                                               unpicklable):
+    class Local(Exception):         # a local class does not pickle
+        pass
+
+    def broken(cfg):
+        if unpicklable == "local_class":
+            raise Local("nve broke")
+        raise TwoArgError("nve", "broke")
+
+    _stub_builders(monkeypatch, nve=broken)
+    with pytest.raises(RuntimeError, match=r"(TwoArgError|Local): nve broke"):
+        rpt.build_report(rpt.PipelineConfig())
+    _assert_no_child()
+
+
+def test_a_child_that_dies_raises_its_exit_status(monkeypatch):
+    test_pid = os.getpid()
+
+    def dies(cfg):
+        assert os.getpid() != test_pid, "monodromy was not built in a child"
+        os._exit(3)
+
+    _stub_builders(monkeypatch, monodromy=dies)
+    with pytest.raises(RuntimeError, match="status 3 "):
+        rpt.build_report(rpt.PipelineConfig())
+    _assert_no_child()
+
+
+def _forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("the report forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("only", sorted(
+    {("period_scan",), ("kovacic",)}
+    | {names for cmd, names in cli._SUBCOMMANDS.items() if cmd != "report"}))
+def test_one_half_builds_without_forking(monkeypatch, only):
+    _stub_builders(monkeypatch)
+    _forbid_fork(monkeypatch)
+    doc = rpt.build_report(rpt.PipelineConfig(), only=only)
+    assert tuple(doc["sections"]) == only
+
+
+@pytest.mark.parametrize("host", ["one_cpu", "no_affinity_one_cpu",
+                                  "no_fork"])
+def test_full_report_builds_inline_without_cpus_or_fork(monkeypatch, host):
+    _stub_builders(monkeypatch, cpus=2 if host == "no_fork" else 1)
+    if host == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        _forbid_fork(monkeypatch)
+    if host == "no_affinity_one_cpu":
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    doc = rpt.build_report(rpt.PipelineConfig())
+    assert tuple(doc["sections"]) == rpt.SECTION_NAMES
+    assert {s["pid"] for s in doc["sections"].values()} == {os.getpid()}
 
 
 def _patch_kovacic(monkeypatch, verdicts):
