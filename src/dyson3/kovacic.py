@@ -17,9 +17,16 @@ kernel vector, over the monomials w^j, j <= d, monic at the first w^j
 whose image depends on those below it.  That vector is found in GF(p) at
 a few primes, for each automorphism of the field of the input's
 coefficients, lifted by CRT and rational reconstruction, and certified by
-one exact run of the recursion on it (case 1 also re-substitutes
-omega = theta + P'/P into the Riccati equation); no elimination runs over
-the field.
+one exact run of the recursion on it (_recursion); no elimination runs
+over the field.  That run packs each input once over one integer
+denominator, as integer numerators per radicand, and works on those
+alone: a product is one integer convolution per pair of radicands and a
+sum scales each side by its cofactor of the lcm of the denominators, so
+no field element is built and no coefficient is reduced by a gcd until
+P_{-1} goes back to a Poly.  Case 1 also checks its omega = theta + P'/P
+by the Riccati equation omega' + omega^2 = r, as a polynomial identity in
+Poly arithmetic on r itself (_riccati_holds), so the two certificates
+share no arithmetic.
 
 Every decision is exact: poles, exponents and truncated square roots are
 field elements.  When a factor of the pole polynomial does not split over
@@ -58,8 +65,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import (FE, ONE, ZERO, FieldElement, _rational_square_root,
-                    field_sqrt, radical_generators, radical_span)
+from .field import (FE, ONE, ZERO, FieldElement, _radical_mul,
+                    _rational_square_root, field_sqrt, radical_generators,
+                    radical_span)
 from .poly import Poly, RationalFunction, exact_roots, partial_fractions
 
 HALF = FE(Fraction(1, 2))
@@ -155,19 +163,6 @@ class KovacicResult:
 def _fe_int(x):
     """Integer value of a FieldElement, or None."""
     return x.num.get(1, 0) if x.den == 1 and x.is_rational() else None
-
-
-def _recursion(S, Sth, S2r, n, P):
-    """P_{-1} of the recursion in the module docstring: Sth = S*theta."""
-    cur = -P
-    prev = Poly([])
-    dS = S.derivative()
-    for i in range(n, -1, -1):
-        nxt = (-(S * cur.derivative())
-               + (dS.scale(n - i) - Sth) * cur
-               - (S2r * prev).scale((n - i) * (i + 1)))
-        prev, cur = cur, nxt
-    return cur
 
 
 def _degrees(inf_set, pole_sets, scale):
@@ -307,15 +302,22 @@ def _case1_try(profile, r, sweep, log):
     return None
 
 
+def _riccati_holds(r, S, Sth, P):
+    """omega' + omega^2 = r for omega = Sth/S + P'/P and a nonzero P, as
+    the polynomial identity it is times S^2 P r.den (never 0):
+    r.den (S^2 P'' + 2 Sth S P' + (S Sth' - S' Sth + Sth^2) P)
+    = r.num S^2 P, in Poly arithmetic on r itself."""
+    dP = P.derivative()
+    lhs = (S * S * dP.derivative() + (Sth * S * dP).scale(2)
+           + (S * Sth.derivative() - S.derivative() * Sth + Sth * Sth) * P)
+    return r.den * lhs == r.num * S * S * P
+
+
 def _case1_solve(r, sweep, Sth, d):
     P = _kernel_poly(sweep.S, Sth, sweep.S2r, 1, d)
-    if P is None:
-        return None
-    # second certificate: omega = theta + P'/P re-substituted into the
-    # Riccati equation
-    prf = RationalFunction.from_poly(P)
-    omega = RationalFunction(Sth, sweep.S) + prf.derivative() / prf
-    if (omega.derivative() + omega * omega) != r:
+    # second certificate, independent of the packed recursion: omega =
+    # theta + P'/P re-substituted into the Riccati equation
+    if P is None or not _riccati_holds(r, sweep.S, Sth, P):
         return None
     return KovacicResult(verdict="liouvillian", case=1,
                          group="reducible (triangular)", d=d,
@@ -542,6 +544,79 @@ def _recursion_modp(S, Sth, S2r, n, d, p):
         nxt %= p
         prev, cur = cur, nxt
     return cur
+
+
+def _pack(q: Poly):
+    """q written once over one integer denominator: (den, {r: [n_0, n_1,
+    ...]}) with q = sum_r sum_k n_k sqrt(r) w^k / den, den the lcm of the
+    coefficients' denominators and every list of the same length."""
+    den = math.lcm(*(c.den for c in q.coeffs))
+    out = {}
+    for k, c in enumerate(q.coeffs):
+        for r, m in c.num.items():
+            out.setdefault(r, [0] * len(q.coeffs))[k] = m * (den // c.den)
+    return den, out
+
+
+def _packed_derivative(x):
+    den, xs = x
+    return den, {r: [k * a[k] for k in range(1, len(a))]
+                 for r, a in xs.items() if len(a) > 1}
+
+
+def _packed_mul(x, y):
+    """x * y over the product of the denominators: one integer convolution
+    per pair of radicands, sqrt(r1) sqrt(r2) = c sqrt(r) by _radical_mul."""
+    (dx, xs), (dy, ys) = x, y
+    out = {}
+    for r1, a in xs.items():
+        for r2, b in ys.items():
+            c, r = _radical_mul(r1, r2)
+            acc = out.setdefault(r, [0] * (len(a) + len(b) - 1))
+            for i, u in enumerate(a):
+                if u:
+                    u *= c
+                    for j, v in enumerate(b, i):
+                        acc[j] += u * v
+    return dx * dy, out
+
+
+def _packed_sum(*terms):
+    """sum m x over the pairs (m, x), m an integer, over the lcm of the
+    denominators: each x scales by m times its cofactor of the lcm."""
+    den = math.lcm(*(d for _, (d, _) in terms))
+    width = max((len(a) for _, (_, xs) in terms for a in xs.values()),
+                default=0)
+    out = {}
+    for m, (d, xs) in terms:
+        f = m * (den // d)
+        for r, a in xs.items():
+            acc = out.setdefault(r, [0] * width)
+            for k, v in enumerate(a):
+                acc[k] += f * v
+    return den, {r: a for r, a in out.items() if any(a)}
+
+
+def _recursion(S, Sth, S2r, n, P):
+    """P_{-1} of the recursion in the module docstring (Sth = S*theta), the
+    exact certificate of a lifted kernel vector.  Each input is packed
+    once (_pack), and every step is integer convolutions and cofactor
+    scalings of the packed numerators, with no field element and no
+    coefficient reduced by a gcd; only P_{-1} goes back to a canonical
+    Poly."""
+    S, S2r, th = _pack(S), _pack(S2r), _pack(Sth)
+    dS = _packed_derivative(S)
+    cur, prev = _packed_sum((-1, _pack(P))), (1, {})
+    for i in range(n, -1, -1):
+        lin = _packed_sum((n - i, dS), (-1, th))
+        nxt = _packed_sum((-1, _packed_mul(S, _packed_derivative(cur))),
+                          (1, _packed_mul(lin, cur)),
+                          (-(n - i) * (i + 1), _packed_mul(S2r, prev)))
+        prev, cur = cur, nxt
+    den, xs = cur
+    width = max(map(len, xs.values()), default=0)
+    return Poly([FieldElement({r: Fraction(a[k], den) for r, a in xs.items()})
+                 for k in range(width)])
 
 
 def _eliminate(A, width, p):

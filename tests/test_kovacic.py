@@ -7,18 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
+from sympy.solvers.ode.riccati import solve_riccati
 
+import dyson3.kovacic as kovacic_module
 from dyson3 import nve
 from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement, field_sqrt
 from dyson3.kovacic import (_LIFT_PRIMES, _STACK, _Inexact, _Lift, _Sweep,
                             _case2_inf_set, _case2_pole_set, _degrees,
                             _first_dependent_row, _get_modp, _int_candidates,
                             _kernel_poly, _recursion, _recursion_modp,
-                            kovacic, lame_sieve, pole_profile)
+                            _riccati_holds, kovacic, lame_sieve, pole_profile)
 from dyson3.poly import Poly, RationalFunction
 from test_field import wide_elements
 
@@ -592,6 +594,173 @@ def test_riccati_forms_succeed_in_case_1(r):
     res = kovacic(r)
     assert res.verdict == "liouvillian" and res.case == 1, res.log
     assert res.certificate == "exact"
+
+
+def _reference_recursion(S, Sth, S2r, n, P):
+    """P_{-1} of the recursion in Poly and FieldElement arithmetic, every
+    coefficient canonical after every operation: the reference that the
+    packed integer kernel of _recursion must equal."""
+    cur = -P
+    prev = Poly([])
+    dS = S.derivative()
+    for i in range(n, -1, -1):
+        nxt = (-(S * cur.derivative())
+               + (dS.scale(n - i) - Sth) * cur
+               - (S2r * prev).scale((n - i) * (i + 1)))
+        prev, cur = cur, nxt
+    return cur
+
+
+# Q(sqrt2, sqrt3, i): every product of two radicands, i * i among them
+_Q236I = (1, 2, 3, 6, -1, -2, -3, -6)
+
+
+def _polys(max_size, min_size=0):
+    coeff = st.builds(FieldElement, st.fixed_dictionaries(
+        {}, optional={r: st.fractions(-9, 9, max_denominator=12)
+                      for r in _Q236I}))
+    return st.lists(coeff, min_size=min_size, max_size=max_size).map(Poly)
+
+
+_W2 = Poly([FE(Fraction(-1, 3)), _SQRT2 * FE(Fraction(3, 4)), I + SQRT3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys(4, min_size=1), _polys(4), _polys(6), _polys(5),
+       st.sampled_from((1, 2, 4, 6, 12)))
+@example(Poly([FE(Fraction(2, 7))]), _W2, _W2 * _W2, Poly([]), 12)
+@example(Poly([I * FE(Fraction(1, 5))]), Poly([]), _W2, _W2, 4)
+@example(_W2, _W2.scale(FE(Fraction(5, 6))), _W2 * W, _W2, 12)
+def test_packed_recursion_matches_the_reference(S, Sth, S2r, P, n):
+    """The packed kernel of _recursion equals the recursion in Poly
+    arithmetic over Q(sqrt2, sqrt3, i), for random S, S*theta, S^2 r and
+    P with rational denominators.  The examples pin P = 0, a constant S
+    and a quadratic W2 whose coefficients have different denominators."""
+    assert _recursion(S, Sth, S2r, n, P) == _reference_recursion(
+        S, Sth, S2r, n, P)
+
+
+def _certified(r, monkeypatch):
+    """The decision of r, and (S, S*theta, S^2 r, n, P) of the kernel that
+    its success certified, recorded at _kernel_poly."""
+    seen = []
+
+    def record(S, Sth, S2r, n, d):
+        P = _kernel_poly(S, Sth, S2r, n, d)
+        if P is not None:
+            seen.append((S, Sth, S2r, n, P))
+        return P
+
+    monkeypatch.setattr(kovacic_module, "_kernel_poly", record)
+    return kovacic(r), seen[-1]
+
+
+# xi = H_2(w - sqrt3) e^(-(w - sqrt3)^2/2), H_2 Hermite's: deg P = 2
+_CASE1_WITH_P = rf((W - Poly([SQRT3])) ** 2 - Poly([5]))
+
+
+@pytest.mark.parametrize("r, case", [
+    pytest.param(_CASE1_WITH_P, 1, id="case1"),
+    pytest.param(schwarz_form(_H, Fraction(4, 3), _T, *_surd_pair(_H, _T)),
+                 3, id="case3_tetrahedral_shifted"),
+])
+def test_certificates_reject_wrong_kernels(r, case, monkeypatch):
+    """A certified P with 1 added to any one of its coefficients fails the
+    packed recursion, and for case 1 also the Riccati identity, which
+    holds for the certified P itself."""
+    res, (S, Sth, S2r, n, P) = _certified(r, monkeypatch)
+    assert res.verdict == "liouvillian" and res.case == case
+    assert P.degree == 2
+    assert _recursion(S, Sth, S2r, n, P).is_zero()
+    if case == 1:
+        assert _riccati_holds(r, S, Sth, P)
+    for k in range(P.degree + 1):
+        wrong = P + W ** k
+        assert not _recursion(S, Sth, S2r, n, wrong).is_zero()
+        if case == 1:
+            assert not _riccati_holds(r, S, Sth, wrong)
+
+
+def _from_sympy(expr):
+    """A FieldElement from a sympy number a + b sqrt(s) + ..."""
+    terms = {}
+    for key, q in sympy.expand(expr).as_coefficients_dict().items():
+        radicand = next(s for s in (1, -1, 7, -7, 5, -5, 2, -2, 3, -3)
+                        if key == sympy.sqrt(s))
+        terms[radicand] = Fraction(int(q.p), int(q.q))
+    return FieldElement(terms)
+
+
+def _from_sympy_poly(expr, x):
+    return Poly([_from_sympy(c) for c in
+                 reversed(sympy.Poly(expr, x).all_coeffs())])
+
+
+def _to_sympy(p, x):
+    return sum((sympy.Rational(n, c.den) * sympy.sqrt(r) * x ** k
+                for k, c in enumerate(p.coeffs) for r, n in c.num.items()),
+               sympy.S(0))
+
+
+@pytest.mark.parametrize("r, found", [
+    pytest.param(rf(Poly([FE(Fraction(3, 16))]), W * W), 2,
+                 id="3_over_16w2"),
+    pytest.param(rf(W + Poly([2]), W), 1, id="simple_pole"),
+    pytest.param(_BESSEL_3_2, 2, id="bessel_nu_3_2"),
+    pytest.param(rf(Poly([1, -2]), W ** 4), 1, id="pole_of_order_4"),
+    pytest.param(rf((W * W + Poly([10])).scale(FE(Fraction(-1, 4))),
+                    (W * W - Poly([5])) ** 2), 1, id="poles_at_sqrt5"),
+])
+def test_sympy_riccati_solutions_satisfy_the_identity(r, found):
+    """sympy's solve_riccati, which shares no code with this package, finds
+    `found` rational solutions omega of omega' + omega^2 = r, such as
+    (2 +- sqrt7)/(4w) for r = 3/(16w^2).  Written as omega = A/B, each
+    one satisfies the polynomial identity that case 1 certifies, with
+    (S, S*theta, P) = (B, A, 1), and kovacic(r) succeeds in case 1.  The
+    test is one-sided: an empty list from sympy proves nothing (it returns
+    none for r = w^2 + 3, whose omega = w + 1/w)."""
+    x = sympy.Symbol("x")
+    omegas = solve_riccati(sympy.Function("f")(x), x,
+                           _to_sympy(r.num, x) / _to_sympy(r.den, x),
+                           sympy.S(0), sympy.S(-1), gensol=False)
+    assert len(omegas) == found
+    for eq in omegas:
+        A, B = sympy.fraction(sympy.together(eq.rhs))
+        assert _riccati_holds(r, _from_sympy_poly(B, x),
+                              _from_sympy_poly(A, x), ONE)
+    res = kovacic(r)
+    assert res.verdict == "liouvillian" and res.case == 1
+
+
+def _affine(p, lam, a):
+    """p(lam w + a)."""
+    return Poly([c * FE(lam ** k)
+                 for k, c in enumerate(p.shift_var(FE(a)).coeffs)])
+
+
+@pytest.mark.parametrize("r, verdict, case, group", [
+    pytest.param(schwarz_form(_H, _T, _T), "liouvillian", 3,
+                 "finite primitive (tetrahedral)", id="tetrahedral"),
+    pytest.param(schwarz_form(_H, _H, _T), "liouvillian", 2,
+                 "imprimitive (dihedral)", id="dihedral"),
+    pytest.param(_BESSEL_3_2, "liouvillian", 1, "reducible (triangular)",
+                 id="bessel_nu_3_2"),
+    pytest.param(rf(Poly([FE(Fraction(-5, 36)), 0, -1]), W * W),
+                 "not_liouvillian", None, "SL(2,C)", id="bessel_nu_1_3"),
+])
+@settings(max_examples=6, deadline=None)
+@given(lam=st.fractions(-3, 3, max_denominator=4).filter(bool),
+       a=st.fractions(-3, 3, max_denominator=5))
+@example(lam=Fraction(1), a=Fraction(0))
+def test_affine_maps_keep_the_decision(r, verdict, case, group, lam, a):
+    """xi(lam w + a) solves xi'' = lam^2 r(lam w + a) xi, so the verdict,
+    case and group of a Kovacic decision do not change under the map.  A
+    rational lam and a move the poles to rational points with new
+    denominators, which the packed recursion carries."""
+    mapped = rf(_affine(r.num, lam, a).scale(FE(lam * lam)),
+                _affine(r.den, lam, a))
+    res = kovacic(mapped)
+    assert (res.verdict, res.case, res.group) == (verdict, case, group)
 
 
 def test_modp_image_refuses_denominators_divisible_by_p():
