@@ -30,14 +30,9 @@ share no arithmetic.
 
 Every decision is exact: poles, exponents and truncated square roots are
 field elements.  When a factor of the pole polynomial does not split over
-the field, an exponent or leading-coefficient root is not in it, or a
-kernel vector does not certify within the lift's cap on primes, the
+the field, or an exponent or leading-coefficient root is not in it, the
 decision ends as "indeterminate" with a log line naming what could not be
-made exact.  The cap makes the decision incomplete: a kernel vector whose
-coordinates need more than about 400 bits of numerator and denominator
-(_LIFT_PRIMES primes of about 20 bits), or an input whose minors the first
-_LIFT_PRIMES good primes all divide, is reported indeterminate, and the
-candidates and cases after it are not tried.
+made exact.
 
 A case-2 or case-3 candidate is screened first by the GF(p) image of its
 recursion, with p a prime at which -1 and every prime factor of the
@@ -782,13 +777,6 @@ class _Lift:
         return out
 
 
-# Most primes the lift of one kernel vector takes, about 20 bits each: far
-# more than the coordinates of the icosahedral kernels at d = 12 need
-# (about 220 bits of numerator and denominator).  A kernel vector that
-# does not certify within them ends the decision as indeterminate.
-_LIFT_PRIMES = 40
-
-
 def _kernel_poly(S, Sth, S2r, n, d):
     """A nonzero P of degree <= d with P_{-1} = 0 in _recursion, or None.
 
@@ -799,14 +787,18 @@ def _kernel_poly(S, Sth, S2r, n, d):
     _Lift, the GF(p) matrix gives the image of that vector's conjugate
     (_first_dependent_row).  Full rank at any of them rejects the candidate
     as rigorously as the screen does; otherwise _Lift lifts the vector,
-    and one exact run of the recursion on P certifies it.  A lift that
-    does not certify within _LIFT_PRIMES primes raises _Inexact."""
+    and one exact run of the recursion on P certifies it.
+
+    The loop ends.  At every prime the first dependent row is at most the
+    true k, because a dependency over the field can be rescaled into one
+    that survives reduction at that prime; only finitely many primes are
+    unlucky (they divide a nonzero minor of the rows above k).  So either
+    the candidate has no kernel and some prime shows full rank, or the CRT
+    modulus of the lucky primes grows until reconstruction returns the
+    kernel vector, which certifies."""
     coeffs = S.coeffs + Sth.coeffs + S2r.coeffs
     lift = _Lift(coeffs)
-    for count, modp in enumerate(_get_modp(coeffs)):
-        if count == _LIFT_PRIMES:
-            raise _Inexact(f"the kernel of the n={n}, d={d} candidate was "
-                           f"not certified from {count} primes")
+    for modp in _get_modp(coeffs):
         # the images of sigma(S), sigma(Sth) and sigma(S2r), one row per
         # automorphism, the identity first
         first, deps = _first_dependent_row(_recursion_modp(
@@ -834,10 +826,15 @@ class _Sweep:
     S, S^2 r and the S/(w - c); cases 2 and 3 run their screen on it."""
 
     def __init__(self, profile, r):
-        S = Poly([ONE])
+        # r.den is monic and split by pole_profile: prod (w - c)^order, so
+        # S^2 r = r.num * prod (w - c) over the poles of odd order
+        S = odd = Poly([ONE])
         for c in profile.poles:
-            S = S * Poly([-c.point, ONE]) ** ((c.order + 1) // 2)
-        self.S, self.S2r = S, (S * S * r.num).exact_div(r.den)
+            lin = Poly([-c.point, ONE])
+            S = S * lin ** ((c.order + 1) // 2)
+            if c.order % 2:
+                odd = odd * lin
+        self.S, self.S2r = S, r.num * odd
         self.quotients = [S.exact_div(Poly([-c.point, ONE]))
                           for c in profile.poles]
         self.modp = next(_get_modp(S.coeffs + self.S2r.coeffs

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FE, SQRT3, FieldElement, field_sqrt
-from .multipoly import MultiPoly, cos_series, sin_series, neg_log1p_series
+from .field import FE, ONE, SQRT3, ZERO, FieldElement, field_sqrt
+from .multipoly import MultiPoly
 from .poly import Poly, RationalFunction
 
 
@@ -98,39 +98,40 @@ class TruncatedHamiltonian:
         return self.poly.momentum_free()
 
 
-_S3_INV = SQRT3 * FE(Fraction(1, 3))   # 1/sqrt3 = sqrt3/3
+def _neg_log_sin(cot_a: FieldElement, order: int) -> list:
+    """[0, f_1, ..., f_order] with -log sin(a + x) = -log sin a + sum f_k x^k.
 
-
-def _shifted_log_sin(arg: MultiPoly, sign_plus: bool) -> MultiPoly:
-    """-log sin(pi/3 + arg) or -log sin(2pi/3 + arg), constant dropped.
-
-    sin(pi/3 + x)  = (sqrt3/2)(cos x + (1/sqrt3) sin x)
-    sin(2pi/3 + x) = (sqrt3/2)(cos x - (1/sqrt3) sin x)
+    cot(a + x) = sum c_n x^n has c_0 = cot a and, from cot' = -1 - cot^2,
+    c_{n+1} = -([n = 0] + sum_{i<=n} c_i c_{n-i}) / (n + 1); -log sin has
+    derivative -cot, so f_k = -c_{k-1} / k.
     """
-    c = cos_series(arg)
-    s = sin_series(arg)
-    u = c - MultiPoly.const(1, arg.cutoff) + s.scale(_S3_INV if sign_plus else -_S3_INV)
-    return neg_log1p_series(u)
+    c = [cot_a]
+    for n in range(order - 1):
+        c.append(-(int(n == 0) + sum(c[i] * c[n - i] for i in range(n + 1)))
+                 / (n + 1))
+    return [ZERO] + [-c[k - 1] / k for k in range(1, order + 1)]
 
 
 @functools.lru_cache(maxsize=None)
 def taylor_truncate(order: int) -> TruncatedHamiltonian:
     """Exact Taylor polynomial of H_reg at (pi/3, pi/3, 0, 0).
 
-    Built by series composition (angle-addition then log series), so the
+    The potential is f(q1) + f(q2) + g(q1 + q2), with f and g the series of
+    -log sin at pi/3 and 2pi/3 (cot = +-1/sqrt3), so the coefficient of
+    q1^j q2^(k-j) is C(k, j) g_k, plus f_k when j = 0 or j = k; the
     coefficients are exact tower elements.  order=3 gives the cubic
     truncation, order=4 the quartic one.
     """
     if order < 2:
         raise ValueError("truncation order must be >= 2")
-    q1 = MultiPoly.var("q1", order)
-    q2 = MultiPoly.var("q2", order)
-    p1 = MultiPoly.var("p1", order)
-    p2 = MultiPoly.var("p2", order)
-    kinetic = p1 * p1 - p1 * p2 + p2 * p2
-    pot = (_shifted_log_sin(q1, True) + _shifted_log_sin(q2, True)
-           + _shifted_log_sin(q1 + q2, False))
-    return TruncatedHamiltonian(poly=kinetic + pot, order=order)
+    f = _neg_log_sin(SQRT3 / 3, order)
+    g = _neg_log_sin(-SQRT3 / 3, order)
+    terms = {(0, 0, 2, 0): ONE, (0, 0, 1, 1): -ONE, (0, 0, 0, 2): ONE}
+    for k in range(1, order + 1):
+        for j in range(k + 1):
+            terms[(j, k - j, 0, 0)] = (math.comb(k, j) * g[k]
+                                       + (f[k] if j in (0, k) else ZERO))
+    return TruncatedHamiltonian(poly=MultiPoly(terms), order=order)
 
 
 def hamiltonian_vector_field(th: TruncatedHamiltonian):

@@ -226,26 +226,30 @@ def quarter_midpoint(f, prec: int = 53):
 def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
     """Full return-map period T = 2 * int dq / sqrt(E - Vtilde).
 
-    In u = log tan q, Vtilde = 2 log(1 + e^(2u)) - 3u - log 2 is analytic
-    for |Im u| < pi/2 at every energy (in q the strip closes as q+ nears
-    pi/2), and dq/du = sin(2q)/2.  u = u- + (u+ - u-) sin^2(theta) removes
-    both endpoint singularities; quarter_midpoint integrates over theta,
-    and ArithmeticError is raised when its last difference exceeds tol.
-    Some published forms quote the half-period; we keep the return time.
+    In u = log tan q, Vtilde = 2 log(1 + t^2) - 3u - log 2 with t = e^u is
+    analytic for |Im u| < pi/2 at every energy (in q the strip closes as q+
+    nears pi/2), and dq/du = t/(1 + t^2).  u = u- + (u+ - u-) sin^2(theta)
+    removes both endpoint singularities; quarter_midpoint integrates over
+    theta, and ArithmeticError is raised when its last difference exceeds
+    tol.  Some published forms quote the half-period; we keep the return
+    time.
     """
     with mp.workprec(prec):
         q_minus, q_plus = turning_points_numeric(e, prec)
         u_minus = mp.log(mp.tan(q_minus))
         span = mp.log(mp.tan(q_plus)) - u_minus
         e = mp.mpf(e)
+        log2 = mp.log(2)
 
         def integrand(theta):
             s = mp.sin(theta)
-            q = mp.atan(mp.exp(u_minus + span * s * s))
-            val = e - potential_tilde(q)
+            u = u_minus + span * s * s
+            t = mp.exp(u)
+            t2 = t * t
+            val = e - (2 * mp.log(1 + t2) - 3 * u - log2)
             if val <= 0:
                 return mp.mpf(0)
-            return span * mp.sin(2 * theta) * mp.sin(2 * q) / (2 * mp.sqrt(val))
+            return span * mp.sin(2 * theta) * t / ((1 + t2) * mp.sqrt(val))
 
         val, err = quarter_midpoint(integrand, prec)
         t = 2 * val

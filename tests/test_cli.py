@@ -53,6 +53,20 @@ def test_cli_overrides_config_file(tmp_path):
     assert cfg.variant == "paper"        # file survives where no flag given
 
 
+def test_tol_and_variant_flags_reach_the_report(tmp_path):
+    """--variant paper runs only the paper quartic NVE, so claim b lacks the
+    derived transverse decision: PARTIAL, exit 2.  Both flags are recorded
+    in the report's config block."""
+    assert cli.main(["report", "--variant", "paper", "--tol", "1e-9",
+                     "--out", str(tmp_path)]) == 2
+    doc = json.loads((tmp_path / "report.json").read_text())
+    claim_b = doc["verdicts"]["meromorphic_nonintegrability"]
+    assert claim_b["status"] == "PARTIAL"
+    assert claim_b["missing"] == ["kovacic.quartic_derived_transverse"]
+    assert doc["config"]["variant"] == "paper"
+    assert doc["config"]["tol"] == 1e-9
+
+
 def test_taylor_subcommand_passes_and_writes_json(tmp_path, capsys):
     code = cli.main(["taylor", "--out", str(tmp_path)])
     assert code == 0

@@ -16,7 +16,7 @@ from sympy.solvers.ode.riccati import solve_riccati
 import dyson3.kovacic as kovacic_module
 from dyson3 import nve
 from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement, field_sqrt
-from dyson3.kovacic import (_LIFT_PRIMES, _STACK, _Inexact, _Lift, _Sweep,
+from dyson3.kovacic import (_STACK, _Lift, _Sweep,
                             _case2_inf_set, _case2_pole_set, _degrees,
                             _first_dependent_row, _get_modp, _int_candidates,
                             _kernel_poly, _recursion, _recursion_modp,
@@ -163,13 +163,16 @@ def test_decision_branch_controls(r, verdict, case, last_log):
     of deg P >= 1, truncated square roots of order >= 1, the case-1 and
     case-2 exponent sets of pole orders other than 2, case-1 successes
     with poles of different orders, and case-2 successes with o(inf) < 2
-    and with a pole of order > 2."""
+    and with a pole of order > 2.  The sweep's S^2 r, formed without a
+    division, is S^2 r at poles of every order from 1 to 4."""
     res = kovacic(r)
     assert res.verdict == verdict
     assert res.case == case
     assert last_log in res.log[-1]
     if verdict == "liouvillian":
         assert res.certificate == "exact"
+    sweep = _Sweep(pole_profile(r), r)
+    assert sweep.S2r * r.den == sweep.S * sweep.S * r.num
 
 
 def schwarz_form(lam, mu, nu, p1=FE(0), p2=FE(1)):
@@ -251,6 +254,28 @@ def test_case3_success_logs_its_candidate_counts():
     assert res.log[-1] == ("case 3 (n=4): success with e_inf=7, e=[3, -2], "
                            "d=2 after 4 candidates (3 rejected by the GF(p) "
                            "prescreen)")
+
+
+def test_case3_candidates_past_the_screen_are_rejected(monkeypatch):
+    """A case-3 candidate that the GF(p) screen lets through goes to the
+    lift, which must reject it when the form is not Liouvillian.  The
+    screen is made to pass every exponent combination (row 0 dependent) by
+    wrapping _eliminate where _Sweep.run calls it, the one call whose
+    width is the matrix width.  (3/4, 1/3, 1/6) has group SL(2,C) and one
+    case-3 candidate at each of n = 6 and n = 12."""
+    eliminate = kovacic_module._eliminate
+
+    def passing(A, width, p):
+        if width < A.shape[2]:
+            return eliminate(A, width, p)
+        return np.zeros(len(A), dtype=np.int64), None
+
+    monkeypatch.setattr(kovacic_module, "_eliminate", passing)
+    res = kovacic(schwarz_form(Fraction(3, 4), _T, Fraction(1, 6)))
+    assert res.verdict == "not_liouvillian"
+    assert [line for line in res.log if line.endswith(" rejected")] == [
+        f"case 3 (n={n}): candidate e_inf=7, e=[3, 4], d=0 rejected"
+        for n in (6, 12)]
 
 
 _RADICANDS = (1, 3, 26, 78, -1, 5, -5, 7)
@@ -552,15 +577,16 @@ def test_lift_certifies_exactly():
     solution.  With N the product of the lift's first two primes its matrix
     mod each is that of P'' = 0, whose kernel vector is P = 1: only the
     exact run refutes it, and the third prime rejects the candidate.  With
-    N = 0, P = 1 is certified."""
-    primes = [m.p for m in itertools.islice(_get_modp([]), _LIFT_PRIMES)]
+    N = 0, P = 1 is certified.  The lift has no cap on its primes: with N
+    the product of the first 40, the 41st rejects the candidate."""
+    primes = [m.p for m in itertools.islice(_get_modp([]), 40)]
     S, Sth = Poly([FE(1)]), Poly([])
     assert _kernel_poly(S, Sth, Poly([]), 1, 2).coeffs == [FE(1)]
     assert _kernel_poly(S, Sth, Poly([FE(primes[0] * primes[1])]), 1,
                         2) is None
-    # every prime of the cap sees the kernel that the exact run refutes
-    with pytest.raises(_Inexact, match=f"from {_LIFT_PRIMES} primes"):
-        _kernel_poly(S, Sth, Poly([FE(np.prod(primes, dtype=object))]), 1, 0)
+    # every one of the 40 primes sees the kernel that the exact run refutes
+    assert _kernel_poly(S, Sth, Poly([FE(np.prod(primes, dtype=object))]),
+                        1, 0) is None
 
 
 @st.composite

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +77,35 @@ def test_printed_truncation_coefficients_exact():
     assert pot.terms[(2, 1, 0, 0)] == SQRT3 * FE(Fraction(4, 9))
     assert pot.terms[(4, 0, 0, 0)] == FE(Fraction(4, 9))
     assert pot.terms[(3, 1, 0, 0)] == FE(Fraction(8, 9))
+
+
+def _to_sympy(x: FieldElement):
+    return sum(n * sympy.sqrt(r) for r, n in x.num.items()) / x.den
+
+
+def test_truncation_matches_sympy_series():
+    """-log sin(pi/3 + x1) - log sin(pi/3 + x2) - log sin(2pi/3 + x1 + x2),
+    expanded by sympy along (x1, x2) = (a t, b t) to order 6 in t, is the
+    potential of taylor_truncate(6) term by term, the constant dropped; each
+    lower truncation is its part of degree <= its order."""
+    a, b, t = sympy.symbols("a b t")
+    pot = -sum(sympy.log(sympy.sin(z)) for z in (
+        sympy.pi / 3 + a * t, sympy.pi / 3 + b * t,
+        2 * sympy.pi / 3 + (a + b) * t))
+    series = sympy.series(pot, t, 0, 7).removeO()
+    want = {}
+    for k in range(1, 7):
+        part = sympy.Poly(sympy.expand(series.coeff(t, k)), a, b)
+        for (j, i), c in part.terms():
+            want[(j, i, 0, 0)] = sympy.radsimp(c)
+    got = taylor_truncate(6).potential().terms
+    assert set(got) == {e for e, c in want.items() if c != 0}
+    assert len(got) == 21
+    for e, c in got.items():
+        assert sympy.simplify(_to_sympy(c) - want[e]) == 0, e
+    for order in range(2, 6):
+        assert taylor_truncate(order).potential().terms == {
+            e: c for e, c in got.items() if sum(e) <= order}
 
 
 def test_truncation_has_no_linear_or_constant_part():
