@@ -127,68 +127,73 @@ def turning_points_closed(c, prec: int = 128) -> TurningPointData:
             q_minus=mp.pi / 3 - delta, q_plus=mp.pi / 3 + eps)
 
 
-def turning_points_numeric(e, prec: int = 128):
-    """Roots q- < pi/3 < q+ of E - Vtilde(q) = 0 at working precision prec,
-    each by a safeguarded Newton iteration (_bracket_root) in its
-    sign-change bracket, (0, pi/3] or [pi/3, pi/2), from
-    pi/3 -+ sqrt((E - E_min)/4), since Vtilde''(pi/3) = 8.  The slope
-    -Vtilde'(q) = 2 cot 2q + 2 cot q is (3 - t^2)/t with t = tan q.  A root
-    is returned once a step falls below 2^(4 - prec) |q|, and never
-    unconverged; its residual is near the rounding of E - Vtilde at prec
-    bits."""
+def _vtilde_u(u, t):
+    """Vtilde in u = log tan q, given t = e^u: 2 log(1 + t^2) - 3u - log 2."""
+    return 2 * mp.log(1 + t * t) - 3 * u - mp.ln2
+
+
+def _turning_points_u(e, prec):
+    """Roots u- < u* < u+ of Vtilde(u) = E in u = log tan q at working
+    precision prec, each by Newton's method on g = Vtilde - E
+    (_convex_newton).  With t = e^u:
+
+    - Vtilde'(u) = (t^2 - 3)/(1 + t^2) and Vtilde''(u) = 8t^2/(1 + t^2)^2
+      > 0, so Vtilde is strictly convex with its minimum E_min at
+      u* = log(3)/2 (q = pi/3), where Vtilde'' = 3/2.
+    - So Newton from a point beyond a root, where g > 0, moves
+      monotonically to that root.
+    - (Vtilde - E_min) Vtilde'' / Vtilde'^2 tends to 1/2 at u* and stays
+      below 0.54, so beyond a root, where 0 < g < Vtilde - E_min,
+      (g/g')' = 1 - g g''/g'^2 > 0: the steps g/g' shrink strictly on the
+      way in, until the rounding of g.
+    - Vtilde > -3u - log 2 (as t^2 > 0) and Vtilde > u - log 2 (as
+      1 + t^2 > t^2), so u = -(E + log 2)/3 and u = E + log 2 always lie
+      beyond the two roots.
+    - Each side starts from u* -+ 4 sqrt((E - E_min)/3), twice the distance
+      of the roots of the quadratic E_min + 3(u - u*)^2/4, when Vtilde is
+      above E there, and otherwise from that safe bound."""
     with mp.workprec(prec):
         e = mp.mpf(e)
         emin = e_min(prec)
         if e <= emin:
             raise PeriodDomainError("energy at or below the equilibrium energy")
-        f = lambda q: e - potential_tilde(q)
 
-        def slope(q):
-            t = mp.tan(q)
-            return (3 - t * t) / t
+        def g(u):
+            return _vtilde_u(u, mp.exp(u)) - e
 
-        half_width = mp.sqrt((e - emin) / 4)
-        tiny = mp.mpf(2) ** (-prec)
-        q_minus = _bracket_root(f, slope, tiny, mp.pi / 3,
-                                mp.pi / 3 - half_width, prec)
-        q_plus = _bracket_root(f, slope, mp.pi / 3, mp.pi / 2 - tiny,
-                               mp.pi / 3 + half_width, prec)
-        return q_minus, q_plus
+        def dg(u):
+            t2 = mp.exp(2 * u)
+            return (t2 - 3) / (1 + t2)
+
+        u_star, reach = mp.log(3) / 2, 4 * mp.sqrt((e - emin) / 3)
+        bound = e + mp.ln2
+        return tuple(
+            _convex_newton(g, dg, guess if g(guess) > 0 else safe, prec)
+            for guess, safe in ((u_star - reach, -bound / 3),
+                                (u_star + reach, bound)))
 
 
-def _bracket_root(f, df, lo, hi, q, prec):
-    """The root of f in [lo, hi], across which f changes sign once, by
-    Newton's method from q.  Every evaluation of f shrinks the bracket to
-    the side that keeps the sign change, and a Newton step that would leave
-    the bracket (or a zero slope) is replaced by its midpoint.  Stops when
-    a step falls below 2^(4 - prec) |q|; raises ArithmeticError when
-    prec + 20 steps do not get there."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if not lo < q < hi:
-        q = (lo + hi) / 2
-    tol = mp.mpf(2) ** (4 - prec)
+def _convex_newton(g, dg, u, prec):
+    """Newton's method on g from u, for steps that shrink until the
+    rounding of g takes over (_turning_points_u): returns the iterate at
+    the first step that is no longer smaller than the step before it, so
+    no tolerance is needed.  Raises ArithmeticError when the steps still
+    shrink after prec + 20 of them."""
+    last = mp.inf
     for _ in range(prec + 20):
-        fq = f(q)
-        if fq == 0:
-            return q
-        if mp.sign(fq) == mp.sign(flo):
-            lo = q
-        else:
-            hi = q
-        slope = df(q)
-        step = fq / slope if slope else mp.inf
-        new = q - step
-        if abs(step) > tol * abs(q) and not lo < new < hi:
-            new = (lo + hi) / 2
-        if abs(new - q) <= tol * abs(q):
-            return new
-        q = new
-    raise ArithmeticError(f"no turning point to {prec} bits in [{lo}, {hi}] "
-                          f"after {prec + 20} steps")
+        step = g(u) / dg(u)
+        if not abs(step) < last:
+            return u
+        u, last = u - step, abs(step)
+    raise ArithmeticError(f"no turning point to {prec} bits after "
+                          f"{prec + 20} steps")
+
+
+def turning_points_numeric(e, prec: int = 128):
+    """Roots q- < pi/3 < q+ of E = Vtilde(q) at working precision prec:
+    q = atan(e^u) at the roots of _turning_points_u."""
+    with mp.workprec(prec):
+        return tuple(mp.atan(mp.exp(u)) for u in _turning_points_u(e, prec))
 
 
 @dataclass(frozen=True)
@@ -235,21 +240,18 @@ def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
     time.
     """
     with mp.workprec(prec):
-        q_minus, q_plus = turning_points_numeric(e, prec)
-        u_minus = mp.log(mp.tan(q_minus))
-        span = mp.log(mp.tan(q_plus)) - u_minus
+        u_minus, u_plus = _turning_points_u(e, prec)
+        span = u_plus - u_minus
         e = mp.mpf(e)
-        log2 = mp.log(2)
 
         def integrand(theta):
             s = mp.sin(theta)
             u = u_minus + span * s * s
             t = mp.exp(u)
-            t2 = t * t
-            val = e - (2 * mp.log(1 + t2) - 3 * u - log2)
+            val = e - _vtilde_u(u, t)
             if val <= 0:
                 return mp.mpf(0)
-            return span * mp.sin(2 * theta) * t / ((1 + t2) * mp.sqrt(val))
+            return span * mp.sin(2 * theta) * t / ((1 + t * t) * mp.sqrt(val))
 
         val, err = quarter_midpoint(integrand, prec)
         t = 2 * val
@@ -263,7 +265,8 @@ def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
         else:
             log_eta = mp.ninf
         return PeriodSample(c=c, energy=e, period=t, log_eta=log_eta,
-                            phi=t - log_eta, q_minus=q_minus)
+                            phi=t - log_eta,
+                            q_minus=mp.atan(mp.exp(u_minus)))
 
 
 # -- symplectic oracle --------------------------------------------------------

@@ -451,13 +451,3 @@ def partial_fractions(f: RationalFunction, roots=None):
             ladder.append((num.coeff(j) - known) * inv0)
         terms.append((pole, order, ladder))
     return poly_part, terms
-
-
-def recombine(poly_part: Poly, terms):
-    """Inverse of partial_fractions, for round-trip checks."""
-    out = RationalFunction.from_poly(poly_part)
-    for pole, order, ladder in terms:
-        base = Poly([-pole, ONE])
-        for j, c in enumerate(ladder):
-            out = out + RationalFunction(Poly.const(c), base ** (order - j))
-    return out

@@ -226,7 +226,8 @@ def section_turning_points(cfg: PipelineConfig) -> dict:
             tp = period.turning_points_closed(c, prec)
             if tp.energy - emin < mp.mpf(2) ** (16 - prec):
                 # degenerate endpoint c = c*: both turning points coincide
-                # with the equilibrium and root bracketing has no sign change
+                # with the equilibrium, and E(c*) may round to E_min or
+                # below, where turning_points_numeric raises
                 qm = qp = mp.pi / 3
             else:
                 qm, qp = period.turning_points_numeric(tp.energy, prec)
@@ -551,12 +552,6 @@ def build_verdicts(sections: dict) -> dict:
 _FORKED_SECTIONS = ("period_scan", "turning_points", "monodromy", "nve")
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _send_sections(cfg: PipelineConfig, names, wfd: int) -> None:
     """The forked child's work: build `names` and pickle (True, sections),
     or (False, exception), to the pipe.  An exception that does not survive
@@ -621,14 +616,14 @@ def build_report(cfg: PipelineConfig, only=None) -> dict:
 
     ``only`` restricts the run; missing sections leave the verdicts marked
     PARTIAL rather than failing the whole report.  When the run holds
-    sections of both halves and the process may use more than one CPU, the
-    ``_FORKED_SECTIONS`` are built in a forked child at the same time; the
-    report is the same either way.
+    sections of both halves and ``os.fork`` exists, the ``_FORKED_SECTIONS``
+    are built in a forked child at the same time; the report is the same
+    either way.
     """
     names = SECTION_NAMES if only is None else tuple(only)
     forked = [n for n in names if n in _FORKED_SECTIONS]
     inline = [n for n in names if n not in _FORKED_SECTIONS]
-    if forked and inline and hasattr(os, "fork") and _usable_cpus() > 1:
+    if forked and inline and hasattr(os, "fork"):
         built = _build_forked(cfg, forked, inline)
     else:
         built = {name: SECTION_BUILDERS[name](cfg) for name in names}

@@ -75,24 +75,101 @@ def test_turning_points_solve_to_the_working_precision(prec, offset):
             assert abs(tp.q_plus - qp) <= mp.mpf("1e-15")
 
 
-@pytest.mark.parametrize("slope", [lambda q: -2 * q, lambda q: 0],
-                         ids=["wrong_sign", "zero"])
-def test_newton_safeguard_returns_the_bracketed_root(slope):
-    """A derivative that sends every Newton step out of the bracket (or
-    none at all) leaves bisection, which still converges to the root."""
-    with mp.workprec(128):
-        root = period._bracket_root(lambda q: q * q - 2, slope, mp.mpf(0),
-                                    mp.mpf(2), mp.mpf("1.9"), 128)
-        assert abs(root - mp.sqrt(2)) <= mp.mpf(2) ** (6 - 128)
+def _offset(prec, offset):
+    if offset == "2^(20-prec)":
+        return mp.mpf(2) ** (20 - prec)
+    return mp.mpf(offset)
+
+
+def _newton_paths(monkeypatch, prec, offset):
+    """E and, for the roots u- and u+, (side, start, iterates, root): the
+    points where _convex_newton evaluated g, with side +1 where the iterates
+    should rise to the root and -1 where they should fall."""
+    paths = []
+    real = period._convex_newton
+
+    def spy(g, dg, u, prec):
+        points = []
+
+        def g_logged(v):
+            points.append(v)
+            return g(v)
+
+        root = real(g_logged, dg, u, prec)
+        paths.append((u, points, root))
+        return root
+
+    monkeypatch.setattr(period, "_convex_newton", spy)
+    with mp.workprec(prec):
+        e = period.e_min(prec) + _offset(prec, offset)
+        period.turning_points_numeric(e, prec)
+    return e, [(side, *path) for side, path in zip((1, -1), paths)]
+
+
+@pytest.mark.parametrize("offset", ["2^(20-prec)", 1e-6, 0.5, 40])
+@pytest.mark.parametrize("prec", [80, 128, 200])
+def test_newton_starts_lie_beyond_the_roots(monkeypatch, prec, offset):
+    """Vtilde > E at both starting points, checked in q = atan(e^u) at 64
+    bits above the working precision: at 80 bits and E_min + 40, E - Vtilde
+    at the safe bound E + log 2 rounds to 0, and u+ is that start."""
+    e, paths = _newton_paths(monkeypatch, prec, offset)
+    with mp.workprec(prec + 64):
+        for side, start, _, root in paths:
+            assert side * (root - start) >= 0
+            assert period.potential_tilde(mp.atan(mp.exp(start))) > e
+
+
+@pytest.mark.parametrize("offset", ["2^(20-prec)", 1e-6, 0.5, 40])
+@pytest.mark.parametrize("prec", [80, 128, 200])
+def test_newton_iterates_move_monotonically_to_each_root(monkeypatch, prec,
+                                                         offset):
+    """Every iterate lies beyond its root and every step moves toward it,
+    up to the root's rounding: a few ulps of E - Vtilde over the slope
+    Vtilde' at the root."""
+    e, paths = _newton_paths(monkeypatch, prec, offset)
+    with mp.workprec(prec):
+        for side, start, points, root in paths:
+            t2 = mp.exp(2 * root)
+            tol = mp.mpf(2) ** (8 - prec) * (abs(e) + 3 * abs(root)) / abs(
+                (t2 - 3) / (1 + t2))
+            assert points[0] == start and len(points) > 1
+            assert all(side * (root - u) >= -tol for u in points)
+            assert all(side * (b - a) >= -tol
+                       for a, b in zip(points, points[1:]))
 
 
 def test_newton_without_convergence_raises():
-    """Steps a million times too short never reach the stopping test in
-    prec + 20 evaluations: no unconverged point is returned."""
+    """Steps a million times too short keep shrinking through prec + 20
+    evaluations without reaching the rounding floor: no unconverged point
+    is returned.  With the true slope the same start gets sqrt 2."""
     with mp.workprec(80):
         with pytest.raises(ArithmeticError):
-            period._bracket_root(lambda q: q * q - 2, lambda q: 2e6 * q,
-                                 mp.mpf(0), mp.mpf(2), mp.mpf(1), 80)
+            period._convex_newton(lambda u: u * u - 2, lambda u: 2e6 * u,
+                                  mp.mpf(2), 80)
+        root = period._convex_newton(lambda u: u * u - 2, lambda u: 2 * u,
+                                     mp.mpf(2), 80)
+        assert abs(root - mp.sqrt(2)) <= mp.mpf(2) ** (2 - 80)
+
+
+@pytest.mark.parametrize("prec", [80, 128, 200])
+def test_turning_points_near_e_min_take_no_more_evaluations(monkeypatch,
+                                                            prec):
+    """At E_min + 2^(20 - prec) the two roots take no more evaluations of
+    Vtilde than at E_min + 0.5: the steps stop at the rounding floor of
+    E - Vtilde instead of running on in rounding noise."""
+    calls = []
+    real = period._vtilde_u
+    monkeypatch.setattr(period, "_vtilde_u",
+                        lambda u, t: calls.append(u) or real(u, t))
+
+    def evaluations(offset):
+        calls.clear()
+        with mp.workprec(prec):
+            period.turning_points_numeric(
+                period.e_min(prec) + _offset(prec, offset), prec)
+        return len(calls)
+
+    assert evaluations("2^(20-prec)") <= min(20, evaluations(0.5))
 
 
 @pytest.mark.parametrize("q0,p0", [(0.01, -20.0), (1.56, 20.0)])

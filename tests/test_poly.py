@@ -4,9 +4,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyson3.field import FE, I, SQRT3, FieldElement, field_sqrt
+from dyson3.field import FE, I, ONE, SQRT3, FieldElement, field_sqrt
 from dyson3.poly import (Poly, RationalFunction, exact_roots,
-                         partial_fractions, poly_squarefree_factor, recombine)
+                         partial_fractions, poly_squarefree_factor)
 from test_field import field_elements
 
 
@@ -90,6 +90,17 @@ def test_shift_var_is_the_taylor_shift(coeffs, a, x):
     the zero polynomial."""
     p = Poly(coeffs)
     assert p.shift_var(a)(x) == p(x + a)
+
+
+def recombine(poly_part, terms):
+    """Inverse of partial_fractions: poly_part plus the sum over its terms
+    (pole, order, ladder) of ladder[j] / (w - pole)^(order - j)."""
+    out = RationalFunction.from_poly(poly_part)
+    for pole, order, ladder in terms:
+        base = Poly([-pole, ONE])
+        for j, c in enumerate(ladder):
+            out = out + RationalFunction(Poly.const(c), base ** (order - j))
+    return out
 
 
 def test_partial_fraction_roundtrip_exact():

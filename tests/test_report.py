@@ -229,18 +229,15 @@ def test_output_directory_does_not_enter_the_report():
 # the forked build: stub builders, so these run in milliseconds
 # ---------------------------------------------------------------------------
 
-def _stub_builders(monkeypatch, cpus=2, **replace):
+def _stub_builders(monkeypatch, **replace):
     """Every section builder becomes a stub whose section records the pid
-    that built it; `replace` maps a section name to its own builder.  The
-    process sees `cpus` CPUs."""
+    that built it; `replace` maps a section name to its own builder."""
     for name in rpt.SECTION_NAMES:
         def stub(cfg, name=name):
             return {"name": name, "status": "PASS", "checks": [],
                     "pid": os.getpid()}
         monkeypatch.setitem(rpt.SECTION_BUILDERS, name,
                             replace.get(name, stub))
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
 
 
 def _assert_no_child():
@@ -326,17 +323,9 @@ def test_one_half_builds_without_forking(monkeypatch, only):
     assert tuple(doc["sections"]) == only
 
 
-@pytest.mark.parametrize("host", ["one_cpu", "no_affinity_one_cpu",
-                                  "no_fork"])
-def test_full_report_builds_inline_without_cpus_or_fork(monkeypatch, host):
-    _stub_builders(monkeypatch, cpus=2 if host == "no_fork" else 1)
-    if host == "no_fork":
-        monkeypatch.delattr(os, "fork")
-    else:
-        _forbid_fork(monkeypatch)
-    if host == "no_affinity_one_cpu":
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+def test_full_report_builds_inline_without_fork(monkeypatch):
+    _stub_builders(monkeypatch)
+    monkeypatch.delattr(os, "fork")
     doc = rpt.build_report(rpt.PipelineConfig())
     assert tuple(doc["sections"]) == rpt.SECTION_NAMES
     assert {s["pid"] for s in doc["sections"].values()} == {os.getpid()}
