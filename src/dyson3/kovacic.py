@@ -2,18 +2,24 @@
 rationals, plus the classical solvability sieve for the Lame equation.
 
 The three cases (reducible / dihedral / finite primitive) are run in
-order.  Each enumerates candidate exponents at the poles and at infinity
-whose degree d is a non-negative integer, and every candidate is one
-linear operator on polynomials, the recursion of Ulmer and Weil:
+order.  Cases 1 and 2 enumerate candidate exponents at the poles and at
+infinity whose degree d is a non-negative integer; case 3 takes one
+candidate per invariant degree m = 6, 8, 12, a rational solution of the
+m-th symmetric power (_case3_try).  Every candidate is one linear operator
+on polynomials, the recursion of Ulmer and Weil:
 P_n = -P, P_{i-1} = -S P_i' + ((n - i) S' - S theta) P_i
-- (n - i)(i + 1) S^2 r P_{i+1}, at n = 1 (case 1), 2 (case 2) and 4, 6, 12
+- (n - i)(i + 1) S^2 r P_{i+1}, at n = 1 (case 1), 2 (case 2) and m
 (case 3), with one S = prod (w - c)^ceil(order/2) over the poles c for
-every candidate of the decision (_Sweep).  S drops out of Q_i = P_i / S^(n-i), as Q_{i-1} = -Q_i'
-- theta Q_i - (n - i)(i + 1) r Q_{i+1} and P_{-1} = S^(n+1) Q_{-1}: -Q_{-1}
+every candidate of the decision (_Sweep).  S drops out of
+Q_i = P_i / S^(n-i), as Q_{i-1} = -Q_i' - theta Q_i
+- (n - i)(i + 1) r Q_{i+1} and P_{-1} = S^(n+1) Q_{-1}: -Q_{-1}
 is case 1's P'' + 2 theta P' + (theta' + theta^2 - r) P at n = 1, and
-Q_{-1} case 2's equation for the symmetric square at n = 2.  A candidate
-succeeds when P_{-1} = 0 has a nonzero solution of degree <= d: the
-kernel vector, over the monomials w^j, j <= d, monic at the first w^j
+Q_{-1} case 2's equation for the symmetric square at n = 2.  In general
+V_j = (-1)^(j+1) Q_{n-j} exp(int theta) has V_0 = P exp(int theta) and
+V_{j+1} = V_j' - j(n - j + 1) r V_{j-1}, so V_{n+1} is the n-th symmetric
+power applied to V_0: at n = m, case 3's test for an invariant.  A
+candidate succeeds when P_{-1} = 0 has a nonzero solution of degree <= d:
+the kernel vector, over the monomials w^j, j <= d, monic at the first w^j
 whose image depends on those below it.  That vector is found in GF(p) at
 a few primes, for each automorphism of the field of the input's
 coefficients, lifted by CRT and rational reconstruction, and certified by
@@ -34,20 +40,11 @@ the field, or an exponent or leading-coefficient root is not in it, the
 decision ends as "indeterminate" with a log line naming what could not be
 made exact.
 
-A case-2 or case-3 candidate is screened first by the GF(p) image of its
-recursion, with p a prime at which -1 and every prime factor of the
-input's radicands are squares and which divides no coefficient denominator
-of the input: the coefficient matrix maps to GF(p) by a ring homomorphism,
-and full rank mod p implies full rank over the field, so a "no kernel"
-answer mod p is a rigorous rejection.  The candidates of one n differ
-only in S*theta, which depends only on their pole exponents, and in d,
-and the matrix at d is the first d + 1 rows of the one at any larger d.
-So the screen runs once per exponent combination, on a stack of them at
-a time: one numpy recursion over the shared images of S, S' and S^2 r at
-the largest d, and one elimination in row order that finds, per matrix,
-the first row that depends on the rows above it; the candidates at
-smaller d are rejected when it lies beyond their d.  The lift, and the
-exact S*theta, come only for a candidate whose mod-p kernel is nonzero.
+The GF(p) images are taken at primes p at which -1 and every prime factor
+of the input's radicands are squares and which divide no coefficient
+denominator of the input: the coefficient matrix maps to GF(p) by a ring
+homomorphism, and full rank mod p implies full rank over the field, so a
+"no kernel" answer mod p is a rigorous rejection (_kernel_poly).
 """
 
 from __future__ import annotations
@@ -142,7 +139,7 @@ class KovacicResult:
     case: int | None = None
     group: str = "SL(2,C)"
     d: int | None = None
-    n: int | None = None       # rotation order for case 3
+    n: int | None = None       # Kovacic's n for case 3: 4, 6 or 12
     omega: str | None = None
     certificate: str | None = None   # "exact" on success
     log: list = field(default_factory=list)
@@ -360,10 +357,12 @@ def _case2_try(profile, sweep, log):
         log.append("case 2: inadmissible (needs a pole of order 2 or odd > 2)")
         return None
     tried = 0
-    for e_inf, combo, d, _, P in sweep.run(2, Fraction(1, 2),
-                                           _case2_inf_set(profile),
-                                           map(_case2_pole_set, profile.poles)):
+    for e_inf, combo, d in _degrees(_case2_inf_set(profile),
+                                    map(_case2_pole_set, profile.poles),
+                                    Fraction(1, 2)):
         tried += 1
+        P = _kernel_poly(sweep.S, sweep.theta(Fraction(e, 2) for e in combo),
+                         sweep.S2r, 2, d)
         if P is not None:
             log.append(f"case 2: success with e_inf={e_inf}, "
                        f"e={list(combo)}, d={d}")
@@ -379,11 +378,11 @@ def _case2_try(profile, sweep, log):
 
 
 # ---------------------------------------------------------------------------
-# the GF(p) screen and the candidate sweep of cases 2 and 3
+# the GF(p) image of a candidate's recursion
 # ---------------------------------------------------------------------------
 
 def _is_prime(n):
-    """Trial division: the prescreen's primes lie near 10^6."""
+    """Trial division: the primes of _get_modp lie near 10^6."""
     return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
 
 
@@ -492,35 +491,33 @@ def _get_modp(elements):
 
 def _mp_mul_into(out, src, ker):
     """Add to out the product of each row of the stack src (C, rows, W) by
-    a polynomial, keeping the width W: ker is one polynomial (K,) shared by
-    the stack or one per matrix (C, K), in ascending coefficients below p.
-    Each added term is a product below p^2."""
-    ker = np.atleast_2d(ker)[:, :, None, None]
+    a polynomial, keeping the width W: ker holds one polynomial per matrix
+    (C, K), in ascending coefficients below p.  Each added term is a
+    product below p^2."""
+    ker = ker[:, :, None, None]
     width = out.shape[-1]
     for k in range(min(ker.shape[1], width)):
         out[..., k:] += ker[:, k] * src[..., :width - k]
 
 
 def _recursion_modp(S, Sth, S2r, n, d, p):
-    """The stack of GF(p) matrices of the inputs screened or lifted
-    together: row j of matrix c is the image of P_{-1} of _recursion for
-    P = w^j and S*theta = Sth[c], for j <= d.
+    """The stack of GF(p) matrices of one candidate, one per automorphism
+    of the field (_kernel_poly): row j of matrix c is the image of P_{-1}
+    of _recursion for P = w^j and the inputs S[c], Sth[c] = S*theta and
+    S2r[c], for j <= d.
 
-    Sth holds one image per matrix; S and S2r are one image shared by the
-    stack or one per matrix; all are ascending coefficients below p.  The
-    rows have the fixed width W_d = d + 1 + (n + 1) a, a = max(deg S - 1,
-    deg S*theta, ceil(deg S^2 r/2)), the degree bound of P_{-1} plus one:
-    deg P_i <= deg P + (n - i) a, since a step adds deg S - 1 or
-    deg S*theta to deg P_i and deg S^2 r to deg P_{i+1} (a is deg S - 1
-    when o(inf) >= 2 and S*theta is a combination of the S/(w - c)).  No
-    coefficient of any term lies beyond it, so keeping the width drops only
-    zeros.  Row j does not depend on d, and rows j <= d' < d have no entry
-    at or beyond W_d': the first d' + 1 rows are the matrix at d',
-    zero-padded."""
+    The inputs hold one image per matrix, in ascending coefficients below
+    p.  The rows have the fixed width W = d + 1 + (n + 1) a, a =
+    max(deg S - 1, deg S*theta, ceil(deg S^2 r/2)), the degree bound of
+    P_{-1} plus one: deg P_i <= deg P + (n - i) a, since a step adds
+    deg S - 1 or deg S*theta to deg P_i and deg S^2 r to deg P_{i+1} (a is
+    deg S - 1 when o(inf) >= 2 and S*theta is a combination of the
+    S/(w - c)).  No coefficient of any term lies beyond it, so keeping the
+    width drops only zeros."""
     lin = max(S.shape[-1] - 1, Sth.shape[-1])      # terms of (n - i)S' - Sth
     width = d + 1 + (n + 1) * max(lin - 1, S2r.shape[-1] // 2)
     ramp = np.arange(1, width, dtype=np.int64)
-    dS = np.zeros(S.shape[:-1] + (lin,), dtype=np.int64)
+    dS = np.zeros((len(S), lin), dtype=np.int64)
     dS[..., :S.shape[-1] - 1] = S[..., 1:] * np.arange(1, S.shape[-1]) % p
     neg_Sth = np.zeros((len(Sth), lin), dtype=np.int64)
     neg_Sth[:, :Sth.shape[-1]] = -Sth % p
@@ -786,7 +783,7 @@ def _kernel_poly(S, Sth, S2r, n, d):
     independent.  At each prime of _get_modp and each automorphism of
     _Lift, the GF(p) matrix gives the image of that vector's conjugate
     (_first_dependent_row).  Full rank at any of them rejects the candidate
-    as rigorously as the screen does; otherwise _Lift lifts the vector,
+    rigorously (the module docstring); otherwise _Lift lifts the vector,
     and one exact run of the recursion on P certifies it.
 
     The loop ends.  At every prime the first dependent row is at most the
@@ -813,17 +810,10 @@ def _kernel_poly(S, Sth, S2r, n, d):
                 return P
 
 
-# Most exponent combinations screened in one GF(p) stack: it bounds the
-# memory of the (C, d + 1, W) recursion, d the largest of the stack, while
-# keeping numpy's per-call overhead shared.
-_STACK = 16
-
-
 class _Sweep:
     """What the candidates of one decision share: S, the product of
     (w - c)^ceil(order/2) over the poles c so that S^2 r is a polynomial,
-    each S/(w - c), a prime (_get_modp) and the images mod p.  Case 1 uses
-    S, S^2 r and the S/(w - c); cases 2 and 3 run their screen on it."""
+    S^2 r and each S/(w - c)."""
 
     def __init__(self, profile, r):
         # r.den is monic and split by pole_profile: prod (w - c)^order, so
@@ -837,96 +827,75 @@ class _Sweep:
         self.S, self.S2r = S, r.num * odd
         self.quotients = [S.exact_div(Poly([-c.point, ONE]))
                           for c in profile.poles]
-        self.modp = next(_get_modp(S.coeffs + self.S2r.coeffs
-                                   + [c.point for c in profile.poles]))
-        self.S_p, self.S2r_p = self.modp.poly(S), self.modp.poly(self.S2r)
-        self.quotients_p = np.array([self.modp.poly(q)
-                                     for q in self.quotients])
 
-    def run(self, n, scale, inf_set, pole_sets):
-        """(e_inf, combo, d, screened, P) for each candidate of _degrees, in
-        order, with S*theta = scale * sum e_c S/(w - c): screened when its
-        GF(p) matrix has full rank, else P from _kernel_poly.
-
-        S*theta, and so the GF(p) matrix, depends on the candidate only
-        through combo and d, and the matrix at d is the first d + 1 rows of
-        the one at any larger d (_recursion_modp).  So each combo runs the
-        recursion once, at the largest d that any e_inf gives it, and its
-        candidate at d has full rank iff the first dependent row of that
-        matrix lies beyond d."""
-        candidates = list(_degrees(inf_set, pole_sets, scale))
-        top = {}                 # combo -> its largest d, in first-seen order
-        for _, combo, d in candidates:
-            top[combo] = max(top.get(combo, d), d)
-        combos = list(top)
-        screen = {}      # combo -> first dependent row
-        p = self.modp.p
-        scale_p = self.modp.fe(FE(scale))
-        for e_inf, combo, d in candidates:
-            if combo not in screen:
-                # combo heads the unscreened combos: screen it with the next
-                # ones, all at the stack's largest d
-                k = len(screen)
-                stack = combos[k:k + _STACK]
-                # the images of S*theta, one row per combo
-                weights = np.array([[e % p for e in c] for c in stack],
-                                   dtype=np.int64)
-                Sth_p = (weights * scale_p % p) @ self.quotients_p % p
-                M = _recursion_modp(self.S_p, Sth_p, self.S2r_p, n,
-                                    max(top[c] for c in stack), p)
-                screen.update(zip(stack, _eliminate(M % p, M.shape[2], p)[0]))
-            if screen[combo] > d:
-                yield e_inf, combo, d, True, None
-                continue
-            Sth = sum((q.scale(FE(e * scale))
-                       for e, q in zip(combo, self.quotients)), Poly([]))
-            yield e_inf, combo, d, False, _kernel_poly(self.S, Sth, self.S2r,
-                                                       n, d)
+    def theta(self, weights):
+        """S*theta for theta = sum e_c/(w - c), one rational e_c per pole."""
+        return sum((q.scale(FE(e)) for e, q in zip(weights, self.quotients)),
+                   Poly([]))
 
 
 # ---------------------------------------------------------------------------
-# case 3 (finite primitive groups, n = 4, 6, 12)
+# case 3 (finite primitive groups, by their invariants of degree 6, 8, 12)
 # ---------------------------------------------------------------------------
 
-_CASE3_GROUPS = {4: "finite primitive (tetrahedral)",
-                 6: "finite primitive (octahedral)",
-                 12: "finite primitive (icosahedral)"}
+# (Kovacic's n, the invariant degree m, the group whose first invariant has
+# degree m), in the order tried (Klein)
+_CASE3_DEGREES = ((4, 6, "finite primitive (tetrahedral)"),
+                  (6, 8, "finite primitive (octahedral)"),
+                  (12, 12, "finite primitive (icosahedral)"))
 
 
 def _case3_try(profile, sweep, log):
-    """Run the case-3 candidates for n = 4, 6, 12; KovacicResult on success.
-    Every exponent set holds 12 (a simple pole) or 6 (_int_candidates at
-    t = 0)."""
+    """Decide case 3 by one candidate per invariant degree m = 6, 8, 12;
+    KovacicResult on success.
+
+    Once cases 1 and 2 fail, the Galois group G is finite primitive or
+    SL(2,C) (Kovacic, J. Symb. Comput. 2, 1986).  The binary tetrahedral
+    group has an invariant form of degree 6, the binary octahedral group
+    its first at 8 and the binary icosahedral group its first at 12;
+    SL(2,C) has none (Klein).  So the first m with an invariant names G,
+    and none means SL(2,C).  An invariant of degree m, evaluated at a basis
+    of solutions, is a rational solution R of the m-th symmetric power (van
+    Hoeij & Weil, J. Pure Appl. Algebra 117-118, 1997), and R = P prod
+    (w - c)^m_c with P a polynomial is the recursion at n = m with
+    S*theta = sum m_c S/(w - c) (the module docstring).
+
+    The bound.  Case 3 needs every pole of order <= 2 and o(inf) >= 2.  At
+    a pole c of order 2 the solutions have the exponents
+    (1 +- sqrt(1 + 4b))/2, so R's order there is an exponent of the
+    symmetric power, a sum of m of them: m/2 + k sqrt(1 + 4b) with
+    |k| <= m/2.  At a simple pole they are 0 and 1, so it is one of 0..m,
+    and elsewhere R is analytic.  At infinity the solutions grow like
+    w^((1 +- sqrt(1 + 4 b_inf))/2), so R grows like w^e for one of the
+    sums m/2 + k sqrt(1 + 4 b_inf), which are 0..m when o(inf) > 2
+    (b_inf = 0).  Take m_c the smallest integer sum at each pole (k = 0
+    gives m/2) and M the largest at infinity.  Then P = R / prod
+    (w - c)^m_c is a polynomial of degree deg R - sum m_c <= M - sum m_c
+    = d.  So every invariant of degree m is in the candidate's kernel at
+    that d, and d < 0 leaves none.  _kernel_poly rejects a candidate only
+    by a GF(p) rank, so a rejection is counted as prescreened."""
     if any(p.order > 2 for p in profile.poles) or profile.o_inf < 2:
         log.append("case 3: inadmissible (pole order > 2 or o(inf) < 2)")
         return None
-    for n in (4, 6, 12):
-        # exponents e = 6 + (12k/n) sqrt(1+4b), |k| <= n/2
-        steps = range(-6, 7, 12 // n)
-        pole_sets = [{12} if c.order == 1 else _int_candidates(6, steps, c.b)
-                     for c in profile.poles]
-        inf_set = _int_candidates(6, steps, profile.b_inf)
-        tried = screened = 0
-        for e_inf, combo, d, rejected_mod_p, P in sweep.run(
-                n, Fraction(n, 12), inf_set, pole_sets):
-            tried += 1
-            if rejected_mod_p:
-                screened += 1
-                continue
-            if P is not None:
-                log.append(f"case 3 (n={n}): success with e_inf={e_inf}, "
-                           f"e={list(combo)}, d={d} after {tried} "
-                           f"candidates ({screened} rejected by the "
-                           "GF(p) prescreen)")
-                omega = ("root of sum_i S^i P_i omega^i / (n-i)! = 0 from the "
-                         "degree-%d recursion solution" % P.degree)
-                return KovacicResult(verdict="liouvillian", case=3,
-                                     group=_CASE3_GROUPS[n], d=d, n=n,
-                                     omega=omega, certificate="exact")
-            log.append(f"case 3 (n={n}): candidate e_inf={e_inf}, "
-                       f"e={list(combo)}, d={d} rejected")
+    for n, m, group in _CASE3_DEGREES:
+        steps = range(-m // 2, m // 2 + 1)
+        low = [0 if c.order == 1 else min(_int_candidates(m // 2, steps, c.b))
+               for c in profile.poles]
+        top = max(_int_candidates(m // 2, steps, profile.b_inf))
+        d = top - sum(low)
+        P = (_kernel_poly(sweep.S, sweep.theta(low), sweep.S2r, m, d)
+             if d >= 0 else None)
+        if P is not None:
+            log.append(f"case 3 (n={n}): success with e_inf={top}, e={low}, "
+                       f"d={d} after 1 candidates (0 rejected by the GF(p) "
+                       "prescreen)")
+            omega = ("root of sum_i S^i P_i omega^i / (m-i)! = 0 from the "
+                     "invariant of degree m = %d, deg P = %d" % (m, P.degree))
+            return KovacicResult(verdict="liouvillian", case=3, group=group,
+                                 d=d, n=n, omega=omega, certificate="exact")
+        tried = int(d >= 0)
         log.append(f"case 3 (n={n}): {tried} candidates with integer d >= 0 "
-                   f"({screened} rejected by the GF(p) prescreen), none admissible")
+                   f"({tried} rejected by the GF(p) prescreen), none admissible")
     return None
 
 

@@ -151,7 +151,9 @@ def _turning_points_u(e, prec):
       beyond the two roots.
     - Each side starts from u* -+ 4 sqrt((E - E_min)/3), twice the distance
       of the roots of the quadratic E_min + 3(u - u*)^2/4, when Vtilde is
-      above E there, and otherwise from that safe bound."""
+      above E there, and otherwise from that safe bound.
+
+    One evaluation (g, g') takes one exponential, t, and t^2 = t t."""
     with mp.workprec(prec):
         e = mp.mpf(e)
         emin = e_min(prec)
@@ -159,32 +161,35 @@ def _turning_points_u(e, prec):
             raise PeriodDomainError("energy at or below the equilibrium energy")
 
         def g(u):
-            return _vtilde_u(u, mp.exp(u)) - e
-
-        def dg(u):
-            t2 = mp.exp(2 * u)
-            return (t2 - 3) / (1 + t2)
+            t = mp.exp(u)
+            t2 = t * t
+            return _vtilde_u(u, t) - e, (t2 - 3) / (1 + t2)
 
         u_star, reach = mp.log(3) / 2, 4 * mp.sqrt((e - emin) / 3)
         bound = e + mp.ln2
-        return tuple(
-            _convex_newton(g, dg, guess if g(guess) > 0 else safe, prec)
-            for guess, safe in ((u_star - reach, -bound / 3),
-                                (u_star + reach, bound)))
+        roots = []
+        for u, safe in ((u_star - reach, -bound / 3), (u_star + reach, bound)):
+            gu = g(u)
+            if not gu[0] > 0:
+                u, gu = safe, g(safe)
+            roots.append(_convex_newton(g, u, gu, prec))
+        return tuple(roots)
 
 
-def _convex_newton(g, dg, u, prec):
-    """Newton's method on g from u, for steps that shrink until the
-    rounding of g takes over (_turning_points_u): returns the iterate at
-    the first step that is no longer smaller than the step before it, so
-    no tolerance is needed.  Raises ArithmeticError when the steps still
-    shrink after prec + 20 of them."""
+def _convex_newton(g, u, gu, prec):
+    """Newton's method from u, where g returns (g, g') and gu = g(u), for
+    steps that shrink until the rounding of g takes over
+    (_turning_points_u): returns the iterate at the first step that is no
+    longer smaller than the step before it, so no tolerance is needed.
+    Raises ArithmeticError when the steps still shrink after prec + 20 of
+    them."""
     last = mp.inf
     for _ in range(prec + 20):
-        step = g(u) / dg(u)
+        step = gu[0] / gu[1]
         if not abs(step) < last:
             return u
         u, last = u - step, abs(step)
+        gu = g(u)
     raise ArithmeticError(f"no turning point to {prec} bits after "
                           f"{prec + 20} steps")
 

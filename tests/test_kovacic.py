@@ -16,9 +16,9 @@ from sympy.solvers.ode.riccati import solve_riccati
 import dyson3.kovacic as kovacic_module
 from dyson3 import nve
 from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement, field_sqrt
-from dyson3.kovacic import (_STACK, _Lift, _Sweep,
+from dyson3.kovacic import (_Lift, _Sweep,
                             _case2_inf_set, _case2_pole_set, _degrees,
-                            _first_dependent_row, _get_modp, _int_candidates,
+                            _first_dependent_row, _get_modp,
                             _kernel_poly, _recursion, _recursion_modp,
                             _riccati_holds, kovacic, lame_sieve, pole_profile)
 from dyson3.poly import Poly, RationalFunction
@@ -243,39 +243,97 @@ def test_schwarz_list_controls(exps, poles, case, n):
 
 
 def test_case3_success_logs_its_candidate_counts():
-    """The second form, tetrahedral moved by integers, succeeds after three
-    GF(p) rejections, two of them in one (n, d) stack: the counts show that
-    each stacked answer reaches its own candidate."""
+    """Tetrahedral forms succeed at their one invariant candidate of degree
+    6: (1/2, 1/3, 1/3) with the sextic w^2 (w - 1)^2 itself (d = 0), and
+    the form moved by integers with the smallest exponent -1 at w = 1, so
+    that P takes up the rest (d = 3)."""
     res = kovacic(schwarz_form(_H, _T, _T))
-    assert res.log[-1] == ("case 3 (n=4): success with e_inf=7, e=[3, 4], "
+    assert res.log[-1] == ("case 3 (n=4): success with e_inf=4, e=[2, 2], "
                            "d=0 after 1 candidates (0 rejected by the GF(p) "
                            "prescreen)")
     res = kovacic(schwarz_form(_H, Fraction(4, 3), _T))
-    assert res.log[-1] == ("case 3 (n=4): success with e_inf=7, e=[3, -2], "
-                           "d=2 after 4 candidates (3 rejected by the GF(p) "
+    assert res.log[-1] == ("case 3 (n=4): success with e_inf=4, e=[2, -1], "
+                           "d=3 after 1 candidates (0 rejected by the GF(p) "
                            "prescreen)")
+    assert (res.n, res.d) == (4, 3)
 
 
-def test_case3_candidates_past_the_screen_are_rejected(monkeypatch):
-    """A case-3 candidate that the GF(p) screen lets through goes to the
-    lift, which must reject it when the form is not Liouvillian.  The
-    screen is made to pass every exponent combination (row 0 dependent) by
-    wrapping _eliminate where _Sweep.run calls it, the one call whose
-    width is the matrix width.  (3/4, 1/3, 1/6) has group SL(2,C) and one
-    case-3 candidate at each of n = 6 and n = 12."""
-    eliminate = kovacic_module._eliminate
+def test_spurious_dependency_mod_p_is_not_liouvillian(monkeypatch):
+    """(3/4, 1/3, 1/6) has group SL(2,C) and one invariant candidate at
+    each of the degrees 8 and 12.  A first prime that reports row 0 as
+    dependent for those candidates hands the lift the kernel P = 1; its
+    exact certificate fails, the next prime shows full rank, and the
+    verdict stays not Liouvillian."""
+    primes = []          # the prime of each case-3 GF(p) recursion
+    certified = []       # (n, P, P_{-1} = 0) of each case-3 exact run
+    recursion_modp, first_dependent_row = (kovacic_module._recursion_modp,
+                                           kovacic_module._first_dependent_row)
+    recursion = kovacic_module._recursion
 
-    def passing(A, width, p):
-        if width < A.shape[2]:
-            return eliminate(A, width, p)
-        return np.zeros(len(A), dtype=np.int64), None
+    def logged_modp(S, Sth, S2r, n, d, p):
+        primes.append((n, p))
+        return recursion_modp(S, Sth, S2r, n, d, p)
 
-    monkeypatch.setattr(kovacic_module, "_eliminate", passing)
+    def spurious(M, p):
+        n = primes[-1][0]
+        if n > 2 and [q for m, q in primes if m == n] == [p]:
+            deps = np.zeros(M.shape[:2], dtype=np.int64)
+            deps[:, 0] = 1
+            return np.zeros(len(M), dtype=np.int64), deps
+        return first_dependent_row(M, p)
+
+    def logged(S, Sth, S2r, n, P):
+        out = recursion(S, Sth, S2r, n, P)
+        if n > 2:
+            certified.append((n, P, out.is_zero()))
+        return out
+
+    monkeypatch.setattr(kovacic_module, "_recursion_modp", logged_modp)
+    monkeypatch.setattr(kovacic_module, "_first_dependent_row", spurious)
+    monkeypatch.setattr(kovacic_module, "_recursion", logged)
     res = kovacic(schwarz_form(Fraction(3, 4), _T, Fraction(1, 6)))
-    assert res.verdict == "not_liouvillian"
-    assert [line for line in res.log if line.endswith(" rejected")] == [
-        f"case 3 (n={n}): candidate e_inf=7, e=[3, 4], d=0 rejected"
-        for n in (6, 12)]
+    assert res.verdict == "not_liouvillian" and res.group == "SL(2,C)"
+    assert certified == [(8, ONE, False), (12, ONE, False)]
+    case3 = [(n, p) for n, p in primes if n > 2]
+    assert [n for n, _ in case3] == [8, 8, 12, 12]
+    assert case3[0][1] < case3[1][1] and case3[2][1] < case3[3][1]
+    assert [line for line in res.log if line.startswith("case 3")] == [
+        "case 3 (n=4): 0 candidates with integer d >= 0 (0 rejected by the "
+        "GF(p) prescreen), none admissible"] + [
+        f"case 3 (n={n}): 1 candidates with integer d >= 0 (1 rejected by "
+        "the GF(p) prescreen), none admissible" for n in (6, 12)]
+
+
+# Schwarz forms by group, and the invariant degrees at which each has an
+# invariant (Klein: the binary tetrahedral group has invariants of degree
+# 6, 8 and 12, the octahedral its first at 8, the icosahedral at 12)
+_KLEIN = (
+    ((_H, _T, _T), {6, 8, 12}),
+    ((2 * _T, _T, _T), {6, 8, 12}),
+    ((_H, Fraction(4, 3), _T), {6, 8, 12}),
+    ((_H, _T, Fraction(1, 4)), {8, 12}),
+    ((2 * _T, Fraction(1, 4), Fraction(1, 4)), {8, 12}),
+    ((_H, _T, Fraction(1, 5)), {12}),
+    ((_T, _T, Fraction(2, 5)), {12}),
+    ((_H, Fraction(2, 5), Fraction(1, 5)), {12}),
+    ((_H, _T, Fraction(1, 7)), set()),
+    ((Fraction(3, 4), _T, Fraction(1, 6)), set()),
+)
+
+
+@pytest.mark.parametrize("m", [6, 8, 12])
+def test_invariant_candidates_follow_kleins_degrees(m, monkeypatch):
+    """Each degree run alone: the degree-m candidate of a Schwarz form has a
+    kernel exactly when its group has an invariant of degree m, so the
+    bound on d holds at the degrees the dispatch never reaches (degree 12
+    of a tetrahedral form), and no degree finds one for SL(2,C)."""
+    row = [t for t in kovacic_module._CASE3_DEGREES if t[1] == m]
+    monkeypatch.setattr(kovacic_module, "_CASE3_DEGREES", row)
+    for exps, degrees in _KLEIN:
+        res = kovacic(schwarz_form(*exps))
+        assert (res.case == 3) == (m in degrees), (exps, res.log)
+        if res.case == 3:
+            assert res.certificate == "exact"
 
 
 _RADICANDS = (1, 3, 26, 78, -1, 5, -5, 7)
@@ -310,34 +368,60 @@ def test_modp_prime_for_the_dyson_generators():
 _PAPER_R = nve.algebrize(nve.paper_nve_l()).r
 
 
+def _candidates(r, n):
+    """(S, S*theta, S^2 r, d) of r's candidates at recursion order n: case
+    2's for n = 2, and otherwise the invariant candidate of degree n that
+    the decision of r sends to _kernel_poly, if it reaches it."""
+    if n == 2:
+        profile = pole_profile(r)
+        sweep = _Sweep(profile, r)
+        return [(sweep.S, sweep.theta(Fraction(e, 2) for e in combo),
+                 sweep.S2r, d)
+                for _, combo, d in _degrees(_case2_inf_set(profile),
+                                            map(_case2_pole_set,
+                                                profile.poles),
+                                            Fraction(1, 2))]
+    calls = []
+    kernel_poly = kovacic_module._kernel_poly
+
+    def record(S, Sth, S2r, m, d):
+        if m == n:
+            calls.append((S, Sth, S2r, d))
+        return kernel_poly(S, Sth, S2r, m, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kovacic_module, "_kernel_poly", record)
+        kovacic(r)
+    return calls
+
+
 @pytest.mark.parametrize("r, n", [
-    pytest.param(schwarz_form(_H, _T, _T), 4, id="tetrahedral"),
-    # tetrahedral moved by integers: each combination has two d's
-    pytest.param(schwarz_form(_H, Fraction(4, 3), _T), 4,
+    pytest.param(schwarz_form(_H, _T, _T), 6, id="tetrahedral"),
+    # tetrahedral moved by integers: the invariant candidate has d = 3
+    pytest.param(schwarz_form(_H, Fraction(4, 3), _T), 6,
                  id="tetrahedral_shifted"),
     pytest.param(schwarz_form(_H, _T, Fraction(1, 5)), 12, id="icosahedral"),
-    pytest.param(_PAPER_R, 4, id="paper_n4"),
-    pytest.param(_PAPER_R, 6, id="paper_n6"),
+    pytest.param(schwarz_form(_H, _T, _T, *_surd_pair(_H, _T)), 6,
+                 id="tetrahedral_surd_poles"),
+    # the ids name Kovacic's n, as the decision's log lines do
+    pytest.param(_PAPER_R, 6, id="paper_n4"),
+    pytest.param(_PAPER_R, 8, id="paper_n6"),
     pytest.param(_PAPER_R, 12, id="paper_n12"),
     pytest.param(_O_INF_1, 2, id="o_inf_1_n2"),
     pytest.param(_BESSEL_3_2, 2, id="bessel_nu_3_2_n2"),
     pytest.param(_PAPER_R, 2, id="paper_n2"),
 ])
 def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
-    """The first GF(p) stack of the sweep, built in one call as
-    _Sweep.run builds it: up to _STACK exponent combinations, all at the
-    stack's largest d.  Matrix c is the image of combination c's own exact
-    recursion, zero-padded to the row width.  A width too small for P_{-1}
-    would drop coefficients, and a GF(p) rejection would no longer prove an
-    exact one.  n = 2 takes case 2's exponent sets and scale 1/2.  When
-    o(inf) < 2, deg S^2 r > 2 deg S - 2: for Bessel's nu = 3/2 form
-    (o(inf) = 0) the rows outgrow d + 1 + (n + 1)(deg S - 1), the width that
-    suffices when o(inf) >= 2.
-
-    Sharing: for every candidate (e_inf, combo, d) of those combinations,
-    the first d + 1 rows of the stacked matrix are the combination's own
-    matrix at d, _recursion_modp(..., d, p), in their first W_d columns and
-    zero beyond them.
+    """The GF(p) matrices of each candidate the decision runs at recursion
+    order n, built as _kernel_poly builds them: one per automorphism of
+    the field of the inputs, at the first prime.  Matrix c is the image of
+    the exact recursion conjugated by automorphism c, zero-padded to the
+    row width.  A width too small for P_{-1} would drop coefficients, and
+    a GF(p) rejection would no longer prove an exact one.  n = 6, 8, 12
+    are the invariant candidates of case 3, n = 2 case 2's candidates.
+    When o(inf) < 2, deg S^2 r > 2 deg S - 2: for Bessel's nu = 3/2 form
+    (o(inf) = 0) the rows outgrow d + 1 + (n + 1)(deg S - 1), the width
+    that suffices when o(inf) >= 2.
 
     The recursion is linear in P, so one exact run at P = sum (j+1) w^j
     checks the combination sum (j+1) row_j of every matrix; the first
@@ -347,74 +431,52 @@ def test_modp_recursion_is_the_image_of_the_exact_one(r, n):
     o(inf) = 1 control succeed there, the paper NVE rejects it).  Each
     matrix's first dependent row is checked against sympy's rank of its
     row prefixes over GF(p), and its dependency against the matrix."""
-    profile = pole_profile(r)
-    points = [p.point for p in profile.poles]
-    sweep = _Sweep(profile, r)
-    S, S2r, modp = sweep.S, sweep.S2r, sweep.modp
-    if n == 2:
-        scale = Fraction(1, 2)
-        inf_set = _case2_inf_set(profile)
-        pole_sets = [_case2_pole_set(p) for p in profile.poles]
-    else:
-        scale = Fraction(n, 12)
-        steps = range(-6, 7, 12 // n)
-        inf_set = _int_candidates(6, steps, profile.b_inf)
-        pole_sets = [_int_candidates(6, steps, p.b) if p.order == 2 else {12}
-                     for p in profile.poles]
-    candidates = list(_degrees(inf_set, pole_sets, scale))
-    group = list(dict.fromkeys(combo for _, combo, _ in candidates))[:_STACK]
-    d_of = {combo: [dc for _, c, dc in candidates if c == combo]
-            for combo in group}
-    d = max(max(ds) for ds in d_of.values())
-    p = modp.p
+    calls = _candidates(r, n)
+    assert calls
+    for S, Sth, S2r, d in reversed(calls):
+        coeffs = S.coeffs + Sth.coeffs + S2r.coeffs
+        lift = _Lift(coeffs)
+        modp = next(_get_modp(coeffs))
+        p = modp.p
+        stack = _recursion_modp(*(np.array([modp.poly(q, flips)
+                                            for flips in lift.conjugations])
+                                  for q in (S, Sth, S2r)), n, d, p)
+        assert stack.shape[:2] == (len(lift.conjugations), d + 1)
+        width = stack.shape[2]
 
-    def padded(poly, width):
-        image = list(modp.poly(poly))
-        assert len(image) <= width
-        return image + [0] * (width - len(image))
+        def padded(poly, flips=frozenset()):
+            image = list(modp.poly(poly, flips))
+            assert len(image) <= width
+            return image + [0] * (width - len(image))
 
-    Sths = [sum((S.exact_div(W - Poly([c])).scale(FE(e * scale))
-                 for e, c in zip(combo, points)), Poly([]))
-            for combo in group]
-    Sth_p = np.array([padded(Sth, S.degree) for Sth in Sths])
-    S_p, S2r_p = modp.poly(S), modp.poly(S2r)
-    stack = _recursion_modp(S_p, Sth_p, S2r_p, n, d, p)
-    assert stack.shape[:2] == (len(group), d + 1)
-    width = stack.shape[2]
-    for M, Sth_c, combo in zip(stack, Sth_p, group):
-        for dc in d_of[combo]:
-            own = _recursion_modp(S_p, Sth_c[None], S2r_p, n, dc, p)[0]
-            assert (M[:dc + 1, :own.shape[1]] == own).all()
-            assert not M[:dc + 1, own.shape[1]:].any()
-    first, deps = _first_dependent_row(stack, p)
-    mix = np.arange(1, d + 2)
-    P = Poly([FE(int(a)) for a in mix])
-    gf = GF(p)
+        first, deps = _first_dependent_row(stack, p)
+        mix = np.arange(1, d + 2)
+        exact_mix = _recursion(S, Sth, S2r, n, Poly([FE(int(a)) for a in mix]))
+        gf = GF(p)
 
-    def rank(rows):
-        return DomainMatrix([[gf(int(x)) for x in row] for row in rows],
-                            rows.shape, gf).rank()
+        def rank(rows):
+            return DomainMatrix([[gf(int(x)) for x in row] for row in rows],
+                                rows.shape, gf).rank()
 
-    for M, Sth, k, v in zip(stack, Sths, first, deps):
-        assert list(mix @ M % p) == padded(_recursion(S, Sth, S2r, n, P),
-                                           width)
-        assert k == 0 or rank(M[:k]) == k
-        assert k == d + 1 or rank(M[:k + 1]) == k
-        assert not (v @ M % p).any()
-    d0 = candidates[0][2]
-    exact = [_recursion(S, Sths[0], S2r, n, W ** j) for j in range(d0 + 1)]
-    assert [list(row) for row in stack[0, :d0 + 1]] == [
-        padded(e, width) for e in exact]
+        for M, flips, k, v in zip(stack, lift.conjugations, first, deps):
+            assert list(mix @ M % p) == padded(exact_mix, flips)
+            assert k == 0 or rank(M[:k]) == k
+            assert k == d + 1 or rank(M[:k + 1]) == k
+            assert not (v @ M % p).any()
+    # the loop ends at the first candidate, whose identity matrix is stack[0]
+    exact = [_recursion(S, Sth, S2r, n, W ** j) for j in range(d + 1)]
+    assert [list(row) for row in stack[0]] == [padded(e) for e in exact]
     # columns j of the exact matrix: the coefficients of P_{-1} for w^j
     columns = [[e.coeff(i) for i in range(width)] for e in exact]
-    assert (first[0] <= d0) == (_exact_rank(columns) <= d0)
-    lifted = _kernel_poly(S, Sths[0], S2r, n, d0)
-    assert (lifted is None) == (_exact_rank(columns) == d0 + 1)
+    full = _exact_rank(columns) == d + 1
+    assert (first[0] > d) == full
+    lifted = _kernel_poly(S, Sth, S2r, n, d)
+    assert (lifted is None) == full
     if lifted is not None:
         k = lifted.degree
         assert lifted.lc() == 1
         assert _exact_rank(columns[:k]) == _exact_rank(columns[:k + 1]) == k
-        assert _recursion(S, Sths[0], S2r, n, lifted).is_zero()
+        assert _recursion(S, Sth, S2r, n, lifted).is_zero()
 
 
 def _exact_rank(rows):
@@ -685,18 +747,18 @@ def _certified(r, monkeypatch):
 _CASE1_WITH_P = rf((W - Poly([SQRT3])) ** 2 - Poly([5]))
 
 
-@pytest.mark.parametrize("r, case", [
-    pytest.param(_CASE1_WITH_P, 1, id="case1"),
+@pytest.mark.parametrize("r, case, degree", [
+    pytest.param(_CASE1_WITH_P, 1, 2, id="case1"),
     pytest.param(schwarz_form(_H, Fraction(4, 3), _T, *_surd_pair(_H, _T)),
-                 3, id="case3_tetrahedral_shifted"),
+                 3, 3, id="case3_tetrahedral_shifted"),
 ])
-def test_certificates_reject_wrong_kernels(r, case, monkeypatch):
+def test_certificates_reject_wrong_kernels(r, case, degree, monkeypatch):
     """A certified P with 1 added to any one of its coefficients fails the
     packed recursion, and for case 1 also the Riccati identity, which
     holds for the certified P itself."""
     res, (S, Sth, S2r, n, P) = _certified(r, monkeypatch)
     assert res.verdict == "liouvillian" and res.case == case
-    assert P.degree == 2
+    assert P.degree == degree
     assert _recursion(S, Sth, S2r, n, P).is_zero()
     if case == 1:
         assert _riccati_holds(r, S, Sth, P)

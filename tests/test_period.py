@@ -83,19 +83,20 @@ def _offset(prec, offset):
 
 def _newton_paths(monkeypatch, prec, offset):
     """E and, for the roots u- and u+, (side, start, iterates, root): the
-    points where _convex_newton evaluated g, with side +1 where the iterates
-    should rise to the root and -1 where they should fall."""
+    start and the points where _convex_newton evaluated g, with side +1
+    where the iterates should rise to the root and -1 where they should
+    fall."""
     paths = []
     real = period._convex_newton
 
-    def spy(g, dg, u, prec):
-        points = []
+    def spy(g, u, gu, prec):
+        points = [u]
 
         def g_logged(v):
             points.append(v)
             return g(v)
 
-        root = real(g_logged, dg, u, prec)
+        root = real(g_logged, u, gu, prec)
         paths.append((u, points, root))
         return root
 
@@ -142,13 +143,16 @@ def test_newton_without_convergence_raises():
     """Steps a million times too short keep shrinking through prec + 20
     evaluations without reaching the rounding floor: no unconverged point
     is returned.  With the true slope the same start gets sqrt 2."""
+    def newton(slope):
+        def g(u):
+            return u * u - 2, slope * u
+
+        return period._convex_newton(g, mp.mpf(2), g(mp.mpf(2)), 80)
+
     with mp.workprec(80):
         with pytest.raises(ArithmeticError):
-            period._convex_newton(lambda u: u * u - 2, lambda u: 2e6 * u,
-                                  mp.mpf(2), 80)
-        root = period._convex_newton(lambda u: u * u - 2, lambda u: 2 * u,
-                                     mp.mpf(2), 80)
-        assert abs(root - mp.sqrt(2)) <= mp.mpf(2) ** (2 - 80)
+            newton(2e6)
+        assert abs(newton(2) - mp.sqrt(2)) <= mp.mpf(2) ** (2 - 80)
 
 
 @pytest.mark.parametrize("prec", [80, 128, 200])
@@ -156,17 +160,21 @@ def test_turning_points_near_e_min_take_no_more_evaluations(monkeypatch,
                                                             prec):
     """At E_min + 2^(20 - prec) the two roots take no more evaluations of
     Vtilde than at E_min + 0.5: the steps stop at the rounding floor of
-    E - Vtilde instead of running on in rounding noise."""
-    calls = []
-    real = period._vtilde_u
+    E - Vtilde instead of running on in rounding noise.  Each evaluation
+    takes one exponential, and two more give q = atan(e^u) at the roots."""
+    calls, exps = [], []
+    real, exp = period._vtilde_u, mp.exp
     monkeypatch.setattr(period, "_vtilde_u",
                         lambda u, t: calls.append(u) or real(u, t))
+    monkeypatch.setattr(mp, "exp", lambda x: exps.append(x) or exp(x))
 
     def evaluations(offset):
-        calls.clear()
         with mp.workprec(prec):
-            period.turning_points_numeric(
-                period.e_min(prec) + _offset(prec, offset), prec)
+            e = period.e_min(prec) + _offset(prec, offset)
+            calls.clear()
+            exps.clear()
+            period.turning_points_numeric(e, prec)
+        assert len(exps) == len(calls) + 2
         return len(calls)
 
     assert evaluations("2^(20-prec)") <= min(20, evaluations(0.5))
