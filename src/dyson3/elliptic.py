@@ -50,7 +50,8 @@ _SERIES_TERMS = 64
 
 @functools.lru_cache(maxsize=16)
 def _laurent_coeffs(g2, g3, wp: int):
-    """(c_0, ..., c_n) with p(t) = t^-2 + sum_{k>=2} c_k t^(2k-2) and
+    """The pairs (c_k, (2k-2) c_k) for k = n, ..., 2, the order Horner's
+    rule takes them in, with p(t) = t^-2 + sum_{k>=2} c_k t^(2k-2) and
     n = _SERIES_TERMS, computed at working precision wp.
 
     Standard recursion: c_2 = g2/20, c_3 = g3/28,
@@ -68,18 +69,25 @@ def _laurent_coeffs(g2, g3, wp: int):
             for m in range(2, k - 1):
                 acc += c[m] * c[k - m]
             c[k] = 3 * acc / ((2 * k + 1) * (k - 3))
-        return tuple(c)
+        return tuple((c[k], (2 * k - 2) * c[k])
+                     for k in range(_SERIES_TERMS, 1, -1))
 
 
 def weierstrass_p(t, inv: EllipticInvariants, prec: int = 128):
     """(p(t), p'(t)) by Laurent series plus repeated duplication.
+
+    t is halved into the series disc, where Horner's rule in t^2 sums
+    p = t^-2 + t^2 A(t^2) and p' = -2 t^-3 + t B(t^2), with
+    A(x) = sum_{k>=2} c_k x^(k-2) and B(x) = sum_{k>=2} (2k-2) c_k x^(k-2),
+    at the cost of one division; duplication then doubles t back.  A real
+    t stays in real arithmetic and returns mpf values, a complex t mpc.
 
     Validity check: |p'^2 - (4p^3 - g2 p - g3)| stays tiny at the working
     precision.  Proximity to a lattice point shows up as a magnitude
     blow-up and raises LatticePointError.
     """
     with mp.workprec(prec + 40):
-        t = mp.mpc(t)
+        t = mp.mpmathify(t)
         if t == 0:
             raise LatticePointError("t = 0 is a lattice point")
         g2, g3 = mp.mpf(inv.g2), mp.mpf(inv.g3)
@@ -87,16 +95,15 @@ def weierstrass_p(t, inv: EllipticInvariants, prec: int = 128):
         while abs(t) > _SERIES_RADIUS:
             t /= 2
             ndup += 1
-        c = _laurent_coeffs(g2, g3, prec + 40)
         t2 = t * t
-        x = 1 / t2
-        y = -2 / (t2 * t)
-        tp = t2
-        for k in range(2, _SERIES_TERMS + 1):
-            # term c_k t^(2k-2) for p, (2k-2) c_k t^(2k-3) for p'
-            x += c[k] * tp
-            y += (2 * k - 2) * c[k] * tp / t
-            tp *= t2
+        a = b = 0
+        for ck, dk in _laurent_coeffs(g2, g3, prec + 40):
+            a = a * t2 + ck
+            b = b * t2 + dk
+        inv_t = 1 / t
+        inv_t2 = inv_t * inv_t
+        x = inv_t2 + t2 * a
+        y = t * b - 2 * inv_t2 * inv_t
         for _ in range(ndup):
             if abs(y) < mp.mpf(2) ** (-prec):
                 raise LatticePointError("p' vanished during duplication "

@@ -9,7 +9,6 @@ for 0 < c <= c* = 3 sqrt3 / 16, shrinking to the equilibrium at c*.
 
 from __future__ import annotations
 
-import cmath
 import math
 from array import array
 from dataclasses import dataclass
@@ -402,35 +401,41 @@ class ContinuationAmbiguity(ArithmeticError):
     pass
 
 
-def _sqrt_candidates(z):
-    s = cmath.sqrt(z)
-    return (s, -s)
+# the n-th roots of unity for the square and cube roots of the chain
+_UNITY = {2: np.array([1, -1], dtype=complex),
+          3: np.exp(2j * np.pi / 3 * np.arange(3))}
 
 
-_OMEGA = cmath.exp(2j * math.pi / 3)
+def _continue_root(base, n):
+    """Continue an n-th root (n = 2 or 3) along a path from its principal
+    values `base`: the start takes base[0], and each later step the
+    candidate base[j] u_k (u_k the n-th roots of unity) closest to the
+    previous pick.  As |u_k| = 1, the distance from base[j] u_k to the
+    previous pick base[j-1] u_m is |base[j] u_(k-m) - base[j-1]|, so each
+    step's choice relative to the last one depends on base alone, and the
+    picks are base u_(cumulative sum of the relative choices mod n).
 
-
-def _cbrt_candidates(z):
-    r = z ** (1 / 3)
-    return (r, r * _OMEGA, r * _OMEGA * _OMEGA)
-
-
-def _nearest(cands, prev, move_scale):
-    """Branch-continuous pick with an ambiguity guard: the two
-    closest candidates must be separated by at least 3x the step-to-step
-    movement, and an exact tie in distance has no continuous choice."""
-    ranked = sorted(cands, key=lambda c: abs(c - prev))
-    best = ranked[0]
-    if len(ranked) > 1:
-        if abs(ranked[1] - prev) == abs(best - prev):
+    Guard: the two closest candidates, |base[j]| |u_1 - 1| apart, must be
+    separated by at least 3x the pick's movement on the step before, and an
+    exact tie in distance has no continuous choice; either raises
+    ContinuationAmbiguity.  Step 1 has no step before it and no guard."""
+    u = _UNITY[n]
+    dist = np.abs(base[1:, None] * u - base[:-1, None])
+    near = np.sort(dist, axis=1)
+    move = np.concatenate(([0.0], near[:-1, 0]))
+    gap = abs(u[1] - 1) * np.abs(base[1:])
+    tie = near[:, 0] == near[:, 1]
+    bad = tie | (gap < 3 * move)
+    if bad.any():
+        j = int(bad.argmax())
+        if tie[j]:
             raise ContinuationAmbiguity(
-                f"candidates {best} and {ranked[1]} equidistant from {prev}")
-        gap = abs(ranked[1] - best)
-        if move_scale > 0 and gap < 3 * move_scale:
-            raise ContinuationAmbiguity(
-                f"branch separation {gap:.3e} below guard "
-                f"{3 * move_scale:.3e}; increase step count")
-    return best
+                f"two candidates equidistant from the pick at step {j + 1}")
+        raise ContinuationAmbiguity(
+            f"branch separation {gap[j]:.3e} below guard {3 * move[j]:.3e} "
+            f"at step {j + 1}; increase step count")
+    rel = np.concatenate(([0], np.cumsum(dist.argmin(axis=1)) % n))
+    return base * u[rel]
 
 
 def eta_monodromy(radius: float = 1e-3, steps: int = 2000, loops: int = 1,
@@ -447,59 +452,36 @@ def eta_monodromy(radius: float = 1e-3, steps: int = 2000, loops: int = 1,
     loop: the logarithmic branch point that makes the period function
     infinitely branched.
 
-    The continuation runs in complex128, with c*, K1 and K2 rounded once
-    from 80 bits.  That is safe because `_nearest` takes each radical as
-    the candidate closest to its previous value only when the choice is
-    clear by 3x the step-to-step movement, and raises
+    Each radical is continued over the whole path at once (_continue_root),
+    in chain order: s = sqrt(27 c^4 - 256 c^6), t = cbrt(9 c^2 - sqrt3 s),
+    then s1 = sqrt(1 + B) and s2 = sqrt(2 - B + 2/s1), each from the picks
+    before it.  The continuation runs in complex128, with c*, K1 and K2
+    rounded once from 80 bits.  That is safe because `_continue_root` takes
+    each radical as the candidate closest to its previous value only when
+    the choice is clear by 3x the step-to-step movement, and raises
     ContinuationAmbiguity otherwise: a loop too coarse for the arithmetic
     fails loudly instead of jumping branches.
     """
     c0 = float(c_star(80)) if center is None else complex(center)
     k1, k2 = (float(k) for k in _b_coeffs(80))
-    sqrt3, two_thirds_pi = math.sqrt(3), 2 * math.pi / 3
-
-    def radicals(c, prev, move):
-        # principal roots at the start of the loop, continuous picks after
-        def pick(cands, i):
-            return cands[0] if prev is None else \
-                _nearest(cands, prev[i], move[i])
-        s = pick(_sqrt_candidates(27 * c ** 4 - 256 * c ** 6), 0)
-        t = pick(_cbrt_candidates(9 * c ** 2 - sqrt3 * s), 1)
-        b = k1 * c ** 2 / t + k2 * t
-        s1 = pick(_sqrt_candidates(1 + b), 2)
-        s2 = pick(_sqrt_candidates(2 - b + 2 / s1), 3)
-        return (s, t, s1, s2), b
-
-    def roots(rad):
-        s1, s2 = rad[2], rad[3]
-        return 0.5 - s1 / 2 - s2 / 2, 0.5 - s1 / 2 + s2 / 2
-
-    def eta_of(r1, r2):
-        eps = (cmath.acos(r1) - two_thirds_pi) / 2
-        delta = (two_thirds_pi - cmath.acos(r2)) / 2
-        return eps * delta
-
-    rad0, b_start = radicals(c0 + radius, None, None)
-    r1_start, r2_start = roots(rad0)
-    eta_start = eta_prev = eta_of(r1_start, r2_start)
-    arg_acc = 0.0
-    rad, move, b = rad0, (0.0,) * 4, b_start
-    for j in range(1, loops * steps + 1):
-        c = c0 + radius * cmath.exp(1j * (2 * math.pi * j / steps))
-        new, b = radicals(c, rad, move)
-        move = tuple(abs(x - y) for x, y in zip(new, rad))
-        rad = new
-        eta = eta_of(*roots(rad))
-        arg_acc += cmath.phase(eta / eta_prev)
-        eta_prev = eta
-    r1_end, r2_end = roots(rad)
-    swapped = (abs(r1_end - r2_start) + abs(r2_end - r1_start)
-               < abs(r1_end - r1_start) + abs(r2_end - r2_start))
+    j = np.arange(loops * steps + 1)
+    c = c0 + radius * np.exp(1j * (2 * np.pi * j / steps))
+    c2 = c * c
+    s = _continue_root(np.sqrt(27 * c2 * c2 - 256 * c2 * c2 * c2), 2)
+    t = _continue_root((9 * c2 - math.sqrt(3) * s) ** (1 / 3), 3)
+    b = k1 * c2 / t + k2 * t
+    s1 = _continue_root(np.sqrt(1 + b), 2)
+    s2 = _continue_root(np.sqrt(2 - b + 2 / s1), 2)
+    r1, r2 = 0.5 - s1 / 2 - s2 / 2, 0.5 - s1 / 2 + s2 / 2
+    eta = (np.arccos(r1) - 2 * np.pi / 3) * (2 * np.pi / 3 - np.arccos(r2)) / 4
+    arg = math.fsum(np.angle(eta[1:] / eta[:-1]))     # correctly rounded
+    swapped = (abs(r1[-1] - r2[0]) + abs(r2[-1] - r1[0])
+               < abs(r1[-1] - r1[0]) + abs(r2[-1] - r2[0]))
     return MonodromyResult(
-        b_before=b_start, b_after=b,
-        branch_changed=abs(rad[0] + rad0[0]) < abs(rad[0] - rad0[0]),
-        b_changed=abs(b - b_start) > 1e-6,
-        roots_swapped=swapped,
+        b_before=complex(b[0]), b_after=complex(b[-1]),
+        branch_changed=bool(abs(s[-1] + s[0]) < abs(s[-1] - s[0])),
+        b_changed=bool(abs(b[-1] - b[0]) > 1e-6),
+        roots_swapped=bool(swapped),
         log_eta_increment=complex(
-            math.log(abs(eta_prev)) - math.log(abs(eta_start)), arg_acc),
-        eta_winding=round(arg_acc / (2 * math.pi)))
+            math.log(abs(eta[-1])) - math.log(abs(eta[0])), arg),
+        eta_winding=round(arg / (2 * math.pi)))

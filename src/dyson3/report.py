@@ -546,10 +546,11 @@ def build_verdicts(sections: dict) -> dict:
     }
 
 
-# The numeric sections, built in a forked child while this process builds
-# the rest.  Kovacic stays here, so a tracer installed in this process sees
-# every decision log; a tracer sees none of the child's spans.
-_FORKED_SECTIONS = ("period_scan", "turning_points", "monodromy", "nve")
+# The sections built in a forked child while this process builds the rest;
+# the split follows measured section costs, so the halves take about as long.
+# Kovacic and nve stay here, so a tracer installed in this process sees their
+# spans and every decision log; a tracer sees none of the child's spans.
+_FORKED_SECTIONS = ("period_scan", "turning_points", "monodromy")
 
 
 def _send_sections(cfg: PipelineConfig, names, wfd: int) -> None:

@@ -27,6 +27,62 @@ def test_weierstrass_duplication_consistency():
         assert abs(dup - x2) < mp.mpf(1e-25)
 
 
+def _reference_p(t, inv, prec):
+    """weierstrass_p in complex arithmetic for every t, with its own
+    Laurent coefficients, and the series summed term by term with one
+    division per term."""
+    with mp.workprec(prec + 40):
+        t = mp.mpc(t)
+        g2, g3 = mp.mpf(inv.g2), mp.mpf(inv.g3)
+        ndup = 0
+        while abs(t) > elliptic._SERIES_RADIUS:
+            t /= 2
+            ndup += 1
+        c = [mp.mpf(0)] * (elliptic._SERIES_TERMS + 1)
+        c[2], c[3] = g2 / 20, g3 / 28
+        for k in range(4, elliptic._SERIES_TERMS + 1):
+            c[k] = 3 * mp.fsum(c[m] * c[k - m] for m in range(2, k - 1)) \
+                / ((2 * k + 1) * (k - 3))
+        t2 = t * t
+        x = 1 / t2
+        y = -2 / (t2 * t)
+        tp = t2
+        for k in range(2, elliptic._SERIES_TERMS + 1):
+            x += c[k] * tp
+            y += (2 * k - 2) * c[k] * tp / t
+            tp *= t2
+        for _ in range(ndup):
+            u = (6 * x * x - g2 / 2) / (2 * y)
+            x, y = u * u - 2 * x, u * (6 * x - 2 * u * u) - y
+        return +x, +y
+
+
+# inside the series disc (|t| <= 0.3) and beyond it, where duplication
+# doubles t back from t / 2^k
+_P_ARGS = [mp.mpf("0.1"), mp.mpf("0.29"), mp.mpf("-0.45"), mp.mpf("0.7"),
+           mp.mpf("1.3"), mp.mpc("0.2", "0.15"), mp.mpc("0.3", "0.2"),
+           mp.mpc("0.9", "-0.4"), mp.mpc(0, "0.8")]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("t", _P_ARGS, ids=str)
+def test_weierstrass_p_matches_the_per_term_reference(t, h):
+    prec = 128
+    inv = elliptic.invariants_for_energy(h, prec)
+    got = elliptic.weierstrass_p(t, inv, prec)
+    want = _reference_p(t, inv, prec)
+    with mp.workprec(prec + 40):
+        for g, w in zip(got, want):
+            assert abs(g - w) <= mp.mpf(2) ** -prec * abs(w)
+
+
+@pytest.mark.parametrize("t", [mp.mpf("0.2"), mp.mpf("1.3"), 0.7, 2],
+                         ids=str)
+def test_weierstrass_p_of_real_t_is_real(t):
+    x, y = elliptic.weierstrass_p(t, elliptic.invariants_for_energy(2, 128))
+    assert isinstance(x, mp.mpf) and isinstance(y, mp.mpf)
+
+
 def test_phi_satisfies_energy_relation():
     for h in (1, 2, 3):
         assert elliptic.verify_phi(h, prec=128) < mp.mpf(1e-10)

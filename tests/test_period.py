@@ -1,4 +1,5 @@
 """Period function, turning points, and branch monodromy."""
+import cmath
 import math
 import re
 
@@ -332,7 +333,137 @@ def test_monodromy_ambiguity_guard():
         period.eta_monodromy(radius=1e-3, steps=4, loops=1)
 
 
-def test_nearest_exact_tie_is_ambiguous():
+def test_continuation_exact_tie_is_ambiguous():
+    with pytest.raises(period.ContinuationAmbiguity, match="equidistant"):
+        period._continue_root(np.array([0j, 1 + 0j]), 2)
+    picks = period._continue_root(np.array([0.5 + 0j, 1 + 0j]), 2)
+    assert list(picks) == [0.5, 1]
+
+
+# -- the per-step continuation that eta_monodromy replaced, as its reference
+
+_RADICALS = ("s", "t", "s1", "s2")
+
+
+def _sqrt_candidates(z):
+    s = cmath.sqrt(z)
+    return (s, -s)
+
+
+_OMEGA = cmath.exp(2j * math.pi / 3)
+
+
+def _cbrt_candidates(z):
+    r = z ** (1 / 3)
+    return (r, r * _OMEGA, r * _OMEGA * _OMEGA)
+
+
+def _nearest(cands, prev, move_scale):
+    ranked = sorted(cands, key=lambda c: abs(c - prev))
+    best = ranked[0]
+    if len(ranked) > 1:
+        if abs(ranked[1] - prev) == abs(best - prev):
+            raise period.ContinuationAmbiguity("equidistant")
+        gap = abs(ranked[1] - best)
+        if move_scale > 0 and gap < 3 * move_scale:
+            raise period.ContinuationAmbiguity("separation below guard")
+    return best
+
+
+def _reference_monodromy(radius, steps, loops, center):
+    """eta_monodromy one step at a time in Python; an ambiguity names its
+    radical."""
+    c0 = complex(center)
+    k1, k2 = (float(k) for k in period._b_coeffs(80))
+    sqrt3, two_thirds_pi = math.sqrt(3), 2 * math.pi / 3
+
+    def radicals(c, prev, move):
+        def pick(cands, i):
+            if prev is None:
+                return cands[0]
+            try:
+                return _nearest(cands, prev[i], move[i])
+            except period.ContinuationAmbiguity as exc:
+                raise period.ContinuationAmbiguity(_RADICALS[i]) from exc
+        s = pick(_sqrt_candidates(27 * c ** 4 - 256 * c ** 6), 0)
+        t = pick(_cbrt_candidates(9 * c ** 2 - sqrt3 * s), 1)
+        b = k1 * c ** 2 / t + k2 * t
+        s1 = pick(_sqrt_candidates(1 + b), 2)
+        s2 = pick(_sqrt_candidates(2 - b + 2 / s1), 3)
+        return (s, t, s1, s2), b
+
+    def roots(rad):
+        s1, s2 = rad[2], rad[3]
+        return 0.5 - s1 / 2 - s2 / 2, 0.5 - s1 / 2 + s2 / 2
+
+    def eta_of(r1, r2):
+        eps = (cmath.acos(r1) - two_thirds_pi) / 2
+        delta = (two_thirds_pi - cmath.acos(r2)) / 2
+        return eps * delta
+
+    rad0, b_start = radicals(c0 + radius, None, None)
+    r1_start, r2_start = roots(rad0)
+    eta_start = eta_prev = eta_of(r1_start, r2_start)
+    arg_acc = 0.0
+    rad, move, b = rad0, (0.0,) * 4, b_start
+    for j in range(1, loops * steps + 1):
+        c = c0 + radius * cmath.exp(1j * (2 * math.pi * j / steps))
+        new, b = radicals(c, rad, move)
+        move = tuple(abs(x - y) for x, y in zip(new, rad))
+        rad = new
+        eta = eta_of(*roots(rad))
+        arg_acc += cmath.phase(eta / eta_prev)
+        eta_prev = eta
+    r1_end, r2_end = roots(rad)
+    swapped = (abs(r1_end - r2_start) + abs(r2_end - r1_start)
+               < abs(r1_end - r1_start) + abs(r2_end - r2_start))
+    return period.MonodromyResult(
+        b_before=b_start, b_after=b,
+        branch_changed=abs(rad[0] + rad0[0]) < abs(rad[0] - rad0[0]),
+        b_changed=abs(b - b_start) > 1e-6,
+        roots_swapped=swapped,
+        log_eta_increment=complex(
+            math.log(abs(eta_prev)) - math.log(abs(eta_start)), arg_acc),
+        eta_winding=round(arg_acc / (2 * math.pi)))
+
+
+@pytest.mark.parametrize("loops", [1, 2])
+@pytest.mark.parametrize("steps", [800, 2000])
+@pytest.mark.parametrize("radius", [5e-4, 1e-3, 3e-3])
+@pytest.mark.parametrize("shift", [0.0, -0.01], ids=["enclosing", "away"])
+def test_continuation_matches_the_per_step_reference(shift, radius, steps,
+                                                     loops):
+    center = float(period.c_star(80)) + shift
+    got = period.eta_monodromy(radius, steps, loops, center)
+    want = _reference_monodromy(radius, steps, loops, center)
+    for field in ("branch_changed", "b_changed", "roots_swapped",
+                  "eta_winding"):
+        assert getattr(got, field) == getattr(want, field), field
+    for field in ("b_before", "b_after", "log_eta_increment"):
+        assert abs(getattr(got, field) - getattr(want, field)) < 1e-12, field
+    assert got.eta_winding == (loops if shift == 0 else 0)
+
+
+@pytest.mark.parametrize("center, radius, steps, radical", [
+    (0.0, 0.01, 5, "t"),
+    (0.0, 0.5, 6, "s1"),
+    (0.38 + 0.07j, 0.1, 16, "s2"),
+])
+def test_every_radical_of_the_chain_is_guarded(monkeypatch, center, radius,
+                                               steps, radical):
+    """Loops where s continues cleanly but a later radical of the chain
+    does not: the per-step reference and eta_monodromy both raise, at the
+    same radical."""
+    with pytest.raises(period.ContinuationAmbiguity, match=f"^{radical}$"):
+        _reference_monodromy(radius, steps, 1, center)
+    continued = []
+    continue_root = period._continue_root
+
+    def record(base, n):
+        continued.append(n)
+        return continue_root(base, n)
+
+    monkeypatch.setattr(period, "_continue_root", record)
     with pytest.raises(period.ContinuationAmbiguity):
-        period._nearest((1 + 0j, -1 + 0j), 0j, 0.0)
-    assert period._nearest((1 + 0j, -1 + 0j), 0.5 + 0j, 0.0) == 1
+        period.eta_monodromy(radius, steps, 1, center)
+    assert _RADICALS[len(continued) - 1] == radical

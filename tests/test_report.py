@@ -240,6 +240,12 @@ def _stub_builders(monkeypatch, **replace):
                             replace.get(name, stub))
 
 
+# a section of each half, taken from the split, so that a rebalance cannot
+# turn a test of the child into a test of the parent
+_CHILD = rpt._FORKED_SECTIONS[0]
+_INLINE = [n for n in rpt.SECTION_NAMES if n not in rpt._FORKED_SECTIONS][-1]
+
+
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -257,7 +263,7 @@ def test_forked_report_builds_the_numeric_half_in_a_child(monkeypatch):
     _assert_no_child()
 
 
-@pytest.mark.parametrize("name", ["period_scan", "kovacic"])
+@pytest.mark.parametrize("name", [_CHILD, _INLINE])
 def test_a_raise_in_either_half_reaches_the_caller(monkeypatch, name):
     def broken(cfg):
         raise ValueError(f"{name} broke")
@@ -282,13 +288,17 @@ def test_an_unpicklable_raise_in_the_child_keeps_its_traceback(monkeypatch,
     class Local(Exception):         # a local class does not pickle
         pass
 
-    def broken(cfg):
-        if unpicklable == "local_class":
-            raise Local("nve broke")
-        raise TwoArgError("nve", "broke")
+    test_pid = os.getpid()
 
-    _stub_builders(monkeypatch, nve=broken)
-    with pytest.raises(RuntimeError, match=r"(TwoArgError|Local): nve broke"):
+    def broken(cfg):
+        assert os.getpid() != test_pid, f"{_CHILD} was not built in a child"
+        if unpicklable == "local_class":
+            raise Local(f"{_CHILD} broke")
+        raise TwoArgError(_CHILD, "broke")
+
+    _stub_builders(monkeypatch, **{_CHILD: broken})
+    with pytest.raises(RuntimeError,
+                       match=rf"(TwoArgError|Local): {_CHILD} broke"):
         rpt.build_report(rpt.PipelineConfig())
     _assert_no_child()
 
@@ -297,10 +307,10 @@ def test_a_child_that_dies_raises_its_exit_status(monkeypatch):
     test_pid = os.getpid()
 
     def dies(cfg):
-        assert os.getpid() != test_pid, "monodromy was not built in a child"
+        assert os.getpid() != test_pid, f"{_CHILD} was not built in a child"
         os._exit(3)
 
-    _stub_builders(monkeypatch, monodromy=dies)
+    _stub_builders(monkeypatch, **{_CHILD: dies})
     with pytest.raises(RuntimeError, match="status 3 "):
         rpt.build_report(rpt.PipelineConfig())
     _assert_no_child()
