@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from . import model
 
@@ -33,8 +34,9 @@ def _mp(x):
                 for r, n in sorted(x.num.items())), mp.mpf(0)) / x.den
 
 
-def _mp_poly(p, x):
-    return mp.polyval([_mp(c) for c in reversed(p.coeffs)], x)
+def _mp_coeffs(p):
+    """p's coefficients as mpmath numbers, highest first, for mp.polyval."""
+    return [_mp(c) for c in reversed(p.coeffs)]
 
 
 def invariants_for_energy(h, prec: int = 128) -> EllipticInvariants:
@@ -45,32 +47,43 @@ def invariants_for_energy(h, prec: int = 128) -> EllipticInvariants:
 
 
 _SERIES_RADIUS = 0.3
-_SERIES_TERMS = 64
 
 
 @functools.lru_cache(maxsize=16)
 def _laurent_coeffs(g2, g3, wp: int):
     """The pairs (c_k, (2k-2) c_k) for k = n, ..., 2, the order Horner's
-    rule takes them in, with p(t) = t^-2 + sum_{k>=2} c_k t^(2k-2) and
-    n = _SERIES_TERMS, computed at working precision wp.
+    rule takes them in, with p(t) = t^-2 + sum_{k>=2} c_k t^(2k-2),
+    computed at working precision wp and returned in fixed point, as the
+    integers nearest c 2^wp.
 
     Standard recursion: c_2 = g2/20, c_3 = g3/28,
     c_k = 3/((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_{k-m}.
+    The series converges out to the nearest nonzero lattice point, which
+    lies at 3.0-3.3 for the report's lattices, so at |t| <= R =
+    _SERIES_RADIUS each term is about 1/100 of the one before.  n is the
+    last k before three terms in a row fall below 2^-wp relative to the
+    leading terms t^-2 of p and -2 t^-3 of p': (k - 1) |c_k| R^(2k) <
+    2^-wp.  Three, as c_k vanishes in runs of two when g2 or g3 is 0.
     The recursion is O(n^2), and a report evaluates p many times on the
     invariants of a few energies, so the coefficients are kept per
     (g2, g3, wp); wp is in the key because it rounds every c_k.
     """
     with mp.workprec(wp):
-        c = [mp.mpf(0)] * (_SERIES_TERMS + 1)
-        c[2] = g2 / 20
-        c[3] = g3 / 28
-        for k in range(4, _SERIES_TERMS + 1):
-            acc = mp.mpf(0)
-            for m in range(2, k - 1):
-                acc += c[m] * c[k - m]
-            c[k] = 3 * acc / ((2 * k + 1) * (k - 3))
-        return tuple((c[k], (2 * k - 2) * c[k])
-                     for k in range(_SERIES_TERMS, 1, -1))
+        r2, tiny = mp.mpf(_SERIES_RADIUS) ** 2, mp.ldexp(1, -wp)
+        c = [None, None, g2 / 20, g3 / 28]
+        small, k = 0, 2
+        while small < 3:
+            if k == len(c):
+                acc = mp.mpf(0)
+                for m in range(2, k - 1):
+                    acc += c[m] * c[k - m]
+                c.append(3 * acc / ((2 * k + 1) * (k - 3)))
+            small = small + 1 if (k - 1) * abs(c[k]) * r2 ** k < tiny else 0
+            k += 1
+        n = k - 4
+        return tuple((to_fixed(c[k]._mpf_, wp),
+                      to_fixed(((2 * k - 2) * c[k])._mpf_, wp))
+                     for k in range(n, 1, -1))
 
 
 def weierstrass_p(t, inv: EllipticInvariants, prec: int = 128):
@@ -79,14 +92,19 @@ def weierstrass_p(t, inv: EllipticInvariants, prec: int = 128):
     t is halved into the series disc, where Horner's rule in t^2 sums
     p = t^-2 + t^2 A(t^2) and p' = -2 t^-3 + t B(t^2), with
     A(x) = sum_{k>=2} c_k x^(k-2) and B(x) = sum_{k>=2} (2k-2) c_k x^(k-2),
-    at the cost of one division; duplication then doubles t back.  A real
-    t stays in real arithmetic and returns mpf values, a complex t mpc.
+    at the cost of one division; duplication then doubles t back.  Horner's
+    rule runs in fixed point, on integers scaled by 2^wp, wp = prec + 40:
+    |x| <= 0.09 and the c_k shrink about a hundredfold per term, so its
+    truncation errors, one unit of 2^-wp per step, stay 40 bits below the
+    result's precision.  A real t stays in real arithmetic and returns mpf
+    values, a complex t mpc.
 
     Validity check: |p'^2 - (4p^3 - g2 p - g3)| stays tiny at the working
     precision.  Proximity to a lattice point shows up as a magnitude
     blow-up and raises LatticePointError.
     """
-    with mp.workprec(prec + 40):
+    wp = prec + 40
+    with mp.workprec(wp):
         t = mp.mpmathify(t)
         if t == 0:
             raise LatticePointError("t = 0 is a lattice point")
@@ -96,10 +114,18 @@ def weierstrass_p(t, inv: EllipticInvariants, prec: int = 128):
             t /= 2
             ndup += 1
         t2 = t * t
-        a = b = 0
-        for ck, dk in _laurent_coeffs(g2, g3, prec + 40):
-            a = a * t2 + ck
-            b = b * t2 + dk
+        xr, xi = (to_fixed(mp.mpf(v)._mpf_, wp) for v in (t2.real, t2.imag))
+        ar = ai = br = bi = 0                 # ai, bi stay 0 for a real t
+        for ck, dk in _laurent_coeffs(g2, g3, wp):
+            ar, ai = (((ar * xr - ai * xi) >> wp) + ck,
+                      (ar * xi + ai * xr) >> wp)
+            br, bi = (((br * xr - bi * xi) >> wp) + dk,
+                      (br * xi + bi * xr) >> wp)
+        if isinstance(t2, mp.mpf):
+            a, b = (mp.make_mpf(from_man_exp(v, -wp)) for v in (ar, br))
+        else:
+            a, b = (mp.make_mpc((from_man_exp(re, -wp), from_man_exp(im, -wp)))
+                    for re, im in ((ar, ai), (br, bi)))
         inv_t = 1 / t
         inv_t2 = inv_t * inv_t
         x = inv_t2 + t2 * a
@@ -124,21 +150,37 @@ def weierstrass_ode_residual(t, inv: EllipticInvariants, prec: int = 128):
         return abs(y * y - (4 * x ** 3 - mp.mpf(inv.g2) * x - mp.mpf(inv.g3)))
 
 
-def phi_solution(t, h, prec: int = 128):
-    """phi(t) = a + b p(t; g2, g3(h)) and phidot."""
+# The certificates convert the field constants of phi, psi and the potential
+# to mpmath once per call: a and b, psi's constants and the potentials at
+# prec + 40 bits, the invariants at prec.
+
+def _phi_constants(h, prec):
+    """(a, b, invariants) of phi on the energy h as mpmath numbers."""
     phi = model.elliptic_solution()
     inv = invariants_for_energy(h, prec)
     with mp.workprec(prec + 40):
+        return _mp(phi.a), _mp(phi.b), inv
+
+
+def _phi_at(t, consts, prec):
+    a, b, inv = consts
+    with mp.workprec(prec + 40):
         x, y = weierstrass_p(t, inv, prec)
-        b = _mp(phi.b)
-        return _mp(phi.a) + b * x, b * y
+        return a + b * x, b * y
+
+
+def phi_solution(t, h, prec: int = 128):
+    """phi(t) = a + b p(t; g2, g3(h)) and phidot."""
+    return _phi_at(t, _phi_constants(h, prec), prec)
 
 
 def phi_residual(u, h, ts, prec: int = 128):
     """Max residual of qdot^2 = h - u(q) along phi at the times ts."""
+    consts = _phi_constants(h, prec)
     with mp.workprec(prec + 40):
-        return max(abs(qd * qd - (h - _mp_poly(u, q)))
-                   for q, qd in (phi_solution(t, h, prec) for t in ts))
+        coeffs = _mp_coeffs(u)
+        return max(abs(qd * qd - (h - mp.polyval(coeffs, q)))
+                   for q, qd in (_phi_at(t, consts, prec) for t in ts))
 
 
 def verify_phi(h, prec: int = 128):
@@ -149,13 +191,17 @@ def verify_phi(h, prec: int = 128):
         return phi_residual(u, h, ts, prec)
 
 
-def psi_solution(t, prec: int = 128):
-    """psi(t) = alpha / w with w = 1 + rho sin(omega t); returns
-    (psi, psidot, psiddot) by direct trigonometric differentiation."""
+def _psi_constants(prec):
+    """(alpha, rho, omega) of psi as mpmath numbers."""
     pole = model.pole_solution()
     with mp.workprec(prec + 40):
+        return _mp(pole.alpha), _mp(pole.rho), _mp(pole.omega)
+
+
+def _psi_at(t, consts, prec):
+    alpha, rho, omega = consts
+    with mp.workprec(prec + 40):
         t = mp.mpc(t)
-        alpha, rho, omega = _mp(pole.alpha), _mp(pole.rho), _mp(pole.omega)
         s = rho * mp.sin(omega * t)
         w = 1 + s
         if abs(w) < mp.mpf(2) ** (-prec // 2):
@@ -166,13 +212,21 @@ def psi_solution(t, prec: int = 128):
                 alpha * (2 * wd * wd - wdd * w) / w ** 3)
 
 
+def psi_solution(t, prec: int = 128):
+    """psi(t) = alpha / w with w = 1 + rho sin(omega t); returns
+    (psi, psidot, psiddot) by direct trigonometric differentiation."""
+    return _psi_at(t, _psi_constants(prec), prec)
+
+
 def verify_psi(prec: int = 128):
     """Max residual of the quartic truncation's force qddot = g(q) along
     psi."""
     g = model.diagonal_reduce(model.taylor_truncate(4))
+    consts = _psi_constants(prec)
     with mp.workprec(prec + 40):
-        return max(abs(qdd - _mp_poly(g, q)) for q, _, qdd in
-                   (psi_solution(mp.mpf(k) / 16, prec) for k in range(25)))
+        coeffs = _mp_coeffs(g)
+        return max(abs(qdd - mp.polyval(coeffs, q)) for q, _, qdd in
+                   (_psi_at(mp.mpf(k) / 16, consts, prec) for k in range(25)))
 
 
 def psi_diagonal_energy(prec: int = 128):
@@ -180,7 +234,9 @@ def psi_diagonal_energy(prec: int = 128):
     relation, evaluated on a grid (it is identically 0; the report stores
     the measured value)."""
     u = model.diagonal_potential(model.taylor_truncate(4))
+    consts = _psi_constants(prec)
     with mp.workprec(prec + 40):
-        vals = [qd * qd + _mp_poly(u, q) for q, qd, _ in
-                (psi_solution(mp.mpf(k) / 8, prec) for k in range(1, 8))]
+        coeffs = _mp_coeffs(u)
+        vals = [qd * qd + mp.polyval(coeffs, q) for q, qd, _ in
+                (_psi_at(mp.mpf(k) / 8, consts, prec) for k in range(1, 8))]
         return max(abs(v) for v in vals), vals[0]

@@ -57,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import (FE, ONE, ZERO, FieldElement, _radical_mul,
+from .field import (FE, ONE, ZERO, FieldElement, _radical_mul, _reduce,
                     _rational_square_root, field_sqrt, radical_generators,
                     radical_span)
 from .poly import Poly, RationalFunction, exact_roots, partial_fractions
@@ -605,9 +605,15 @@ def _recursion(S, Sth, S2r, n, P):
                           (1, _packed_mul(lin, cur)),
                           (-(n - i) * (i + 1), _packed_mul(S2r, prev)))
         prev, cur = cur, nxt
-    den, xs = cur
+    return _unpack(cur)
+
+
+def _unpack(x):
+    """The Poly of a packed (den, {r: [n_0, n_1, ...]}), each coefficient
+    reduced once over den."""
+    den, xs = x
     width = max(map(len, xs.values()), default=0)
-    return Poly([FieldElement({r: Fraction(a[k], den) for r, a in xs.items()})
+    return Poly([_reduce({r: a[k] for r, a in xs.items() if a[k]}, den)
                  for k in range(width)])
 
 
@@ -827,11 +833,15 @@ class _Sweep:
         self.S, self.S2r = S, r.num * odd
         self.quotients = [S.exact_div(Poly([-c.point, ONE]))
                           for c in profile.poles]
+        self._packed = [_pack(q) for q in self.quotients]
 
     def theta(self, weights):
-        """S*theta for theta = sum e_c/(w - c), one rational e_c per pole."""
-        return sum((q.scale(FE(e)) for e, q in zip(weights, self.quotients)),
-                   Poly([]))
+        """S*theta for theta = sum e_c/(w - c), one rational e_c per pole,
+        summed in integers over the packed S/(w - c) (_pack): e_c = m/n
+        scales the numerators of S/(w - c) by m and its denominator by n."""
+        return _unpack(_packed_sum(*(
+            (e.numerator, (den * e.denominator, xs))
+            for e, (den, xs) in zip(map(Fraction, weights), self._packed))))
 
 
 # ---------------------------------------------------------------------------

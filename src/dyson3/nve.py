@@ -54,8 +54,14 @@ class AlgebraizedODE:
     variant: str
 
     def normal_form_identity_holds(self) -> bool:
-        lhs = self.p * self.p * Fraction(1, 4) + self.p.derivative() * Fraction(1, 2) - self.q
-        return lhs == self.r
+        """r = p^2/4 + p'/2 - q, as the polynomial identity it is times
+        4 b^2 q.den r.den for p = a/b:
+        (a^2 + 2(a'b - ab')) q.den r.den = 4 b^2 (q.num r.den + r.num q.den),
+        which takes no gcd."""
+        (a, b), q, r = (self.p.num, self.p.den), self.q, self.r
+        lhs = (a * a + (a.derivative() * b - a * b.derivative()).scale(2)) \
+            * (q.den * r.den)
+        return lhs == (q.num * r.den + r.num * q.den).scale(4) * (b * b)
 
 
 def derive_variational(trunc: TruncatedHamiltonian) -> VariationalSystem:
@@ -119,15 +125,24 @@ def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
     the exact polynomials wdot^2 and wddot in w, xiddot = a(psi) xi becomes
         xi'' + p(w) xi' + q(w) xi = 0,
         p = wddot/wdot^2,  q = -a(alpha/w)/wdot^2,
-    and the normal form r = p^2/4 + p'/2 - q.
+    and the normal form r = p^2/4 + p'/2 - q.  With P = wddot, D = wdot^2
+    and N = w^n a(alpha/w), n = deg a, each is formed as one fraction of
+    polynomials, so one gcd reduces it:
+        q = -N/(w^n D),  r = (w^n (P^2 + 2(P'D - PD')) + 4DN) / (4 w^n D^2).
     """
     if nve.source != "L":
         raise ValueError("algebrization is defined for the quartic NVE")
     pole = pole_solution()
-    wdot2 = RationalFunction.from_poly(pole.wdot2)
-    p = RationalFunction.from_poly(pole.wddot) / wdot2
-    q = -nve.a(RationalFunction(Poly([pole.alpha]), Poly.x())) / wdot2
-    r = p * p * Fraction(1, 4) + p.derivative() * Fraction(1, 2) - q
+    big_p, big_d, n, w = pole.wddot, pole.wdot2, nve.a.degree, Poly.x()
+    wn = w ** n
+    big_n = Poly([])      # sum_k a_k alpha^k w^(n-k), by Horner's rule
+    for k in range(n, -1, -1):
+        big_n = big_n.scale(pole.alpha) + Poly([nve.a.coeff(k)]) * w ** (n - k)
+    p = RationalFunction(big_p, big_d)
+    q = RationalFunction(-big_n, wn * big_d)
+    dp = (big_p.derivative() * big_d - big_p * big_d.derivative()).scale(2)
+    r = RationalFunction(wn * (big_p * big_p + dp) + (big_d * big_n).scale(4),
+                         (wn * big_d * big_d).scale(4))
     return AlgebraizedODE(p=p, q=q, r=r, variant=nve.variant)
 
 
@@ -160,35 +175,40 @@ _MIN_WIDTH = 1e-6     # refuse below this fraction of the interval
 
 def _picard_segment(rhs, y0, t0: float, width: float):
     """Chebyshev coefficients [node, component] of the solution on
-    [t0, t0 + width], or None when the segment does not converge."""
+    [t0, t0 + width], or None when the segment does not converge.  Every
+    sweep calls rhs with the same array t of the segment's nodes."""
     t = t0 + 0.5 * width * (_TAU + 1.0)
+    integrate = (0.5 * width) * _INTEGRATE
     y = np.broadcast_to(y0, (_DEG + 1,) + y0.shape)
     for _ in range(_PICARD_ITERS):
-        new = y0 + 0.5 * width * (_INTEGRATE @ rhs(t, y))
-        update = np.max(np.abs(new - y))
-        bound = _TOL * (1.0 + np.max(np.abs(new)))
+        new = y0 + integrate @ rhs(t, y)
+        update = abs(new - y).max()
+        bound = _TOL * (1.0 + abs(new).max())
         y = new
-        if not np.isfinite(update):
+        if not math.isfinite(update):
             return None
         if update <= bound:
             break
     else:
         return None
     coef = _TO_COEF @ y
-    if not np.max(np.abs(coef[-3:])) <= bound:
+    if not abs(coef[-3:]).max() <= bound:
         return None
     return coef
 
 
 def _chebyshev_picard(rhs, y0, t_end: float):
     """Integrate y' = rhs(t, y) from 0 to t_end; rhs is vectorized,
-    rhs(t[k], y[k, d]) -> [k, d].  Segments grow by 1.5x after an accepted
-    one and halve after a rejected one; ArithmeticError when a segment
-    would fall below _MIN_WIDTH * t_end.  Returns the dense solution:
-    t[...] -> y[..., d], the stored Chebyshev series evaluated at t."""
+    rhs(t[k], y[k, d]) -> [k, d].  The first segment spans a quarter of the
+    interval, which the report's integrations mostly accept; a first segment
+    of the full width fails one to three times on each of them.
+    Segments grow by 1.5x after an accepted one and halve after a rejected
+    one; ArithmeticError when a segment would fall below _MIN_WIDTH * t_end.
+    Returns the dense solution: t[...] -> y[..., d], the stored Chebyshev
+    series evaluated at t."""
     y0 = np.asarray(y0) + 0.0
     breaks, coefs = [0.0], []
-    width = t_end
+    width = 0.25 * t_end
     with np.errstate(over="ignore", invalid="ignore"):
         while breaks[-1] < t_end:
             t0 = breaks[-1]
@@ -219,117 +239,167 @@ def _chebyshev_picard(rhs, y0, t_end: float):
     return solution
 
 
+def _per_segment(coefficients):
+    """coefficients(t) formed once per segment: every sweep of a segment
+    passes the same array t of its nodes (_picard_segment), so a
+    coefficient that depends on t alone is kept until t changes."""
+    last = [None, None]
+
+    def at(t):
+        if last[0] is not t:
+            last[:] = t, coefficients(t)
+        return last[1]
+
+    return at
+
+
 @functools.lru_cache(maxsize=None)
 def _base_orbit(source: str, q0: float):
-    """Float diagonal force and period of the diagonal orbit through
-    (q0, p=0) of the truncation `source` ("K" or "L")."""
+    """The diagonal orbit through (q0, p=0) of the truncation `source`
+    ("K" or "L") over one period: its dense solution t -> (q, p) by the
+    Chebyshev-Picard integrator, and the period.  The variational oracles
+    take q(t) from it, so their coefficients depend on t alone."""
     trunc = taylor_truncate(_ORDER[source])
-    return float_horner(diagonal_reduce(trunc)), base_period(trunc, q0)
+    accel = float_horner(diagonal_reduce(trunc))
+    t_end = base_period(trunc, q0)
+
+    def rhs(t, y):
+        q, p = y.T
+        return np.array([p, accel(q)]).T
+
+    return _chebyshev_picard(rhs, [q0, 0.0], t_end), t_end
 
 
 def base_period(trunc: TruncatedHamiltonian, q0: float) -> float:
     """Period of the diagonal orbit of the truncation through (q0, p=0),
     by singularity-removing quadrature of the energy relation.  The other
-    turning point is the real root of U - h nearest 0 on the side opposite
-    q0.
+    turning point q1 is the real root nearest 0, on the side opposite q0,
+    of D = (U(q) - U(q0))/(q - q0), the quotient of synthetic division by
+    q - q0; dividing D by q - q1 the same way leaves R with
+    h - U(q) = (q - q-)(q+ - q) R(q), where h = U(q0), {q-, q+} = {q0, q1}
+    and R > 0 between them.  So h - U is never formed in floats, where it
+    cancels near both turning points.
 
-    With q = q- + span sin^2(theta) the half period is the integral over
-    0 <= theta <= pi/2 of an integrand that is smooth, even and pi-periodic
-    in theta (U is a polynomial), which period.quarter_midpoint takes at
-    53 bits."""
+    With q = q- + span sin^2(theta) the half period is the integral of
+    2/sqrt(R(q)) over 0 <= theta <= pi/2, smooth, even and pi-periodic in
+    theta, which period.quarter_midpoint takes at 53 bits."""
     # imported here, so that the exact modules load no mpmath
     from .period import quarter_midpoint
-    u = diagonal_potential(trunc)
-    uval = float_horner(u)
-    h = uval(q0)
-    shifted = [c.to_complex().real for c in u.coeffs][::-1]
-    shifted[-1] -= h
-    opposite = [r.real for r in np.roots(shifted)
+    coeffs = [c.to_complex().real for c in diagonal_potential(trunc).coeffs]
+    quot = _deflate(coeffs, q0)
+    opposite = [r.real for r in np.roots(quot[::-1])
                 if abs(r.imag) < 1e-10 and r.real * q0 < 0]
     if not opposite:
         raise ValueError("no opposite turning point")
-    qm, qp = sorted((q0, min(opposite, key=abs)))
+    q1 = min(opposite, key=abs)
+    rest = _deflate(quot, q1)
+    qm, qp = sorted((q0, q1))
     span = qp - qm
 
     def integrand(theta):
         s = math.sin(theta)
-        return 2.0 * span * s * math.cos(theta) / math.sqrt(
-            h - uval(qm + span * s * s))
+        q, r = qm + span * s * s, 0.0
+        for c in reversed(rest):
+            r = r * q + c
+        return 2.0 / math.sqrt(r)
 
     return float(2 * quarter_midpoint(integrand)[0])
+
+
+def _deflate(coeffs, root: float):
+    """The quotient of the polynomial with ascending float coefficients
+    `coeffs` by q - root, by synthetic division; the remainder, the value at
+    root, is dropped."""
+    quot = [0.0] * (len(coeffs) - 1)
+    acc = 0.0
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = acc * root + coeffs[k]
+        quot[k - 1] = acc
+    return quot
 
 
 def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
                     perturb: float = 0.0):
     """Integrate the 4D variational system and the scalar NVE side by side
-    along the numeric diagonal base solution, over one base period, with
-    the Chebyshev-Picard integrator; return the max deviation of the scalar
-    solution from the tagged combination xi1 + sign * xi2 at 400 points.
+    along the numeric diagonal base solution (_base_orbit), over one base
+    period, with the Chebyshev-Picard integrator; return the max deviation
+    of the scalar solution from the tagged combination xi1 + sign * xi2 at
+    400 points.
 
     `perturb` adds a constant to the scalar coefficient for the negative
     control experiment.
     """
     alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
-    accel, t_end = _base_orbit(vs.source, q0)
+    orbit, t_end = _base_orbit(vs.source, q0)
     a_nve = float_horner(nve.a)
     sign = -1.0 if nve.mode == "antisymmetric" else 1.0
     kin = 2.0 - sign      # kinetic eigenvalue of the mode: 3 or 1
 
+    @_per_segment
+    def coefficients(t):
+        q = orbit(t)[:, 0]
+        return alpha(q), beta(q), a_nve(q) + perturb
+
     def rhs(t, y):
-        q, p, x1, x2, e1, e2, xs, xd = y.T
-        a, b = alpha(q), beta(q)
-        return np.stack([
-            p, accel(q),
+        x1, x2, e1, e2, xs, xd = y.T
+        a, b, c = coefficients(t)
+        return np.array([
             2 * e1 - e2, -e1 + 2 * e2,
             -a * x1 - b * x2, -b * x1 - a * x2,
-            xd, (a_nve(q) + perturb) * xs,
-        ], axis=-1)
+            xd, c * xs,
+        ]).T
 
     # start inside the tagged subspace
     x1, e1 = 1.0, 0.3
     x2, e2 = sign * x1, sign * e1
     xs0, xd0 = x1 + sign * x2, kin * (e1 + sign * e2)
-    sol = _chebyshev_picard(rhs, [q0, 0.0, x1, x2, e1, e2, xs0, xd0], t_end)
+    sol = _chebyshev_picard(rhs, [x1, x2, e1, e2, xs0, xd0], t_end)
     ys = sol(np.linspace(0.0, t_end, 400))
-    return float(np.max(np.abs(ys[:, 2] + sign * ys[:, 3] - ys[:, 6])))
+    return float(np.max(np.abs(ys[:, 0] + sign * ys[:, 1] - ys[:, 4])))
 
 
 _KINETIC = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
 
 def monodromy_matrix(vs: VariationalSystem, q0: float = 0.1):
-    """Fundamental 4x4 solution over one base period, by the
+    """Fundamental 4x4 solution over one base period (_base_orbit), by the
     Chebyshev-Picard integrator."""
     alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
-    accel, t_end = _base_orbit(vs.source, q0)
+    orbit, t_end = _base_orbit(vs.source, q0)
+
+    @_per_segment
+    def coefficients(t):
+        q = orbit(t)[:, 0]
+        return alpha(q)[:, None, None], beta(q)[:, None, None]
 
     def rhs(t, y):
-        q, p = y[:, 0], y[:, 1]
-        m = y[:, 2:].reshape(-1, 4, 4)
+        m = y.reshape(-1, 4, 4)
         x, e = m[:, :2], m[:, 2:]      # position and momentum rows
-        a, b = alpha(q)[:, None, None], beta(q)[:, None, None]
+        a, b = coefficients(t)
         # J Hess H = [[0, K], [-A, 0]] with A = [[a, b], [b, a]]
         dm = np.concatenate((_KINETIC @ e, -a * x - b * x[:, ::-1]), axis=1)
-        return np.column_stack((p, accel(q), dm.reshape(-1, 16)))
+        return dm.reshape(-1, 16)
 
-    y0 = np.concatenate(([q0, 0.0], np.eye(4).ravel()))
-    return _chebyshev_picard(rhs, y0, t_end)(t_end)[2:].reshape(4, 4)
+    sol = _chebyshev_picard(rhs, np.eye(4).ravel(), t_end)
+    return sol(t_end).reshape(4, 4)
 
 
 def wronskian_drift(nve: ScalarNVE, q0: float = 0.1):
     """Max drift of the Wronskian of two independent scalar solutions at
-    300 points of one base period, by the Chebyshev-Picard integrator."""
-    accel, t_end = _base_orbit(nve.source, q0)
+    300 points of one base period (_base_orbit), by the Chebyshev-Picard
+    integrator."""
+    orbit, t_end = _base_orbit(nve.source, q0)
     a_nve = float_horner(nve.a)
+    coefficients = _per_segment(lambda t: a_nve(orbit(t)[:, 0]))
 
     def rhs(t, y):
-        q, p, x1, v1, x2, v2 = y.T
-        a = a_nve(q)
-        return np.stack([p, accel(q), v1, a * x1, v2, a * x2], axis=-1)
+        x1, v1, x2, v2 = y.T
+        a = coefficients(t)
+        return np.array([v1, a * x1, v2, a * x2]).T
 
-    sol = _chebyshev_picard(rhs, [q0, 0.0, 1.0, 0.0, 0.0, 1.0], t_end)
+    sol = _chebyshev_picard(rhs, [1.0, 0.0, 0.0, 1.0], t_end)
     ys = sol(np.linspace(0.0, t_end, 300))
-    wr = ys[:, 2] * ys[:, 5] - ys[:, 3] * ys[:, 4]
+    wr = ys[:, 0] * ys[:, 3] - ys[:, 1] * ys[:, 2]
     return float(np.max(np.abs(wr - wr[0])))
 
 
@@ -355,13 +425,15 @@ def algebrize_gauge_oracle(nve: ScalarNVE) -> float:
     p_num, p_den = float_horner(ode.p.num), float_horner(ode.p.den)
     r_num, r_den = float_horner(ode.r.num), float_horner(ode.r.den)
 
-    def rhs(t, y):
-        xi, xid, ze, zew = y.T
+    @_per_segment
+    def coefficients(t):
         w, wd = wpath(t)
-        psi = alpha / w
-        rw = r_num(w) / r_den(w)
-        return np.stack([xid, a_nve(psi) * xi, zew * wd, rw * ze * wd],
-                        axis=-1)
+        return a_nve(alpha / w), wd, r_num(w) / r_den(w) * wd
+
+    def rhs(t, y):
+        a, wd, rwd = coefficients(t)
+        xi, xid, ze, zew = y.T
+        return np.array([xid, a * xi, zew * wd, rwd * ze]).T
 
     w0, wd0 = wpath(0.0)
     pw0 = p_num(w0) / p_den(w0)

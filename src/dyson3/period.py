@@ -9,6 +9,7 @@ for 0 < c <= c* = 3 sqrt3 / 16, shrinking to the equilibrium at c*.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -30,12 +31,16 @@ def potential_tilde(q):
     return -mp.log(mp.sin(2 * q)) - 2 * mp.log(mp.sin(q))
 
 
+# e_min, c_star and _b_coeffs are kept per precision: a report asks for them
+# hundreds of times, and each is computed on its first use.
+@functools.lru_cache(maxsize=None)
 def e_min(prec: int = 128):
     """Equilibrium energy -3 log(sqrt3/2)."""
     with mp.workprec(prec):
         return -3 * mp.log(mp.sqrt(3) / 2)
 
 
+@functools.lru_cache(maxsize=None)
 def c_star(prec: int = 128):
     with mp.workprec(prec):
         return 3 * mp.sqrt(3) / 16
@@ -70,6 +75,7 @@ class TurningPointData:
         return max(res)
 
 
+@functools.lru_cache(maxsize=None)
 def _b_coeffs(prec):
     # B solves the resolvent B^3 - 64 c^2 B - 64 c^2 = 0 of the
     # turning-point quartic; Cardano gives
@@ -85,15 +91,16 @@ def big_b(c, prec: int = 128):
     """Closed-form B(c) on the principal (real, 0 < c <= c*) branch."""
     with mp.workprec(prec):
         c = mp.mpf(c)
-        rad = 27 * c ** 4 - 256 * c ** 6
+        c2, c6 = c ** 2, c ** 6
+        rad = 27 * c ** 4 - 256 * c6
         if rad < 0:
             # roundoff below the branch point c*: the radicand is >= 0
             # throughout (0, c*]
             rad = mp.mpf(0)
         inner = mp.sqrt(rad)
-        t = mp.cbrt(768 * c ** 6 / (9 * c ** 2 + mp.sqrt(3) * inner))
+        t = mp.cbrt(768 * c6 / (9 * c2 + mp.sqrt(3) * inner))
         k1, k2 = _b_coeffs(prec)
-        return k1 * c ** 2 / t + k2 * t
+        return k1 * c2 / t + k2 * t
 
 
 def turning_points_closed(c, prec: int = 128) -> TurningPointData:
@@ -126,9 +133,10 @@ def turning_points_closed(c, prec: int = 128) -> TurningPointData:
             q_minus=mp.pi / 3 - delta, q_plus=mp.pi / 3 + eps)
 
 
-def _vtilde_u(u, t):
-    """Vtilde in u = log tan q, given t = e^u: 2 log(1 + t^2) - 3u - log 2."""
-    return 2 * mp.log(1 + t * t) - 3 * u - mp.ln2
+def _vtilde_u(u, w):
+    """Vtilde in u = log tan q, given w = 1 + t^2 with t = e^u:
+    2 log w - 3u - log 2."""
+    return 2 * mp.log(w) - 3 * u - mp.ln2
 
 
 def _turning_points_u(e, prec):
@@ -148,11 +156,19 @@ def _turning_points_u(e, prec):
     - Vtilde > -3u - log 2 (as t^2 > 0) and Vtilde > u - log 2 (as
       1 + t^2 > t^2), so u = -(E + log 2)/3 and u = E + log 2 always lie
       beyond the two roots.
-    - Each side starts from u* -+ 4 sqrt((E - E_min)/3), twice the distance
-      of the roots of the quadratic E_min + 3(u - u*)^2/4, when Vtilde is
-      above E there, and otherwise from that safe bound.
+    - The cold start of each side is u* -+ 4 sqrt((E - E_min)/3), twice the
+      distance of the roots of the quadratic E_min + 3(u - u*)^2/4, when
+      Vtilde is above E there, and otherwise that safe bound.
+    - The warm start is the root solved in doubles (_warm_starts) and moved
+      outward by 1e-9 |u - u*|, which covers the doubles' error, plus 2^6
+      roundings of g at prec bits over the slope there.  It is taken where
+      g > 0, so it lies beyond the root and the argument above holds; from
+      it, Newton's quadratic convergence reaches the rounding of g in a
+      few steps.  Where the doubles fail, or g <= 0 there, the cold start
+      is taken.
 
-    One evaluation (g, g') takes one exponential, t, and t^2 = t t."""
+    One evaluation (g, g') takes one exponential, t, then t^2 = t t and
+    1 + t^2 once each."""
     with mp.workprec(prec):
         e = mp.mpf(e)
         emin = e_min(prec)
@@ -162,17 +178,68 @@ def _turning_points_u(e, prec):
         def g(u):
             t = mp.exp(u)
             t2 = t * t
-            return _vtilde_u(u, t) - e, (t2 - 3) / (1 + t2)
+            w = 1 + t2
+            return _vtilde_u(u, w) - e, (t2 - 3) / w
 
         u_star, reach = mp.log(3) / 2, 4 * mp.sqrt((e - emin) / 3)
         bound = e + mp.ln2
         roots = []
-        for u, safe in ((u_star - reach, -bound / 3), (u_star + reach, bound)):
-            gu = g(u)
-            if not gu[0] > 0:
-                u, gu = safe, g(safe)
+        for side, warm, safe in zip((-1, 1), _warm_starts(e - emin, bound),
+                                    (-bound / 3, bound)):
+            gu = None
+            if warm is not None:
+                d, slope = warm
+                u = u_star + d
+                u += side * (1e-9 * abs(d) + mp.ldexp(
+                    1 + abs(e) + 3 * abs(u), 6 - prec) / abs(slope))
+                gu = g(u)
+                if not gu[0] > 0:
+                    gu = None
+            if gu is None:
+                u = u_star + side * reach
+                gu = g(u)
+                if not gu[0] > 0:
+                    u, gu = safe, g(safe)
             roots.append(_convex_newton(g, u, gu, prec))
         return tuple(roots)
+
+
+def _warm_starts(delta, bound):
+    """(d, h'(d)) at each root of h(d) = Vtilde(u* + d) - E_min = delta, the
+    root with d < 0 first, solved in doubles by _convex_newton from the cold
+    starts of _turning_points_u (bound = E + log 2); None for a root the
+    doubles do not reach (overflow, or steps that never stop shrinking).
+    With a = e^(d/2),
+        h(d) = 2 log(1 + (a - 1)^2 (3a^2 + 2a + 1) / (4a^3)),
+        h'(d) = 3 (e^(2d) - 1) / (1 + 3a^4),
+    and a - 1 = expm1(d/2) carries the double zero of h at d = 0, so h
+    keeps its relative accuracy at every d and each root comes out to a
+    few ulps of d, at E_min + 2^-108 as at E_min + 20."""
+    delta, bound = float(delta), float(bound)
+    u_star = 0.5 * math.log(3.0)
+
+    def h(d):
+        a, m = math.exp(0.5 * d), math.expm1(0.5 * d)
+        return (2.0 * math.log1p(m * m * (3.0 * a * a + 2.0 * a + 1.0)
+                                 / (4.0 * a ** 3)) - delta,
+                3.0 * math.expm1(2.0 * d) / (1.0 + 3.0 * a ** 4))
+
+    reach = 4.0 * math.sqrt(delta / 3.0)
+    starts = []
+    for side, safe in ((-1, -bound / 3.0 - u_star), (1, bound - u_star)):
+        try:
+            d = side * reach
+            hd = h(d)
+            if not hd[0] > 0:
+                d, hd = safe, h(safe)
+            d = _convex_newton(h, d, hd, 53)
+            slope = h(d)[1]
+        except ArithmeticError:
+            starts.append(None)
+            continue
+        starts.append((d, slope) if side * d > 0 and side * slope > 0
+                      else None)
+    return starts
 
 
 def _convex_newton(g, u, gu, prec):
@@ -213,23 +280,28 @@ class PeriodSample:
 def quarter_midpoint(f, prec: int = 53):
     """Midpoint rule for int_0^(pi/2) f(theta) dtheta at prec bits, for f
     even, pi-periodic and analytic in a strip, where it converges
-    geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  From 24
-    nodes it doubles until two levels agree to 2^(-3 prec/4) relative, or
+    geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  From 8
+    nodes it triples until two levels agree to 2^(-3 prec/4) relative, or
     their difference stops shrinking fourfold (the rounding floor of f).
-    Returns the last level and its difference from the one before."""
+    The nodes h(k + 1/2), h = pi/(2n), of n nodes are the nodes j = 3k + 1
+    of 3n, so each level evaluates f only at its 2n new nodes and adds
+    them to the running sum.  Returns the last level and its difference
+    from the one before."""
     with mp.workprec(prec):
-        def level(n):
-            h = mp.pi / (2 * n)
-            return h * mp.fsum(f(h * (k + 0.5)) for k in range(n))
-
         agree = mp.mpf(2) ** (-3 * prec / 4)
-        n, value, diff = 48, level(24), mp.inf
+        n = 8
+        half = mp.pi / (4 * n)                  # h/2: node j is half (2j + 1)
+        total = mp.fsum(f(half * (2 * k + 1)) for k in range(n))
+        value, diff = 2 * half * total, mp.inf
         while True:
-            new = level(n)
+            n *= 3
+            half = mp.pi / (4 * n)
+            total += mp.fsum(f(half * (2 * j + 1)) for j in range(n)
+                             if j % 3 != 1)
+            new = 2 * half * total
             last, diff, value = diff, abs(new - value), new
             if diff <= agree * abs(value) or not 4 * diff <= last:
                 return value, diff
-            n *= 2
 
 
 def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
@@ -247,15 +319,19 @@ def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
         u_minus, u_plus = _turning_points_u(e, prec)
         span = u_plus - u_minus
         e = mp.mpf(e)
+        e_ln2, two_span = e + mp.ln2, 2 * span
 
         def integrand(theta):
-            s = mp.sin(theta)
+            # E - Vtilde(u) as in _vtilde_u, with w = 1 + t^2 formed once,
+            # and sin 2 theta = 2 s c from one cos_sin
+            c, s = mp.cos_sin(theta)
             u = u_minus + span * s * s
             t = mp.exp(u)
-            val = e - _vtilde_u(u, t)
+            w = 1 + t * t
+            val = e_ln2 + 3 * u - 2 * mp.log(w)
             if val <= 0:
                 return mp.mpf(0)
-            return span * mp.sin(2 * theta) * t / ((1 + t * t) * mp.sqrt(val))
+            return two_span * s * c * t / (w * mp.sqrt(val))
 
         val, err = quarter_midpoint(integrand, prec)
         t = 2 * val

@@ -191,10 +191,13 @@ def float_horner(p: Poly):
     cs = [c.to_complex() for c in reversed(p.coeffs)]
     if all(c == c.conj(-1) for c in p.coeffs):
         cs = [c.real for c in cs]
+    if len(cs) < 2:
+        cs = [0.0] + cs
+    lead, rest = cs[0], cs[1:]
 
     def horner(x):
-        acc = 0.0
-        for c in cs:
+        acc = lead
+        for c in rest:
             acc = acc * x + c
         return acc
 

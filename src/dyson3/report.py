@@ -23,9 +23,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from . import elliptic, kovacic, model, nve, period
-from .field import FE, SQRT3, FieldElement
-from .poly import Poly
+from . import period
+
+# The exact and elliptic layers (field, poly, model, elliptic, nve, kovacic)
+# are imported by the section builders that use them, after the report
+# forks: a forked child that builds only period sections never compiles
+# them, and the parent compiles them while the child already runs.
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -144,6 +147,8 @@ def _c(z) -> list:
 # ---------------------------------------------------------------------------
 
 def section_equilibrium(cfg: PipelineConfig) -> dict:
+    from . import model
+    from .field import FE
     prec = cfg.precision
     with mp.workprec(prec):
         emin = period.e_min(prec)
@@ -274,21 +279,22 @@ def section_monodromy(cfg: PipelineConfig) -> dict:
         "b_before": _c(single.b_before), "b_after": _c(single.b_after)})
 
 
-_PRINTED_QUARTIC_COEFFS = (
-    # (q1 exp, q2 exp, expected coefficient) in the truncated potential
-    ((2, 0), FE(Fraction(4, 3))),
-    ((2, 1), SQRT3 * FE(Fraction(4, 9))),
-    ((4, 0), FE(Fraction(4, 9))),
-    ((3, 1), FE(Fraction(8, 9))),
-)
-
-
 def section_truncations(cfg: PipelineConfig) -> dict:
+    from . import model
+    from .field import FE, SQRT3, FieldElement
+    from .poly import Poly
+    printed_quartic_coeffs = (
+        # (q1 exp, q2 exp, expected coefficient) in the truncated potential
+        ((2, 0), FE(Fraction(4, 3))),
+        ((2, 1), SQRT3 * FE(Fraction(4, 9))),
+        ((4, 0), FE(Fraction(4, 9))),
+        ((3, 1), FE(Fraction(8, 9))),
+    )
     t3 = model.taylor_truncate(3)
     t4 = model.taylor_truncate(4)
     pot4 = t4.potential()
     checks = []
-    for (e1, e2), want in _PRINTED_QUARTIC_COEFFS:
+    for (e1, e2), want in printed_quartic_coeffs:
         got = pot4.terms.get((e1, e2, 0, 0), FieldElement())
         checks.append(_check(
             f"truncations.coeff_q1^{e1}q2^{e2}", got == want,
@@ -311,6 +317,9 @@ def section_truncations(cfg: PipelineConfig) -> dict:
 
 
 def section_verify_solutions(cfg: PipelineConfig) -> dict:
+    from . import elliptic, model
+    from .field import SQRT3
+    from .poly import Poly
     prec = cfg.precision
     checks = []
     for h in (1, 2, 3):
@@ -349,6 +358,8 @@ def section_verify_solutions(cfg: PipelineConfig) -> dict:
 
 
 def section_nve(cfg: PipelineConfig) -> dict:
+    from . import model, nve
+    from .field import FE
     checks, systems = [], {}
     dets = {}
     for source, order in (("K", 3), ("L", 4)):
@@ -403,6 +414,7 @@ def section_nve(cfg: PipelineConfig) -> dict:
 
 
 def _quartic_variants(variant: str) -> dict:
+    from . import model, nve
     out = {}
     if variant in ("paper", "both"):
         out["L_paper"] = nve.paper_nve_l()
@@ -448,7 +460,9 @@ def _decision_check(res, cid, want, note) -> dict:
 
 
 def section_kovacic(cfg: PipelineConfig) -> dict:
-    from .poly import RationalFunction
+    from . import kovacic, nve
+    from .field import FE
+    from .poly import Poly, RationalFunction
     checks = []
     corpus = {}
     w = Poly.x()

@@ -1,9 +1,11 @@
 """Elliptic particular solutions on the invariant plane."""
 import mpmath as mp
 import pytest
+from mpmath.libmp import to_fixed
 
 from dyson3 import elliptic
-from dyson3.model import diagonal_reduce, pole_solution, taylor_truncate
+from dyson3.model import (diagonal_potential, diagonal_reduce,
+                          elliptic_solution, pole_solution, taylor_truncate)
 
 
 def test_weierstrass_ode_residual():
@@ -27,10 +29,15 @@ def test_weierstrass_duplication_consistency():
         assert abs(dup - x2) < mp.mpf(1e-25)
 
 
+# the reference's fixed series length; weierstrass_p sizes its own series by
+# the lattice
+_REFERENCE_TERMS = 64
+
+
 def _reference_p(t, inv, prec):
     """weierstrass_p in complex arithmetic for every t, with its own
-    Laurent coefficients, and the series summed term by term with one
-    division per term."""
+    _REFERENCE_TERMS Laurent coefficients, and the series summed term by
+    term with one division per term."""
     with mp.workprec(prec + 40):
         t = mp.mpc(t)
         g2, g3 = mp.mpf(inv.g2), mp.mpf(inv.g3)
@@ -38,16 +45,16 @@ def _reference_p(t, inv, prec):
         while abs(t) > elliptic._SERIES_RADIUS:
             t /= 2
             ndup += 1
-        c = [mp.mpf(0)] * (elliptic._SERIES_TERMS + 1)
+        c = [mp.mpf(0)] * (_REFERENCE_TERMS + 1)
         c[2], c[3] = g2 / 20, g3 / 28
-        for k in range(4, elliptic._SERIES_TERMS + 1):
+        for k in range(4, _REFERENCE_TERMS + 1):
             c[k] = 3 * mp.fsum(c[m] * c[k - m] for m in range(2, k - 1)) \
                 / ((2 * k + 1) * (k - 3))
         t2 = t * t
         x = 1 / t2
         y = -2 / (t2 * t)
         tp = t2
-        for k in range(2, elliptic._SERIES_TERMS + 1):
+        for k in range(2, _REFERENCE_TERMS + 1):
             x += c[k] * tp
             y += (2 * k - 2) * c[k] * tp / t
             tp *= t2
@@ -118,3 +125,87 @@ def test_psi_pole_guard():
         t_pole = mp.mpc(0, 1) * mp.asinh(1 / mp.sqrt(26)) / 2
     with pytest.raises(elliptic.LatticePointError):
         elliptic.psi_solution(t_pole, 128)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_laurent_series_is_sized_by_its_lattice(h):
+    """The series stops at about 28 terms, not 64: each term at |t| = 0.3
+    is about 1/100 of the one before, and the three terms after the last
+    kept one (from the reference recursion) lie below 2^-wp relative to
+    the leading terms of p and p'."""
+    wp = 168
+    inv = elliptic.invariants_for_energy(h, 128)
+    with mp.workprec(wp):
+        g2, g3 = mp.mpf(inv.g2), mp.mpf(inv.g3)
+        kept = elliptic._laurent_coeffs(g2, g3, wp)
+        n = len(kept) + 1
+        assert n <= 28
+        c = [mp.mpf(0)] * (n + 4)
+        c[2], c[3] = g2 / 20, g3 / 28
+        for k in range(4, n + 4):
+            acc = mp.mpf(0)
+            for m in range(2, k - 1):
+                acc += c[m] * c[k - m]
+            c[k] = 3 * acc / ((2 * k + 1) * (k - 3))
+        assert [ck for ck, _ in kept] == [to_fixed(ck._mpf_, wp)
+                                          for ck in c[n:1:-1]]
+        r2 = mp.mpf(elliptic._SERIES_RADIUS) ** 2
+        for k in range(n + 1, n + 4):
+            assert (k - 1) * abs(c[k]) * r2 ** k < mp.mpf(2) ** -wp
+
+
+def _reference_phi_residual(u, h, ts, prec):
+    """phi_residual with a, b, the invariants and u's coefficients converted
+    at every time point."""
+    phi = elliptic_solution()
+    with mp.workprec(prec + 40):
+        worst = mp.mpf(0)
+        for t in ts:
+            inv = elliptic.invariants_for_energy(h, prec)
+            x, y = elliptic.weierstrass_p(t, inv, prec)
+            b = elliptic._mp(phi.b)
+            q, qd = elliptic._mp(phi.a) + b * x, b * y
+            poly = mp.polyval([elliptic._mp(c) for c in reversed(u.coeffs)], q)
+            worst = max(worst, abs(qd * qd - (h - poly)))
+        return worst
+
+
+def _reference_psi(t, prec):
+    pole = pole_solution()
+    with mp.workprec(prec + 40):
+        t = mp.mpc(t)
+        alpha, rho, omega = (elliptic._mp(pole.alpha), elliptic._mp(pole.rho),
+                             elliptic._mp(pole.omega))
+        s = rho * mp.sin(omega * t)
+        w = 1 + s
+        wd = rho * omega * mp.cos(omega * t)
+        wdd = -omega * omega * s
+        return (alpha / w, -alpha * wd / w ** 2,
+                alpha * (2 * wd * wd - wdd * w) / w ** 3)
+
+
+def test_certificates_equal_the_per_point_conversions():
+    """Converting the constants once per call leaves every residual of the
+    report's verify_solutions section as it was with a conversion at every
+    point: the same mpmath numbers, bit for bit."""
+    prec = 128
+    u3 = diagonal_potential(taylor_truncate(3))
+    with mp.workprec(prec + 40):
+        ts = [mp.mpf(1) / 10 + mp.mpf(k) / 40 for k in range(20)]
+    for h in (1, 2, 3):
+        assert elliptic.verify_phi(h, prec) == _reference_phi_residual(
+            u3, h, ts, prec)
+    g = diagonal_reduce(taylor_truncate(4))
+    u4 = diagonal_potential(taylor_truncate(4))
+    with mp.workprec(prec + 40):
+        def value(p, q):
+            return mp.polyval([elliptic._mp(c) for c in reversed(p.coeffs)], q)
+
+        psi_ref = max(abs(qdd - value(g, q)) for q, _, qdd in
+                      (_reference_psi(mp.mpf(k) / 16, prec)
+                       for k in range(25)))
+        energies = [qd * qd + value(u4, q) for q, qd, _ in
+                    (_reference_psi(mp.mpf(k) / 8, prec) for k in range(1, 8))]
+        energy_ref = max(abs(v) for v in energies), energies[0]
+    assert elliptic.verify_psi(prec) == psi_ref
+    assert elliptic.psi_diagonal_energy(prec) == energy_ref

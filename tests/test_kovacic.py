@@ -21,6 +21,7 @@ from dyson3.kovacic import (_Lift, _Sweep,
                             _first_dependent_row, _get_modp,
                             _kernel_poly, _recursion, _recursion_modp,
                             _riccati_holds, kovacic, lame_sieve, pole_profile)
+from dyson3.model import taylor_truncate
 from dyson3.poly import Poly, RationalFunction
 from test_field import wide_elements
 
@@ -366,6 +367,40 @@ def test_modp_prime_for_the_dyson_generators():
 
 
 _PAPER_R = nve.algebrize(nve.paper_nve_l()).r
+
+
+# the three algebrized Dyson NVEs and controls with poles at rational,
+# surd and generic points of the tower, of orders 1 to 4
+_THETA_PROFILES = [
+    _PAPER_R,
+    nve.algebrize(nve.scalar_nve(nve.derive_variational(
+        taylor_truncate(4)), "antisymmetric")).r,
+    nve.algebrize(nve.scalar_nve(nve.derive_variational(
+        taylor_truncate(4)), "symmetric")).r,
+    schwarz_form(_H, _T, Fraction(1, 5), *_GENERIC_A),
+    schwarz_form(_H, _T, _T, *_surd_pair(_H, _T, _SQRT5)),
+    riccati(rf(ONE, W * W) + rf(ONE, W - ONE) + rf(W + 2)),
+    rf(Poly([1, FE(Fraction(-3, 16))]), W ** 3),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sweep_theta_equals_the_field_element_sum(data):
+    """S*theta from the packed integer numerators equals the sum of the
+    S/(w - c) scaled by FieldElement products, for random rational weights
+    (zero among them) on the Dyson and control profiles."""
+    r = data.draw(st.sampled_from(_THETA_PROFILES))
+    sweep = _Sweep(pole_profile(r), r)
+    weights = data.draw(st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        min_size=len(sweep.quotients), max_size=len(sweep.quotients)))
+    want = sum((q.scale(FE(e)) for e, q in zip(weights, sweep.quotients)),
+               Poly([]))
+    got = sweep.theta(iter(weights))
+    assert got == want
+    assert all(c.num == want.coeffs[k].num and c.den == want.coeffs[k].den
+               for k, c in enumerate(got.coeffs))
 
 
 def _candidates(r, n):

@@ -1,4 +1,5 @@
 """Variational systems, scalar reductions, and algebrization."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from dyson3 import nve
 from dyson3.field import FE, I, SQRT3, SQRT26, SQRT78, FieldElement
 from dyson3.model import (diagonal_potential, diagonal_reduce,
                           elliptic_solution, pole_solution, taylor_truncate)
-from dyson3.poly import Poly, float_horner
+from dyson3.poly import Poly, RationalFunction, float_horner
 
 
 def _vs(order):
@@ -239,6 +240,49 @@ def test_base_period_from_either_turning_point(order):
                - nve.base_period(trunc, q_minus)) < 1e-9
 
 
+@pytest.mark.parametrize("order", [3, 4], ids=["K", "L"])
+def test_base_period_is_the_same_at_24_72_and_216_nodes(monkeypatch, order):
+    """With h - U divided by the two turning-point factors before rounding,
+    the integrand has no cancellation, so fixed rules of 24, 72 and 216
+    nodes give one period to a few ulps (the float h - U moved it by about
+    2e-14 whenever the nodes changed)."""
+    from dyson3 import period
+
+    def periods(q0):
+        out = []
+        for n in (24, 72, 216):
+            def fixed(f, prec=53, n=n):
+                h = np.pi / (2 * n)
+                return math.fsum(f(h * (k + 0.5)) for k in range(n)) * h, 0.0
+
+            monkeypatch.setattr(period, "quarter_midpoint", fixed)
+            out.append(nve.base_period(taylor_truncate(order), q0))
+        return out
+
+    for q0 in (0.08, 0.1, 0.12):
+        ts = periods(q0)
+        assert max(ts) - min(ts) <= 4 * np.spacing(max(ts)), ts
+
+
+def test_report_integrations_reject_at_most_three_segments(monkeypatch):
+    """Starting each integration at a quarter of its interval, the report's
+    nve section, base orbits included, rejects at most 3 segments (27 from
+    a full-width start)."""
+    from dyson3 import report as rpt
+    rejected = []
+    real = nve._picard_segment
+
+    def counting(rhs, y0, t0, width):
+        coef = real(rhs, y0, t0, width)
+        rejected.append(coef is None)
+        return coef
+
+    monkeypatch.setattr(nve, "_picard_segment", counting)
+    nve._base_orbit.cache_clear()
+    rpt.section_nve(rpt.PipelineConfig())
+    assert sum(rejected) <= 3 < len(rejected)
+
+
 def test_base_period_without_opposite_turning_point_raises():
     """At q0 = 0.9 the cubic orbit's energy lies above the barrier on the
     negative side: there is no closed orbit to take the period of."""
@@ -247,10 +291,18 @@ def test_base_period_without_opposite_turning_point_raises():
 
 
 def test_algebrized_normal_form_identity():
+    """The identity holds for the three quartic NVEs, and fails once r, or
+    the derivative term p'/2 it carries, is changed."""
     for sc in (nve.paper_nve_l(), nve.scalar_nve(_vs(4), "symmetric"),
                nve.scalar_nve(_vs(4), "antisymmetric")):
         ode = nve.algebrize(sc)
         assert ode.normal_form_identity_holds()
+        wrong_r = ode.r + RationalFunction(Poly([FE(1)]), ode.r.den)
+        assert not nve.AlgebraizedODE(ode.p, ode.q, wrong_r, ode.variant
+                                      ).normal_form_identity_holds()
+        no_derivative = ode.p * ode.p * Fraction(1, 4) - ode.q
+        assert not nve.AlgebraizedODE(ode.p, ode.q, no_derivative,
+                                      ode.variant).normal_form_identity_holds()
 
 
 def test_algebrize_rejects_cubic_truncation():

@@ -84,13 +84,16 @@ def _offset(prec, offset):
 
 def _newton_paths(monkeypatch, prec, offset):
     """E and, for the roots u- and u+, (side, start, iterates, root): the
-    start and the points where _convex_newton evaluated g, with side +1
-    where the iterates should rise to the root and -1 where they should
-    fall."""
+    start and the points where _convex_newton evaluated g at the working
+    precision, with side +1 where the iterates should rise to the root and
+    -1 where they should fall.  The warm starts' solves in doubles
+    (_convex_newton at 53 bits) are not recorded."""
     paths = []
     real = period._convex_newton
 
-    def spy(g, u, gu, prec):
+    def spy(g, u, gu, newton_prec):
+        if newton_prec != prec:
+            return real(g, u, gu, newton_prec)
         points = [u]
 
         def g_logged(v):
@@ -179,6 +182,111 @@ def test_turning_points_near_e_min_take_no_more_evaluations(monkeypatch,
         return len(calls)
 
     assert evaluations("2^(20-prec)") <= min(20, evaluations(0.5))
+
+
+@pytest.mark.parametrize("offset", ["2^-108", 1e-6, 0.5, 20])
+def test_warm_started_roots_equal_cold_started_ones(monkeypatch, offset):
+    """The roots from the warm starts agree with those from the cold starts
+    (_warm_starts monkeypatched to fail) at 128 bits, up to the rounding of
+    g over its slope at the root, which at E_min + 2^-108 leaves the last
+    ~60 bits of u to rounding noise whatever the start."""
+    prec = 128
+    with mp.workprec(prec):
+        off = mp.mpf(2) ** -108 if offset == "2^-108" else mp.mpf(offset)
+        e = period.e_min(prec) + off
+        warm = period._turning_points_u(e, prec)
+        monkeypatch.setattr(period, "_warm_starts", lambda *a: [None, None])
+        cold = period._turning_points_u(e, prec)
+        for w, c in zip(warm, cold):
+            t2 = mp.exp(2 * c)
+            tol = mp.mpf(2) ** (8 - prec) * (abs(e) + 3 * abs(c)) / abs(
+                (t2 - 3) / (1 + t2))
+            assert abs(w - c) <= tol
+
+
+@pytest.mark.parametrize("offset", ["2^-108", 1e-6, 0.5, 20, 40])
+def test_warm_starts_hold_the_roots_to_a_few_ulps_of_doubles(offset):
+    """The roots in doubles, as offsets d from u*, are within 1e-15 of
+    |d| of the roots solved at 256 bits, far inside the 1e-9 |d| that the
+    warm start moves outward by, at E_min + 2^-108 as at E_min + 40."""
+    prec = 256
+    with mp.workprec(prec):
+        off = mp.mpf(2) ** -108 if offset == "2^-108" else mp.mpf(offset)
+        e = period.e_min(prec) + off
+        starts = period._warm_starts(off, e + mp.ln2)
+        u_star = mp.log(3) / 2
+        for (d, slope), root in zip(starts, period._turning_points_u(e, prec)):
+            assert abs(d - (root - u_star)) <= 1e-15 * abs(d)
+            t2 = mp.exp(2 * root)
+            assert abs(slope - (t2 - 3) / (1 + t2)) <= 1e-12 * abs(slope)
+
+
+def _doubling_midpoint(f, prec=53):
+    """The doubling midpoint rule, the reference of quarter_midpoint: from
+    24 nodes it doubles, evaluating every node of each level, until two
+    levels agree to 2^(-3 prec/4) relative or their difference stops
+    shrinking fourfold."""
+    with mp.workprec(prec):
+        def level(n):
+            h = mp.pi / (2 * n)
+            return h * mp.fsum(f(h * (k + 0.5)) for k in range(n))
+
+        agree = mp.mpf(2) ** (-3 * prec / 4)
+        n, value, diff = 48, level(24), mp.inf
+        while True:
+            new = level(n)
+            last, diff, value = diff, abs(new - value), new
+            if diff <= agree * abs(value) or not 4 * diff <= last:
+                return value, diff
+            n *= 2
+
+
+def _report_offsets():
+    from dyson3 import report as rpt
+    return rpt._scan_offsets(rpt.PipelineConfig()) + [1e-6, 0.25, 20]
+
+
+@pytest.mark.parametrize("offset", _report_offsets())
+def test_nested_midpoint_matches_the_doubling_rule(monkeypatch, offset):
+    """T by the nested rule equals T by the doubling rule to 2^(-3 prec/4)
+    relative on the report's grid, its limit probe and cross-check energy,
+    and at E_min + 20; and each integrand evaluation takes a new node."""
+    prec = 128
+    nodes = []
+    real = period.quarter_midpoint
+
+    def recording(f, prec=53):
+        def g(theta):
+            nodes.append(theta)
+            return f(theta)
+        return real(g, prec)
+
+    monkeypatch.setattr(period, "quarter_midpoint", recording)
+    e = period.e_min(prec) + mp.mpf(offset)
+    nested = period.period(e, prec=prec).period
+    assert len(nodes) == len(set(nodes))
+    monkeypatch.setattr(period, "quarter_midpoint", _doubling_midpoint)
+    doubling = period.period(e, prec=prec).period
+    with mp.workprec(prec):
+        assert abs(nested - doubling) <= mp.mpf(2) ** (-3 * prec / 4) * nested
+
+
+def test_report_periods_take_at_most_768_evaluations(monkeypatch):
+    """The 14 periods of the report's period_scan section evaluate the
+    128-bit integrand at most 768 times (1,104 by the doubling rule)."""
+    from dyson3 import report as rpt
+    calls = []
+    real = period.quarter_midpoint
+
+    def counting(f, prec=53):
+        def g(theta):
+            calls.append(prec)
+            return f(theta)
+        return real(g, prec)
+
+    monkeypatch.setattr(period, "quarter_midpoint", counting)
+    rpt.section_period_scan(rpt.PipelineConfig())
+    assert 0 < calls.count(128) <= 768
 
 
 @pytest.mark.parametrize("q0,p0", [(0.01, -20.0), (1.56, 20.0)])
