@@ -2,8 +2,8 @@
 certificates phi (cubic truncation, elliptic) and psi (quartic
 truncation, hyperbolic), evaluated from `model`'s exact derivation.
 
-p is evaluated from its Laurent series near 0 together with the
-duplication formula, which is all the verification grids need; no
+p is evaluated at real t from its Laurent series near 0 together with
+the duplication formula, which is all the verification grids need; no
 argument reduction to a fundamental cell is attempted.
 """
 
@@ -87,17 +87,17 @@ def _laurent_coeffs(g2, g3, wp: int):
 
 
 def weierstrass_p(t, inv: EllipticInvariants, prec: int = 128):
-    """(p(t), p'(t)) by Laurent series plus repeated duplication.
+    """(p(t), p'(t)) at a real t by Laurent series plus repeated
+    duplication; a complex t raises TypeError.
 
     t is halved into the series disc, where Horner's rule in t^2 sums
     p = t^-2 + t^2 A(t^2) and p' = -2 t^-3 + t B(t^2), with
     A(x) = sum_{k>=2} c_k x^(k-2) and B(x) = sum_{k>=2} (2k-2) c_k x^(k-2),
     at the cost of one division; duplication then doubles t back.  Horner's
     rule runs in fixed point, on integers scaled by 2^wp, wp = prec + 40:
-    |x| <= 0.09 and the c_k shrink about a hundredfold per term, so its
+    x <= 0.09 and the c_k shrink about a hundredfold per term, so its
     truncation errors, one unit of 2^-wp per step, stay 40 bits below the
-    result's precision.  A real t stays in real arithmetic and returns mpf
-    values, a complex t mpc.
+    result's precision.
 
     Validity check: |p'^2 - (4p^3 - g2 p - g3)| stays tiny at the working
     precision.  Proximity to a lattice point shows up as a magnitude
@@ -105,7 +105,7 @@ def weierstrass_p(t, inv: EllipticInvariants, prec: int = 128):
     """
     wp = prec + 40
     with mp.workprec(wp):
-        t = mp.mpmathify(t)
+        t = mp.mpf(t)
         if t == 0:
             raise LatticePointError("t = 0 is a lattice point")
         g2, g3 = mp.mpf(inv.g2), mp.mpf(inv.g3)
@@ -114,18 +114,12 @@ def weierstrass_p(t, inv: EllipticInvariants, prec: int = 128):
             t /= 2
             ndup += 1
         t2 = t * t
-        xr, xi = (to_fixed(mp.mpf(v)._mpf_, wp) for v in (t2.real, t2.imag))
-        ar = ai = br = bi = 0                 # ai, bi stay 0 for a real t
+        x2 = to_fixed(t2._mpf_, wp)
+        a = b = 0
         for ck, dk in _laurent_coeffs(g2, g3, wp):
-            ar, ai = (((ar * xr - ai * xi) >> wp) + ck,
-                      (ar * xi + ai * xr) >> wp)
-            br, bi = (((br * xr - bi * xi) >> wp) + dk,
-                      (br * xi + bi * xr) >> wp)
-        if isinstance(t2, mp.mpf):
-            a, b = (mp.make_mpf(from_man_exp(v, -wp)) for v in (ar, br))
-        else:
-            a, b = (mp.make_mpc((from_man_exp(re, -wp), from_man_exp(im, -wp)))
-                    for re, im in ((ar, ai), (br, bi)))
+            a = ((a * x2) >> wp) + ck
+            b = ((b * x2) >> wp) + dk
+        a, b = (mp.make_mpf(from_man_exp(v, -wp)) for v in (a, b))
         inv_t = 1 / t
         inv_t2 = inv_t * inv_t
         x = inv_t2 + t2 * a
@@ -169,11 +163,6 @@ def _phi_at(t, consts, prec):
         return a + b * x, b * y
 
 
-def phi_solution(t, h, prec: int = 128):
-    """phi(t) = a + b p(t; g2, g3(h)) and phidot."""
-    return _phi_at(t, _phi_constants(h, prec), prec)
-
-
 def phi_residual(u, h, ts, prec: int = 128):
     """Max residual of qdot^2 = h - u(q) along phi at the times ts."""
     consts = _phi_constants(h, prec)
@@ -210,12 +199,6 @@ def _psi_at(t, consts, prec):
         wdd = -omega * omega * s
         return (alpha / w, -alpha * wd / w ** 2,
                 alpha * (2 * wd * wd - wdd * w) / w ** 3)
-
-
-def psi_solution(t, prec: int = 128):
-    """psi(t) = alpha / w with w = 1 + rho sin(omega t); returns
-    (psi, psidot, psiddot) by direct trigonometric differentiation."""
-    return _psi_at(t, _psi_constants(prec), prec)
 
 
 def verify_psi(prec: int = 128):

@@ -1,7 +1,8 @@
-"""The three-particle Dyson model: Hamiltonians, canonical reduction and
-exact Taylor truncations around the triangular equilibrium.
+"""The three-particle Dyson model: the canonical reduction and exact Taylor
+truncations around the triangular equilibrium.
 
-Conventions follow the reduced Hamiltonian
+The full Hamiltonian (1/2) sum y_i^2 - sum_{i<j} log|sin(x_i - x_j)|
+reduces, by the linear map of `transform_jacobian`, to the Hamiltonian
     H_reg = p1^2 - p1 p2 + p2^2 - log sin q1 - log sin q2 - log sin(q1+q2)
 (no 1/2 on the kinetic form, so qdot1 = 2 p1 - p2).  The equilibrium is
 q1 = q2 = pi/3, p = 0; all work happens in the singularity-free cell
@@ -20,60 +21,12 @@ from .multipoly import MultiPoly
 from .poly import Poly, RationalFunction
 
 
-class DomainError(ValueError):
-    """State outside the singularity-free configuration cell."""
-
-
-def in_cell(q1: float, q2: float) -> bool:
-    return 0 < q1 < math.pi and 0 < q2 < math.pi and 0 < q1 + q2 < math.pi
-
-
-def h_reg_eval(q1: float, q2: float, p1: float, p2: float) -> float:
-    """Energy of the reduced two-degree system at a phase point."""
-    if not in_cell(q1, q2):
-        raise DomainError(f"({q1}, {q2}) leaves the cell 0<q1,q2,q1+q2<pi")
-    kinetic = p1 * p1 - p1 * p2 + p2 * p2
-    return kinetic - math.log(math.sin(q1)) - math.log(math.sin(q2)) \
-        - math.log(math.sin(q1 + q2))
-
-
-def h_full_eval(x, y) -> float:
-    """Three-particle Hamiltonian (1/2)sum y^2 - sum log|sin(xi - xj)|."""
-    pairs = ((0, 1), (0, 2), (1, 2))
-    v = 0.0
-    for i, j in pairs:
-        s = abs(math.sin(x[i] - x[j]))
-        if s == 0:
-            raise DomainError("collision configuration")
-        v -= math.log(s)
-    return 0.5 * sum(t * t for t in y) + v
-
-
-def canonical_transform(x, y):
-    """(x, y) -> (q, p) for the 3-particle chain; exact over Fractions."""
-    x1, x2, x3 = x
-    y1, y2, y3 = y
-    q = (x1 - x2, x2 - x3, x1 + x2 + x3)
-    p3 = (y1 + y2 + y3) / 3
-    p1 = y1 - p3
-    p2 = p3 - y3
-    return q, (p1, p2, p3)
-
-
-def canonical_inverse(q, p):
-    q1, q2, q3 = q
-    p1, p2, p3 = p
-    x2 = (q3 - q1 + q2) / 3
-    x1 = x2 + q1
-    x3 = x2 - q2
-    y1 = p1 + p3
-    y2 = -p1 + p2 + p3
-    y3 = -p2 + p3
-    return (x1, x2, x3), (y1, y2, y3)
-
-
 def transform_jacobian():
-    """Exact 6x6 Jacobian of (x,y) -> (q,p) in the order (q1..q3,p1..p3)."""
+    """Exact 6x6 Jacobian of the linear map (x, y) -> (q, p), rows in the
+    order (q1..q3, p1..p3), columns (x1..x3, y1..y3): q1 = x1 - x2,
+    q2 = x2 - x3, q3 = x1 + x2 + x3, p3 = (y1 + y2 + y3)/3, p1 = y1 - p3,
+    p2 = p3 - y3.  The report's check truncations.canonical_reduction
+    proves from it that H_full = H_reg + (3/2) p3^2."""
     F = Fraction
     rows = [
         [F(1), F(-1), F(0), F(0), F(0), F(0)],
@@ -132,13 +85,6 @@ def taylor_truncate(order: int) -> TruncatedHamiltonian:
             terms[(j, k - j, 0, 0)] = (math.comb(k, j) * g[k]
                                        + (f[k] if j in (0, k) else ZERO))
     return TruncatedHamiltonian(poly=MultiPoly(terms), order=order)
-
-
-def hamiltonian_vector_field(th: TruncatedHamiltonian):
-    """(q1dot, q2dot, p1dot, p2dot) as MultiPolys."""
-    h = th.poly
-    return (h.derivative("p1"), h.derivative("p2"),
-            -h.derivative("q1"), -h.derivative("q2"))
 
 
 def diagonal_reduce(th: TruncatedHamiltonian) -> Poly:

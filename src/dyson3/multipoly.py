@@ -1,10 +1,9 @@
 """Polynomials in (q1, q2, p1, p2) over the exact tower field.
 
 A sparse map from exponent tuples to nonzero field elements, built once
-from its coefficients and then only differentiated, negated, restricted
-and compared; there is no truncation and no product.  This is the
-carrier for the degree-3 and degree-4 Taylor truncations of the
-regularized Dyson Hamiltonian.
+from its coefficients and then only differentiated and restricted; there
+is no truncation and no product.  This is the carrier for the degree-3
+and degree-4 Taylor truncations of the regularized Dyson Hamiltonian.
 """
 
 from __future__ import annotations
@@ -29,17 +28,6 @@ class MultiPoly:
 
     def coeff(self, exps) -> FieldElement:
         return self.terms.get(tuple(exps), FieldElement())
-
-    def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # -- calculus ----------------------------------------------------------
     def derivative(self, name: str) -> "MultiPoly":

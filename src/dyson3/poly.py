@@ -74,9 +74,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-self._same(other))
 
-    def __rsub__(self, other):
-        return self._same(other) - self
-
     def __mul__(self, other):
         other = self._same(other)
         if self.is_zero() or other.is_zero():
@@ -350,7 +347,7 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    # -- field operations ------------------------------------------------
+    # -- ring operations -------------------------------------------------
     def _same(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             return other
@@ -371,47 +368,14 @@ class RationalFunction:
     def __sub__(self, other):
         return self + (-self._same(other))
 
-    def __rsub__(self, other):
-        return self._same(other) - self
-
     def __mul__(self, other):
         o = self._same(other)
         return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._same(other)
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._same(other) / self
-
-    def __pow__(self, n: int):
-        out = RationalFunction.const(ONE)
-        base = self
-        if n < 0:
-            base = RationalFunction(self.den, self.num)
-            n = -n
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         return (self - self._same(other)).is_zero()
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
 
     def order_at_infinity(self) -> int:
         """deg den - deg num; +inf order is represented by a large int."""

@@ -70,14 +70,12 @@ class PipelineConfig:
     grid_min: float = 1e-6
     grid_max: float = 1.0
     grid_count: int = 12
-    monodromy_radius: float = 1e-3
-    monodromy_steps: int = 2000
     variant: str = "both"          # paper | derived | both
     out: str = "out"
 
     def __post_init__(self):
-        if self.tol <= 0 or self.grid_min <= 0 or self.monodromy_radius <= 0:
-            raise ValueError("tolerances and radii must be positive")
+        if self.tol <= 0 or self.grid_min <= 0:
+            raise ValueError("the tolerance and grid min must be positive")
         if self.grid_count < 2:
             raise ValueError("grid count must be >= 2")
         if self.grid_max <= self.grid_min:
@@ -202,7 +200,7 @@ def section_period_scan(cfg: PipelineConfig) -> dict:
     e_mid = _f(period.e_min(prec)) + 0.25
     mid = period.period(e_mid, tol=cfg.tol, prec=prec)
     t_quad = _f(mid.period)
-    t_map = period.return_map_period(e_mid, h=1e-4, q_minus=mid.q_minus)
+    t_map = period.return_map_period(e_mid, h=1e-3, q_minus=mid.q_minus)
     monotone = all(b > a for a, b in zip(periods, periods[1:]))
     checks = [
         _check("period_scan.limit_probe", probe_err < 1e-3,
@@ -253,8 +251,13 @@ def section_turning_points(cfg: PipelineConfig) -> dict:
     return _section("turning_points", checks)
 
 
+# the branch loops round c*: their radius and number of steps per loop
+MONODROMY_RADIUS = 1e-3
+MONODROMY_STEPS = 2000
+
+
 def section_monodromy(cfg: PipelineConfig) -> dict:
-    radius, steps = cfg.monodromy_radius, cfg.monodromy_steps
+    radius, steps = MONODROMY_RADIUS, MONODROMY_STEPS
     single = period.eta_monodromy(radius=radius, steps=steps, loops=1)
     double = period.eta_monodromy(radius=radius, steps=steps, loops=2)
     cstar = _f(period.c_star(80))
@@ -279,6 +282,40 @@ def section_monodromy(cfg: PipelineConfig) -> dict:
         "b_before": _c(single.b_before), "b_after": _c(single.b_after)})
 
 
+def _canonical_reduction(jac, kinetic) -> bool:
+    """H_full = H_reg + (3/2) p3^2, exactly, for the linear reduction
+    (x, y) -> (q, p) with Jacobian `jac` (as in model.transform_jacobian)
+    and `kinetic`, H_reg's kinetic form as {(e_p1, e_p2, e_p3): coefficient}.
+
+    (i) jac is block diagonal (q depends on x alone, p on y alone) and
+    jac S jac^T = S, so the map is canonical and y = A^T p for A its
+    position block.  (ii) The free kinetic energy |y|^2/2 = p^T (A A^T/2) p
+    is then `kinetic` exactly.  (iii) The rows of A give q1, q2 and q1 + q2
+    as the pair differences x1 - x2, x2 - x3 and x1 - x3, so
+    -sum log|sin(xi - xj)| is H_reg's potential, free of q3.
+    """
+    sym = [[int(j == i + 3) - int(i == j + 3) for j in range(6)]
+           for i in range(6)]
+    canonical = (
+        all(jac[i][j] == jac[j][i] == 0 for i in range(3) for j in range(3, 6))
+        and all(sum(jac[a][i] * sym[i][j] * jac[b][j]
+                    for i in range(6) for j in range(6)) == sym[a][b]
+                for a in range(6) for b in range(6)))
+    pos = [row[:3] for row in jac[:3]]
+    free = {}
+    for i in range(3):
+        for j in range(i, 3):
+            c = sum(u * v for u, v in zip(pos[i], pos[j]))
+            if c:
+                e = [0, 0, 0]
+                e[i] += 1
+                e[j] += 1
+                free[tuple(e)] = c / 2 if i == j else c
+    pairs = [pos[0], pos[1], [u + v for u, v in zip(pos[0], pos[1])]]
+    return (canonical and free == kinetic
+            and pairs == [[1, -1, 0], [0, 1, -1], [1, 0, -1]])
+
+
 def section_truncations(cfg: PipelineConfig) -> dict:
     from . import model
     from .field import FE, SQRT3, FieldElement
@@ -293,7 +330,16 @@ def section_truncations(cfg: PipelineConfig) -> dict:
     t3 = model.taylor_truncate(3)
     t4 = model.taylor_truncate(4)
     pot4 = t4.potential()
-    checks = []
+    # H_reg's kinetic form on (p1, p2), and the free centre of mass
+    kinetic = {e[2:] + (0,): c for e, c in t3.poly.terms.items()
+               if e[2] or e[3]}
+    kinetic[(0, 0, 2)] = FE(Fraction(3, 2))
+    checks = [_check(
+        "truncations.canonical_reduction",
+        _canonical_reduction(model.transform_jacobian(), kinetic),
+        value="H_full = H_reg + (3/2) p3^2", tol=0.0,
+        note="exact over Fractions: J S J^T = S; |y|^2/2 = p1^2 - p1 p2 + "
+             "p2^2 + (3/2) p3^2; q1, q2, q1 + q2 are the pair differences")]
     for (e1, e2), want in printed_quartic_coeffs:
         got = pot4.terms.get((e1, e2, 0, 0), FieldElement())
         checks.append(_check(
@@ -520,12 +566,13 @@ SECTION_BUILDERS = {
 _CLAIM_A_EVIDENCE = (
     "monodromy.single_loop_flip", "monodromy.log_eta_winding",
     "monodromy.double_loop_restores", "period_scan.limit_probe",
-    "turning_points.closed_vs_numeric",
+    "turning_points.closed_vs_numeric", "truncations.canonical_reduction",
 )
 _CLAIM_B_EVIDENCE = (
     "kovacic.lame_sieve_paper_A4", "kovacic.quartic_paper_variant",
     "kovacic.quartic_derived_transverse", "nve.scalar_vs_4d_L_antisymmetric",
-    "truncations.diagonal_quartic", "verify_solutions.psi",
+    "truncations.canonical_reduction", "truncations.diagonal_quartic",
+    "verify_solutions.psi",
 )
 
 

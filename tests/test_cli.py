@@ -32,6 +32,18 @@ def test_bad_config_value_is_usage_error(tmp_path):
                      "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("key", ["monodromy_radius", "monodromy_steps"])
+def test_monodromy_loop_keys_are_unknown(tmp_path, capsys, key):
+    """The branch loops' radius and steps are constants of the report, not
+    config keys: a file that names one is a usage error."""
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text(f"{key} = 1\n", encoding="utf-8")
+    assert cli.main(["monodromy", "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == 3
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "monodromy.json").exists()
+
+
 def test_config_file_parsing(tmp_path):
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text("precision = 96  # narrower\n\ntol=1e-9\n",

@@ -35,7 +35,8 @@ def rf(num, den=ONE):
 
 def riccati(omega):
     """r = omega' + omega^2, whose xi'' = r xi has xi = exp(int omega)."""
-    return omega.derivative() + omega * omega
+    n, d = omega.num, omega.den
+    return rf(n.derivative() * d - n * d.derivative(), d * d) + omega * omega
 
 
 def test_corpus_zero_and_constant():

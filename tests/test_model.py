@@ -1,27 +1,35 @@
-"""Hamiltonians, canonical reduction, and exact Taylor truncations."""
+"""Canonical reduction and exact Taylor truncations."""
 import math
 from fractions import Fraction
 
-import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyson3.field import FE, SQRT3, FieldElement
-from dyson3.model import (DomainError, canonical_inverse, canonical_transform,
-                          derive_pole, diagonal_potential, diagonal_reduce,
-                          diagonal_reduce_via_energy, h_full_eval, h_reg_eval,
-                          hamiltonian_vector_field, in_cell, qddot_exact,
+from dyson3.model import (derive_pole, diagonal_potential, diagonal_reduce,
+                          diagonal_reduce_via_energy, qddot_exact,
                           taylor_truncate, transform_jacobian)
 from dyson3.poly import Poly
 
 
+def _reduce(x, y):
+    """(x, y) -> (q, p) by the Jacobian of the linear reduction."""
+    J = transform_jacobian()
+    v = list(x) + list(y)
+    out = [sum(J[row][k] * v[k] for k in range(6)) for row in range(6)]
+    return out[:3], out[3:]
+
+
 def test_canonical_transform_roundtrip():
-    x, y = (0.3, -0.1, 1.2), (0.5, -0.2, 0.7)
-    q, p = canonical_transform(x, y)
-    x2, y2 = canonical_inverse(q, p)
-    assert all(abs(a - b) < 1e-15 for a, b in zip(x, x2))
-    assert all(abs(a - b) < 1e-15 for a, b in zip(y, y2))
+    """The reduction inverts exactly: x2 = (q3 - q1 + q2)/3, x1 = x2 + q1,
+    x3 = x2 - q2, y1 = p1 + p3, y2 = p2 - p1 + p3, y3 = p3 - p2."""
+    F = Fraction
+    x, y = (F(3, 10), F(-1, 10), F(6, 5)), (F(1, 2), F(-1, 5), F(7, 10))
+    (q1, q2, q3), (p1, p2, p3) = _reduce(x, y)
+    x2 = (q3 - q1 + q2) / 3
+    assert (x2 + q1, x2, x2 - q2) == x
+    assert (p1 + p3, p2 - p1 + p3, p3 - p2) == y
 
 
 def test_transform_is_canonical():
@@ -46,29 +54,30 @@ def test_transform_is_canonical():
 
 
 def test_jacobian_matches_linear_transform():
-    """The reduction is linear, so J columns are its images of basis
-    vectors."""
+    """The reduction is linear, so J's columns are the images of the basis
+    vectors under q = (x1 - x2, x2 - x3, x1 + x2 + x3),
+    p3 = (y1 + y2 + y3)/3, p1 = y1 - p3, p2 = p3 - y3."""
     J = transform_jacobian()
     for col in range(6):
-        x = [Fraction(int(col == k)) for k in range(3)]
-        y = [Fraction(int(col == k + 3)) for k in range(3)]
-        q, p = canonical_transform(x, y)
-        assert list(q) + list(p) == [J[row][col] for row in range(6)]
+        x1, x2, x3 = (Fraction(int(col == k)) for k in range(3))
+        y1, y2, y3 = (Fraction(int(col == k + 3)) for k in range(3))
+        p3 = (y1 + y2 + y3) / 3
+        image = [x1 - x2, x2 - x3, x1 + x2 + x3, y1 - p3, p3 - y3, p3]
+        assert image == [J[row][col] for row in range(6)]
 
 
 def test_reduced_energy_matches_full_energy():
+    """A float oracle for the report's exact truncations.canonical_reduction:
+    H_full(x, y) = H_reg(q, p) + (3/2) p3^2 at a phase point in the cell."""
     x, y = (0.9, 0.2, -0.5), (0.3, -0.4, 0.1)
-    q, p = canonical_transform(x, y)
-    # the reduced Hamiltonian drops the free total-momentum term
-    expected = h_full_eval(x, y) - 1.5 * p[2] ** 2
-    assert abs(h_reg_eval(q[0], q[1], p[0], p[1]) - expected) < 1e-12
-
-
-def test_cell_guard():
-    assert in_cell(math.pi / 3, math.pi / 3)
-    assert not in_cell(2.0, 2.0)
-    with pytest.raises(DomainError):
-        h_reg_eval(2.0, 2.0, 0.0, 0.0)
+    (q1, q2, _), (p1, p2, p3) = _reduce(x, y)
+    q1, q2, p1, p2, p3 = (float(v) for v in (q1, q2, p1, p2, p3))
+    h_full = 0.5 * sum(v * v for v in y) - sum(
+        math.log(abs(math.sin(x[i] - x[j])))
+        for i, j in ((0, 1), (1, 2), (0, 2)))
+    h_reg = (p1 * p1 - p1 * p2 + p2 * p2 - math.log(math.sin(q1))
+             - math.log(math.sin(q2)) - math.log(math.sin(q1 + q2)))
+    assert abs(h_full - (h_reg + 1.5 * p3 ** 2)) < 1e-12
 
 
 def test_printed_truncation_coefficients_exact():
@@ -142,14 +151,12 @@ def test_truncated_force_matches_transcendental_force():
 
 
 def test_vector_field_is_hamiltonian():
-    th = taylor_truncate(3)
-    q1d, q2d, p1d, p2d = hamiltonian_vector_field(th)
-    h = th.poly
-    assert q1d == h.derivative("p1")
-    assert p1d == -h.derivative("q1")
-    # kinetic part gives qdot1 = 2 p1 - p2
-    assert q1d.terms[(0, 0, 1, 0)] == FE(2)
-    assert q1d.terms[(0, 0, 0, 1)] == FE(-1)
+    """qdot = dH/dp: the kinetic part gives qdot1 = 2 p1 - p2, with no q
+    term; pdot = -dH/dq has no p term."""
+    h = taylor_truncate(3).poly
+    assert h.derivative("p1").terms == {(0, 0, 1, 0): FE(2),
+                                        (0, 0, 0, 1): FE(-1)}
+    assert all(not (e[2] or e[3]) for e in h.derivative("q1").terms)
 
 
 def test_diagonal_potential_energy_relation():

@@ -6,7 +6,7 @@ import os
 import jsonschema
 import pytest
 
-from dyson3 import cli, kovacic, nve
+from dyson3 import cli, kovacic, model, nve
 from dyson3 import report as rpt
 from dyson3.poly import Poly, RationalFunction
 
@@ -158,6 +158,42 @@ def test_claim_b_needs_the_transverse_decision():
         {"id": "kovacic.quartic_derived_transverse", "status": "PASS"})
     claim_b = rpt.build_verdicts(sections)["meromorphic_nonintegrability"]
     assert claim_b["status"] == "PASS"
+
+
+def test_both_claims_cite_the_canonical_reduction(fast_report):
+    """Both verdicts rest on H_reg, so both cite the exact reduction, and
+    it PASSes."""
+    for key in ("analytic_nonintegrability", "meromorphic_nonintegrability"):
+        assert "truncations.canonical_reduction" in \
+            fast_report["verdicts"][key]["evidence"]
+    checks = {c["id"]: c for c in fast_report["sections"]["truncations"]
+              ["checks"]}
+    assert checks["truncations.canonical_reduction"]["status"] == "PASS"
+
+
+def test_corrupted_reduction_fails_both_claims(monkeypatch):
+    """Negative control: one corrupted entry of the reduction's Jacobian,
+    any of the 36, makes truncations.canonical_reduction FAIL; with every
+    other cited check passing, both claims FAIL with it."""
+    cfg = rpt.PipelineConfig()
+    jacobian = model.transform_jacobian
+    for row in range(6):
+        for col in range(6):
+            rows = jacobian()
+            rows[row][col] += 1
+            monkeypatch.setattr(model, "transform_jacobian",
+                                lambda rows=rows: rows)
+            section = rpt.section_truncations(cfg)
+            status = {c["id"]: c["status"] for c in section["checks"]}
+            assert status.pop("truncations.canonical_reduction") == "FAIL"
+            assert set(status.values()) == {"PASS"}
+    others = {cid for cid in rpt._CLAIM_A_EVIDENCE + rpt._CLAIM_B_EVIDENCE
+              if not cid.startswith("truncations.")}
+    sections = {"truncations": section,
+                "s": {"checks": [{"id": cid, "status": "PASS"}
+                                 for cid in sorted(others)]}}
+    verdicts = rpt.build_verdicts(sections)
+    assert {v["status"] for v in verdicts.values()} == {"FAIL"}
 
 
 def test_every_check_carries_tolerance_when_numeric(fast_report):
