@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -358,48 +357,45 @@ _W0 = 1.0 - 2.0 * _W1
 _CHUNK = 1024
 
 
-def _force(t: float) -> float:
-    """pdot = -Vtilde'(q)/2 = cot q + cot 2q = (3 - t^2)/(2t), t = tan q."""
-    return (3.0 - t * t) / (2.0 * t)
-
-
 def _energy(t, p):
     """p^2 + Vtilde(q) for numpy arrays of t = tan q and p, with
     Vtilde = log((1 + t^2)^2 / (2 t^3))."""
     return p * p + np.log((1.0 + t * t) ** 2 / (2.0 * t * t * t))
 
 
-def _yoshida4(q: float, p: float, f: float, h: float, n: int):
+def _yoshida4(q: float, p: float, t: float, h: float, n: int):
     """n steps of Yoshida's fourth-order composition: kick-drift-kick
-    leapfrogs of w1*h, w0*h, w1*h, with f = _force(tan q) the force at the
-    starting q.  The two kicks at each interior drift point share one
-    force, and the last kick's force is the next step's first, so a step
-    takes three forces, each from one tangent (_force, written out in the
-    loop).  Raises PeriodDomainError at the first step that ends outside
-    0 < q < pi/2.  Returns the final q, p and force, and two double
-    arrays of tan q and p after each step."""
+    leapfrogs of w1*h, w0*h, w1*h, with t = tan q at the starting q.  The
+    force pdot = cot q + cot 2q = (3 - t^2)/(2t) is folded into each kick:
+    a kick of k*h/2 is a/t - b*t with a = 3kh/4 and b = kh/4.  The two
+    kicks at each interior drift point are merged, and the last kick of a
+    step is the next step's first, so a step takes three tangents.  Raises
+    PeriodDomainError at the first step that ends outside 0 < q < pi/2.
+    Returns the final q, p and tan q, and two lists of tan q and p after
+    each step."""
     tan, half_pi = math.tan, math.pi / 2
     h1, h0 = _W1 * h, _W0 * h
-    k1, k10 = 0.5 * h1, 0.5 * (h1 + h0)
-    ts, ps = array('d'), array('d')
-    t_append, p_append = ts.append, ps.append
-    for _ in range(n):
-        p += k1 * f
+    a1, b1 = 0.75 * h1, 0.25 * h1
+    a10, b10 = 0.75 * (h1 + h0), 0.25 * (h1 + h0)
+    ts, ps = [0.0] * n, [0.0] * n
+    kick = a1 / t - b1 * t
+    for i in range(n):
+        p += kick
         q += h1 * p
         t = tan(q)
-        p += k10 * ((3.0 - t * t) / (2.0 * t))
+        p += a10 / t - b10 * t
         q += h0 * p
         t = tan(q)
-        p += k10 * ((3.0 - t * t) / (2.0 * t))
+        p += a10 / t - b10 * t
         q += h1 * p
         t = tan(q)
-        f = (3.0 - t * t) / (2.0 * t)
-        p += k1 * f
-        if not 0 < q < half_pi:
+        kick = a1 / t - b1 * t
+        p += kick
+        if not 0.0 < q < half_pi:
             raise PeriodDomainError(f"q={q} outside (0, pi/2)")
-        t_append(t)
-        p_append(p)
-    return q, p, f, ts, ps
+        ts[i] = t
+        ps[i] = p
+    return q, p, t, ts, ps
 
 
 def integrate_diagonal(q0: float, p0: float, h: float, nsteps: int):
@@ -409,13 +405,12 @@ def integrate_diagonal(q0: float, p0: float, h: float, nsteps: int):
     if not 0 < q0 < math.pi / 2:
         raise PeriodDomainError(f"q={q0} outside (0, pi/2)")
     q, p, t = q0, p0, math.tan(q0)
-    f = _force(t)
     e0 = _energy(np.array([t]), np.array([p]))[0]
     emax = 0.0
     for done in range(0, nsteps, _CHUNK):
-        q, p, f, ts, ps = _yoshida4(q, p, f, h, min(_CHUNK, nsteps - done))
-        de = np.abs(_energy(np.frombuffer(ts), np.frombuffer(ps)) - e0).max()
-        emax = max(emax, float(de))
+        q, p, t, ts, ps = _yoshida4(q, p, t, h, min(_CHUNK, nsteps - done))
+        de = _energy(np.array(ts, float), np.array(ps, float)) - e0
+        emax = max(emax, float(np.abs(de).max()))
     return q, p, emax
 
 
@@ -428,23 +423,23 @@ def return_map_period(e: float, h: float = 1e-4, q_minus=None) -> float:
     if q_minus is None:
         q_minus, _ = turning_points_numeric(e, prec=80)
     q, p = float(q_minus), 0.0
-    f = _force(math.tan(q))
+    t = math.tan(q)
     k = 0                                   # steps taken to reach (q, p)
     while True:
-        q1, p1, f1, _, ps = _yoshida4(q, p, f, h, _CHUNK)
+        q1, p1, t1, _, ps = _yoshida4(q, p, t, h, _CHUNK)
         pa = np.concatenate(([p], ps))
         hits = np.flatnonzero((pa[:-1] > 0) & (pa[1:] <= 0))
         if hits.size:
             break
-        q, p, f, k = q1, p1, f1, k + _CHUNK
+        q, p, t, k = q1, p1, t1, k + _CHUNK
         if k * h > 1e6:
             raise ArithmeticError("no return detected")
     i = int(hits[0])
-    q, p, f, _, _ = _yoshida4(q, p, f, h, i)
+    q, p, t, _, _ = _yoshida4(q, p, t, h, i)
     lo, hi = 0.0, h
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _yoshida4(q, p, f, mid / 16, 16)[1] > 0:
+        if _yoshida4(q, p, t, mid / 16, 16)[1] > 0:
             lo = mid
         else:
             hi = mid

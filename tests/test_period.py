@@ -307,7 +307,7 @@ def test_integrate_diagonal_leaving_the_cell_is_a_domain_error(q0, p0):
 
 def _step(q, p, h):
     """One step of the period kernel from (q, p)."""
-    return period._yoshida4(q, p, period._force(math.tan(q)), h, 1)[:2]
+    return period._yoshida4(q, p, math.tan(q), h, 1)[:2]
 
 
 def _q_minus(offset):
@@ -315,37 +315,45 @@ def _q_minus(offset):
     return float(period.turning_points_numeric(e, prec=80)[0])
 
 
+_W1 = 1 / (2 - 2 ** (1 / 3))
+_W0 = 1 - 2 * _W1
+
+
+def _textbook_step(q, p, h):
+    """Yoshida's fourth-order step as three kick-drift-kick leapfrogs,
+    taking the force cot q + cot 2q six times."""
+    for w in (_W1, _W0, _W1):
+        p += 0.5 * w * h * (1 / math.tan(q) + 1 / math.tan(2 * q))
+        q += w * h * p
+        p += 0.5 * w * h * (1 / math.tan(q) + 1 / math.tan(2 * q))
+    return q, p
+
+
 def test_kernel_matches_the_textbook_composition():
-    # Yoshida's fourth-order step as three kick-drift-kick leapfrogs,
-    # taking the force cot q + cot 2q six times
-    w1 = 1 / (2 - 2 ** (1 / 3))
-    w0 = 1 - 2 * w1
-
-    def force(q):
-        return 1 / math.tan(q) + 1 / math.tan(2 * q)
-
-    def step(q, p, h):
-        for w in (w1, w0, w1):
-            p += 0.5 * w * h * force(q)
-            q += w * h * p
-            p += 0.5 * w * h * force(q)
-        return q, p
-
     q0, h, n = _q_minus(0.3), 1e-3, 10 ** 4
     q, p = q0, 0.0
     for _ in range(n):
-        q, p = step(q, p, h)
+        q, p = _textbook_step(q, p, h)
     qk, pk, _ = period.integrate_diagonal(q0, 0.0, h, n)
     assert abs(qk - q) < 1e-12 and abs(pk - p) < 1e-12
 
 
-def test_tangent_forms_of_force_and_energy():
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(0.3, 1.2), p=st.floats(-1.0, 1.0),
+       h=st.sampled_from([1e-2, 1e-3, 1e-4]))
+def test_folded_kicks_match_the_textbook_step(q, p, h):
+    # the kernel's four kick constants a/t - b t against the force written
+    # out: a relative change of 1e-6 in any one of them moves p by at
+    # least 5e-12 at h = 1e-4
+    qk, pk = _step(q, p, h)
+    qt, pt = _textbook_step(q, p, h)
+    assert abs(qk - qt) < 1e-14 and abs(pk - pt) < 1e-14
+
+
+def test_tangent_form_of_energy():
     qs = [(k + 0.5) / 200 * math.pi / 2 for k in range(200)]
-    ts = np.tan(qs)
-    energy = period._energy(ts, np.zeros(len(qs)))
-    for q, t, v in zip(qs, ts, energy):
-        f = 1 / math.tan(q) + 1 / math.tan(2 * q)
-        assert abs(period._force(t) - f) <= 1e-13 * abs(f)
+    energy = period._energy(np.tan(qs), np.zeros(len(qs)))
+    for q, v in zip(qs, energy):
         vt = period.potential_tilde(q)
         assert abs(v - vt) <= 1e-13 * abs(vt)
 
