@@ -1,9 +1,9 @@
 """Command-line front end for the analysis pipeline.
 
 Subcommands map one-to-one onto report sections (plus ``report`` for the
-full merged document).  Every flag mirrors a config-file key; values given
-on the command line win over the file.  Exit codes: 0 all PASS, 1 any
-FAIL, 2 any Indeterminate/partial evidence, 3 usage error.
+full merged document).  Three flags configure a run: ``--precision``,
+``--grid`` and ``--out``.  Exit codes: 0 all PASS, 1 any FAIL, 2 any
+Indeterminate/partial evidence, 3 usage error.
 """
 from __future__ import annotations
 
@@ -36,17 +36,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: _Parser):
-    p.add_argument("--config", type=str, default=None,
-                   help="flat key=value config file")
     p.add_argument("--precision", type=int, default=None,
                    help="working precision in bits (default 128)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="quadrature tolerance (default 1e-10)")
     p.add_argument("--grid", type=str, default=None, metavar="MIN,MAX,COUNT",
                    help="energy-offset grid above the equilibrium energy")
-    p.add_argument("--variant", choices=("paper", "derived", "both"),
-                   default=None,
-                   help="which quartic coefficient variants to run")
     p.add_argument("--out", type=str, default=None,
                    help="output directory (default ./out)")
 
@@ -62,21 +55,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' starts a comment; blank lines ignored."""
-    out = {}
-    text = pathlib.Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
-
-
 def _parse_grid(text: str):
     parts = text.split(",")
     if len(parts) != 3:
@@ -85,21 +63,15 @@ def _parse_grid(text: str):
 
 
 def make_config(args) -> rpt.PipelineConfig:
-    mapping = {}
-    if args.config:
-        mapping.update(load_config_file(args.config))
+    kwargs = {}
     if args.precision is not None:
-        mapping["precision"] = args.precision
-    if args.tol is not None:
-        mapping["tol"] = args.tol
+        kwargs["precision"] = args.precision
     if args.grid is not None:
         lo, hi, n = _parse_grid(args.grid)
-        mapping.update(grid_min=lo, grid_max=hi, grid_count=n)
-    if args.variant is not None:
-        mapping["variant"] = args.variant
+        kwargs.update(grid_min=lo, grid_max=hi, grid_count=n)
     if args.out is not None:
-        mapping["out"] = args.out
-    return rpt.PipelineConfig.from_mapping(mapping)
+        kwargs["out"] = args.out
+    return rpt.PipelineConfig(**kwargs)
 
 
 def _print_checks(report_doc: dict, stream, with_verdicts: bool):
@@ -121,7 +93,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = make_config(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"dyson3: config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     sections = _SUBCOMMANDS[args.command]

@@ -32,10 +32,9 @@ from . import period
 
 SCHEMA_VERSION = "1.0.0"
 
-SECTION_NAMES = (
-    "equilibrium", "period_scan", "turning_points", "monodromy",
-    "truncations", "verify_solutions", "nve", "kovacic",
-)
+# The period quadrature tolerance, and the bound of the two equilibrium
+# checks that compare closed forms at the working precision.
+TOL = 1e-10
 
 _STATUSES = ("PASS", "INDETERMINATE", "FAIL")     # ascending severity
 
@@ -66,35 +65,22 @@ def validate(report: dict) -> None:
 @dataclass(frozen=True)
 class PipelineConfig:
     precision: int = 128
-    tol: float = 1e-10
     grid_min: float = 1e-6
     grid_max: float = 1.0
     grid_count: int = 12
-    variant: str = "both"          # paper | derived | both
     out: str = "out"
 
     def __post_init__(self):
-        if self.tol <= 0 or self.grid_min <= 0:
-            raise ValueError("the tolerance and grid min must be positive")
+        if not (math.isfinite(self.grid_min) and math.isfinite(self.grid_max)):
+            raise ValueError("grid min and max must be finite")
+        if self.grid_min <= 0:
+            raise ValueError("grid min must be positive")
         if self.grid_count < 2:
             raise ValueError("grid count must be >= 2")
         if self.grid_max <= self.grid_min:
             raise ValueError("grid max must exceed grid min")
         if self.precision < 53:
             raise ValueError("precision below double precision")
-        if self.variant not in ("paper", "derived", "both"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "PipelineConfig":
-        kwargs = {}
-        casts = {f.name: f.type for f in fields(cls)}
-        for key, val in mapping.items():
-            if key not in casts:
-                raise ValueError(f"unknown config key {key!r}")
-            target = {"int": int, "float": float, "str": str}[casts[key]]
-            kwargs[key] = target(val)
-        return cls(**kwargs)
 
     def to_json(self) -> dict:
         """The analysis inputs; `out` is where the outputs go, not an input,
@@ -155,10 +141,10 @@ def section_equilibrium(cfg: PipelineConfig) -> dict:
         cstar_err = abs(cstar - 3 * mp.sqrt(3) / 16)
     g3 = model.diagonal_reduce(model.taylor_truncate(3))
     checks = [
-        _check("equilibrium.e_min", _f(emin_err) < cfg.tol,
-               value=_f(emin), tol=cfg.tol, note="log(8*sqrt(3)/9)"),
-        _check("equilibrium.c_star", _f(cstar_err) < cfg.tol,
-               value=_f(cstar), tol=cfg.tol, note="3*sqrt(3)/16"),
+        _check("equilibrium.e_min", _f(emin_err) < TOL,
+               value=_f(emin), tol=TOL, note="log(8*sqrt(3)/9)"),
+        _check("equilibrium.c_star", _f(cstar_err) < TOL,
+               value=_f(cstar), tol=TOL, note="3*sqrt(3)/16"),
         _check("equilibrium.omega_squared",
                g3.coeff(1) == FE(-4), value=4.0, tol=0.0,
                note="linearized qddot = -4q, so the small-oscillation "
@@ -181,7 +167,7 @@ def section_period_scan(cfg: PipelineConfig) -> dict:
     rows, errors = [], []
     for off in _scan_offsets(cfg):
         try:
-            s = period.period(emin + mp.mpf(off), tol=cfg.tol, prec=prec)
+            s = period.period(emin + mp.mpf(off), tol=TOL, prec=prec)
             rows.append({"offset": off, "c": _f(s.c), "E": _f(s.energy),
                          "T": _f(s.period), "log_eta": _f(s.log_eta),
                          "phi": _f(s.phi), "error": None})
@@ -191,14 +177,14 @@ def section_period_scan(cfg: PipelineConfig) -> dict:
     good = [r for r in rows if r["error"] is None]
     periods = [r["T"] for r in good]
     # limit probe at E_min + 1e-6 (always included regardless of grid)
-    probe = period.period(emin + mp.mpf(1e-6), tol=cfg.tol, prec=prec)
+    probe = period.period(emin + mp.mpf(1e-6), tol=TOL, prec=prec)
     probe_err = abs(_f(probe.period) - math.pi)
     # degenerate row at c = c* has coincident turning points
     tp_star = period.turning_points_closed(period.c_star(prec), prec)
     eps_star = max(abs(_f(tp_star.eps)), abs(_f(tp_star.delta)))
     # cross-check quadrature against the symplectic return map at one energy
     e_mid = _f(period.e_min(prec)) + 0.25
-    mid = period.period(e_mid, tol=cfg.tol, prec=prec)
+    mid = period.period(e_mid, tol=TOL, prec=prec)
     t_quad = _f(mid.period)
     t_map = period.return_map_period(e_mid, h=1e-3, q_minus=mid.q_minus)
     monotone = all(b > a for a, b in zip(periods, periods[1:]))
@@ -443,7 +429,7 @@ def section_nve(cfg: PipelineConfig) -> dict:
                               "antisymmetric coefficient"))
     # algebrization of the quartic equations
     algebraized = {}
-    for label, sc in _quartic_variants(cfg.variant).items():
+    for label, sc in _quartic_variants().items():
         ode = nve.algebrize(sc)
         algebraized[label] = nve.algebraized_json(ode)
         checks.append(_check(f"nve.normal_form_identity_{label}",
@@ -459,16 +445,12 @@ def section_nve(cfg: PipelineConfig) -> dict:
         "monodromy_determinants": dets})
 
 
-def _quartic_variants(variant: str) -> dict:
+def _quartic_variants() -> dict:
     from . import model, nve
-    out = {}
-    if variant in ("paper", "both"):
-        out["L_paper"] = nve.paper_nve_l()
-    if variant in ("derived", "both"):
-        vs4 = nve.derive_variational(model.taylor_truncate(4))
-        out["L_derived_symmetric"] = nve.scalar_nve(vs4, "symmetric")
-        out["L_derived_antisymmetric"] = nve.scalar_nve(vs4, "antisymmetric")
-    return out
+    vs4 = nve.derive_variational(model.taylor_truncate(4))
+    return {"L_paper": nve.paper_nve_l(),
+            "L_derived_symmetric": nve.scalar_nve(vs4, "symmetric"),
+            "L_derived_antisymmetric": nve.scalar_nve(vs4, "antisymmetric")}
 
 
 _DIVERGENCE_NOTE = (
@@ -538,13 +520,13 @@ def section_kovacic(cfg: PipelineConfig) -> dict:
                              note="no solvable family admits this coupling"))
     # full algorithm on the algebrized quartic equations
     runs = {}
-    for label, sc in _quartic_variants(cfg.variant).items():
+    for label, sc in _quartic_variants().items():
         res = kovacic.kovacic(nve.algebrize(sc).r)
         runs[label] = res.to_json()
         checks.append(_decision_check(res, *_QUARTIC_CHECKS[label]))
     return _section("kovacic", checks, extra={
         "corpus": corpus, "lame_sieve": sieve, "quartic_runs": runs,
-        "divergence_note": _DIVERGENCE_NOTE if cfg.variant != "paper" else None})
+        "divergence_note": _DIVERGENCE_NOTE})
 
 
 SECTION_BUILDERS = {
@@ -557,6 +539,7 @@ SECTION_BUILDERS = {
     "nve": section_nve,
     "kovacic": section_kovacic,
 }
+SECTION_NAMES = tuple(SECTION_BUILDERS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Command-line interface: flags, config files, exit codes, outputs."""
+"""Command-line interface: flags, exit codes, outputs."""
 import json
 import os
 import pathlib
@@ -26,57 +26,37 @@ def test_bad_grid_is_usage_error(tmp_path):
 
 
 def test_bad_config_value_is_usage_error(tmp_path):
-    cfgfile = tmp_path / "cfg.txt"
-    cfgfile.write_text("grid_count = 1\n", encoding="utf-8")
-    assert cli.main(["taylor", "--config", str(cfgfile),
+    assert cli.main(["taylor", "--grid", "1e-6,1,1",
                      "--out", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("key", ["monodromy_radius", "monodromy_steps"])
-def test_monodromy_loop_keys_are_unknown(tmp_path, capsys, key):
-    """The branch loops' radius and steps are constants of the report, not
-    config keys: a file that names one is a usage error."""
-    cfgfile = tmp_path / "cfg.txt"
-    cfgfile.write_text(f"{key} = 1\n", encoding="utf-8")
-    assert cli.main(["monodromy", "--config", str(cfgfile),
-                     "--out", str(tmp_path)]) == 3
-    assert f"unknown config key {key!r}" in capsys.readouterr().err
+@pytest.mark.parametrize("grid", ["nan,1,3", "1e-6,inf,3", "1e-6,nan,3"])
+def test_non_finite_grid_is_usage_error(tmp_path, capsys, grid):
+    out = tmp_path / "out"
+    assert cli.main(["period-scan", "--grid", grid, "--out", str(out)]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["config", "tol", "variant",
+                                  "monodromy_radius", "monodromy_steps"])
+def test_removed_flags_are_usage_errors(tmp_path, flag):
+    """A run is configured by --precision, --grid and --out alone: the
+    config file, the tolerance, the variant and the branch loops' radius
+    and steps are fixed by the report, so a flag that names one is a usage
+    error."""
+    option = "--" + flag.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["monodromy", option, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 3
     assert not (tmp_path / "monodromy.json").exists()
 
 
-def test_config_file_parsing(tmp_path):
-    cfgfile = tmp_path / "cfg.txt"
-    cfgfile.write_text("precision = 96  # narrower\n\ntol=1e-9\n",
-                       encoding="utf-8")
-    assert cli.load_config_file(cfgfile) == {"precision": "96", "tol": "1e-9"}
-    cfgfile.write_text("broken line\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        cli.load_config_file(cfgfile)
-
-
-def test_cli_overrides_config_file(tmp_path):
-    cfgfile = tmp_path / "cfg.txt"
-    cfgfile.write_text("precision = 96\nvariant = paper\n", encoding="utf-8")
-    parser = cli.build_parser()
-    args = parser.parse_args(["taylor", "--config", str(cfgfile),
-                              "--precision", "128"])
-    cfg = cli.make_config(args)
-    assert cfg.precision == 128          # flag wins
-    assert cfg.variant == "paper"        # file survives where no flag given
-
-
-def test_tol_and_variant_flags_reach_the_report(tmp_path):
-    """--variant paper runs only the paper quartic NVE, so claim b lacks the
-    derived transverse decision: PARTIAL, exit 2.  Both flags are recorded
-    in the report's config block."""
-    assert cli.main(["report", "--variant", "paper", "--tol", "1e-9",
-                     "--out", str(tmp_path)]) == 2
-    doc = json.loads((tmp_path / "report.json").read_text())
-    claim_b = doc["verdicts"]["meromorphic_nonintegrability"]
-    assert claim_b["status"] == "PARTIAL"
-    assert claim_b["missing"] == ["kovacic.quartic_derived_transverse"]
-    assert doc["config"]["variant"] == "paper"
-    assert doc["config"]["tol"] == 1e-9
+def test_flags_reach_the_config():
+    args = cli.build_parser().parse_args(
+        ["report", "--precision", "96", "--grid", "1e-6,0.1,3"])
+    assert cli.make_config(args).to_json() == {
+        "precision": 96, "grid_min": 1e-6, "grid_max": 0.1, "grid_count": 3}
 
 
 def test_taylor_subcommand_passes_and_writes_json(tmp_path, capsys):

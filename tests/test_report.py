@@ -68,15 +68,14 @@ def fast_report():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        rpt.PipelineConfig(tol=-1)
+        rpt.PipelineConfig(grid_min=-1)
     with pytest.raises(ValueError):
         rpt.PipelineConfig(grid_count=1)
     with pytest.raises(ValueError):
-        rpt.PipelineConfig(variant="bogus")
+        rpt.PipelineConfig(grid_max=float("nan"))
     with pytest.raises(ValueError):
-        rpt.PipelineConfig.from_mapping({"no_such_key": 1})
-    cfg = rpt.PipelineConfig.from_mapping({"precision": "96", "tol": "1e-9"})
-    assert cfg.precision == 96 and cfg.tol == 1e-9
+        rpt.PipelineConfig(precision=32)
+    assert rpt.PipelineConfig(precision=96).precision == 96
 
 
 def test_schema_valid_and_versioned(fast_report):
@@ -144,8 +143,8 @@ def test_partial_report_marks_verdicts(fast_report):
 
 
 def test_claim_b_needs_the_transverse_decision():
-    """--variant paper runs no transverse decision, so claim b stays
-    PARTIAL however the other checks come out."""
+    """Without the transverse decision claim b stays PARTIAL however the
+    other checks come out."""
     present = [cid for cid in rpt._CLAIM_B_EVIDENCE
                if cid != "kovacic.quartic_derived_transverse"]
     sections = {"s": {"checks": [{"id": cid, "status": "PASS"}
@@ -421,7 +420,7 @@ def test_section_fail_beats_an_indeterminate_decision(monkeypatch):
     paper_r = nve.algebrize(nve.paper_nve_l()).r
     _patch_kovacic(monkeypatch, [(airy, "liouvillian"),
                                  (paper_r, "indeterminate")])
-    sec = rpt.section_kovacic(rpt.PipelineConfig(variant="paper"))
+    sec = rpt.section_kovacic(rpt.PipelineConfig())
     status = {c["id"]: c["status"] for c in sec["checks"]}
     assert status["kovacic.corpus_airy"] == "FAIL"
     assert status["kovacic.quartic_paper_variant"] == "INDETERMINATE"
