@@ -4,8 +4,9 @@ versioned JSON report, and emit CSV/Markdown artifacts.
 Each section builder returns a plain dict with a ``status`` field
 (``PASS`` / ``FAIL`` / ``INDETERMINATE``) and a list of named checks; the
 verdict section ties the two non-integrability claims to the section checks
-that support them.  All outputs are deterministic: no timestamps, sorted
-keys, and floats rendered through ``float`` reprs.
+that support them.  A report always holds all eight sections, so every
+verdict finds each check it cites.  All outputs are deterministic: no
+timestamps, sorted keys, and floats rendered through ``float`` reprs.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import os
 import pickle
 import signal
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -37,29 +38,38 @@ SCHEMA_VERSION = "1.0.0"
 TOL = 1e-10
 
 _STATUSES = ("PASS", "INDETERMINATE", "FAIL")     # ascending severity
+EXIT_CODES = {"PASS": 0, "FAIL": 1, "INDETERMINATE": 2}
+
+
+def _has(obj, key, kind) -> bool:
+    return (isinstance(obj, dict) and obj.get("status") in _STATUSES
+            and isinstance(obj.get(key), kind))
+
+
+def validate_section(section) -> None:
+    """ValueError unless the section holds a status and a list of checks,
+    each with a string id and a status."""
+    if not (_has(section, "checks", list)
+            and all(_has(c, "id", str) for c in section["checks"])):
+        raise ValueError("a section does not have the fixed section shape")
 
 
 def validate(report: dict) -> None:
     """ValueError unless the report has its fixed shape: a string
-    schema_version, a config object, sections that hold a status and a
-    list of checks (each with a string id and a status), and verdicts that
-    hold a status or PARTIAL and a list of string evidence ids."""
-    def has(obj, statuses, key, kind):
-        return (isinstance(obj, dict) and obj.get("status") in statuses
-                and isinstance(obj.get(key), kind))
-
+    schema_version, a config object, sections that each pass
+    `validate_section`, and verdicts that hold a status and a list of
+    string evidence ids."""
     if not (isinstance(report, dict)
             and isinstance(report.get("schema_version"), str)
             and isinstance(report.get("config"), dict)
             and isinstance(report.get("sections"), dict)
             and isinstance(report.get("verdicts"), dict)
-            and all(has(s, _STATUSES, "checks", list)
-                    and all(has(c, _STATUSES, "id", str) for c in s["checks"])
-                    for s in report["sections"].values())
-            and all(has(v, _STATUSES + ("PARTIAL",), "evidence", list)
+            and all(_has(v, "evidence", list)
                     and all(isinstance(e, str) for e in v["evidence"])
                     for v in report["verdicts"].values())):
         raise ValueError("the report does not have the fixed report shape")
+    for section in report["sections"].values():
+        validate_section(section)
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,6 @@ class PipelineConfig:
     grid_min: float = 1e-6
     grid_max: float = 1.0
     grid_count: int = 12
-    out: str = "out"
 
     def __post_init__(self):
         if not (math.isfinite(self.grid_min) and math.isfinite(self.grid_max)):
@@ -83,10 +92,7 @@ class PipelineConfig:
             raise ValueError("precision below double precision")
 
     def to_json(self) -> dict:
-        """The analysis inputs; `out` is where the outputs go, not an input,
-        so the same analysis reports the same JSON wherever it is written."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "out"}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +279,20 @@ def _canonical_reduction(jac, kinetic) -> bool:
     (x, y) -> (q, p) with Jacobian `jac` (as in model.transform_jacobian)
     and `kinetic`, H_reg's kinetic form as {(e_p1, e_p2, e_p3): coefficient}.
 
-    (i) jac is block diagonal (q depends on x alone, p on y alone) and
-    jac S jac^T = S, so the map is canonical and y = A^T p for A its
-    position block.  (ii) The free kinetic energy |y|^2/2 = p^T (A A^T/2) p
+    (i) jac is block diagonal (q depends on x alone, p on y alone), so
+    jac S jac^T = [[0, A B^T], [-B A^T, 0]] for A and B its position and
+    momentum blocks, and A B^T = I: jac S jac^T = S, the map is canonical
+    and y = A^T p.  (ii) The free kinetic energy |y|^2/2 = p^T (A A^T/2) p
     is then `kinetic` exactly.  (iii) The rows of A give q1, q2 and q1 + q2
     as the pair differences x1 - x2, x2 - x3 and x1 - x3, so
     -sum log|sin(xi - xj)| is H_reg's potential, free of q3.
     """
-    sym = [[int(j == i + 3) - int(i == j + 3) for j in range(6)]
-           for i in range(6)]
+    pos = [row[:3] for row in jac[:3]]
+    mom = [row[3:] for row in jac[3:]]
     canonical = (
         all(jac[i][j] == jac[j][i] == 0 for i in range(3) for j in range(3, 6))
-        and all(sum(jac[a][i] * sym[i][j] * jac[b][j]
-                    for i in range(6) for j in range(6)) == sym[a][b]
-                for a in range(6) for b in range(6)))
-    pos = [row[:3] for row in jac[:3]]
+        and all(sum(u * v for u, v in zip(pos[i], mom[j])) == (i == j)
+                for i in range(3) for j in range(3)))
     free = {}
     for i in range(3):
         for j in range(i, 3):
@@ -560,17 +565,12 @@ _CLAIM_B_EVIDENCE = (
 
 
 def _verdict(sections: dict, evidence_ids) -> dict:
-    index = {}
-    for sec in sections.values():
-        for chk in sec["checks"]:
-            index[chk["id"]] = chk["status"]
-    missing = [cid for cid in evidence_ids if cid not in index]
-    present = [index[cid] for cid in evidence_ids if cid in index]
-    status = "PARTIAL" if missing else _status(present)
-    out = {"status": status, "evidence": list(evidence_ids)}
-    if missing:
-        out["missing"] = missing
-    return out
+    """The most severe status of the cited checks; a KeyError naming the
+    first cited id that no section holds."""
+    index = {chk["id"]: chk["status"]
+             for sec in sections.values() for chk in sec["checks"]}
+    return {"status": _status([index[cid] for cid in evidence_ids]),
+            "evidence": list(evidence_ids)}
 
 
 def build_verdicts(sections: dict) -> dict:
@@ -597,12 +597,12 @@ def build_verdicts(sections: dict) -> dict:
 _FORKED_SECTIONS = ("period_scan", "turning_points", "monodromy")
 
 
-def _send_sections(cfg: PipelineConfig, names, wfd: int) -> None:
-    """The forked child's work: build `names` and pickle (True, sections),
-    or (False, exception), to the pipe.  An exception that does not survive
-    pickling goes as a RuntimeError carrying its traceback text."""
+def _send_sections(cfg: PipelineConfig, wfd: int) -> None:
+    """The forked child's work: build the `_FORKED_SECTIONS` and pickle
+    (True, sections), or (False, exception), to the pipe; an exception that
+    does not survive pickling goes as a RuntimeError with its traceback."""
     try:
-        msg = (True, {n: SECTION_BUILDERS[n](cfg) for n in names})
+        msg = (True, {n: SECTION_BUILDERS[n](cfg) for n in _FORKED_SECTIONS})
     except BaseException as exc:
         msg = (False, exc)
     try:
@@ -617,10 +617,10 @@ def _send_sections(cfg: PipelineConfig, names, wfd: int) -> None:
         pipe.write(data)
 
 
-def _build_forked(cfg: PipelineConfig, forked, inline) -> dict:
-    """Build `forked` in one forked child while this process builds
-    `inline`; return both, or raise what a builder raised.  The child is
-    reaped before this returns or raises."""
+def _build_forked(cfg: PipelineConfig) -> dict:
+    """Build the `_FORKED_SECTIONS` in one forked child while this process
+    builds the rest; return all eight, or raise what a builder raised.  The
+    child is reaped before this returns or raises."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -632,14 +632,15 @@ def _build_forked(cfg: PipelineConfig, forked, inline) -> dict:
         status = 1
         try:
             os.close(rfd)
-            _send_sections(cfg, forked, wfd)
+            _send_sections(cfg, wfd)
             status = 0
         finally:
             os._exit(status)
     os.close(wfd)
     try:
         with open(rfd, "rb") as pipe:
-            sections = {n: SECTION_BUILDERS[n](cfg) for n in inline}
+            sections = {n: SECTION_BUILDERS[n](cfg) for n in SECTION_NAMES
+                        if n not in _FORKED_SECTIONS}
             data = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -656,23 +657,16 @@ def _build_forked(cfg: PipelineConfig, forked, inline) -> dict:
     return sections
 
 
-def build_report(cfg: PipelineConfig, only=None) -> dict:
-    """Run the requested sections (all by default) and assemble the report.
+def build_report(cfg: PipelineConfig) -> dict:
+    """Build all eight sections and assemble the report.
 
-    ``only`` restricts the run; missing sections leave the verdicts marked
-    PARTIAL rather than failing the whole report.  When the run holds
-    sections of both halves and ``os.fork`` exists, the ``_FORKED_SECTIONS``
-    are built in a forked child at the same time; the report is the same
-    either way.
+    Where ``os.fork`` exists, the ``_FORKED_SECTIONS`` are built in a forked
+    child while this process builds the rest; the report is the same either
+    way.
     """
-    names = SECTION_NAMES if only is None else tuple(only)
-    forked = [n for n in names if n in _FORKED_SECTIONS]
-    inline = [n for n in names if n not in _FORKED_SECTIONS]
-    if forked and inline and hasattr(os, "fork"):
-        built = _build_forked(cfg, forked, inline)
-    else:
-        built = {name: SECTION_BUILDERS[name](cfg) for name in names}
-    sections = {name: built[name] for name in names}
+    built = (_build_forked(cfg) if hasattr(os, "fork") else
+             {name: SECTION_BUILDERS[name](cfg) for name in SECTION_NAMES})
+    sections = {name: built[name] for name in SECTION_NAMES}
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_json(),
@@ -684,14 +678,11 @@ def build_report(cfg: PipelineConfig, only=None) -> dict:
 
 
 def report_exit_code(report: dict) -> int:
-    """0 all PASS, 1 any FAIL, 2 any INDETERMINATE or PARTIAL.  Verdicts
-    count only in a report that holds every section, so the partial report
-    of a subcommand takes its exit code from its sections."""
-    statuses = [s["status"] for s in report["sections"].values()]
-    if set(SECTION_NAMES) <= set(report["sections"]):
-        statuses += [v["status"] for v in report["verdicts"].values()]
-    worst = _status("INDETERMINATE" if s == "PARTIAL" else s for s in statuses)
-    return {"PASS": 0, "FAIL": 1, "INDETERMINATE": 2}[worst]
+    """0 all PASS, 1 any FAIL, 2 any INDETERMINATE, over the sections and
+    the verdicts."""
+    return EXIT_CODES[_status(
+        [s["status"] for s in report["sections"].values()]
+        + [v["status"] for v in report["verdicts"].values()])]
 
 
 # ---------------------------------------------------------------------------
@@ -702,11 +693,12 @@ def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def render_csv(report: dict) -> str:
+def render_csv(period_scan: dict) -> str:
+    """The period_scan section's rows that have no error, one per line."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["c", "E", "T", "log_eta", "phi"])
-    for row in report["sections"]["period_scan"]["rows"]:
+    for row in period_scan["rows"]:
         if row.get("error"):
             continue
         writer.writerow([repr(row[k]) for k in ("c", "E", "T", "log_eta",
@@ -728,18 +720,13 @@ def render_markdown(report: dict) -> str:
     for key, title in _CLAIM_TITLES.items():
         v = report["verdicts"][key]
         mark = {"PASS": "evidence reproduced", "FAIL": "evidence FAILED",
-                "INDETERMINATE": "indeterminate",
-                "PARTIAL": "evidence partial"}[v["status"]]
+                "INDETERMINATE": "indeterminate"}[v["status"]]
         lines.append(f"## {title}")
         lines.append("")
         lines.append(f"*Status: **{mark}***  \n{v['claim']}.")
         lines.append("")
         lines.append("Evidence checks: " + ", ".join(
             f"`{e}`" for e in v["evidence"]))
-        if v.get("missing"):
-            lines.append("")
-            lines.append("Missing: " + ", ".join(
-                f"`{m}`" for m in v["missing"]))
         lines.append("")
     lines.append("## Sections")
     lines.append("")
@@ -750,31 +737,20 @@ def render_markdown(report: dict) -> str:
         n_pass = sum(1 for c in sec["checks"] if c["status"] == "PASS")
         lines.append(f"| {name} | {sec['status']} | "
                      f"{n_pass}/{len(sec['checks'])} pass |")
-    note = report["sections"].get("kovacic", {}).get("divergence_note")
-    if note:
-        lines.append("")
-        lines.append("## Coefficient-variant divergence")
-        lines.append("")
-        lines.append(note)
-    lines.append("")
+    lines += ["", "## Coefficient-variant divergence", "",
+              report["sections"]["kovacic"]["divergence_note"], ""]
     return "\n".join(lines)
 
 
 def write_outputs(report: dict, out_dir) -> list:
-    """Write report.json (+ CSV and Markdown when present); returns paths."""
+    """Write report.json, period_scan.csv and summary.md; returns paths."""
     import pathlib
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    p = out / "report.json"
-    p.write_text(render_json(report), encoding="utf-8")
-    paths.append(p)
-    if "period_scan" in report["sections"]:
-        p = out / "period_scan.csv"
-        p.write_text(render_csv(report), encoding="utf-8")
-        paths.append(p)
-    p = out / "summary.md"
-    p.write_text(render_markdown(report), encoding="utf-8")
-    paths.append(p)
-    return paths
+    texts = {"report.json": render_json(report),
+             "period_scan.csv": render_csv(report["sections"]["period_scan"]),
+             "summary.md": render_markdown(report)}
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name in texts]

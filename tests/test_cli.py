@@ -52,6 +52,20 @@ def test_removed_flags_are_usage_errors(tmp_path, flag):
     assert not (tmp_path / "monodromy.json").exists()
 
 
+@pytest.mark.parametrize("abbrev", [["--prec", "96"], ["--gr", "1e-6,0.1,3"],
+                                    ["--o", "elsewhere"]])
+def test_abbreviated_flags_are_usage_errors(tmp_path, abbrev):
+    """A flag has one spelling: a prefix of it exits 3 and writes nothing,
+    while the full flags run."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["taylor", *abbrev, "--out", str(tmp_path)])
+    assert exc.value.code == 3
+    assert not any(tmp_path.iterdir())
+    assert cli.main(["taylor", "--precision", "96", "--grid", "1e-6,0.1,3",
+                     "--out", str(tmp_path)]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {"truncations.json"}
+
+
 def test_flags_reach_the_config():
     args = cli.build_parser().parse_args(
         ["report", "--precision", "96", "--grid", "1e-6,0.1,3"])

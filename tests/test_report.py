@@ -50,7 +50,7 @@ REPORT_SCHEMA = {
                 "required": ["status", "evidence"],
                 "properties": {
                     "status": {
-                        "enum": ["PASS", "FAIL", "INDETERMINATE", "PARTIAL"],
+                        "enum": ["PASS", "FAIL", "INDETERMINATE"],
                     },
                     "evidence": {"type": "array", "items": {"type": "string"}},
                 },
@@ -60,10 +60,13 @@ REPORT_SCHEMA = {
 }
 
 
+# every check id that a verdict cites
+_CITED = sorted(set(rpt._CLAIM_A_EVIDENCE + rpt._CLAIM_B_EVIDENCE))
+
+
 @pytest.fixture(scope="module")
-def fast_report():
-    cfg = rpt.PipelineConfig(grid_count=3, grid_max=0.1)
-    return rpt.build_report(cfg, only=FAST_SECTIONS)
+def full_report():
+    return rpt.build_report(rpt.PipelineConfig(grid_count=3, grid_max=0.1))
 
 
 def test_config_validation():
@@ -78,10 +81,10 @@ def test_config_validation():
     assert rpt.PipelineConfig(precision=96).precision == 96
 
 
-def test_schema_valid_and_versioned(fast_report):
-    jsonschema.validate(fast_report, REPORT_SCHEMA)
-    rpt.validate(fast_report)
-    assert fast_report["schema_version"] == rpt.SCHEMA_VERSION
+def test_schema_valid_and_versioned(full_report):
+    jsonschema.validate(full_report, REPORT_SCHEMA)
+    rpt.validate(full_report)
+    assert full_report["schema_version"] == rpt.SCHEMA_VERSION
 
 
 def _set(path, value):
@@ -119,8 +122,8 @@ _MUTATIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(_MUTATIONS))
-def test_validate_rejects_what_the_schema_rejects(fast_report, name):
-    doc = copy.deepcopy(fast_report)
+def test_validate_rejects_what_the_schema_rejects(full_report, name):
+    doc = copy.deepcopy(full_report)
     _MUTATIONS[name](doc)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, REPORT_SCHEMA)
@@ -128,44 +131,49 @@ def test_validate_rejects_what_the_schema_rejects(fast_report, name):
         rpt.validate(doc)
 
 
-def test_json_roundtrip(fast_report):
-    text = rpt.render_json(fast_report)
-    assert json.loads(text) == fast_report
+def test_json_roundtrip(full_report):
+    text = rpt.render_json(full_report)
+    assert json.loads(text) == full_report
 
 
-def test_partial_report_marks_verdicts(fast_report):
-    verdicts = fast_report["verdicts"]
-    assert verdicts["analytic_nonintegrability"]["status"] == "PARTIAL"
-    missing = verdicts["analytic_nonintegrability"]["missing"]
-    assert "monodromy.single_loop_flip" in missing
-    # a partial report takes its exit code from its sections alone
-    assert rpt.report_exit_code(fast_report) == 0
+def _passing(ids) -> dict:
+    return {"s": {"checks": [{"id": cid, "status": "PASS"} for cid in ids]}}
+
+
+def test_a_verdict_citing_an_absent_check_raises():
+    """A cited id that no section holds raises a KeyError naming it, so a
+    renamed check fails loudly instead of reading PASS."""
+    for absent in _CITED:
+        sections = _passing(cid for cid in _CITED if cid != absent)
+        with pytest.raises(KeyError) as exc:
+            rpt.build_verdicts(sections)
+        assert exc.value.args == (absent,)
+    verdicts = rpt.build_verdicts(_passing(_CITED))
+    assert {v["status"] for v in verdicts.values()} == {"PASS"}
 
 
 def test_claim_b_needs_the_transverse_decision():
-    """Without the transverse decision claim b stays PARTIAL however the
-    other checks come out."""
-    present = [cid for cid in rpt._CLAIM_B_EVIDENCE
-               if cid != "kovacic.quartic_derived_transverse"]
-    sections = {"s": {"checks": [{"id": cid, "status": "PASS"}
-                                 for cid in present]}}
-    claim_b = rpt.build_verdicts(sections)["meromorphic_nonintegrability"]
-    assert claim_b["status"] == "PARTIAL"
-    assert claim_b["missing"] == ["kovacic.quartic_derived_transverse"]
-    assert "nve.scalar_vs_4d_L_antisymmetric" in claim_b["evidence"]
+    """Without the transverse decision the verdicts raise however the
+    other checks come out; with it claim b passes."""
+    sections = _passing(cid for cid in _CITED
+                        if cid != "kovacic.quartic_derived_transverse")
+    with pytest.raises(KeyError, match="kovacic.quartic_derived_transverse"):
+        rpt.build_verdicts(sections)
     sections["s"]["checks"].append(
         {"id": "kovacic.quartic_derived_transverse", "status": "PASS"})
     claim_b = rpt.build_verdicts(sections)["meromorphic_nonintegrability"]
     assert claim_b["status"] == "PASS"
+    assert "kovacic.quartic_derived_transverse" in claim_b["evidence"]
+    assert "nve.scalar_vs_4d_L_antisymmetric" in claim_b["evidence"]
 
 
-def test_both_claims_cite_the_canonical_reduction(fast_report):
+def test_both_claims_cite_the_canonical_reduction(full_report):
     """Both verdicts rest on H_reg, so both cite the exact reduction, and
     it PASSes."""
     for key in ("analytic_nonintegrability", "meromorphic_nonintegrability"):
         assert "truncations.canonical_reduction" in \
-            fast_report["verdicts"][key]["evidence"]
-    checks = {c["id"]: c for c in fast_report["sections"]["truncations"]
+            full_report["verdicts"][key]["evidence"]
+    checks = {c["id"]: c for c in full_report["sections"]["truncations"]
               ["checks"]}
     assert checks["truncations.canonical_reduction"]["status"] == "PASS"
 
@@ -195,8 +203,8 @@ def test_corrupted_reduction_fails_both_claims(monkeypatch):
     assert {v["status"] for v in verdicts.values()} == {"FAIL"}
 
 
-def test_every_check_carries_tolerance_when_numeric(fast_report):
-    for sec in fast_report["sections"].values():
+def test_every_check_carries_tolerance_when_numeric(full_report):
+    for sec in full_report["sections"].values():
         for chk in sec["checks"]:
             if isinstance(chk.get("value"), float):
                 assert "tol" in chk, chk["id"]
@@ -210,19 +218,16 @@ def test_exit_code_mapping():
     assert rpt.report_exit_code(doc) == 2
     doc["sections"]["a"]["status"] = "FAIL"
     assert rpt.report_exit_code(doc) == 1
-    # a report with every section also counts its verdicts
-    full = {"sections": {name: {"status": "PASS", "checks": []}
-                         for name in rpt.SECTION_NAMES},
-            "verdicts": {"v": {"status": "PASS", "evidence": []}}}
-    assert rpt.report_exit_code(full) == 0
-    full["verdicts"]["v"]["status"] = "PARTIAL"
-    assert rpt.report_exit_code(full) == 2
-    full["verdicts"]["v"]["status"] = "FAIL"
-    assert rpt.report_exit_code(full) == 1
+    # the verdicts count as the sections do
+    doc["sections"]["a"]["status"] = "PASS"
+    doc["verdicts"]["v"]["status"] = "INDETERMINATE"
+    assert rpt.report_exit_code(doc) == 2
+    doc["verdicts"]["v"]["status"] = "FAIL"
+    assert rpt.report_exit_code(doc) == 1
 
 
-def test_markdown_mirrors_both_claims(fast_report):
-    md = rpt.render_markdown(fast_report)
+def test_markdown_mirrors_both_claims(full_report):
+    md = rpt.render_markdown(full_report)
     assert "Claim a" in md and "Claim b" in md
     assert "analytic first integral" in md
     assert "meromorphic first integral" in md
@@ -230,8 +235,7 @@ def test_markdown_mirrors_both_claims(fast_report):
 
 def test_csv_shape():
     cfg = rpt.PipelineConfig(grid_count=3, grid_max=0.1)
-    doc = rpt.build_report(cfg, only=("period_scan",))
-    lines = rpt.render_csv(doc).splitlines()
+    lines = rpt.render_csv(rpt.section_period_scan(cfg)).splitlines()
     assert lines[0] == "c,E,T,log_eta,phi"
     assert len(lines) == 1 + cfg.grid_count
     for line in lines[1:]:
@@ -240,24 +244,23 @@ def test_csv_shape():
 
 def test_section_determinism():
     cfg = rpt.PipelineConfig(grid_count=3, grid_max=0.1)
-    a = rpt.build_report(cfg, only=FAST_SECTIONS)
-    b = rpt.build_report(cfg, only=FAST_SECTIONS)
+    a, b = ({n: rpt.SECTION_BUILDERS[n](cfg) for n in FAST_SECTIONS}
+            for _ in range(2))
     assert rpt.render_json(a) == rpt.render_json(b)
 
 
-def test_write_outputs(tmp_path, fast_report):
-    paths = rpt.write_outputs(fast_report, tmp_path)
+def test_write_outputs(tmp_path, full_report):
+    paths = rpt.write_outputs(full_report, tmp_path)
     names = {p.name for p in paths}
-    assert names == {"report.json", "summary.md"}
-    assert json.loads((tmp_path / "report.json").read_text()) == fast_report
+    assert names == {"report.json", "period_scan.csv", "summary.md"}
+    assert json.loads((tmp_path / "report.json").read_text()) == full_report
 
 
-def test_output_directory_does_not_enter_the_report():
-    a = rpt.PipelineConfig(out="out")
-    b = rpt.PipelineConfig(out="elsewhere/out")
-    assert "out" not in a.to_json()
-    assert (rpt.render_json(rpt.build_report(a, only=("equilibrium",)))
-            == rpt.render_json(rpt.build_report(b, only=("equilibrium",))))
+def test_output_directory_does_not_enter_the_report(full_report):
+    """The CLI owns the output directory: the config, and so the report,
+    holds the four analysis inputs alone."""
+    assert full_report["config"] == {
+        "precision": 128, "grid_min": 1e-6, "grid_max": 0.1, "grid_count": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +268,15 @@ def test_output_directory_does_not_enter_the_report():
 # ---------------------------------------------------------------------------
 
 def _stub_builders(monkeypatch, **replace):
-    """Every section builder becomes a stub whose section records the pid
-    that built it; `replace` maps a section name to its own builder."""
+    """Every section builder becomes a stub whose section holds the cited
+    checks of its name, passing, and records the pid that built it;
+    `replace` maps a section name to its own builder."""
     for name in rpt.SECTION_NAMES:
         def stub(cfg, name=name):
-            return {"name": name, "status": "PASS", "checks": [],
-                    "pid": os.getpid()}
+            checks = [{"id": cid, "status": "PASS"} for cid in _CITED
+                      if cid.startswith(name + ".")]
+            return {"name": name, "status": "PASS", "checks": checks,
+                    "rows": [], "pid": os.getpid()}
         monkeypatch.setitem(rpt.SECTION_BUILDERS, name,
                             replace.get(name, stub))
 
@@ -358,14 +364,36 @@ def _forbid_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
-@pytest.mark.parametrize("only", sorted(
-    {("period_scan",), ("kovacic",)}
-    | {names for cmd, names in cli._SUBCOMMANDS.items() if cmd != "report"}))
-def test_one_half_builds_without_forking(monkeypatch, only):
+@pytest.mark.parametrize("only", sorted(cli._SUBCOMMANDS.items()))
+def test_one_half_builds_without_forking(monkeypatch, tmp_path, capsys,
+                                         only):
+    """A subcommand builds only its own section, in this process, and
+    writes and prints that section alone, with no verdict."""
+    command, name = only
     _stub_builders(monkeypatch)
     _forbid_fork(monkeypatch)
-    doc = rpt.build_report(rpt.PipelineConfig(), only=only)
-    assert tuple(doc["sections"]) == only
+    assert cli.main([command, "--out", str(tmp_path)]) == 0
+    written = {p.name for p in tmp_path.iterdir()}
+    assert written == {f"{name}.json"} | (
+        {"period_scan.csv"} if name == "period_scan" else set())
+    section = json.loads((tmp_path / f"{name}.json").read_text())
+    assert section["name"] == name and section["pid"] == os.getpid()
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [f"[PASS] {c['id']}" for c in section["checks"]]
+
+
+def test_a_subcommand_exits_with_its_section_status(monkeypatch, tmp_path):
+    """A subcommand's exit code is its section's status, and a section
+    without the fixed shape is refused before anything is written."""
+    for status, code in (("INDETERMINATE", 2), ("FAIL", 1)):
+        _stub_builders(monkeypatch, kovacic=lambda cfg, status=status: {
+            "name": "kovacic", "status": status, "checks": []})
+        assert cli.main(["kovacic", "--out", str(tmp_path / status)]) == code
+    _stub_builders(monkeypatch, kovacic=lambda cfg: {
+        "name": "kovacic", "status": "PASS", "checks": [{"id": 7}]})
+    with pytest.raises(ValueError, match="section shape"):
+        cli.main(["kovacic", "--out", str(tmp_path / "malformed")])
+    assert not (tmp_path / "malformed").exists()
 
 
 def test_full_report_builds_inline_without_fork(monkeypatch):
