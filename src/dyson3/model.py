@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FE, ONE, SQRT3, ZERO, FieldElement, field_sqrt
-from .multipoly import MultiPoly
+from .field import FE, SQRT3, ZERO, FieldElement, field_sqrt
 from .poly import Poly, RationalFunction
 
 
@@ -39,16 +38,8 @@ def transform_jacobian():
     return rows
 
 
-@dataclass(frozen=True)
-class TruncatedHamiltonian:
-    """Taylor polynomial of H_reg at the equilibrium, in shifted variables
-    (q1, q2 now denote q_i - pi/3); the transcendental constant is dropped
-    so the value and gradient at 0 vanish."""
-    poly: MultiPoly
-    order: int
-
-    def potential(self) -> MultiPoly:
-        return self.poly.momentum_free()
+# H_reg's kinetic form p1^2 - p1 p2 + p2^2: {(e_p1, e_p2): coefficient}
+KINETIC = {(2, 0): 1, (1, 1): -1, (0, 2): 1}
 
 
 def _neg_log_sin(cot_a: FieldElement, order: int) -> list:
@@ -65,53 +56,64 @@ def _neg_log_sin(cot_a: FieldElement, order: int) -> list:
     return [ZERO] + [-c[k - 1] / k for k in range(1, order + 1)]
 
 
+@dataclass(frozen=True)
+class TruncatedHamiltonian:
+    """Taylor polynomial of H_reg at the equilibrium, in shifted variables
+    (q1, q2 now denote q_i - pi/3), with the transcendental constant
+    dropped.  f is the series of -log sin(pi/3 + x) to the truncation's
+    order; as sin(2pi/3 + x) = sin(pi/3 - x), the potential is
+    f(q1) + f(q2) + f(-q1 - q2), and the kinetic form is KINETIC."""
+    f: Poly
+    order: int
+
+    def potential_coeffs(self) -> dict:
+        """{(e_q1, e_q2): coefficient} of the potential's nonzero terms:
+        C(k, j) (-1)^k f_k for q1^j q2^(k-j), plus f_k when j = 0 or j = k."""
+        out = {}
+        for k, fk in enumerate(self.f.coeffs):
+            for j in range(k + 1):
+                c = math.comb(k, j) * (-1) ** k * fk + (
+                    fk if j in (0, k) else ZERO)
+                if not c.is_zero():
+                    out[(j, k - j)] = c
+        return out
+
+
 @functools.lru_cache(maxsize=None)
 def taylor_truncate(order: int) -> TruncatedHamiltonian:
-    """Exact Taylor polynomial of H_reg at (pi/3, pi/3, 0, 0).
-
-    The potential is f(q1) + f(q2) + g(q1 + q2), with f and g the series of
-    -log sin at pi/3 and 2pi/3 (cot = +-1/sqrt3), so the coefficient of
-    q1^j q2^(k-j) is C(k, j) g_k, plus f_k when j = 0 or j = k; the
-    coefficients are exact tower elements.  order=3 gives the cubic
-    truncation, order=4 the quartic one.
+    """Exact Taylor polynomial of H_reg at (pi/3, pi/3, 0, 0); its
+    coefficients are exact tower elements, from cot(pi/3) = 1/sqrt3.
+    order=3 gives the cubic truncation, order=4 the quartic one.
     """
     if order < 2:
         raise ValueError("truncation order must be >= 2")
-    f = _neg_log_sin(SQRT3 / 3, order)
-    g = _neg_log_sin(-SQRT3 / 3, order)
-    terms = {(0, 0, 2, 0): ONE, (0, 0, 1, 1): -ONE, (0, 0, 0, 2): ONE}
-    for k in range(1, order + 1):
-        for j in range(k + 1):
-            terms[(j, k - j, 0, 0)] = (math.comb(k, j) * g[k]
-                                       + (f[k] if j in (0, k) else ZERO))
-    return TruncatedHamiltonian(poly=MultiPoly(terms), order=order)
+    return TruncatedHamiltonian(f=Poly(_neg_log_sin(SQRT3 / 3, order)),
+                                order=order)
 
 
 def diagonal_reduce(th: TruncatedHamiltonian) -> Poly:
     """Scalar ODE qddot = g(q) on the invariant plane q1=q2, p1=p2.
 
-    Computed as -dH/dq1 restricted to the diagonal (qdot = 2p - p = p on
-    the plane, so qddot = pdot).  Requires swap symmetry.
+    Computed as -dH/dq1 = f'(-q1 - q2) - f'(q1) restricted to the diagonal
+    (qdot = 2p - p = p on the plane, so qddot = pdot).
     """
-    if not th.poly.swap_symmetric():
-        raise ValueError("Hamiltonian is not symmetric under index swap")
-    return -th.poly.derivative("q1").momentum_free().diagonal_univariate()
+    df = th.f.derivative()
+    return df.dilate(-2) - df
 
 
 def diagonal_reduce_via_energy(th: TruncatedHamiltonian) -> Poly:
     """Independent route: restrict H to the diagonal, then -U'(q)/2.
 
     The diagonal energy relation is qdot^2 = h - U(q) with
-    U(q) = potential(q, q), so qddot = -U'(q)/2.
+    U(q) the potential at q1 = q2 = q, so qddot = -U'(q)/2.
     """
-    if not th.poly.swap_symmetric():
-        raise ValueError("Hamiltonian is not symmetric under index swap")
     return diagonal_potential(th).derivative().scale(FE(Fraction(-1, 2)))
 
 
 def diagonal_potential(th: TruncatedHamiltonian) -> Poly:
-    """U(q) with qdot^2 = h - U(q) on the invariant plane."""
-    return th.potential().diagonal_univariate()
+    """U(q) = 2 f(q) + f(-2q) with qdot^2 = h - U(q) on the invariant
+    plane."""
+    return th.f.scale(2) + th.f.dilate(-2)
 
 
 # -- particular solutions, read off the diagonal U = u2 q^2 + u3 q^3 + u4 q^4

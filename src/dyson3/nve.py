@@ -65,15 +65,12 @@ class AlgebraizedODE:
 
 
 def derive_variational(trunc: TruncatedHamiltonian) -> VariationalSystem:
-    """Exact Hessian blocks of the potential along the diagonal."""
-    if not trunc.poly.swap_symmetric():
-        raise ValueError("truncation is not swap-symmetric")
-    pot = trunc.poly.momentum_free()
-    d11 = pot.derivative("q1").derivative("q1")
-    d12 = pot.derivative("q1").derivative("q2")
+    """Exact Hessian blocks of the potential f(q1) + f(q2) + f(-q1 - q2)
+    along the diagonal: alpha = f''(q) + f''(-2q), beta = f''(-2q)."""
+    d2f = trunc.f.derivative().derivative()
+    beta = d2f.dilate(-2)
     src = "K" if trunc.order <= 3 else "L"
-    return VariationalSystem(alpha=d11.diagonal_univariate(),
-                             beta=d12.diagonal_univariate(), source=src)
+    return VariationalSystem(alpha=d2f + beta, beta=beta, source=src)
 
 
 def scalar_nve(vs: VariationalSystem, mode: str) -> ScalarNVE:

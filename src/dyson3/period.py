@@ -312,7 +312,8 @@ def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
     removes both endpoint singularities; quarter_midpoint integrates over
     theta, and ArithmeticError is raised when its last difference exceeds
     tol.  Some published forms quote the half-period; we keep the return
-    time.
+    time.  log_eta = log(eps delta), with eps = q+ - pi/3 and
+    delta = pi/3 - q- at the turning points q = atan(e^u).
     """
     with mp.workprec(prec):
         u_minus, u_plus = _turning_points_u(e, prec)
@@ -337,15 +338,11 @@ def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
         if err > tol:
             raise ArithmeticError(
                 f"quadrature error {mp.nstr(err, 3)} above tolerance {tol}")
-        c = c_of_energy(e, prec)
-        tp = turning_points_closed(c, prec) if c <= c_star(prec) else None
-        if tp is not None and tp.eps > 0 and tp.delta > 0:
-            log_eta = mp.log(tp.eps * tp.delta)
-        else:
-            log_eta = mp.ninf
-        return PeriodSample(c=c, energy=e, period=t, log_eta=log_eta,
-                            phi=t - log_eta,
-                            q_minus=mp.atan(mp.exp(u_minus)))
+        q_minus, q_plus = (mp.atan(mp.exp(u)) for u in (u_minus, u_plus))
+        third = mp.pi / 3
+        log_eta = mp.log((q_plus - third) * (third - q_minus))
+        return PeriodSample(c=c_of_energy(e, prec), energy=e, period=t,
+                            log_eta=log_eta, phi=t - log_eta, q_minus=q_minus)
 
 
 # -- symplectic oracle --------------------------------------------------------

@@ -168,6 +168,10 @@ class Poly:
                 cs[j] = cs[j] + a * cs[j + 1]
         return Poly(cs)
 
+    def dilate(self, m: int) -> "Poly":
+        """p(w) -> p(m w) for an integer m."""
+        return Poly([c * m ** k for k, c in enumerate(self.coeffs)])
+
     def scale(self, c) -> "Poly":
         c = _coerce(c)
         return Poly([x * c for x in self.coeffs])

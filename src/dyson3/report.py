@@ -123,10 +123,6 @@ def _section(name, checks, extra=None) -> dict:
     return out
 
 
-def _f(x) -> float:
-    return float(x)
-
-
 def _c(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
@@ -147,17 +143,18 @@ def section_equilibrium(cfg: PipelineConfig) -> dict:
         cstar_err = abs(cstar - 3 * mp.sqrt(3) / 16)
     g3 = model.diagonal_reduce(model.taylor_truncate(3))
     checks = [
-        _check("equilibrium.e_min", _f(emin_err) < TOL,
-               value=_f(emin), tol=TOL, note="log(8*sqrt(3)/9)"),
-        _check("equilibrium.c_star", _f(cstar_err) < TOL,
-               value=_f(cstar), tol=TOL, note="3*sqrt(3)/16"),
+        _check("equilibrium.e_min", float(emin_err) < TOL,
+               value=float(emin), tol=TOL, note="log(8*sqrt(3)/9)"),
+        _check("equilibrium.c_star", float(cstar_err) < TOL,
+               value=float(cstar), tol=TOL, note="3*sqrt(3)/16"),
         _check("equilibrium.omega_squared",
                g3.coeff(1) == FE(-4), value=4.0, tol=0.0,
                note="linearized qddot = -4q, so the small-oscillation "
                     "period limit is pi"),
     ]
     return _section("equilibrium", checks, extra={
-        "e_min": _f(emin), "c_star": _f(cstar), "period_limit": _f(mp.pi)})
+        "e_min": float(emin), "c_star": float(cstar),
+        "period_limit": float(mp.pi)})
 
 
 def _scan_offsets(cfg: PipelineConfig):
@@ -174,9 +171,9 @@ def section_period_scan(cfg: PipelineConfig) -> dict:
     for off in _scan_offsets(cfg):
         try:
             s = period.period(emin + mp.mpf(off), tol=TOL, prec=prec)
-            rows.append({"offset": off, "c": _f(s.c), "E": _f(s.energy),
-                         "T": _f(s.period), "log_eta": _f(s.log_eta),
-                         "phi": _f(s.phi), "error": None})
+            rows.append({"offset": off, "c": float(s.c), "E": float(s.energy),
+                         "T": float(s.period), "log_eta": float(s.log_eta),
+                         "phi": float(s.phi), "error": None})
         except (period.PeriodDomainError, ArithmeticError) as exc:
             rows.append({"offset": off, "error": str(exc)})
             errors.append(str(exc))
@@ -184,19 +181,20 @@ def section_period_scan(cfg: PipelineConfig) -> dict:
     periods = [r["T"] for r in good]
     # limit probe at E_min + 1e-6 (always included regardless of grid)
     probe = period.period(emin + mp.mpf(1e-6), tol=TOL, prec=prec)
-    probe_err = abs(_f(probe.period) - math.pi)
+    probe_err = abs(float(probe.period) - math.pi)
     # degenerate row at c = c* has coincident turning points
     tp_star = period.turning_points_closed(period.c_star(prec), prec)
-    eps_star = max(abs(_f(tp_star.eps)), abs(_f(tp_star.delta)))
+    eps_star = max(abs(float(tp_star.eps)), abs(float(tp_star.delta)))
     # cross-check quadrature against the symplectic return map at one energy
-    e_mid = _f(period.e_min(prec)) + 0.25
+    e_mid = float(period.e_min(prec)) + 0.25
     mid = period.period(e_mid, tol=TOL, prec=prec)
-    t_quad = _f(mid.period)
+    t_quad = float(mid.period)
     t_map = period.return_map_period(e_mid, h=1e-3, q_minus=mid.q_minus)
     monotone = all(b > a for a, b in zip(periods, periods[1:]))
     checks = [
         _check("period_scan.limit_probe", probe_err < 1e-3,
-               value=_f(probe.period), tol=1e-3, note="T -> pi as E -> E_min"),
+               value=float(probe.period), tol=1e-3,
+               note="T -> pi as E -> E_min"),
         _check("period_scan.degenerate_row", eps_star < 1e-30,
                value=eps_star, tol=1e-30,
                note="eps = delta = 0 at c = 3*sqrt(3)/16"),
@@ -226,12 +224,12 @@ def section_turning_points(cfg: PipelineConfig) -> dict:
                 qm = qp = mp.pi / 3
             else:
                 qm, qp = period.turning_points_numeric(tp.energy, prec)
-            worst_q = max(worst_q, _f(abs(tp.q_minus - qm)),
-                          _f(abs(tp.q_plus - qp)))
-            worst_quartic = max(worst_quartic, _f(tp.quartic_residual()))
+            worst_q = max(worst_q, float(abs(tp.q_minus - qm)),
+                          float(abs(tp.q_plus - qp)))
+            worst_quartic = max(worst_quartic, float(tp.quartic_residual()))
         tp_star = period.turning_points_closed(cstar, prec)
-        r_err = max(_f(abs(tp_star.r1 + mp.mpf(1) / 2)),
-                    _f(abs(tp_star.r2 + mp.mpf(1) / 2)))
+        r_err = max(float(abs(tp_star.r1 + mp.mpf(1) / 2)),
+                    float(abs(tp_star.r2 + mp.mpf(1) / 2)))
     checks = [
         _check("turning_points.closed_vs_numeric", worst_q < 1e-9,
                value=worst_q, tol=1e-9),
@@ -252,7 +250,7 @@ def section_monodromy(cfg: PipelineConfig) -> dict:
     radius, steps = MONODROMY_RADIUS, MONODROMY_STEPS
     single = period.eta_monodromy(radius=radius, steps=steps, loops=1)
     double = period.eta_monodromy(radius=radius, steps=steps, loops=2)
-    cstar = _f(period.c_star(80))
+    cstar = float(period.c_star(80))
     away = period.eta_monodromy(radius=radius, steps=steps, loops=1,
                                 center=cstar - 0.01)
     checks = [
@@ -320,11 +318,10 @@ def section_truncations(cfg: PipelineConfig) -> dict:
     )
     t3 = model.taylor_truncate(3)
     t4 = model.taylor_truncate(4)
-    pot4 = t4.potential()
+    pot4 = t4.potential_coeffs()
     # H_reg's kinetic form on (p1, p2), and the free centre of mass
-    kinetic = {e[2:] + (0,): c for e, c in t3.poly.terms.items()
-               if e[2] or e[3]}
-    kinetic[(0, 0, 2)] = FE(Fraction(3, 2))
+    kinetic = {e + (0,): c for e, c in model.KINETIC.items()}
+    kinetic[(0, 0, 2)] = Fraction(3, 2)
     checks = [_check(
         "truncations.canonical_reduction",
         _canonical_reduction(model.transform_jacobian(), kinetic),
@@ -332,7 +329,7 @@ def section_truncations(cfg: PipelineConfig) -> dict:
         note="exact over Fractions: J S J^T = S; |y|^2/2 = p1^2 - p1 p2 + "
              "p2^2 + (3/2) p3^2; q1, q2, q1 + q2 are the pair differences")]
     for (e1, e2), want in printed_quartic_coeffs:
-        got = pot4.terms.get((e1, e2, 0, 0), FieldElement())
+        got = pot4.get((e1, e2), FieldElement())
         checks.append(_check(
             f"truncations.coeff_q1^{e1}q2^{e2}", got == want,
             value=str(want), tol=0.0, note="exact tower equality"))
@@ -360,18 +357,19 @@ def section_verify_solutions(cfg: PipelineConfig) -> dict:
     prec = cfg.precision
     checks = []
     for h in (1, 2, 3):
-        res = _f(elliptic.verify_phi(h, prec=prec))
+        res = float(elliptic.verify_phi(h, prec=prec))
         checks.append(_check(f"verify_solutions.phi_h{h}", res < 1e-10,
                              value=res, tol=1e-10))
     inv = elliptic.invariants_for_energy(2, prec)
     with mp.workprec(prec):
-        wres = _f(elliptic.weierstrass_ode_residual(mp.mpf(1) / 3, inv, prec))
+        wres = float(elliptic.weierstrass_ode_residual(mp.mpf(1) / 3, inv,
+                                                        prec))
     checks.append(_check("verify_solutions.weierstrass_ode", wres < 1e-20,
                          value=wres, tol=1e-20))
-    psi_res = _f(elliptic.verify_psi(prec=prec))
+    psi_res = float(elliptic.verify_psi(prec=prec))
     checks.append(_check("verify_solutions.psi", psi_res < 1e-12,
                          value=psi_res, tol=1e-12))
-    h_psi = _f(elliptic.psi_diagonal_energy(prec)[0])
+    h_psi = float(elliptic.psi_diagonal_energy(prec)[0])
     checks.append(_check("verify_solutions.psi_energy", abs(h_psi) < 1e-20,
                          value=h_psi, tol=1e-20,
                          note="the pole solution sits on the zero level"))
@@ -386,7 +384,7 @@ def section_verify_solutions(cfg: PipelineConfig) -> dict:
     u = model.diagonal_potential(model.taylor_truncate(3))
     with mp.workprec(prec + 40):
         ts = [mp.mpf(1) / 10 + mp.mpf(k) / 8 for k in range(5)]
-        control = _f(elliptic.phi_residual(Poly(u.coeffs[:3] + [SQRT3]), 2,
+        control = float(elliptic.phi_residual(Poly(u.coeffs[:3] + [SQRT3]), 2,
                                            ts, prec))
     checks.append(_check("verify_solutions.corrupted_control",
                          control > 1e-3, value=control, tol=1e-3,
@@ -401,7 +399,7 @@ def section_nve(cfg: PipelineConfig) -> dict:
     dets = {}
     for source, order in (("K", 3), ("L", 4)):
         vs = nve.derive_variational(model.taylor_truncate(order))
-        det = _f(np.linalg.det(nve.monodromy_matrix(vs)))
+        det = float(np.linalg.det(nve.monodromy_matrix(vs)))
         dets[source] = det
         checks.append(_check(f"nve.monodromy_det_{source}",
                              abs(det - 1.0) < 1e-8, value=det, tol=1e-8))

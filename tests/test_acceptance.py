@@ -28,15 +28,15 @@ def criterion(n, desc):
 def test_criterion_1_taylor_truncation_exactness():
     with criterion(1, "printed truncation coefficients exact, under 1 s"):
         t0 = time.monotonic()
-        pot = model.taylor_truncate(4).potential()
-        assert pot.terms[(2, 0, 0, 0)] == FE(Fraction(4, 3))
-        assert pot.terms[(2, 1, 0, 0)] == SQRT3 * FE(Fraction(4, 9))
-        assert pot.terms[(4, 0, 0, 0)] == FE(Fraction(4, 9))
-        assert pot.terms[(3, 1, 0, 0)] == FE(Fraction(8, 9))
-        pot3 = model.taylor_truncate(3).potential()
-        assert pot3.terms[(2, 0, 0, 0)] == FE(Fraction(4, 3))
-        assert pot3.terms[(2, 1, 0, 0)] == SQRT3 * FE(Fraction(4, 9))
-        assert (3, 1, 0, 0) not in pot3.terms
+        pot = model.taylor_truncate(4).potential_coeffs()
+        assert pot[(2, 0)] == FE(Fraction(4, 3))
+        assert pot[(2, 1)] == SQRT3 * FE(Fraction(4, 9))
+        assert pot[(4, 0)] == FE(Fraction(4, 9))
+        assert pot[(3, 1)] == FE(Fraction(8, 9))
+        pot3 = model.taylor_truncate(3).potential_coeffs()
+        assert pot3[(2, 0)] == FE(Fraction(4, 3))
+        assert pot3[(2, 1)] == SQRT3 * FE(Fraction(4, 9))
+        assert (3, 1) not in pot3
         assert time.monotonic() - t0 < 1.0
 
 

@@ -106,14 +106,32 @@ def test_section_json_deterministic(tmp_path):
         (out2 / "turning_points.json").read_bytes()
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    """SciPy and jsonschema are test dependencies only: a fresh interpreter
-    that imports dyson3.cli and writes the full report has loaded no scipy
-    and no jsonschema module."""
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports this dyson3."""
     src = str(pathlib.Path(dyson3.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_loads_no_exact_layer():
+    """A fresh import of dyson3.cli loads dyson3, cli, period and report
+    alone: the exact layers (field, poly, model, nve, kovacic) and
+    elliptic are imported by the section builders, after the fork, and
+    stay off the set-up path."""
+    _run_fresh("import sys\n"
+               "import dyson3.cli\n"
+               "loaded = sorted(m for m in sys.modules\n"
+               "                if m.split('.')[0] == 'dyson3')\n"
+               "assert loaded == ['dyson3', 'dyson3.cli', 'dyson3.period',\n"
+               "                  'dyson3.report'], loaded\n")
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    """SciPy and jsonschema are test dependencies only: a fresh interpreter
+    that imports dyson3.cli and writes the full report has loaded no scipy
+    and no jsonschema module."""
     code = ("import sys\n"
             "from dyson3 import cli\n"
             "def test_only_modules():\n"
@@ -122,19 +140,15 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
             "assert not test_only_modules(), test_only_modules()\n"
             f"assert cli.main(['report', '--out', {str(tmp_path)!r}]) == 0\n"
             "assert not test_only_modules(), test_only_modules()\n")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    _run_fresh(code)
 
 
 def test_exact_modules_leave_mpmath_unloaded():
     """The exact pipeline (field, model, poly, nve, kovacic) loads no
     mpmath module: nve imports the midpoint rule only when base_period
     runs."""
-    src = str(pathlib.Path(dyson3.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys\n"
-            "from dyson3 import field, kovacic, model, nve, poly\n"
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'mpmath']\n"
-            "assert not loaded, loaded\n")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    _run_fresh("import sys\n"
+               "from dyson3 import field, kovacic, model, nve, poly\n"
+               "loaded = [m for m in sys.modules\n"
+               "          if m.split('.')[0] == 'mpmath']\n"
+               "assert not loaded, loaded\n")

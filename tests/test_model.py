@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyson3.field import FE, SQRT3, FieldElement
-from dyson3.model import (derive_pole, diagonal_potential, diagonal_reduce,
+from dyson3.model import (KINETIC, TruncatedHamiltonian, derive_pole,
+                          diagonal_potential, diagonal_reduce,
                           diagonal_reduce_via_energy, qddot_exact,
                           taylor_truncate, transform_jacobian)
 from dyson3.poly import Poly
@@ -81,11 +82,11 @@ def test_reduced_energy_matches_full_energy():
 
 
 def test_printed_truncation_coefficients_exact():
-    pot = taylor_truncate(4).potential()
-    assert pot.terms[(2, 0, 0, 0)] == FE(Fraction(4, 3))
-    assert pot.terms[(2, 1, 0, 0)] == SQRT3 * FE(Fraction(4, 9))
-    assert pot.terms[(4, 0, 0, 0)] == FE(Fraction(4, 9))
-    assert pot.terms[(3, 1, 0, 0)] == FE(Fraction(8, 9))
+    pot = taylor_truncate(4).potential_coeffs()
+    assert pot[(2, 0)] == FE(Fraction(4, 3))
+    assert pot[(2, 1)] == SQRT3 * FE(Fraction(4, 9))
+    assert pot[(4, 0)] == FE(Fraction(4, 9))
+    assert pot[(3, 1)] == FE(Fraction(8, 9))
 
 
 def _to_sympy(x: FieldElement):
@@ -106,26 +107,28 @@ def test_truncation_matches_sympy_series():
     for k in range(1, 7):
         part = sympy.Poly(sympy.expand(series.coeff(t, k)), a, b)
         for (j, i), c in part.terms():
-            want[(j, i, 0, 0)] = sympy.radsimp(c)
-    got = taylor_truncate(6).potential().terms
+            want[(j, i)] = sympy.radsimp(c)
+    got = taylor_truncate(6).potential_coeffs()
     assert set(got) == {e for e, c in want.items() if c != 0}
     assert len(got) == 21
     for e, c in got.items():
         assert sympy.simplify(_to_sympy(c) - want[e]) == 0, e
     for order in range(2, 6):
-        assert taylor_truncate(order).potential().terms == {
+        assert taylor_truncate(order).potential_coeffs() == {
             e: c for e, c in got.items() if sum(e) <= order}
 
 
 def test_truncation_has_no_linear_or_constant_part():
-    pot = taylor_truncate(4).potential()
-    for exps in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)):
-        assert exps not in pot.terms
+    pot = taylor_truncate(4).potential_coeffs()
+    for exps in ((0, 0), (1, 0), (0, 1)):
+        assert exps not in pot
 
 
 def test_truncation_swap_symmetry():
-    assert taylor_truncate(3).poly.swap_symmetric()
-    assert taylor_truncate(4).poly.swap_symmetric()
+    """The potential is invariant under q1 <-> q2."""
+    for order in (3, 4):
+        pot = taylor_truncate(order).potential_coeffs()
+        assert all(pot.get((i, j)) == c for (j, i), c in pot.items())
 
 
 def test_diagonal_reduction_both_routes():
@@ -151,12 +154,10 @@ def test_truncated_force_matches_transcendental_force():
 
 
 def test_vector_field_is_hamiltonian():
-    """qdot = dH/dp: the kinetic part gives qdot1 = 2 p1 - p2, with no q
-    term; pdot = -dH/dq has no p term."""
-    h = taylor_truncate(3).poly
-    assert h.derivative("p1").terms == {(0, 0, 1, 0): FE(2),
-                                        (0, 0, 0, 1): FE(-1)}
-    assert all(not (e[2] or e[3]) for e in h.derivative("q1").terms)
+    """qdot = dH/dp: the kinetic form gives qdot1 = 2 p1 - p2, with no q
+    term."""
+    dk_dp1 = {(e1 - 1, e2): e1 * c for (e1, e2), c in KINETIC.items() if e1}
+    assert dk_dp1 == {(1, 0): 2, (0, 1): -1}
 
 
 def test_diagonal_potential_energy_relation():
@@ -196,3 +197,25 @@ def test_pole_derivation_round_trip(omega, y0, c, s):
     force = u.derivative().scale(FE(Fraction(-1, 2)))
     assert pole.solves(force)
     assert not pole.solves(force + Poly([0, 0, 0, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f1=_RATIONALS, f2=_NONZERO, f3=_NONZERO, f4=_RATIONALS)
+def test_quartic_pole_depends_on_kappa_alone(f1, f2, f3, f4):
+    """For any quartic series f, the diagonal potential 2 f(q) + f(-2q) has
+    no linear term, and its pole solution has rho^2 = 1 - 12 kappa with
+    kappa = f2 f4 / f3^2: u2 = 6 f2, u3 = -6 f3 and u4 = 18 f4.  Dyson's
+    kappa = 9/4 gives rho^2 = -26."""
+    th = TruncatedHamiltonian(f=Poly([0, f1, f2, f3, f4]), order=4)
+    u = diagonal_potential(th)
+    assert u.coeff(1).is_zero()
+    rho = derive_pole(u).rho
+    assert rho * rho == FE(1 - 12 * f2 * f4 / (f3 * f3))
+
+
+def test_dyson_kappa():
+    f = taylor_truncate(4).f
+    assert f.coeff(2) * f.coeff(4) / (f.coeff(3) * f.coeff(3)) == FE(
+        Fraction(9, 4))
+    rho = derive_pole(diagonal_potential(taylor_truncate(4))).rho
+    assert rho * rho == FE(-26)

@@ -29,6 +29,30 @@ def test_hessian_tables_exact():
                            FE(Fraction(32, 3))])
 
 
+def _diagonal_second_derivative(coeffs: dict, d1: int, d2: int) -> Poly:
+    """d^(d1 + d2) / dq1^d1 dq2^d2 of the bivariate polynomial
+    {(e_q1, e_q2): c}, restricted to q1 = q2 = q."""
+    out = {}
+    for (e1, e2), c in coeffs.items():
+        if e1 >= d1 and e2 >= d2:
+            k = e1 + e2 - d1 - d2
+            out[k] = out.get(k, FE(0)) + c * (math.perm(e1, d1)
+                                              * math.perm(e2, d2))
+    return Poly([out.get(k, FE(0)) for k in range(max(out, default=-1) + 1)])
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+def test_hessian_blocks_match_bivariate_derivatives(order):
+    """derive_variational's alpha and beta are the Hessian entries
+    d2U/dq1^2 and d2U/dq1 dq2 of the printed bivariate potential,
+    differentiated term by term and restricted to the diagonal."""
+    th = taylor_truncate(order)
+    pot = th.potential_coeffs()
+    vs = nve.derive_variational(th)
+    assert vs.alpha == _diagonal_second_derivative(pot, 2, 0)
+    assert vs.beta == _diagonal_second_derivative(pot, 1, 1)
+
+
 def test_scalar_reduction_modes():
     k = _vs(3)
     anti = nve.scalar_nve(k, "antisymmetric")
