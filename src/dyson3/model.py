@@ -38,8 +38,29 @@ def transform_jacobian():
     return rows
 
 
-# H_reg's kinetic form p1^2 - p1 p2 + p2^2: {(e_p1, e_p2): coefficient}
+# H_reg's kinetic form p1^2 - p1 p2 + p2^2: {(e_p1, e_p2): coefficient}.
+# The one definition: the canonical check proves it, and every flow reads it
+# through kinetic_matrix at call time.
 KINETIC = {(2, 0): 1, (1, 1): -1, (0, 2): 1}
+
+
+def kinetic_matrix() -> list:
+    """K = d2T/dp_i dp_j of the quadratic form T = KINETIC, exactly, so
+    that qdot = K p: the term c p^e adds c e_i (e_j - [i = j]) to K_ij."""
+    return [[sum(c * e[i] * (e[j] - (i == j)) for e, c in KINETIC.items())
+             for j in range(2)] for i in range(2)]
+
+
+def mode_eigenvalue(sign: int):
+    """lambda with K (1, sign) = lambda (1, sign): the kinetic eigenvalue of
+    the swap mode xi1 + sign xi2, 1 for sign = 1 and 3 for sign = -1;
+    ValueError when (1, sign) is not an eigenvector of K."""
+    (k11, k12), (k21, k22) = kinetic_matrix()
+    lam = k11 + sign * k12
+    if k21 + sign * k22 != sign * lam:
+        raise ValueError(f"(1, {sign}) is not an eigenvector of the "
+                         "kinetic matrix")
+    return lam
 
 
 def _neg_log_sin(cot_a: FieldElement, order: int) -> list:
@@ -193,8 +214,3 @@ def pole_solution() -> PoleSolution:
 def elliptic_solution() -> EllipticSolution:
     """phi of the cubic truncation."""
     return derive_elliptic(diagonal_potential(taylor_truncate(3)))
-
-
-def qddot_exact(q: float) -> float:
-    """pdot = cot q + cot 2q for the untruncated diagonal system."""
-    return 1 / math.tan(q) + 1 / math.tan(2 * q)

@@ -22,7 +22,8 @@ from numpy.polynomial import chebyshev as cheb
 
 from .field import FieldElement, FE, SQRT3
 from .model import (TruncatedHamiltonian, diagonal_potential, diagonal_reduce,
-                    elliptic_solution, pole_solution, taylor_truncate)
+                    elliptic_solution, kinetic_matrix, mode_eigenvalue,
+                    pole_solution, taylor_truncate)
 from .poly import Poly, RationalFunction, float_horner
 
 
@@ -31,7 +32,7 @@ class VariationalSystem:
     """Linearization J * Hess(H) along the diagonal.
 
     alpha(q) = d2H/dq1^2 and beta(q) = d2H/dq1 dq2 restricted to
-    q1 = q2 = q; the kinetic block is the constant [[2,-1],[-1,2]].
+    q1 = q2 = q; the kinetic block is the constant model.kinetic_matrix().
     """
     alpha: Poly
     beta: Poly
@@ -73,19 +74,22 @@ def derive_variational(trunc: TruncatedHamiltonian) -> VariationalSystem:
     return VariationalSystem(alpha=d2f + beta, beta=beta, source=src)
 
 
-def scalar_nve(vs: VariationalSystem, mode: str) -> ScalarNVE:
-    """Decouple the tagged combination: xi = xi1 -+ xi2.
+# the sign s of each swap mode xi = xi1 + s xi2
+_SIGN = {"symmetric": 1, "antisymmetric": -1}
 
-    For the antisymmetric mode xidot = 3(eta1 - eta2), so
-    xiddot = -3(alpha - beta) xi; the symmetric mode carries kinetic
-    eigenvalue 1 and gives xiddot = -(alpha + beta) xi.
+
+def scalar_nve(vs: VariationalSystem, mode: str) -> ScalarNVE:
+    """Decouple the tagged combination xi = xi1 + s xi2 (`_SIGN`).
+
+    (1, s) is an eigenvector of the Hessian block [[alpha, beta],
+    [beta, alpha]], with eigenvalue alpha + s beta, and of the kinetic
+    matrix, with the mode's eigenvalue lambda (model.mode_eigenvalue).  So
+    xidot = lambda (eta1 + s eta2) and xiddot = -lambda (alpha + s beta) xi.
     """
-    if mode == "antisymmetric":
-        a = (-(vs.alpha - vs.beta)).scale(3)
-    elif mode == "symmetric":
-        a = -(vs.alpha + vs.beta)
-    else:
+    if mode not in _SIGN:
         raise ValueError(f"unknown mode {mode!r}")
+    sign = _SIGN[mode]
+    a = (-(vs.alpha + vs.beta.scale(sign))).scale(mode_eigenvalue(sign))
     return ScalarNVE(a=a, mode=mode, source=vs.source, variant="derived")
 
 
@@ -329,8 +333,9 @@ def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
     alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
     orbit, t_end = _base_orbit(vs.source, q0)
     a_nve = float_horner(nve.a)
-    sign = -1.0 if nve.mode == "antisymmetric" else 1.0
-    kin = 2.0 - sign      # kinetic eigenvalue of the mode: 3 or 1
+    sign = _SIGN[nve.mode]
+    (k11, k12), (k21, k22) = np.array(kinetic_matrix(), float)
+    kin = mode_eigenvalue(sign)
 
     @_per_segment
     def coefficients(t):
@@ -341,7 +346,7 @@ def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
         x1, x2, e1, e2, xs, xd = y.T
         a, b, c = coefficients(t)
         return np.array([
-            2 * e1 - e2, -e1 + 2 * e2,
+            k11 * e1 + k12 * e2, k21 * e1 + k22 * e2,
             -a * x1 - b * x2, -b * x1 - a * x2,
             xd, c * xs,
         ]).T
@@ -355,14 +360,12 @@ def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
     return float(np.max(np.abs(ys[:, 0] + sign * ys[:, 1] - ys[:, 4])))
 
 
-_KINETIC = np.array([[2.0, -1.0], [-1.0, 2.0]])
-
-
 def monodromy_matrix(vs: VariationalSystem, q0: float = 0.1):
     """Fundamental 4x4 solution over one base period (_base_orbit), by the
     Chebyshev-Picard integrator."""
     alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
     orbit, t_end = _base_orbit(vs.source, q0)
+    kinetic = np.array(kinetic_matrix(), float)
 
     @_per_segment
     def coefficients(t):
@@ -374,7 +377,7 @@ def monodromy_matrix(vs: VariationalSystem, q0: float = 0.1):
         x, e = m[:, :2], m[:, 2:]      # position and momentum rows
         a, b = coefficients(t)
         # J Hess H = [[0, K], [-A, 0]] with A = [[a, b], [b, a]]
-        dm = np.concatenate((_KINETIC @ e, -a * x - b * x[:, ::-1]), axis=1)
+        dm = np.concatenate((kinetic @ e, -a * x - b * x[:, ::-1]), axis=1)
         return dm.reshape(-1, 16)
 
     sol = _chebyshev_picard(rhs, np.eye(4).ravel(), t_end)

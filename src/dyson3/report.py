@@ -554,8 +554,10 @@ _CLAIM_A_EVIDENCE = (
     "monodromy.double_loop_restores", "period_scan.limit_probe",
     "turning_points.closed_vs_numeric", "truncations.canonical_reduction",
 )
+# The printed equations' decisions (kovacic.lame_sieve_paper_A4 and
+# kovacic.quartic_paper_variant) stay report checks that reproduce the paper,
+# but claim b does not cite them: neither equation is the system's.
 _CLAIM_B_EVIDENCE = (
-    "kovacic.lame_sieve_paper_A4", "kovacic.quartic_paper_variant",
     "kovacic.quartic_derived_transverse", "nve.scalar_vs_4d_L_antisymmetric",
     "truncations.canonical_reduction", "truncations.diagonal_quartic",
     "verify_solutions.psi",
@@ -575,14 +577,20 @@ def build_verdicts(sections: dict) -> dict:
     return {
         "analytic_nonintegrability": {
             "claim": "no additional first integral analytic in a "
-                     "neighborhood of the periodic family: the period "
-                     "function is infinitely branched",
+                     "neighborhood of the periodic family, read from the "
+                     "winding of eta = eps*delta: log(eta) gains 2*pi*i per "
+                     "loop round c*. Caveat: log(eta) winds the same way "
+                     "round every non-degenerate minimum, integrable "
+                     "systems included, and the branching of the period T "
+                     "itself, round E_min + i*pi*k, is not yet continued",
             **_verdict(sections, _CLAIM_A_EVIDENCE),
         },
         "meromorphic_nonintegrability": {
-            "claim": "no additional meromorphic first integral near the "
-                     "pole solution: the variational Galois group is "
-                     "SL(2,C), so the system is not formally integrable",
+            "claim": "the quartic Taylor truncation H4 has no additional "
+                     "meromorphic first integral near its pole solution: "
+                     "the Galois group of its transverse normal variational "
+                     "equation is SL(2,C). Scoped to H4; the full "
+                     "Hamiltonian is not decided here",
             **_verdict(sections, _CLAIM_B_EVIDENCE),
         },
     }

@@ -2,16 +2,24 @@
 import math
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyson3 import model
 from dyson3.field import FE, SQRT3, FieldElement
 from dyson3.model import (KINETIC, TruncatedHamiltonian, derive_pole,
                           diagonal_potential, diagonal_reduce,
-                          diagonal_reduce_via_energy, qddot_exact,
-                          taylor_truncate, transform_jacobian)
+                          diagonal_reduce_via_energy, kinetic_matrix,
+                          mode_eigenvalue, taylor_truncate,
+                          transform_jacobian)
 from dyson3.poly import Poly
+
+
+def qddot_exact(q: float) -> float:
+    """pdot = cot q + cot 2q for the untruncated diagonal system."""
+    return 1 / math.tan(q) + 1 / math.tan(2 * q)
 
 
 def _reduce(x, y):
@@ -158,6 +166,20 @@ def test_vector_field_is_hamiltonian():
     term."""
     dk_dp1 = {(e1 - 1, e2): e1 * c for (e1, e2), c in KINETIC.items() if e1}
     assert dk_dp1 == {(1, 0): 2, (0, 1): -1}
+    assert kinetic_matrix() == [[2, -1], [-1, 2]]
+
+
+def test_swap_modes_are_kinetic_eigenvectors():
+    """K (1, 1) = 1 (1, 1) and K (1, -1) = 3 (1, -1): the mode factors of
+    the scalar NVEs."""
+    assert (mode_eigenvalue(1), mode_eigenvalue(-1)) == (1, 3)
+
+
+def test_kinetic_form_without_swap_modes_raises(monkeypatch):
+    monkeypatch.setitem(model.KINETIC, (2, 0), 2)
+    for sign in (1, -1):
+        with pytest.raises(ValueError, match="eigenvector"):
+            mode_eigenvalue(sign)
 
 
 def test_diagonal_potential_energy_relation():

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from dyson3 import nve
+from dyson3 import model, nve
 from dyson3.field import FE, I, SQRT3, SQRT26, SQRT78, FieldElement
 from dyson3.model import (diagonal_potential, diagonal_reduce,
                           elliptic_solution, pole_solution, taylor_truncate)
@@ -89,6 +89,22 @@ def test_scalar_nve_matches_4d_variational_flow():
             # negative control: a perturbed coefficient must not track
             ctrl = nve.nve_flow_oracle(sc, vs, perturb=0.05)
             assert ctrl > 1e-4, (source, mode, ctrl)
+
+
+def test_a_patched_kinetic_form_reaches_every_flow(monkeypatch):
+    """The scalar NVE and both 4D flows read model.KINETIC at call time.
+    With the cross term dropped (K = 2 I) the monodromy matrix moves, and
+    the antisymmetric coefficient derived under the patched K tracks the
+    patched 4D flow, while the one derived before does not."""
+    vs = _vs(4)
+    anti = nve.scalar_nve(vs, "antisymmetric")
+    mono = nve.monodromy_matrix(vs)
+    monkeypatch.setitem(model.KINETIC, (1, 1), 0)
+    assert np.max(np.abs(nve.monodromy_matrix(vs) - mono)) > 1e-3
+    patched = nve.scalar_nve(vs, "antisymmetric")
+    assert patched.a == anti.a.scale(Fraction(2, 3))
+    assert nve.nve_flow_oracle(patched, vs) < 1e-6
+    assert nve.nve_flow_oracle(anti, vs) > 1e-4
 
 
 def _dense_error(rhs, y0, t_end, exact):

@@ -12,6 +12,16 @@ from hypothesis import strategies as st
 from dyson3 import period
 
 
+def potential_tilde(q):
+    """Vtilde(q) = -log(sin 2q) - 2 log(sin q) on 0 < q < pi/2, the closed
+    form that period's turning points and energies are checked against."""
+    if isinstance(q, (int, float)) and not 0 < q < math.pi / 2:
+        raise period.PeriodDomainError(f"q={q} outside (0, pi/2)")
+    if isinstance(q, (int, float)):
+        return -math.log(math.sin(2 * q)) - 2 * math.log(math.sin(q))
+    return -mp.log(mp.sin(2 * q)) - 2 * mp.log(mp.sin(q))
+
+
 def test_equilibrium_constants():
     with mp.workprec(128):
         assert abs(period.e_min() - mp.log(8 * mp.sqrt(3) / 9)) < mp.mpf(1e-35)
@@ -61,7 +71,7 @@ def test_turning_points_solve_to_the_working_precision(prec, offset):
         for q in (qm, qp):
             t = mp.tan(q)
             slope = (3 - t * t) / t
-            assert abs(e - period.potential_tilde(q)) <= ulps * (
+            assert abs(e - potential_tilde(q)) <= ulps * (
                 abs(q * slope) + abs(e))
         c = period.c_of_energy(e, prec)
         if c >= mp.mpf("0.02"):
@@ -121,7 +131,7 @@ def test_newton_starts_lie_beyond_the_roots(monkeypatch, prec, offset):
     with mp.workprec(prec + 64):
         for side, start, _, root in paths:
             assert side * (root - start) >= 0
-            assert period.potential_tilde(mp.atan(mp.exp(start))) > e
+            assert potential_tilde(mp.atan(mp.exp(start))) > e
 
 
 @pytest.mark.parametrize("offset", ["2^(20-prec)", 1e-6, 0.5, 40])
@@ -354,19 +364,31 @@ def test_tangent_form_of_energy():
     qs = [(k + 0.5) / 200 * math.pi / 2 for k in range(200)]
     energy = period._energy(np.tan(qs), np.zeros(len(qs)))
     for q, v in zip(qs, energy):
-        vt = period.potential_tilde(q)
+        vt = potential_tilde(q)
         assert abs(v - vt) <= 1e-13 * abs(vt)
+
+
+def test_diagonal_kinetic_energy_is_p_squared():
+    """period integrates qdot = p with energy p^2 + Vtilde, as its module
+    docstring states: on the diagonal p1 = p2 = p, model.KINETIC is
+    T(1, 1) p^2 with T(1, 1) = 1, and qdot1 = (K (1, 1))_1 p = p."""
+    from dyson3 import model
+    assert sum(model.KINETIC.values()) == 1
+    assert sum(model.kinetic_matrix()[0]) == 1
+    t, p = np.tan([0.4, 1.0, 1.3]), np.array([0.3, -0.7, 1.1])
+    kinetic = period._energy(t, p) - period._energy(t, 0 * p)
+    assert np.allclose(kinetic, p * p, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("nsteps", [1, period._CHUNK - 1, period._CHUNK,
                                     period._CHUNK + 1, 2 * period._CHUNK + 3])
 def test_integrate_diagonal_across_chunk_boundaries(nsteps):
     q0, h = _q_minus(0.3), 1e-3
-    e0 = period.potential_tilde(q0)
+    e0 = potential_tilde(q0)
     q, p, emax = q0, 0.0, 0.0
     for _ in range(nsteps):
         q, p = _step(q, p, h)
-        emax = max(emax, abs(p * p + period.potential_tilde(q) - e0))
+        emax = max(emax, abs(p * p + potential_tilde(q) - e0))
     qk, pk, ek = period.integrate_diagonal(q0, 0.0, h, nsteps)
     assert (qk, pk) == (q, p)
     assert abs(ek - emax) < 1e-15

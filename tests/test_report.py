@@ -167,6 +167,19 @@ def test_claim_b_needs_the_transverse_decision():
     assert "nve.scalar_vs_4d_L_antisymmetric" in claim_b["evidence"]
 
 
+def test_claim_b_cites_no_printed_equation():
+    """The decisions on the printed equations (coupling A = 4, coefficient
+    8 sqrt3/9) stay report checks, but neither is the system's equation:
+    claim b does not cite them, and it PASSes with both FAILing."""
+    printed = ("kovacic.lame_sieve_paper_A4", "kovacic.quartic_paper_variant")
+    assert not set(printed) & set(_CITED)
+    sections = _passing(_CITED)
+    sections["s"]["checks"] += [{"id": cid, "status": "FAIL"}
+                                for cid in printed]
+    verdicts = rpt.build_verdicts(sections)
+    assert {v["status"] for v in verdicts.values()} == {"PASS"}
+
+
 def test_both_claims_cite_the_canonical_reduction(full_report):
     """Both verdicts rest on H_reg, so both cite the exact reduction, and
     it PASSes."""
@@ -201,6 +214,32 @@ def test_corrupted_reduction_fails_both_claims(monkeypatch):
                                  for cid in sorted(others)]}}
     verdicts = rpt.build_verdicts(sections)
     assert {v["status"] for v in verdicts.values()} == {"FAIL"}
+
+
+@pytest.mark.parametrize("key", sorted(model.KINETIC))
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_corrupted_kinetic_form_fails_the_check_and_moves_the_nve(
+        monkeypatch, key, delta):
+    """Negative control: a change of one entry of model.KINETIC makes
+    truncations.canonical_reduction FAIL, and every derived scalar NVE
+    either raises (the swap modes are no longer kinetic eigenvectors) or
+    changes its coefficient."""
+    pairs = [(nve.derive_variational(model.taylor_truncate(order)), mode)
+             for order in (3, 4) for mode in ("symmetric", "antisymmetric")]
+    before = [nve.scalar_nve(vs, mode).a for vs, mode in pairs]
+    kinetic = dict(model.KINETIC)
+    kinetic[key] += delta
+    monkeypatch.setattr(model, "KINETIC", kinetic)
+    section = rpt.section_truncations(rpt.PipelineConfig())
+    status = {c["id"]: c["status"] for c in section["checks"]}
+    assert status.pop("truncations.canonical_reduction") == "FAIL"
+    assert set(status.values()) == {"PASS"}
+    for (vs, mode), a in zip(pairs, before):
+        try:
+            after = nve.scalar_nve(vs, mode).a
+        except ValueError:
+            continue
+        assert after != a, (key, delta, mode)
 
 
 def test_every_check_carries_tolerance_when_numeric(full_report):
@@ -422,15 +461,17 @@ def _patch_kovacic(monkeypatch, verdicts):
 
 def test_indeterminate_decision_makes_claim_b_indeterminate(monkeypatch,
                                                             tmp_path):
-    """An indeterminate paper-variant decision reads INDETERMINATE, with
-    the decision's last log line as its note, in its check, its section and
-    claim b, and the report exits 2."""
-    paper_r = nve.algebrize(nve.paper_nve_l()).r
-    _patch_kovacic(monkeypatch, [(paper_r, "indeterminate")])
+    """An indeterminate transverse decision (L_derived_antisymmetric) reads
+    INDETERMINATE, with the decision's last log line as its note, in its
+    check, its section and claim b, and the report exits 2."""
+    vs4 = nve.derive_variational(model.taylor_truncate(4))
+    transverse_r = nve.algebrize(nve.scalar_nve(vs4, "antisymmetric")).r
+    _patch_kovacic(monkeypatch, [(transverse_r, "indeterminate")])
     cfg = rpt.PipelineConfig()
     doc = rpt.build_report(cfg)
     checks = {c["id"]: c for c in doc["sections"]["kovacic"]["checks"]}
-    chk = checks["kovacic.quartic_paper_variant"]
+    assert checks["kovacic.quartic_paper_variant"]["status"] == "PASS"
+    chk = checks["kovacic.quartic_derived_transverse"]
     assert chk["status"] == "INDETERMINATE"
     assert chk["note"] == "kernel lift exhausted: verdict indeterminate"
     assert doc["sections"]["kovacic"]["status"] == "INDETERMINATE"
