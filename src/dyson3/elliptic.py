@@ -41,7 +41,7 @@ def _mp_coeffs(p):
 
 def invariants_for_energy(h, prec: int = 128) -> EllipticInvariants:
     """g2 and g3 of phi on the cubic truncation's rational energy h."""
-    phi = model.elliptic_solution()
+    phi = model.elliptic_solution(model.taylor_truncate(3))
     with mp.workprec(prec):
         return EllipticInvariants(g2=_mp(phi.g2), g3=_mp(phi.g3(h)))
 
@@ -150,7 +150,7 @@ def weierstrass_ode_residual(t, inv: EllipticInvariants, prec: int = 128):
 
 def _phi_constants(h, prec):
     """(a, b, invariants) of phi on the energy h as mpmath numbers."""
-    phi = model.elliptic_solution()
+    phi = model.elliptic_solution(model.taylor_truncate(3))
     inv = invariants_for_energy(h, prec)
     with mp.workprec(prec + 40):
         return _mp(phi.a), _mp(phi.b), inv
@@ -182,7 +182,7 @@ def verify_phi(h, prec: int = 128):
 
 def _psi_constants(prec):
     """(alpha, rho, omega) of psi as mpmath numbers."""
-    pole = model.pole_solution()
+    pole = model.pole_solution(model.taylor_truncate(4))
     with mp.workprec(prec + 40):
         return _mp(pole.alpha), _mp(pole.rho), _mp(pole.omega)
 

@@ -163,8 +163,10 @@ class PoleSolution:
 
 def _root(x: FieldElement) -> FieldElement:
     """The square root of x in the upper half plane or on the positive
-    reals."""
+    reals; ArithmeticError when field_sqrt finds none."""
     y = field_sqrt(x)
+    if y is None:
+        raise ArithmeticError(f"no square root of {x!r} found in the field")
     z = y.to_complex()
     return y if z.imag > 0 or (z.imag == 0 and z.real > 0) else -y
 
@@ -205,12 +207,12 @@ def derive_elliptic(u: Poly) -> EllipticSolution:
 
 
 @functools.lru_cache(maxsize=None)
-def pole_solution() -> PoleSolution:
-    """psi of the quartic truncation."""
-    return derive_pole(diagonal_potential(taylor_truncate(4)))
+def pole_solution(trunc: TruncatedHamiltonian) -> PoleSolution:
+    """psi of the truncation trunc."""
+    return derive_pole(diagonal_potential(trunc))
 
 
 @functools.lru_cache(maxsize=None)
-def elliptic_solution() -> EllipticSolution:
-    """phi of the cubic truncation."""
-    return derive_elliptic(diagonal_potential(taylor_truncate(3)))
+def elliptic_solution(trunc: TruncatedHamiltonian) -> EllipticSolution:
+    """phi of the truncation trunc, a solution when trunc is cubic."""
+    return derive_elliptic(diagonal_potential(trunc))

@@ -1,5 +1,6 @@
 """Variational equations along the diagonal particular solutions, their
-scalar decoupling, and the algebrization of the quartic-truncation NVE.
+scalar decoupling, and the algebrization of the NVE, each along its own
+truncation's orbit.
 
 The truncated Hamiltonians are swap-symmetric, so along the diagonal both
 the symmetric (xi1 + xi2) and antisymmetric (xi1 - xi2) variation
@@ -32,18 +33,18 @@ class VariationalSystem:
     """Linearization J * Hess(H) along the diagonal.
 
     alpha(q) = d2H/dq1^2 and beta(q) = d2H/dq1 dq2 restricted to
-    q1 = q2 = q; the kinetic block is the constant model.kinetic_matrix().
+    q1 = q2 = q of trunc; the kinetic block is model.kinetic_matrix().
     """
     alpha: Poly
     beta: Poly
-    source: str     # "K" or "L"
+    trunc: TruncatedHamiltonian
 
 
 @dataclass(frozen=True)
 class ScalarNVE:
     a: Poly          # xiddot = a(q) xi
     mode: str        # "symmetric" | "antisymmetric"
-    source: str      # "K" | "L"
+    trunc: TruncatedHamiltonian    # whose diagonal orbit the NVE runs along
     variant: str     # "derived" | "paper"
 
 
@@ -70,8 +71,7 @@ def derive_variational(trunc: TruncatedHamiltonian) -> VariationalSystem:
     along the diagonal: alpha = f''(q) + f''(-2q), beta = f''(-2q)."""
     d2f = trunc.f.derivative().derivative()
     beta = d2f.dilate(-2)
-    src = "K" if trunc.order <= 3 else "L"
-    return VariationalSystem(alpha=d2f + beta, beta=beta, source=src)
+    return VariationalSystem(alpha=d2f + beta, beta=beta, trunc=trunc)
 
 
 # the sign s of each swap mode xi = xi1 + s xi2
@@ -90,40 +90,40 @@ def scalar_nve(vs: VariationalSystem, mode: str) -> ScalarNVE:
         raise ValueError(f"unknown mode {mode!r}")
     sign = _SIGN[mode]
     a = (-(vs.alpha + vs.beta.scale(sign))).scale(mode_eigenvalue(sign))
-    return ScalarNVE(a=a, mode=mode, source=vs.source, variant="derived")
+    return ScalarNVE(a=a, mode=mode, trunc=vs.trunc, variant="derived")
 
 
 def paper_nve_k() -> ScalarNVE:
     """NVE reconstructed from the printed Lame data (A,B)=(4,-8/3):
     a(q) = -4 - (8 sqrt3/9) q."""
     a = Poly([FE(-4), SQRT3 * FE(Fraction(-8, 9))])
-    return ScalarNVE(a=a, mode="antisymmetric", source="K", variant="paper")
+    return ScalarNVE(a, "antisymmetric", taylor_truncate(3), "paper")
 
 
 def paper_nve_l() -> ScalarNVE:
     """The printed quartic NVE: a(q) = -(4 + (8 sqrt3/9) q + 24 q^2)."""
     a = Poly([FE(-4), SQRT3 * FE(Fraction(-8, 9)), FE(-24)])
-    return ScalarNVE(a=a, mode="symmetric", source="L", variant="paper")
+    return ScalarNVE(a, "symmetric", taylor_truncate(4), "paper")
 
 
 def substitute_elliptic(nve: ScalarNVE):
-    """Rewrite a(phi(t)) as A*p + B along the cubic truncation's
+    """Rewrite a(phi(t)) as A*p + B along the NVE's own truncation's
     phi = a + b p (`model.elliptic_solution`): A = b a1, B = a(a).
 
-    Only valid for affine a (the cubic truncation).  Returns (A, B) as
+    Only valid for affine a (a cubic truncation).  Returns (A, B) as
     exact tower elements.
     """
     if nve.a.degree > 1:
         raise ValueError("substitution needs an affine coefficient")
-    phi = elliptic_solution()
+    phi = elliptic_solution(nve.trunc)
     return phi.b * nve.a.coeff(1), nve.a(phi.a)
 
 
 @functools.lru_cache(maxsize=None)
 def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
-    """Change variables t -> w along the quartic truncation's pole solution
-    psi = alpha/w, w = 1 + rho sin(omega t) (`model.pole_solution`).  With
-    the exact polynomials wdot^2 and wddot in w, xiddot = a(psi) xi becomes
+    """Change variables t -> w along the pole solution of the NVE's own
+    truncation, psi = alpha/w, w = 1 + rho sin(omega t) (`pole_solution`):
+    with wdot^2 and wddot exact polynomials in w, xiddot = a(psi) xi becomes
         xi'' + p(w) xi' + q(w) xi = 0,
         p = wddot/wdot^2,  q = -a(alpha/w)/wdot^2,
     and the normal form r = p^2/4 + p'/2 - q.  With P = wddot, D = wdot^2
@@ -131,9 +131,7 @@ def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
     polynomials, so one gcd reduces it:
         q = -N/(w^n D),  r = (w^n (P^2 + 2(P'D - PD')) + 4DN) / (4 w^n D^2).
     """
-    if nve.source != "L":
-        raise ValueError("algebrization is defined for the quartic NVE")
-    pole = pole_solution()
+    pole = pole_solution(nve.trunc)
     big_p, big_d, n, w = pole.wddot, pole.wdot2, nve.a.degree, Poly.x()
     wn = w ** n
     big_n = Poly([])      # sum_k a_k alpha^k w^(n-k), by Horner's rule
@@ -148,8 +146,6 @@ def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
 
 
 # -- numeric oracles --------------------------------------------------------
-
-_ORDER = {"K": 3, "L": 4}    # Taylor order of each named truncation
 
 # One Chebyshev-Picard integrator serves every oracle (Clenshaw & Norton,
 # Comput. J. 6, 1963; Bai & Junkins, J. Astronaut. Sci. 58, 2011): on each
@@ -255,12 +251,11 @@ def _per_segment(coefficients):
 
 
 @functools.lru_cache(maxsize=None)
-def _base_orbit(source: str, q0: float):
-    """The diagonal orbit through (q0, p=0) of the truncation `source`
-    ("K" or "L") over one period: its dense solution t -> (q, p) by the
-    Chebyshev-Picard integrator, and the period.  The variational oracles
-    take q(t) from it, so their coefficients depend on t alone."""
-    trunc = taylor_truncate(_ORDER[source])
+def _base_orbit(trunc: TruncatedHamiltonian, q0: float):
+    """The diagonal orbit through (q0, p=0) of the truncation trunc over one
+    period: its dense solution t -> (q, p) by the Chebyshev-Picard
+    integrator, and the period.  The variational oracles take q(t) from it,
+    so their coefficients depend on t alone."""
     accel = float_horner(diagonal_reduce(trunc))
     t_end = base_period(trunc, q0)
 
@@ -331,7 +326,7 @@ def nve_flow_oracle(nve: ScalarNVE, vs: VariationalSystem, q0: float = 0.1,
     control experiment.
     """
     alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
-    orbit, t_end = _base_orbit(vs.source, q0)
+    orbit, t_end = _base_orbit(vs.trunc, q0)
     a_nve = float_horner(nve.a)
     sign = _SIGN[nve.mode]
     (k11, k12), (k21, k22) = np.array(kinetic_matrix(), float)
@@ -364,7 +359,7 @@ def monodromy_matrix(vs: VariationalSystem, q0: float = 0.1):
     """Fundamental 4x4 solution over one base period (_base_orbit), by the
     Chebyshev-Picard integrator."""
     alpha, beta = float_horner(vs.alpha), float_horner(vs.beta)
-    orbit, t_end = _base_orbit(vs.source, q0)
+    orbit, t_end = _base_orbit(vs.trunc, q0)
     kinetic = np.array(kinetic_matrix(), float)
 
     @_per_segment
@@ -388,7 +383,7 @@ def wronskian_drift(nve: ScalarNVE, q0: float = 0.1):
     """Max drift of the Wronskian of two independent scalar solutions at
     300 points of one base period (_base_orbit), by the Chebyshev-Picard
     integrator."""
-    orbit, t_end = _base_orbit(nve.source, q0)
+    orbit, t_end = _base_orbit(nve.trunc, q0)
     a_nve = float_horner(nve.a)
     coefficients = _per_segment(lambda t: a_nve(orbit(t)[:, 0]))
 
@@ -406,15 +401,16 @@ def wronskian_drift(nve: ScalarNVE, q0: float = 0.1):
 def algebrize_gauge_oracle(nve: ScalarNVE) -> float:
     """Consistency of the algebrized normal form with the time-domain NVE.
 
-    Along the pole solution's w(t) the normal-form solution is
+    Along the NVE's own pole solution's w(t) the normal-form solution is
     zeta = xi * exp(+(1/2) int p dw), so the logarithmic derivatives obey
         (d/dt log zeta) - (d/dt log xi) = p(w) wdot / 2.
-    Both equations are integrated side by side over 0 <= t <= 0.4 with
-    matched initial data by the Chebyshev-Picard integrator, and the
-    maximal violation of this identity at 80 checkpoints is returned.
+    Both are integrated side by side over 0 <= omega t <= 0.8, short of the
+    pole of p at omega t = pi/2, with matched initial data by the
+    Chebyshev-Picard integrator; the max violation at 80 checkpoints is
+    returned.
     """
     ode = algebrize(nve)
-    pole = pole_solution()
+    pole = pole_solution(nve.trunc)
     omega = pole.omega.to_complex().real
     alpha, rho = pole.alpha.to_complex(), pole.rho.to_complex()
 
@@ -438,7 +434,7 @@ def algebrize_gauge_oracle(nve: ScalarNVE) -> float:
     w0, wd0 = wpath(0.0)
     pw0 = p_num(w0) / p_den(w0)
     y0 = [1 + 0j, 0.3 + 0j, 1 + 0j, (0.3 + pw0 * wd0 / 2) / wd0]
-    t_end = 0.4
+    t_end = 0.8 / omega
     # 80 checkpoints, t_end/80 apart
     ts = t_end * (50 * np.arange(80) + 1) / 4000
     xi, xid, ze, zew = _chebyshev_picard(rhs, y0, t_end)(ts).T
@@ -477,7 +473,7 @@ def scalar_nve_json(nve: ScalarNVE) -> dict:
     return {
         "a": _poly_json(nve.a),
         "mode": nve.mode,
-        "source": nve.source,
+        "source": "K" if nve.trunc.order <= 3 else "L",
         "variant": nve.variant,
         "basis": "rational coords over {1,s3,s26,s78}x{1,i}",
     }

@@ -373,9 +373,10 @@ def section_verify_solutions(cfg: PipelineConfig) -> dict:
     checks.append(_check("verify_solutions.psi_energy", abs(h_psi) < 1e-20,
                          value=h_psi, tol=1e-20,
                          note="the pole solution sits on the zero level"))
-    g4 = model.diagonal_reduce(model.taylor_truncate(4))
+    t4 = model.taylor_truncate(4)
     checks.append(_check("verify_solutions.psi_exact_identity",
-                         model.pole_solution().solves(g4), tol=0.0,
+                         model.pole_solution(t4).solves(
+                             model.diagonal_reduce(t4)), tol=0.0,
                          note="w^3 * (psiddot - g(psi)) = 0 as a polynomial "
                               "identity in the tower"))
     # negative control: the cubic coefficient of the energy relation,

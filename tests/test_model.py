@@ -241,3 +241,13 @@ def test_dyson_kappa():
         Fraction(9, 4))
     rho = derive_pole(diagonal_potential(taylor_truncate(4))).rho
     assert rho * rho == FE(-26)
+
+
+def test_pole_without_a_field_square_root_raises():
+    """rho^2 = 1 - 12 kappa = -100003 * 100019, a product of two primes
+    beyond field_sqrt's trial division, has no root that field_sqrt
+    finds: derive_pole raises ArithmeticError naming the radicand."""
+    kappa = Fraction(1 + 100003 * 100019, 12)
+    th = TruncatedHamiltonian(f=Poly([0, 0, 1, 1, kappa]), order=4)
+    with pytest.raises(ArithmeticError, match="-10002200057"):
+        derive_pole(diagonal_potential(th))

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 from dyson3 import model, nve
 from dyson3.field import FE, I, SQRT3, SQRT26, SQRT78, FieldElement
+from dyson3.kovacic import kovacic
 from dyson3.model import (diagonal_potential, diagonal_reduce,
                           elliptic_solution, pole_solution, taylor_truncate)
 from dyson3.poly import Poly, RationalFunction, float_horner
@@ -345,9 +346,124 @@ def test_algebrized_normal_form_identity():
                                       ode.variant).normal_form_identity_holds()
 
 
-def test_algebrize_rejects_cubic_truncation():
-    with pytest.raises(ValueError):
-        nve.algebrize(nve.paper_nve_k())
+def test_algebrize_cubic_truncation_along_its_own_pole():
+    """The cubic truncation's u4 = 0 gives its own psi rho = 1; its derived
+    NVEs algebrize along that psi, and the gauge oracle checks them there."""
+    assert pole_solution(taylor_truncate(3)).rho == FE(1)
+    for mode in ("antisymmetric", "symmetric"):
+        sc = nve.scalar_nve(_vs(3), mode)
+        assert nve.algebrize(sc).normal_form_identity_holds()
+        assert nve.algebrize_gauge_oracle(sc) < 1e-9
+
+
+def test_nve_runs_along_its_own_truncation():
+    """A quartic truncation with Dyson's f4 doubled keeps its own orbit
+    and psi through nve: rho^2 = 1 - 12 kappa = -53 (Dyson's is -26), and
+    the oracles integrate over its own period, 3.0979 at q0 = 0.1 (Dyson's
+    is 3.1217)."""
+    f = taylor_truncate(4).f
+    th = model.TruncatedHamiltonian(f=Poly(f.coeffs[:4] + [f.coeff(4) * 2]),
+                                    order=4)
+    vs = nve.derive_variational(th)
+    sc = nve.scalar_nve(vs, "symmetric")
+    assert sc.trunc is th and vs.trunc is th
+    assert pole_solution(th).rho == I * FieldElement({53: 1})
+    _orbit, t_end = nve._base_orbit(th, 0.1)
+    assert t_end == nve.base_period(th, 0.1)
+    assert abs(t_end - 3.0979) < 1e-4
+    assert abs(nve._base_orbit(taylor_truncate(4), 0.1)[1] - 3.1217) < 1e-4
+    assert nve.nve_flow_oracle(sc, vs) < 1e-6
+    assert nve.algebrize_gauge_oracle(sc) < 1e-9
+
+
+def _quartic(kappa):
+    """The quartic truncation with f = q^2 + q^3 + kappa q^4, whose pole
+    solution has rho^2 = 1 - 12 kappa."""
+    return model.TruncatedHamiltonian(f=Poly([0, 0, 1, 1, kappa]), order=4)
+
+
+def _decisions(trunc):
+    """{mode: Kovacic decision} of the truncation's derived NVEs, each
+    algebrized along the truncation's own pole solution."""
+    vs = nve.derive_variational(trunc)
+    return {mode: kovacic(nve.algebrize(nve.scalar_nve(vs, mode)).r)
+            for mode in ("antisymmetric", "symmetric")}
+
+
+@pytest.mark.parametrize("kappa, verdict, case, d", [
+    (Fraction(9, 4), "not_liouvillian", None, None),
+    (Fraction(13, 12), "not_liouvillian", None, None),
+    (Fraction(7, 4), "liouvillian", 1, 1),
+], ids=["9_4", "13_12", "7_4"])
+def test_kappa_controls(kappa, verdict, case, d, dyson_decisions):
+    """The transverse decision depends on kappa alone: at Dyson's 9/4 it is
+    Dyson's own (SL(2,C)), at 13/12 not Liouvillian, at 7/4 Liouvillian in
+    case 1.  The tangential mode, solved by psidot, is Liouvillian in case
+    1 with d = 2 at every kappa."""
+    got = _decisions(_quartic(kappa))
+    anti, sym = got["antisymmetric"], got["symmetric"]
+    assert (anti.verdict, anti.case, anti.d) == (verdict, case, d)
+    if verdict == "not_liouvillian":
+        assert anti.group == "SL(2,C)"
+    if kappa == Fraction(9, 4):
+        want = dyson_decisions["transverse"]
+        assert (anti.verdict, anti.group) == (want.verdict, want.group)
+    assert (sym.verdict, sym.case, sym.d) == ("liouvillian", 1, 2)
+
+
+def test_kappa_grid_transverse_liouvillian_only_at_7_4():
+    """Over kappa = k/4, k = -12..24, the transverse mode is Liouvillian
+    only at kappa = 7/4, and the tangential mode is Liouvillian in case 1
+    at every kappa."""
+    liouvillian = []
+    for k in range(-12, 25):
+        got = _decisions(_quartic(Fraction(k, 4)))
+        assert (got["symmetric"].verdict, got["symmetric"].case) == (
+            "liouvillian", 1), k
+        if got["antisymmetric"].verdict != "not_liouvillian":
+            liouvillian.append(Fraction(k, 4))
+    assert liouvillian == [Fraction(7, 4)]
+
+
+def _sutherland():
+    """The quartic truncation of the pair potential 1/sin^2 at pi/3, with
+    the constant dropped: 1/sin^2 = -d/dx cot = (-log sin)'', so its
+    series is the second derivative of Dyson's f to order 6, f_k =
+    -(k + 1) c_(k+1) in the cot series c_n of `model._neg_log_sin`."""
+    f = taylor_truncate(6).f.derivative().derivative()
+    return model.TruncatedHamiltonian(f=Poly([0] + f.coeffs[1:]), order=4)
+
+
+def test_sutherland_truncation_through_model_nve_kovacic():
+    """Sutherland's own quartic truncation runs the Dyson code path:
+    U = 16 q^2 + (32 sqrt3/3) q^3 + (208/3) q^4, its pole solution has
+    omega = 4, alpha = -sqrt3 and rho = 2 sqrt3 i (kappa = 13/12), the
+    transverse mode is not Liouvillian and the tangential one Liouvillian
+    in case 1 with d = 2, and the oracles pass along its own orbit."""
+    th = _sutherland()
+    f = th.f
+    assert diagonal_potential(th) == Poly(
+        [0, 0, FE(16), SQRT3 * FE(Fraction(32, 3)), FE(Fraction(208, 3))])
+    assert f.coeff(2) * f.coeff(4) / (f.coeff(3) * f.coeff(3)) == FE(
+        Fraction(13, 12))
+    pole = pole_solution(th)
+    assert (pole.omega, pole.alpha, pole.rho) == (
+        FE(4), -SQRT3, I * SQRT3 * FE(2))
+    got = _decisions(th)
+    anti, sym = got["antisymmetric"], got["symmetric"]
+    assert (anti.verdict, anti.group) == ("not_liouvillian", "SL(2,C)")
+    assert (sym.verdict, sym.case, sym.d) == ("liouvillian", 1, 2)
+    _orbit, t_end = nve._base_orbit(th, 0.1)
+    assert t_end == nve.base_period(th, 0.1)
+    assert abs(t_end - 1.5339) < 1e-4
+    vs = nve.derive_variational(th)
+    assert abs(np.linalg.det(nve.monodromy_matrix(vs)) - 1) < 1e-8
+    for mode in ("antisymmetric", "symmetric"):
+        sc = nve.scalar_nve(vs, mode)
+        assert nve.nve_flow_oracle(sc, vs) < 1e-6
+        assert nve.nve_flow_oracle(sc, vs, perturb=0.05) > 1e-4
+        assert nve.wronskian_drift(sc) < 1e-8
+        assert nve.algebrize_gauge_oracle(sc) < 1e-9
 
 
 def test_algebrization_gauge_oracle():
@@ -404,7 +520,7 @@ def test_w_substitution_identities_exact():
     """The derived pole solution psi = alpha/w, w = 1 + rho sin(omega t):
     wdot^2 = -104 - 4(w-1)^2 and wddot = -4(w-1) as tower polynomials,
     alpha = -3 sqrt3 and rho = i sqrt26 (the parent path, not w(-t))."""
-    pole = pole_solution()
+    pole = pole_solution(taylor_truncate(4))
     w = Poly.x()
     assert pole.wdot2 == Poly([FE(-104)]) - ((w - 1) * (w - 1)).scale(FE(4))
     assert pole.wddot == (w - 1).scale(FE(-4))
@@ -415,7 +531,7 @@ def test_w_substitution_identities_exact():
     # d(wdot^2)/dw = 2 wddot
     assert pole.wdot2.derivative() == pole.wddot.scale(FE(2))
     # phi = a + b p(t; g2, g3(h)) of the cubic truncation
-    phi = elliptic_solution()
+    phi = elliptic_solution(taylor_truncate(3))
     assert phi.a == SQRT3 * FE(Fraction(-1, 2))
     assert phi.b == SQRT3 * FE(Fraction(-3, 2))
     assert phi.g2 == FE(Fraction(4, 3))
