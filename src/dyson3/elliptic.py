@@ -1,6 +1,7 @@
 """Weierstrass p-function evaluation and the particular-solution
 certificates phi (cubic truncation, elliptic) and psi (quartic
-truncation, hyperbolic), evaluated from `model`'s exact derivation.
+truncation, hyperbolic).  Each certificate takes the truncation it
+certifies and evaluates `model`'s exact derivation of its phi or psi.
 
 p is evaluated at real t from its Laurent series near 0 together with
 the duplication formula, which is all the verification grids need; no
@@ -39,9 +40,10 @@ def _mp_coeffs(p):
     return [_mp(c) for c in reversed(p.coeffs)]
 
 
-def invariants_for_energy(h, prec: int = 128) -> EllipticInvariants:
-    """g2 and g3 of phi on the cubic truncation's rational energy h."""
-    phi = model.elliptic_solution(model.taylor_truncate(3))
+def invariants_for_energy(trunc, h, prec: int = 128) -> EllipticInvariants:
+    """g2 and g3 of phi on the rational energy h of the cubic truncation
+    trunc."""
+    phi = model.elliptic_solution(trunc)
     with mp.workprec(prec):
         return EllipticInvariants(g2=_mp(phi.g2), g3=_mp(phi.g3(h)))
 
@@ -148,10 +150,11 @@ def weierstrass_ode_residual(t, inv: EllipticInvariants, prec: int = 128):
 # to mpmath once per call: a and b, psi's constants and the potentials at
 # prec + 40 bits, the invariants at prec.
 
-def _phi_constants(h, prec):
-    """(a, b, invariants) of phi on the energy h as mpmath numbers."""
-    phi = model.elliptic_solution(model.taylor_truncate(3))
-    inv = invariants_for_energy(h, prec)
+def _phi_constants(trunc, h, prec):
+    """(a, b, invariants) of trunc's phi on the energy h as mpmath
+    numbers."""
+    phi = model.elliptic_solution(trunc)
+    inv = invariants_for_energy(trunc, h, prec)
     with mp.workprec(prec + 40):
         return _mp(phi.a), _mp(phi.b), inv
 
@@ -163,26 +166,29 @@ def _phi_at(t, consts, prec):
         return a + b * x, b * y
 
 
-def phi_residual(u, h, ts, prec: int = 128):
-    """Max residual of qdot^2 = h - u(q) along phi at the times ts."""
-    consts = _phi_constants(h, prec)
+def phi_residual(trunc, u, h, ts, prec: int = 128):
+    """Max residual of qdot^2 = h - u(q) along the cubic truncation trunc's
+    phi at the times ts; u is trunc's diagonal potential, or a corrupted
+    one for a negative control."""
+    consts = _phi_constants(trunc, h, prec)
     with mp.workprec(prec + 40):
         coeffs = _mp_coeffs(u)
         return max(abs(qd * qd - (h - mp.polyval(coeffs, q)))
                    for q, qd in (_phi_at(t, consts, prec) for t in ts))
 
 
-def verify_phi(h, prec: int = 128):
-    """Max residual of the cubic truncation's energy relation along phi."""
-    u = model.diagonal_potential(model.taylor_truncate(3))
+def verify_phi(trunc, h, prec: int = 128):
+    """Max residual of the cubic truncation trunc's energy relation along
+    its phi."""
     with mp.workprec(prec + 40):
         ts = [mp.mpf(1) / 10 + mp.mpf(k) / 40 for k in range(20)]
-        return phi_residual(u, h, ts, prec)
+        return phi_residual(trunc, model.diagonal_potential(trunc), h, ts,
+                            prec)
 
 
-def _psi_constants(prec):
-    """(alpha, rho, omega) of psi as mpmath numbers."""
-    pole = model.pole_solution(model.taylor_truncate(4))
+def _psi_constants(trunc, prec):
+    """(alpha, rho, omega) of trunc's psi as mpmath numbers."""
+    pole = model.pole_solution(trunc)
     with mp.workprec(prec + 40):
         return _mp(pole.alpha), _mp(pole.rho), _mp(pole.omega)
 
@@ -201,23 +207,23 @@ def _psi_at(t, consts, prec):
                 alpha * (2 * wd * wd - wdd * w) / w ** 3)
 
 
-def verify_psi(prec: int = 128):
-    """Max residual of the quartic truncation's force qddot = g(q) along
-    psi."""
-    g = model.diagonal_reduce(model.taylor_truncate(4))
-    consts = _psi_constants(prec)
+def verify_psi(trunc, prec: int = 128):
+    """Max residual of the quartic truncation trunc's force qddot = g(q)
+    along its psi."""
+    g = model.diagonal_reduce(trunc)
+    consts = _psi_constants(trunc, prec)
     with mp.workprec(prec + 40):
         coeffs = _mp_coeffs(g)
         return max(abs(qdd - mp.polyval(coeffs, q)) for q, _, qdd in
                    (_psi_at(mp.mpf(k) / 16, consts, prec) for k in range(25)))
 
 
-def psi_diagonal_energy(prec: int = 128):
-    """Energy h = qdot^2 + U(q) of psi in the quartic truncation's diagonal
-    relation, evaluated on a grid (it is identically 0; the report stores
-    the measured value)."""
-    u = model.diagonal_potential(model.taylor_truncate(4))
-    consts = _psi_constants(prec)
+def psi_diagonal_energy(trunc, prec: int = 128):
+    """Energy h = qdot^2 + U(q) of the quartic truncation trunc's psi in
+    its diagonal relation, evaluated on a grid (it is identically 0; the
+    report stores the measured value)."""
+    u = model.diagonal_potential(trunc)
+    consts = _psi_constants(trunc, prec)
     with mp.workprec(prec + 40):
         coeffs = _mp_coeffs(u)
         vals = [qd * qd + mp.polyval(coeffs, q) for q, qd, _ in

@@ -321,31 +321,35 @@ def _case1_solve(r, sweep, Sth, d):
 # case 2
 # ---------------------------------------------------------------------------
 
-def _int_candidates(center, steps, b):
-    """Integers e = center + t*sqrt(1+4b) for t in steps.  t*sqrt(1+4b) is
-    an integer only when t = 0 or sqrt(1+4b) is rational, so no irrational
-    root is ever needed."""
+def _disc_root(b):
+    """sqrt(1 + 4b) as (n, d) in lowest terms when b and the root are
+    rational, else None."""
     s = _rational_square_root(1 + 4 * b.as_rational()) if b.is_rational() \
         else None
-    out = set()
-    for t in steps:
-        if t == 0:
-            out.add(center)
-        elif s is not None and (t * s).denominator == 1:
-            out.add(center + int(t * s))
-    return out
+    return None if s is None else (s.numerator, s.denominator)
 
 
-def _case2_pole_set(pole: Pole):
+def _int_candidates(center, steps, root):
+    """Integers e = center + t*sqrt(1+4b) for t in steps, which hold 0,
+    where root = _disc_root(b).  t*sqrt(1+4b) is an integer only when t = 0
+    or sqrt(1+4b) = n/d is rational, and then exactly when d divides t, so
+    no irrational root is ever needed."""
+    if root is None:
+        return {center}
+    n, d = root
+    return {center + t // d * n for t in steps if t % d == 0}
+
+
+def _case2_pole_set(pole: Pole, root):
     if pole.order == 2:
-        return _int_candidates(2, (2, 0, -2), pole.b)
+        return _int_candidates(2, (2, 0, -2), root)
     return {4 if pole.order == 1 else pole.order}
 
 
-def _case2_inf_set(profile: PoleProfile):
+def _case2_inf_set(profile: PoleProfile, root):
     """b_inf is zero when o(inf) > 2, which gives {0, 2, 4}."""
     if profile.o_inf >= 2:
-        return _int_candidates(2, (2, 0, -2), profile.b_inf)
+        return _int_candidates(2, (2, 0, -2), root)
     return {profile.o_inf}
 
 
@@ -357,8 +361,9 @@ def _case2_try(profile, sweep, log):
         log.append("case 2: inadmissible (needs a pole of order 2 or odd > 2)")
         return None
     tried = 0
-    for e_inf, combo, d in _degrees(_case2_inf_set(profile),
-                                    map(_case2_pole_set, profile.poles),
+    for e_inf, combo, d in _degrees(_case2_inf_set(profile, sweep.inf_root),
+                                    map(_case2_pole_set, profile.poles,
+                                        sweep.roots),
                                     Fraction(1, 2)):
         tried += 1
         P = _kernel_poly(sweep.S, sweep.theta(Fraction(e, 2) for e in combo),
@@ -819,7 +824,8 @@ def _kernel_poly(S, Sth, S2r, n, d):
 class _Sweep:
     """What the candidates of one decision share: S, the product of
     (w - c)^ceil(order/2) over the poles c so that S^2 r is a polynomial,
-    S^2 r and each S/(w - c)."""
+    S^2 r, each S/(w - c), and the `_disc_root` of b at each pole of order
+    2 and at infinity, for the integer exponents of cases 2 and 3."""
 
     def __init__(self, profile, r):
         # r.den is monic and split by pole_profile: prod (w - c)^order, so
@@ -834,6 +840,9 @@ class _Sweep:
         self.quotients = [S.exact_div(Poly([-c.point, ONE]))
                           for c in profile.poles]
         self._packed = [_pack(q) for q in self.quotients]
+        self.roots = [_disc_root(c.b) if c.order == 2 else None
+                      for c in profile.poles]
+        self.inf_root = _disc_root(profile.b_inf)
 
     def theta(self, weights):
         """S*theta for theta = sum e_c/(w - c), one rational e_c per pole,
@@ -889,9 +898,9 @@ def _case3_try(profile, sweep, log):
         return None
     for n, m, group in _CASE3_DEGREES:
         steps = range(-m // 2, m // 2 + 1)
-        low = [0 if c.order == 1 else min(_int_candidates(m // 2, steps, c.b))
-               for c in profile.poles]
-        top = max(_int_candidates(m // 2, steps, profile.b_inf))
+        low = [0 if c.order == 1 else min(_int_candidates(m // 2, steps, root))
+               for c, root in zip(profile.poles, sweep.roots)]
+        top = max(_int_candidates(m // 2, steps, sweep.inf_root))
         d = top - sum(low)
         P = (_kernel_poly(sweep.S, sweep.theta(low), sweep.S2r, m, d)
              if d >= 0 else None)

@@ -298,7 +298,11 @@ def quarter_midpoint(f, prec: int = 53):
                 return value, diff
 
 
-def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
+# the largest last difference of the period quadrature that period() accepts
+_QUAD_TOL = 1e-10
+
+
+def period(e, prec: int = 128) -> PeriodSample:
     """Full return-map period T = 2 * int dq / sqrt(E - Vtilde).
 
     In u = log tan q, Vtilde = 2 log(1 + t^2) - 3u - log 2 with t = e^u is
@@ -306,7 +310,7 @@ def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
     nears pi/2), and dq/du = t/(1 + t^2).  u = u- + (u+ - u-) sin^2(theta)
     removes both endpoint singularities; quarter_midpoint integrates over
     theta, and ArithmeticError is raised when its last difference exceeds
-    tol.  Some published forms quote the half-period; we keep the return
+    _QUAD_TOL.  Some published forms quote the half-period; we keep the return
     time.  log_eta = log(eps delta), with eps = q+ - pi/3 and
     delta = pi/3 - q- at the turning points q = atan(e^u).
     """
@@ -330,9 +334,9 @@ def period(e, tol: float = 1e-10, prec: int = 128) -> PeriodSample:
 
         val, err = quarter_midpoint(integrand, prec)
         t = 2 * val
-        if err > tol:
-            raise ArithmeticError(
-                f"quadrature error {mp.nstr(err, 3)} above tolerance {tol}")
+        if err > _QUAD_TOL:
+            raise ArithmeticError(f"quadrature error {mp.nstr(err, 3)} above "
+                                  f"tolerance {_QUAD_TOL}")
         q_minus, q_plus = (mp.atan(mp.exp(u)) for u in (u_minus, u_plus))
         third = mp.pi / 3
         log_eta = mp.log((q_plus - third) * (third - q_minus))

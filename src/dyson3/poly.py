@@ -275,23 +275,17 @@ def exact_roots(p: Poly):
 
 
 def _rational_roots(p: Poly):
-    """Rational roots of an exact polynomial (rational root theorem)."""
-    if any(not c.is_rational() for c in p.coeffs):
-        # irrational coefficients: try nothing (quadratic path may still work)
-        return []
-    den_lcm = 1
-    for c in p.coeffs:
-        d = c.as_rational().denominator
-        den_lcm = math.lcm(den_lcm, d)
-    ints = [int(c.as_rational() * den_lcm) for c in p.coeffs]
+    """Rational roots of an exact polynomial.  As the sqrt(r) are linearly
+    independent over Q, p = sum_r sqrt(r) p_r vanishes at a rational x only
+    where every component p_r does: the rational root theorem on the
+    component of a radicand of the leading coefficient gives the
+    candidates, and each is tested on p itself."""
+    r = min(p.coeffs[-1].num)
+    comp = [Fraction(c.num.get(r, 0), c.den) for c in p.coeffs]
+    den_lcm = math.lcm(*(c.denominator for c in comp))
+    ints = [int(c * den_lcm) for c in comp]
+    a0, an = next(c for c in ints if c), ints[-1]
     found = []
-    a0, an = None, ints[-1]
-    for c in ints:
-        if c != 0:
-            a0 = c
-            break
-    if a0 is None:
-        return found
     cand = set()
     for pnum in _divisors(abs(a0)):
         for pden in _divisors(abs(an)):

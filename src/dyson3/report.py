@@ -33,8 +33,8 @@ from . import period
 
 SCHEMA_VERSION = "1.0.0"
 
-# The period quadrature tolerance, and the bound of the two equilibrium
-# checks that compare closed forms at the working precision.
+# The bound of the two equilibrium checks, which compare two encodings of
+# E_min and of c* at the working precision.
 TOL = 1e-10
 
 _STATUSES = ("PASS", "INDETERMINATE", "FAIL")     # ascending severity
@@ -139,14 +139,17 @@ def section_equilibrium(cfg: PipelineConfig) -> dict:
     with mp.workprec(prec):
         emin = period.e_min(prec)
         cstar = period.c_star(prec)
-        emin_err = abs(emin - mp.log(8 * mp.sqrt(3) / 9))
-        cstar_err = abs(cstar - 3 * mp.sqrt(3) / 16)
+        # Vtilde at q = pi/3, where u = log tan q = log(3)/2 and
+        # w = 1 + tan^2 q = 4, through the turning-point solver's potential
+        emin_err = abs(emin - period._vtilde_u(mp.log(3) / 2, 4))
+        cstar_err = abs(cstar - period.c_of_energy(emin, prec))
     g3 = model.diagonal_reduce(model.taylor_truncate(3))
     checks = [
         _check("equilibrium.e_min", float(emin_err) < TOL,
-               value=float(emin), tol=TOL, note="log(8*sqrt(3)/9)"),
+               value=float(emin), tol=TOL,
+               note="Vtilde(pi/3) of the turning-point solver"),
         _check("equilibrium.c_star", float(cstar_err) < TOL,
-               value=float(cstar), tol=TOL, note="3*sqrt(3)/16"),
+               value=float(cstar), tol=TOL, note="c of the energy E_min"),
         _check("equilibrium.omega_squared",
                g3.coeff(1) == FE(-4), value=4.0, tol=0.0,
                note="linearized qddot = -4q, so the small-oscillation "
@@ -170,7 +173,7 @@ def section_period_scan(cfg: PipelineConfig) -> dict:
     rows, errors = [], []
     for off in _scan_offsets(cfg):
         try:
-            s = period.period(emin + mp.mpf(off), tol=TOL, prec=prec)
+            s = period.period(emin + mp.mpf(off), prec=prec)
             rows.append({"offset": off, "c": float(s.c), "E": float(s.energy),
                          "T": float(s.period), "log_eta": float(s.log_eta),
                          "phi": float(s.phi), "error": None})
@@ -180,14 +183,14 @@ def section_period_scan(cfg: PipelineConfig) -> dict:
     good = [r for r in rows if r["error"] is None]
     periods = [r["T"] for r in good]
     # limit probe at E_min + 1e-6 (always included regardless of grid)
-    probe = period.period(emin + mp.mpf(1e-6), tol=TOL, prec=prec)
+    probe = period.period(emin + mp.mpf(1e-6), prec=prec)
     probe_err = abs(float(probe.period) - math.pi)
     # degenerate row at c = c* has coincident turning points
     tp_star = period.turning_points_closed(period.c_star(prec), prec)
     eps_star = max(abs(float(tp_star.eps)), abs(float(tp_star.delta)))
     # cross-check quadrature against the symplectic return map at one energy
     e_mid = float(period.e_min(prec)) + 0.25
-    mid = period.period(e_mid, tol=TOL, prec=prec)
+    mid = period.period(e_mid, prec=prec)
     t_quad = float(mid.period)
     t_map = period.return_map_period(e_mid, h=1e-3, q_minus=mid.q_minus)
     monotone = all(b > a for a, b in zip(periods, periods[1:]))
@@ -355,25 +358,26 @@ def section_verify_solutions(cfg: PipelineConfig) -> dict:
     from .field import SQRT3
     from .poly import Poly
     prec = cfg.precision
+    # phi certifies the cubic truncation, psi the quartic one
+    t3, t4 = model.taylor_truncate(3), model.taylor_truncate(4)
     checks = []
     for h in (1, 2, 3):
-        res = float(elliptic.verify_phi(h, prec=prec))
+        res = float(elliptic.verify_phi(t3, h, prec=prec))
         checks.append(_check(f"verify_solutions.phi_h{h}", res < 1e-10,
                              value=res, tol=1e-10))
-    inv = elliptic.invariants_for_energy(2, prec)
+    inv = elliptic.invariants_for_energy(t3, 2, prec)
     with mp.workprec(prec):
         wres = float(elliptic.weierstrass_ode_residual(mp.mpf(1) / 3, inv,
                                                         prec))
     checks.append(_check("verify_solutions.weierstrass_ode", wres < 1e-20,
                          value=wres, tol=1e-20))
-    psi_res = float(elliptic.verify_psi(prec=prec))
+    psi_res = float(elliptic.verify_psi(t4, prec=prec))
     checks.append(_check("verify_solutions.psi", psi_res < 1e-12,
                          value=psi_res, tol=1e-12))
-    h_psi = float(elliptic.psi_diagonal_energy(prec)[0])
+    h_psi = float(elliptic.psi_diagonal_energy(t4, prec)[0])
     checks.append(_check("verify_solutions.psi_energy", abs(h_psi) < 1e-20,
                          value=h_psi, tol=1e-20,
                          note="the pole solution sits on the zero level"))
-    t4 = model.taylor_truncate(4)
     checks.append(_check("verify_solutions.psi_exact_identity",
                          model.pole_solution(t4).solves(
                              model.diagonal_reduce(t4)), tol=0.0,
@@ -382,11 +386,11 @@ def section_verify_solutions(cfg: PipelineConfig) -> dict:
     # negative control: the cubic coefficient of the energy relation,
     # -8*sqrt3/9, replaced by -sqrt3 must fail visibly, demonstrating the
     # residual oracle is sensitive
-    u = model.diagonal_potential(model.taylor_truncate(3))
+    u = model.diagonal_potential(t3)
     with mp.workprec(prec + 40):
         ts = [mp.mpf(1) / 10 + mp.mpf(k) / 8 for k in range(5)]
-        control = float(elliptic.phi_residual(Poly(u.coeffs[:3] + [SQRT3]), 2,
-                                           ts, prec))
+        control = float(elliptic.phi_residual(
+            t3, Poly(u.coeffs[:3] + [SQRT3]), 2, ts, prec))
     checks.append(_check("verify_solutions.corrupted_control",
                          control > 1e-3, value=control, tol=1e-3,
                          note="corrupted coefficient must FAIL the oracle"))

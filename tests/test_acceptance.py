@@ -92,14 +92,15 @@ def test_criterion_4_branch_monodromy():
 
 def test_criterion_5_elliptic_certificates():
     with criterion(5, "phi, weierstrass and psi residuals; exact identity"):
+        t3, t4 = model.taylor_truncate(3), model.taylor_truncate(4)
         for h in (1, 2, 3):
-            assert elliptic.verify_phi(h, prec=128) < mp.mpf(1e-10)
-        inv = elliptic.invariants_for_energy(2, 128)
+            assert elliptic.verify_phi(t3, h, prec=128) < mp.mpf(1e-10)
+        inv = elliptic.invariants_for_energy(t3, 2, 128)
         with mp.workprec(170):
             for t in (mp.mpf(1) / 5, mp.mpf(1) / 2):
                 assert elliptic.weierstrass_ode_residual(t, inv, 128) \
                     < mp.mpf(1e-20)
-        assert elliptic.verify_psi(prec=128) < mp.mpf(1e-12)
+        assert elliptic.verify_psi(t4, prec=128) < mp.mpf(1e-12)
         assert model.pole_solution(model.taylor_truncate(4)).solves(
             model.diagonal_reduce(model.taylor_truncate(4)))
 

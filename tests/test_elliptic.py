@@ -9,9 +9,12 @@ from dyson3.model import (diagonal_potential, diagonal_reduce,
                           elliptic_solution, pole_solution, taylor_truncate)
 from dyson3.poly import Poly
 
+# phi certifies the cubic truncation, psi the quartic one
+T3, T4 = taylor_truncate(3), taylor_truncate(4)
+
 
 def test_weierstrass_ode_residual():
-    inv = elliptic.invariants_for_energy(2, 128)
+    inv = elliptic.invariants_for_energy(T3, 2, 128)
     with mp.workprec(170):
         for t in (mp.mpf(1) / 5, mp.mpf(1) / 2, mp.mpf("1.3")):
             assert elliptic.weierstrass_ode_residual(t, inv, 128) < mp.mpf(1e-20)
@@ -20,7 +23,7 @@ def test_weierstrass_ode_residual():
 def test_weierstrass_duplication_consistency():
     """p(2t) from direct evaluation matches the ODE-governed flow, i.e. the
     series + duplication evaluation path is self-consistent."""
-    inv = elliptic.invariants_for_energy(3, 128)
+    inv = elliptic.invariants_for_energy(T3, 3, 128)
     with mp.workprec(170):
         t = mp.mpf("0.17")
         x1, y1 = elliptic.weierstrass_p(t, inv, 128)
@@ -76,7 +79,7 @@ _P_ARGS = [mp.mpf("0.1"), mp.mpf("0.29"), mp.mpf("-0.45"), mp.mpf("0.7"),
 @pytest.mark.parametrize("t", _P_ARGS, ids=str)
 def test_weierstrass_p_matches_the_per_term_reference(t, h):
     prec = 128
-    inv = elliptic.invariants_for_energy(h, prec)
+    inv = elliptic.invariants_for_energy(T3, h, prec)
     got = elliptic.weierstrass_p(t, inv, prec)
     want = _reference_p(t, inv, prec)
     with mp.workprec(prec + 40):
@@ -87,7 +90,7 @@ def test_weierstrass_p_matches_the_per_term_reference(t, h):
 @pytest.mark.parametrize("t", [mp.mpf("0.2"), mp.mpf("1.3"), 0.7, 2],
                          ids=str)
 def test_weierstrass_p_of_real_t_is_real(t):
-    x, y = elliptic.weierstrass_p(t, elliptic.invariants_for_energy(2, 128))
+    x, y = elliptic.weierstrass_p(t, elliptic.invariants_for_energy(T3, 2, 128))
     assert isinstance(x, mp.mpf) and isinstance(y, mp.mpf)
 
 
@@ -98,12 +101,12 @@ def test_weierstrass_p_refuses_a_complex_t(t):
     """p is evaluated at real t only; a complex t is refused, never cut to
     its real part."""
     with pytest.raises(TypeError):
-        elliptic.weierstrass_p(t, elliptic.invariants_for_energy(2, 128))
+        elliptic.weierstrass_p(t, elliptic.invariants_for_energy(T3, 2, 128))
 
 
 def test_phi_satisfies_energy_relation():
     for h in (1, 2, 3):
-        assert elliptic.verify_phi(h, prec=128) < mp.mpf(1e-10)
+        assert elliptic.verify_phi(T3, h, prec=128) < mp.mpf(1e-10)
 
 
 def test_phi_oracle_detects_corruption():
@@ -113,15 +116,15 @@ def test_phi_oracle_detects_corruption():
     corrupted = Poly(u.coeffs[:3] + [SQRT3])      # 8 sqrt3/9 -> sqrt3
     with mp.workprec(168):
         ts = [mp.mpf("0.3")]
-    assert elliptic.phi_residual(corrupted, 2, ts, 128) > 1e-3
+    assert elliptic.phi_residual(T3, corrupted, 2, ts, 128) > 1e-3
 
 
 def test_psi_satisfies_quartic_ode():
-    assert elliptic.verify_psi(prec=128) < mp.mpf(1e-12)
+    assert elliptic.verify_psi(T4, prec=128) < mp.mpf(1e-12)
 
 
 def test_psi_energy_level_is_zero():
-    worst, _ = elliptic.psi_diagonal_energy(128)
+    worst, _ = elliptic.psi_diagonal_energy(T4, 128)
     assert worst < mp.mpf(1e-20)
 
 
@@ -130,13 +133,32 @@ def test_psi_exact_rational_identity():
         diagonal_reduce(taylor_truncate(4)))
 
 
+def test_psi_certificates_certify_sutherland(sutherland):
+    """verify_psi and psi_diagonal_energy read psi, g and U from the
+    truncation they are given: Sutherland's psi (omega = 4, alpha = -sqrt3,
+    rho = 2 sqrt3 i) solves Sutherland's force on the zero level within the
+    report's tolerances, while Dyson's psi misses that force by about
+    1.8e4."""
+    assert elliptic.verify_psi(sutherland, 128) < 1e-12
+    worst, _ = elliptic.psi_diagonal_energy(sutherland, 128)
+    assert worst < 1e-20
+    dyson = elliptic._psi_constants(T4, 128)
+    with mp.workprec(168):
+        g = [elliptic._mp(c) for c in reversed(
+            diagonal_reduce(sutherland).coeffs)]
+        miss = max(abs(qdd - mp.polyval(g, q)) for q, _, qdd in
+                   (elliptic._psi_at(mp.mpf(k) / 16, dyson, 128)
+                    for k in range(25)))
+    assert miss > 1e3
+
+
 def test_psi_pole_guard():
     """w = 1 + i sqrt26 sin(2t) vanishes on the imaginary axis at
     t = (i/2) asinh(1/sqrt26)."""
     with mp.workprec(128):
         t_pole = mp.mpc(0, 1) * mp.asinh(1 / mp.sqrt(26)) / 2
     with pytest.raises(elliptic.LatticePointError):
-        elliptic._psi_at(t_pole, elliptic._psi_constants(128), 128)
+        elliptic._psi_at(t_pole, elliptic._psi_constants(T4, 128), 128)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -146,7 +168,7 @@ def test_laurent_series_is_sized_by_its_lattice(h):
     kept one (from the reference recursion) lie below 2^-wp relative to
     the leading terms of p and p'."""
     wp = 168
-    inv = elliptic.invariants_for_energy(h, 128)
+    inv = elliptic.invariants_for_energy(T3, h, 128)
     with mp.workprec(wp):
         g2, g3 = mp.mpf(inv.g2), mp.mpf(inv.g3)
         kept = elliptic._laurent_coeffs(g2, g3, wp)
@@ -173,7 +195,7 @@ def _reference_phi_residual(u, h, ts, prec):
     with mp.workprec(prec + 40):
         worst = mp.mpf(0)
         for t in ts:
-            inv = elliptic.invariants_for_energy(h, prec)
+            inv = elliptic.invariants_for_energy(T3, h, prec)
             x, y = elliptic.weierstrass_p(t, inv, prec)
             b = elliptic._mp(phi.b)
             q, qd = elliptic._mp(phi.a) + b * x, b * y
@@ -205,7 +227,7 @@ def test_certificates_equal_the_per_point_conversions():
     with mp.workprec(prec + 40):
         ts = [mp.mpf(1) / 10 + mp.mpf(k) / 40 for k in range(20)]
     for h in (1, 2, 3):
-        assert elliptic.verify_phi(h, prec) == _reference_phi_residual(
+        assert elliptic.verify_phi(T3, h, prec) == _reference_phi_residual(
             u3, h, ts, prec)
     g = diagonal_reduce(taylor_truncate(4))
     u4 = diagonal_potential(taylor_truncate(4))
@@ -219,5 +241,5 @@ def test_certificates_equal_the_per_point_conversions():
         energies = [qd * qd + value(u4, q) for q, qd, _ in
                     (_reference_psi(mp.mpf(k) / 8, prec) for k in range(1, 8))]
         energy_ref = max(abs(v) for v in energies), energies[0]
-    assert elliptic.verify_psi(prec) == psi_ref
-    assert elliptic.psi_diagonal_energy(prec) == energy_ref
+    assert elliptic.verify_psi(T4, prec) == psi_ref
+    assert elliptic.psi_diagonal_energy(T4, prec) == energy_ref

@@ -16,9 +16,11 @@ from sympy.solvers.ode.riccati import solve_riccati
 import dyson3.kovacic as kovacic_module
 from dyson3 import nve
 from dyson3.field import FE, SQRT3, SQRT26, SQRT78, I, FieldElement, field_sqrt
+from dyson3.field import _rational_square_root
 from dyson3.kovacic import (_Lift, _Sweep,
                             _case2_inf_set, _case2_pole_set, _degrees,
-                            _first_dependent_row, _get_modp,
+                            _disc_root, _first_dependent_row, _get_modp,
+                            _int_candidates,
                             _kernel_poly, _recursion, _recursion_modp,
                             _riccati_holds, kovacic, lame_sieve, pole_profile)
 from dyson3.model import taylor_truncate
@@ -93,6 +95,27 @@ def test_unsplit_pole_polynomial_is_indeterminate():
     assert res.certificate is None
     assert repr(W ** 3 - 2) in res.log[-1]
     assert res.log[-1].endswith("verdict indeterminate")
+
+
+def test_pole_profile_takes_rational_roots_of_irrational_factors():
+    """The denominator of 1/(w (w^2 - 3 - 2 sqrt2))^2 splits into 0 and
+    +-(1 + sqrt2), so the decision passes the pole profile and ends in case
+    1, where sqrt(1 + 4b) = sqrt(69 - 48 sqrt2) at w = 0 is not in the
+    field.  For 1/(w (w^2 - 1 - sqrt2))^2 only the quadratic stays unsplit,
+    and the log names it alone."""
+    s2 = FieldElement({2: 1})
+    res = kovacic(rf(ONE, (W * (W * W - Poly([3 + 2 * s2]))) ** 2))
+    assert res.verdict == "indeterminate"
+    assert res.log == [
+        "poles: [('FE(-1 + -1*s2)', 2), ('FE(0)', 2), ('FE(1 + 1*s2)', 2)], "
+        "o(inf)=6, exact=True",
+        "case 1: sqrt(1 + 4b) = sqrt(FE(69 + -48*s2)) at the pole FE(0) is "
+        "not in the field: verdict indeterminate"]
+    quadratic = W * W - Poly([1 + s2])
+    res = kovacic(rf(ONE, (W * quadratic) ** 2))
+    assert res.verdict == "indeterminate"
+    assert res.log == [f"poles: the factor {quadratic!r} of the denominator "
+                       "does not split over the field: verdict indeterminate"]
 
 
 _SQRT2 = field_sqrt(FE(2))
@@ -404,6 +427,26 @@ def test_sweep_theta_equals_the_field_element_sum(data):
                for k, c in enumerate(got.coeffs))
 
 
+@settings(max_examples=200, deadline=None)
+@given(b=st.fractions(-3, 30, max_denominator=40),
+       square=st.fractions(0, 12, max_denominator=12),
+       m=st.sampled_from([2, 6, 8, 12]))
+@example(b=Fraction(-1, 4), square=Fraction(0), m=12)
+@example(b=Fraction(-1, 2), square=Fraction(0), m=6)
+@example(b=Fraction(2), square=Fraction(0), m=2)
+def test_int_candidates_match_the_fraction_definition(b, square, m):
+    """The integer candidates center + t sqrt(1 + 4b), t in steps, equal
+    the Fraction definition for rational b: irrational roots, a root 0
+    (1 + 4b = 0), no real root (1 + 4b < 0) and the rational roots
+    sqrt(1 + 4b) = square, drawn as b = (square^2 - 1)/4."""
+    steps = (2, 0, -2) if m == 2 else range(-m // 2, m // 2 + 1)
+    for b in (b, (square * square - 1) / 4):
+        s = _rational_square_root(1 + 4 * b)
+        want = {m // 2 + (int(t * s) if t else 0) for t in steps
+                if t == 0 or (s is not None and (t * s).denominator == 1)}
+        assert _int_candidates(m // 2, steps, _disc_root(FE(b))) == want
+
+
 def _candidates(r, n):
     """(S, S*theta, S^2 r, d) of r's candidates at recursion order n: case
     2's for n = 2, and otherwise the invariant candidate of degree n that
@@ -413,10 +456,10 @@ def _candidates(r, n):
         sweep = _Sweep(profile, r)
         return [(sweep.S, sweep.theta(Fraction(e, 2) for e in combo),
                  sweep.S2r, d)
-                for _, combo, d in _degrees(_case2_inf_set(profile),
-                                            map(_case2_pole_set,
-                                                profile.poles),
-                                            Fraction(1, 2))]
+                for _, combo, d in _degrees(
+                    _case2_inf_set(profile, sweep.inf_root),
+                    map(_case2_pole_set, profile.poles, sweep.roots),
+                    Fraction(1, 2))]
     calls = []
     kernel_poly = kovacic_module._kernel_poly
 

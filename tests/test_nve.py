@@ -425,22 +425,13 @@ def test_kappa_grid_transverse_liouvillian_only_at_7_4():
     assert liouvillian == [Fraction(7, 4)]
 
 
-def _sutherland():
-    """The quartic truncation of the pair potential 1/sin^2 at pi/3, with
-    the constant dropped: 1/sin^2 = -d/dx cot = (-log sin)'', so its
-    series is the second derivative of Dyson's f to order 6, f_k =
-    -(k + 1) c_(k+1) in the cot series c_n of `model._neg_log_sin`."""
-    f = taylor_truncate(6).f.derivative().derivative()
-    return model.TruncatedHamiltonian(f=Poly([0] + f.coeffs[1:]), order=4)
-
-
-def test_sutherland_truncation_through_model_nve_kovacic():
+def test_sutherland_truncation_through_model_nve_kovacic(sutherland):
     """Sutherland's own quartic truncation runs the Dyson code path:
     U = 16 q^2 + (32 sqrt3/3) q^3 + (208/3) q^4, its pole solution has
     omega = 4, alpha = -sqrt3 and rho = 2 sqrt3 i (kappa = 13/12), the
     transverse mode is not Liouvillian and the tangential one Liouvillian
     in case 1 with d = 2, and the oracles pass along its own orbit."""
-    th = _sutherland()
+    th = sutherland
     f = th.f
     assert diagonal_potential(th) == Poly(
         [0, 0, FE(16), SQRT3 * FE(Fraction(32, 3)), FE(Fraction(208, 3))])

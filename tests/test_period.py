@@ -380,6 +380,29 @@ def test_diagonal_kinetic_energy_is_p_squared():
     assert np.allclose(kinetic, p * p, rtol=1e-12, atol=0)
 
 
+def test_closed_form_potential_is_the_truncations_series():
+    """period's closed form Vtilde, evaluated through _vtilde_u in
+    u = log tan q, has the Taylor coefficients at q = pi/3 of model's
+    diagonal potential U = 2 f(q) + f(-2q), once E_min is taken off: 0, 0,
+    4, 8 sqrt3/9, 4, ..., 22.387 to order 8.  mp.taylor differentiates at
+    a raised precision, so each coefficient holds to a few units in the
+    last place of the working precision."""
+    from dyson3 import elliptic, model
+    prec = 128
+    want = model.diagonal_potential(model.taylor_truncate(8)).coeffs
+    with mp.workprec(prec):
+        emin = period.e_min(prec)
+
+        def vtilde(x):
+            t = mp.tan(mp.pi / 3 + x)
+            return period._vtilde_u(mp.log(t), 1 + t * t) - emin
+
+        got = mp.taylor(vtilde, 0, 8)
+        assert len(got) == len(want) == 9
+        for g, w in zip(got, map(elliptic._mp, want)):
+            assert abs(g - w) <= mp.ldexp(1 + abs(w), 8 - prec)
+
+
 @pytest.mark.parametrize("nsteps", [1, period._CHUNK - 1, period._CHUNK,
                                     period._CHUNK + 1, 2 * period._CHUNK + 3])
 def test_integrate_diagonal_across_chunk_boundaries(nsteps):

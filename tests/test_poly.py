@@ -82,6 +82,23 @@ def test_exact_roots_tries_the_radicals_of_a_cubic():
     assert not solved and roots == []
 
 
+def test_exact_roots_pulls_rational_roots_from_irrational_coefficients():
+    """A rational root of p = sum_r sqrt(r) p_r is a root of every
+    component p_r: w (w^2 - 3 - 2 sqrt2) has the roots 0 and
+    +-(1 + sqrt2), and (w - 2)(w^2 - 3 - 2 sqrt2) the roots 2 and
+    +-(1 + sqrt2); w (w^2 - 1 - sqrt2) gives up 0 and keeps its quadratic,
+    which does not split."""
+    w = Poly.x()
+    s2 = FieldElement({2: 1})
+    q = w * w - Poly([3 + 2 * s2])
+    roots, solved = exact_roots(w * q)
+    assert solved and roots == [(FE(0), 1), (1 + s2, 1), (-1 - s2, 1)]
+    roots, solved = exact_roots((w - 2) * q)
+    assert solved and roots == [(FE(2), 1), (1 + s2, 1), (-1 - s2, 1)]
+    roots, solved = exact_roots(w * (w * w - Poly([1 + s2])))
+    assert not solved and roots == [(FE(0), 1)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(field_elements(), max_size=8), field_elements(),
        field_elements())
