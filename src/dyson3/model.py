@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FE, SQRT3, ZERO, FieldElement, field_sqrt
-from .poly import Poly, RationalFunction
+from .field import FE, ONE, SQRT3, ZERO, FieldElement, field_sqrt
+from .poly import Poly
 
 
 def transform_jacobian():
@@ -152,13 +152,24 @@ class PoleSolution:
     wdot2: Poly
     wddot: Poly
 
+    def along(self, p: Poly) -> Poly:
+        """w^n p(alpha/w) for n = deg p, the numerator of p(psi) over w^n:
+        its w^(n-k) coefficient is p_k alpha^k."""
+        out, power = [], ONE
+        for c in p.coeffs:
+            out.append(c * power)
+            power = power * self.alpha
+        return Poly(out[::-1])
+
     def solves(self, force: Poly) -> bool:
-        """psiddot = force(psi) exactly, as rational functions of w, where
-        psiddot = alpha (2 wdot^2 - w wddot) / w^3."""
-        w = Poly.x()
+        """psiddot = force(psi) exactly.  As psiddot = alpha (2 wdot^2 -
+        w wddot)/w^3 and force(psi) = along(force)/w^n, n = deg force, this
+        is the polynomial identity, times w^m for m = max(3, n),
+            alpha (2 wdot^2 - w wddot) w^(m-3) = along(force) w^(m-n)."""
+        w, n = Poly.x(), force.degree
+        m = max(3, n)
         lhs = (self.wdot2.scale(2) - w * self.wddot).scale(self.alpha)
-        psi = RationalFunction(Poly([self.alpha]), w)
-        return RationalFunction(lhs, w * w * w) == force(psi)
+        return lhs * w ** (m - 3) == self.along(force) * w ** (m - n)
 
 
 def _root(x: FieldElement) -> FieldElement:

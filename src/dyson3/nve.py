@@ -127,16 +127,13 @@ def algebrize(nve: ScalarNVE) -> AlgebraizedODE:
         xi'' + p(w) xi' + q(w) xi = 0,
         p = wddot/wdot^2,  q = -a(alpha/w)/wdot^2,
     and the normal form r = p^2/4 + p'/2 - q.  With P = wddot, D = wdot^2
-    and N = w^n a(alpha/w), n = deg a, each is formed as one fraction of
-    polynomials, so one gcd reduces it:
+    and N = w^n a(alpha/w) = pole.along(a), n = deg a, each is formed as
+    one fraction of polynomials, so one gcd reduces it:
         q = -N/(w^n D),  r = (w^n (P^2 + 2(P'D - PD')) + 4DN) / (4 w^n D^2).
     """
     pole = pole_solution(nve.trunc)
-    big_p, big_d, n, w = pole.wddot, pole.wdot2, nve.a.degree, Poly.x()
-    wn = w ** n
-    big_n = Poly([])      # sum_k a_k alpha^k w^(n-k), by Horner's rule
-    for k in range(n, -1, -1):
-        big_n = big_n.scale(pole.alpha) + Poly([nve.a.coeff(k)]) * w ** (n - k)
+    big_p, big_d, big_n = pole.wddot, pole.wdot2, pole.along(nve.a)
+    wn = Poly.x() ** nve.a.degree
     p = RationalFunction(big_p, big_d)
     q = RationalFunction(-big_n, wn * big_d)
     dp = (big_p.derivative() * big_d - big_p * big_d.derivative()).scale(2)

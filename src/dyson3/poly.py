@@ -1,4 +1,4 @@
-"""Dense univariate polynomials and rational functions.
+"""Dense univariate polynomials and reduced fractions of them.
 
 Coefficients are exact field elements (`field.FieldElement`), so every
 zero test, gcd and division is exact.  Degrees stay small (< 30)
@@ -138,8 +138,6 @@ class Poly:
         return q
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
         inv = self.lc().inverse()
         return Poly([c * inv for c in self.coeffs])
 
@@ -300,8 +298,6 @@ def _rational_roots(p: Poly):
 
 
 def _divisors(n: int):
-    if n == 0:
-        return [1]
     out = []
     d = 1
     while d * d <= n:
@@ -334,46 +330,13 @@ class RationalFunction:
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
 
-    @staticmethod
-    def from_poly(p: Poly) -> "RationalFunction":
-        return RationalFunction(p, Poly.const(ONE))
-
-    @staticmethod
-    def const(c) -> "RationalFunction":
-        return RationalFunction.from_poly(Poly.const(c))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    # -- ring operations -------------------------------------------------
-    def _same(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Poly):
-            return RationalFunction.from_poly(other)
-        return RationalFunction.const(other)
-
-    def __add__(self, other):
-        o = self._same(other)
-        return RationalFunction(self.num * o.den + o.num * self.den,
-                                self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._same(other))
-
-    def __mul__(self, other):
-        o = self._same(other)
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        return (self - self._same(other)).is_zero()
+        """num and den are canonical: reduced over a monic denominator."""
+        return (isinstance(other, RationalFunction) and self.num == other.num
+                and self.den == other.den)
 
     def order_at_infinity(self) -> int:
         """deg den - deg num; +inf order is represented by a large int."""
@@ -385,24 +348,17 @@ class RationalFunction:
         return f"RF({self.num!r} / {self.den!r})"
 
 
-def partial_fractions(f: RationalFunction, roots=None):
+def partial_fractions(f: RationalFunction, roots):
     """Split f into polynomial part + Laurent ladders at each pole.
 
     Returns (poly_part, [(pole, order, ladder)]) where ladder[j] multiplies
-    (w - pole)**-(order - j).  `roots` may carry precomputed (root,
-    multiplicity) pairs for the denominator; otherwise they are found by
-    exact_roots, and ArithmeticError is raised when the denominator does
-    not split over the field.
+    (w - pole)**-(order - j); `roots` holds the (root, multiplicity) pairs
+    of the denominator.
 
     The ladder at a pole c is the first `order` coefficients of the power
     series num/core, with num = rem(w + c) for rem = f.num mod f.den and
     core = f.den(w + c)/w**order, found by series division.
     """
-    if roots is None:
-        roots, solved = exact_roots(f.den)
-        if not solved:
-            raise ArithmeticError(f"denominator {f.den!r} does not split "
-                                  "over the field")
     poly_part, rem = f.num.divmod(f.den)
     terms = []
     for pole, order in roots:

@@ -35,10 +35,19 @@ def rf(num, den=ONE):
     return RationalFunction(num, den)
 
 
-def riccati(omega):
-    """r = omega' + omega^2, whose xi'' = r xi has xi = exp(int omega)."""
-    n, d = omega.num, omega.den
-    return rf(n.derivative() * d - n * d.derivative(), d * d) + omega * omega
+def riccati(n, d=ONE):
+    """r = omega' + omega^2 = (n'd - nd' + n^2)/d^2 for omega = n/d, whose
+    xi'' = r xi has xi = exp(int omega)."""
+    return rf(n.derivative() * d - n * d.derivative() + n * n, d * d)
+
+
+def frac_sum(*terms):
+    """(n, d) with n/d the sum of the fractions n_i/d_i of the (n_i, d_i)
+    pairs, d the product of the d_i."""
+    num, den = Poly([]), ONE
+    for n, d in terms:
+        num, den = num * d + n * den, den * d
+    return num, den
 
 
 def test_corpus_zero_and_constant():
@@ -142,13 +151,13 @@ _BESSEL_3_2 = rf(Poly([2, 0, -1]), W * W)
     pytest.param(rf(Poly([1, -2]), W ** 4), "liouvillian", 1,
                  "case 1: success at d=0", id="pole_of_order_4"),
     # omega = 1/w^2 + 1/(w - 1) + w + 2: poles of order 4 and 1, o(inf) = -2
-    pytest.param(riccati(rf(ONE, W * W) + rf(ONE, W - ONE) + rf(W + 2)),
+    pytest.param(riccati(*frac_sum((ONE, W * W), (ONE, W - ONE), (W + 2, ONE))),
                  "liouvillian", 1, "case 1: success at d=0",
                  id="poles_of_order_4_and_1"),
     # omega = sqrt3/(w - 2)^2 + 1/(2w): orders 4 and 2, and an irrational
     # truncated square root at w = 2
-    pytest.param(riccati(rf(Poly([SQRT3]), (W - 2) ** 2)
-                         + rf(Poly([FE(Fraction(1, 2))]), W)),
+    pytest.param(riccati(*frac_sum((Poly([SQRT3]), (W - 2) ** 2),
+                                   (Poly([FE(Fraction(1, 2))]), W))),
                  "liouvillian", 1, "case 1: success at d=0",
                  id="poles_of_order_4_and_2"),
     # Bessel with nu = 3/2: deg P = 1
@@ -403,7 +412,7 @@ _THETA_PROFILES = [
         taylor_truncate(4)), "symmetric")).r,
     schwarz_form(_H, _T, Fraction(1, 5), *_GENERIC_A),
     schwarz_form(_H, _T, _T, *_surd_pair(_H, _T, _SQRT5)),
-    riccati(rf(ONE, W * W) + rf(ONE, W - ONE) + rf(W + 2)),
+    riccati(*frac_sum((ONE, W * W), (ONE, W - ONE), (W + 2, ONE))),
     rf(Poly([1, FE(Fraction(-3, 16))]), W ** 3),
 ]
 
@@ -747,10 +756,8 @@ def _riccati_forms(draw):
               (FE(u) + SQRT3 * FE(v), draw(st.sampled_from(others)))]
     tail = Poly([FE(draw(st.sampled_from((0, 1, -2, Fraction(1, 2))))),
                  FE(draw(st.sampled_from((0, 0, 1, -1))))])
-    omega = rf(tail)
-    for c, a in terms:
-        omega = omega + rf(Poly([FE(a)]), W - Poly([c]))
-    return riccati(omega)
+    return riccati(*frac_sum((tail, ONE), *((Poly([FE(a)]), W - Poly([c]))
+                                            for c, a in terms)))
 
 
 @settings(max_examples=15, deadline=None)

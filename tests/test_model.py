@@ -1,4 +1,5 @@
 """Canonical reduction and exact Taylor truncations."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from dyson3.field import FE, SQRT3, FieldElement
 from dyson3.model import (KINETIC, TruncatedHamiltonian, derive_pole,
                           diagonal_potential, diagonal_reduce,
                           diagonal_reduce_via_energy, kinetic_matrix,
-                          mode_eigenvalue, taylor_truncate,
+                          mode_eigenvalue, pole_solution, taylor_truncate,
                           transform_jacobian)
 from dyson3.poly import Poly
 
@@ -241,6 +242,51 @@ def test_dyson_kappa():
         Fraction(9, 4))
     rho = derive_pole(diagonal_potential(taylor_truncate(4))).rho
     assert rho * rho == FE(-26)
+
+
+def _psiddot_at(pole, w):
+    """psiddot at the point w of the orbit by the chain rule on
+    psi = alpha/w: psiddot = 2 alpha wdot^2 / w^3 - alpha wddot / w^2."""
+    return (2 * pole.alpha * pole.wdot2(w) / (w * w * w)
+            - pole.alpha * pole.wddot(w) / (w * w))
+
+
+def test_solves_verdicts_agree_with_pointwise_evaluation(sutherland):
+    """solves(force) holds for psi of the cubic and quartic Dyson
+    truncations and of Sutherland's quartic one, each with its own force,
+    and fails for the quartic force plus q^3, for the order-6 truncation's
+    force and for alpha scaled by 1 + 2^-30.  Each verdict agrees with
+    psiddot = force(psi) evaluated exactly at seven rational w."""
+    t3, t4 = taylor_truncate(3), taylor_truncate(4)
+    pole = pole_solution(t4)
+    nudged = dataclasses.replace(
+        pole, alpha=pole.alpha * FE(1 + Fraction(1, 2 ** 30)))
+    cases = [
+        (pole_solution(t3), diagonal_reduce(t3), True),
+        (pole, diagonal_reduce(t4), True),
+        (pole_solution(sutherland), diagonal_reduce(sutherland), True),
+        (pole, diagonal_reduce(t4) + Poly([0, 0, 0, 1]), False),
+        (pole, diagonal_reduce(taylor_truncate(6)), False),
+        (nudged, diagonal_reduce(t4), False),
+    ]
+    points = [FE(Fraction(k, 3)) for k in (-5, -2, 1, 2, 4, 7, 11)]
+    for psi, force, verdict in cases:
+        assert psi.solves(force) is verdict
+        assert all(_psiddot_at(psi, w) == force(psi.alpha / w)
+                   for w in points) is verdict
+
+
+def test_along_is_the_numerator_of_p_at_psi():
+    """along(p) = w^n p(alpha/w) for n = deg p: its w^(n-k) coefficient is
+    p_k alpha^k, and along of the zero polynomial is zero."""
+    pole = pole_solution(taylor_truncate(4))
+    p = Poly([FE(2), 0, FE(-3), SQRT3])
+    alpha = pole.alpha
+    assert pole.along(p) == Poly([SQRT3 * alpha * alpha * alpha,
+                                  -3 * alpha * alpha, 0, FE(2)])
+    w = FE(Fraction(5, 7))
+    assert pole.along(p)(w) == p(alpha / w) * w * w * w
+    assert pole.along(Poly([])).is_zero()
 
 
 def test_pole_without_a_field_square_root_raises():

@@ -338,10 +338,13 @@ def test_algebrized_normal_form_identity():
                nve.scalar_nve(_vs(4), "antisymmetric")):
         ode = nve.algebrize(sc)
         assert ode.normal_form_identity_holds()
-        wrong_r = ode.r + RationalFunction(Poly([FE(1)]), ode.r.den)
+        wrong_r = RationalFunction(ode.r.num + Poly([FE(1)]), ode.r.den)
         assert not nve.AlgebraizedODE(ode.p, ode.q, wrong_r, ode.variant
                                       ).normal_form_identity_holds()
-        no_derivative = ode.p * ode.p * Fraction(1, 4) - ode.q
+        # p^2/4 - q = (a^2 q.den - 4 b^2 q.num) / (4 b^2 q.den) for p = a/b
+        (a, b), q = (ode.p.num, ode.p.den), ode.q
+        no_derivative = RationalFunction(
+            a * a * q.den - (b * b * q.num).scale(4), (b * b * q.den).scale(4))
         assert not nve.AlgebraizedODE(ode.p, ode.q, no_derivative,
                                       ode.variant).normal_form_identity_holds()
 

@@ -1,11 +1,12 @@
-"""Univariate polynomials and rational functions over the field."""
+"""Univariate polynomials and reduced fractions of them over the field."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyson3.field import FE, I, ONE, SQRT3, FieldElement, field_sqrt
-from dyson3.poly import (Poly, RationalFunction, exact_roots,
+from dyson3.poly import (Poly, RationalFunction, exact_roots, float_horner,
                          partial_fractions, poly_squarefree_factor)
 from test_field import field_elements
 
@@ -109,24 +110,23 @@ def test_shift_var_is_the_taylor_shift(coeffs, a, x):
     assert p.shift_var(a)(x) == p(x + a)
 
 
-def recombine(poly_part, terms):
-    """Inverse of partial_fractions: poly_part plus the sum over its terms
-    (pole, order, ladder) of ladder[j] / (w - pole)^(order - j)."""
-    out = RationalFunction.from_poly(poly_part)
-    for pole, order, ladder in terms:
-        base = Poly([-pole, ONE])
-        for j, c in enumerate(ladder):
-            out = out + RationalFunction(Poly.const(c), base ** (order - j))
-    return out
-
-
 def test_partial_fraction_roundtrip_exact():
+    """f = poly_part + sum_j ladder[j] / (w - c)^(order - j) over the terms
+    (c, order, ladder), as the polynomial identity it is times f.den:
+    f.num = poly_part f.den + sum_j ladder[j] f.den / (w - c)^(order - j)."""
     w = Poly.x()
     for f in (RationalFunction(_p(1, 2, 0, 1), (w - 1) ** 2 * (w + 3)),
               # a triple pole at an irrational point
               RationalFunction(_p(1, 2, 3), (w - SQRT3) ** 3 * (w - 1))):
-        poly_part, terms = partial_fractions(f)
-        assert recombine(poly_part, terms) == f
+        roots, solved = exact_roots(f.den)
+        assert solved
+        poly_part, terms = partial_fractions(f, roots)
+        total = poly_part * f.den
+        for pole, order, ladder in terms:
+            base = Poly([-pole, ONE])
+            for j, c in enumerate(ladder):
+                total = total + f.den.exact_div(base ** (order - j)).scale(c)
+        assert total == f.num
 
 
 def test_rational_function_reduction_and_order():
@@ -135,17 +135,65 @@ def test_rational_function_reduction_and_order():
     assert f.den == w
     assert f.order_at_infinity() == 0
     assert RationalFunction(Poly([1]), w * w * w).order_at_infinity() == 3
-    assert (f - f).is_zero()
+    zero = RationalFunction(Poly([]), w)
+    assert zero.is_zero() and zero.den == Poly([1])
+    assert zero.order_at_infinity() == 10 ** 9
 
 
-def test_rational_function_field_ops():
+def test_rational_function_equality_is_of_the_reduced_pair():
+    """num and den are reduced over a monic denominator, so equal fractions
+    compare equal however they were written, and a fraction never equals
+    a polynomial."""
     w = Poly.x()
-    f = RationalFunction(Poly([1]), w)
-    g = RationalFunction(w - 1, w + 1)
-    assert (f + g) * (w + 1) * w == (w + 1) + (w - 1) * w
-    assert f * g * RationalFunction(w + 1, w - 1) == f
-    assert f * f * w * w == RationalFunction.const(1)
-    assert -(f - 2) == RationalFunction(2 * w - 1, w)
+    f = RationalFunction(w + 2, w)
+    assert f == RationalFunction((w + 2).scale(3) * (w - 1),
+                                 (w * w - w).scale(3))
+    assert f != RationalFunction(w + 2, w + 1)
+    assert f != RationalFunction(w + 3, w)
+    assert RationalFunction(w, Poly([1])) != w
+
+
+def test_guards_raise():
+    """Each guard of the module raises the error it names."""
+    w = Poly.x()
+    with pytest.raises(TypeError, match="cannot coerce"):
+        Poly([1.5])
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        Poly([]).lc()
+    with pytest.raises(ZeroDivisionError):
+        w.divmod(Poly([]))
+    with pytest.raises(ValueError, match="not exact"):
+        (w * w).exact_div(w + 1)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        poly_squarefree_factor(Poly([]))
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(w, Poly([]))
+    f = RationalFunction(w, w + 1)
+    with pytest.raises(AttributeError, match="immutable"):
+        f.num = w
+
+
+def test_floordiv_is_the_quotient():
+    a = _p(1, 0, 2, 5)
+    b = _p(-1, 1)
+    q, r = a.divmod(b)
+    assert a // b == q and a % b == r
+    assert (a - r) // b * b == a - r
+
+
+def test_float_horner_real_complex_and_zero():
+    """Real coefficients give a real float evaluator, a complex one a
+    complex evaluator, and the zero polynomial reads 0.0 everywhere."""
+    w = Poly.x()
+    real = float_horner(w * w - Poly([SQRT3]))
+    value = real(2.0)
+    assert type(value) is float
+    assert abs(value - (4 - 3 ** 0.5)) < 1e-15
+    assert float_horner(w + Poly([I]))(2.0) == complex(2, 1)
+    const = float_horner(Poly([FE(Fraction(1, 4))]))
+    assert const(7.0) == 0.25
+    zero = float_horner(Poly([]))
+    assert zero(3.0) == 0.0 and type(zero(3.0)) is float
 
 
 def test_complex_coefficients_via_imaginary_unit():
