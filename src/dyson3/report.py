@@ -170,10 +170,15 @@ def _scan_offsets(cfg: PipelineConfig):
 def section_period_scan(cfg: PipelineConfig) -> dict:
     prec = cfg.precision
     emin = period.e_min(prec)
+    offsets = _scan_offsets(cfg)
+    # E_min + offset rounds at the working precision, not mpmath's default
+    with mp.workprec(prec):
+        energies = [emin + mp.mpf(off) for off in offsets]
+        probe_energy = emin + mp.mpf(1e-6)
     rows, errors = [], []
-    for off in _scan_offsets(cfg):
+    for off, energy in zip(offsets, energies):
         try:
-            s = period.period(emin + mp.mpf(off), prec=prec)
+            s = period.period(energy, prec=prec)
             rows.append({"offset": off, "c": float(s.c), "E": float(s.energy),
                          "T": float(s.period), "log_eta": float(s.log_eta),
                          "phi": float(s.phi), "error": None})
@@ -183,7 +188,7 @@ def section_period_scan(cfg: PipelineConfig) -> dict:
     good = [r for r in rows if r["error"] is None]
     periods = [r["T"] for r in good]
     # limit probe at E_min + 1e-6 (always included regardless of grid)
-    probe = period.period(emin + mp.mpf(1e-6), prec=prec)
+    probe = period.period(probe_energy, prec=prec)
     probe_err = abs(float(probe.period) - math.pi)
     # degenerate row at c = c* has coincident turning points
     tp_star = period.turning_points_closed(period.c_star(prec), prec)
@@ -565,7 +570,7 @@ _CLAIM_A_EVIDENCE = (
 _CLAIM_B_EVIDENCE = (
     "kovacic.quartic_derived_transverse", "nve.scalar_vs_4d_L_antisymmetric",
     "truncations.canonical_reduction", "truncations.diagonal_quartic",
-    "verify_solutions.psi",
+    "verify_solutions.psi", "verify_solutions.psi_exact_identity",
 )
 
 

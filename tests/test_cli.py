@@ -91,6 +91,24 @@ def test_period_scan_writes_csv(tmp_path):
     assert len(lines) == 4
 
 
+def test_period_scan_error_row(tmp_path):
+    """At 128 bits E_min + 1e-45 rounds to E_min: that row holds the error
+    and no values, monotone_T FAILs, the command exits 1, and the CSV
+    keeps the two rows that have values."""
+    code = cli.main(["period-scan", "--grid", "1e-45,1e-6,3",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    doc = json.loads((tmp_path / "period_scan.json").read_text())
+    assert doc["rows"][-1] == {
+        "offset": 1e-45, "error": "energy at or below the equilibrium energy"}
+    assert [r["error"] for r in doc["rows"][:-1]] == [None, None]
+    status = {c["id"]: c["status"] for c in doc["checks"]}
+    assert status["period_scan.monotone_T"] == "FAIL"
+    lines = (tmp_path / "period_scan.csv").read_text().splitlines()
+    assert lines[0] == "c,E,T,log_eta,phi"
+    assert len(lines) == 3
+
+
 def test_verify_solutions_subcommand(tmp_path, capsys):
     assert cli.main(["verify-solutions", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

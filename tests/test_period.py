@@ -457,6 +457,17 @@ def test_period_does_not_depend_on_the_precision(offset):
     assert abs(low - ref) < 1e-15 * ref
 
 
+@pytest.mark.parametrize("offset", [0.25, 0.5])
+def test_return_map_solves_its_own_turning_point(offset):
+    """Without q_minus, return_map_period solves the inner turning point at
+    80 bits itself, as the oracles benchmark calls it; the period is
+    bit-identical to the one started from period's q_minus at 80 bits."""
+    e = float(period.e_min(128)) + offset
+    q_minus = period.period(e, prec=80).q_minus
+    assert period.return_map_period(e, h=1e-3) == \
+        period.return_map_period(e, h=1e-3, q_minus=q_minus)
+
+
 def test_monodromy_single_loop_flips_branch():
     res = period.eta_monodromy(radius=1e-3, steps=800, loops=1)
     assert res.branch_changed

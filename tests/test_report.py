@@ -1,13 +1,17 @@
 """Report assembly, schema, determinism, and renderers."""
 import copy
+import dataclasses
 import json
+import math
 import os
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from dyson3 import cli, kovacic, model, nve
 from dyson3 import report as rpt
+from dyson3.field import FE
 from dyson3.poly import Poly, RationalFunction
 
 FAST_SECTIONS = ("equilibrium", "truncations", "verify_solutions")
@@ -216,6 +220,27 @@ def test_corrupted_reduction_fails_both_claims(monkeypatch):
     assert {v["status"] for v in verdicts.values()} == {"FAIL"}
 
 
+def test_a_failed_psi_identity_fails_claim_b(monkeypatch):
+    """Negative control: psi's exact identity, tested with alpha off by a
+    factor 1 + 2^-30 in along(force), FAILs while the other checks of
+    verify_solutions PASS; with every other cited check passing, claim b
+    FAILs with it, and claim a, which does not cite it, PASSes."""
+    along = model.PoleSolution.along
+    nudge = FE(1 + Fraction(1, 2 ** 30))
+    monkeypatch.setattr(
+        model.PoleSolution, "along", lambda self, p: along(
+            dataclasses.replace(self, alpha=self.alpha * nudge), p))
+    section = rpt.section_verify_solutions(rpt.PipelineConfig())
+    status = {c["id"]: c["status"] for c in section["checks"]}
+    assert status.pop("verify_solutions.psi_exact_identity") == "FAIL"
+    assert set(status.values()) == {"PASS"}
+    others = {cid for cid in _CITED if not cid.startswith("verify_solutions.")}
+    sections = {"verify_solutions": section, **_passing(sorted(others))}
+    verdicts = rpt.build_verdicts(sections)
+    assert verdicts["meromorphic_nonintegrability"]["status"] == "FAIL"
+    assert verdicts["analytic_nonintegrability"]["status"] == "PASS"
+
+
 @pytest.mark.parametrize("key", sorted(model.KINETIC))
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_corrupted_kinetic_form_fails_the_check_and_moves_the_nve(
@@ -279,6 +304,17 @@ def test_csv_shape():
     assert len(lines) == 1 + cfg.grid_count
     for line in lines[1:]:
         assert all(float(tok) == float(tok) for tok in line.split(","))
+
+
+def test_scan_energies_are_formed_at_the_working_precision():
+    """E_min + offset rounds at the run's 128 bits, so an offset of 1e-20,
+    far below a 53-bit step of E_min, reaches period intact: each row's
+    log eta is log(offset/4) to 1e-6."""
+    cfg = rpt.PipelineConfig(grid_min=1e-20, grid_max=1e-10, grid_count=2)
+    rows = rpt.section_period_scan(cfg)["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert abs(row["log_eta"] - math.log(row["offset"] / 4)) < 1e-6
 
 
 def test_section_determinism():
